@@ -20,7 +20,7 @@ from .exact_linalg import (
 from .toric_lattice import (
     Cone,
     Fan,
-    QuotientData,
+    GroupPresentation,
     classify,
     classify_fan,
     cone_index,
@@ -54,7 +54,6 @@ from .balancing import (
     sphere_volume,
 )
 from .spectral import (
-    GroupPresentation,
     eigenvalue,
     first_invariant_index,
     harmonic_dimension,

@@ -25,16 +25,18 @@ from .formats import (
 )
 from .report import (
     build_report,
+    classification_table,
+    leading_cell,
     render_json,
     render_table,
     render_text,
 )
 from .spectral import (
-    GroupPresentation,
     eigenvalue,
     first_invariant_index,
     invariant_harmonic_dimension,
 )
+from .toric_lattice import GroupPresentation
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -92,26 +94,10 @@ def _report_exit_code(report: dict) -> int:
 
 def cmd_classify(args) -> int:
     text, parsed = _load(args.input)
-    report = build_report(args.input, text, parsed, k=args.k)
+    report = build_report(args.input, text, parsed)
     body = report["report"]
     if body["kind"] == "fan":
-        rows = []
-        for e in body["classification"]:
-            if e["classification"] == "unsupported":
-                rows.append([e["label"], "-", "-", "-", "unsupported", "-"])
-                continue
-            rows.append(
-                [
-                    e["label"],
-                    str(e["order"]),
-                    "*".join(str(d) for d in e["cyclic_factors"]) or "1",
-                    "; ".join(",".join(map(str, w)) for w in e["action_weights"])
-                    or "-",
-                    e["classification"],
-                    "yes" if e["isolated"] else "no",
-                ]
-            )
-        print(render_table(rows, ["cone", "|G|", "factors", "weights", "class", "isolated"]))
+        print(classification_table(body["classification"]))
         if not body["validation"]["valid"]:
             for v in body["validation"]["violations"]:
                 print(f"violation: {v}")
@@ -185,12 +171,6 @@ def cmd_coeffs(args) -> int:
         return EXIT_INFEASIBLE
     rows = []
     for c in bal["coefficients"]:
-        if c["leading"] is not None:
-            lead = c["leading"]["coeff"]
-            if c["leading"]["pi_power"]:
-                lead += f"*pi^{c['leading']['pi_power']}"
-        else:
-            lead = c.get("leading_note", "-")
         extra = ""
         if "b_radicand" in c:
             extra = (
@@ -199,7 +179,7 @@ def cmd_coeffs(args) -> int:
             )
         if "c_constant" in c:
             extra += f"  C = {c['c_constant']}"
-        rows.append([c["label"], c["kind"], lead, extra])
+        rows.append([c["label"], c["kind"], leading_cell(c), extra])
     print(render_table(rows, ["point", "kind", "leading", "model constants"]))
     return EXIT_OK
 
@@ -308,32 +288,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="fan (.fan) or orbifold (.orb) file")
+    def add_input(p):
+        p.add_argument("input", help="fan (.fan) or orbifold (.orb) file")
+
+    def add_k(p):
         p.add_argument("--k", type=int, default=None, help="anticanonical multiple")
-        p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument(
-            "--format",
-            choices=("text", "structured"),
-            default="text",
-            help="text table or structured JSON",
-        )
 
     p = sub.add_parser("classify", help="classify the quotient singularities")
-    add_common(p)
+    add_input(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("polytope", help="anticanonical polytope data")
-    add_common(p)
+    add_input(p)
+    add_k(p)
     p.set_defaults(func=cmd_polytope)
 
     p = sub.add_parser("balance", help="decide the balancing conditions")
-    add_common(p)
+    add_input(p)
+    add_k(p)
+    p.add_argument("--out", default=None, help="also write the JSON report here")
     p.set_defaults(func=cmd_balance)
 
     p = sub.add_parser("coeffs", help="gluing coefficients for an orbifold file")
-    add_common(p)
+    add_input(p)
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("spectral", help="sphere eigenvalue / invariant dimensions")

@@ -404,7 +404,8 @@ def unimodular_inverse(m: IntMatrix) -> list[list[int]]:
     rm = RationalMatrix.from_rows([[int(x) for x in row] for row in m])
     cols = [solve_square(rm, [int(i == j) for i in range(n)]) for j in range(n)]
     inv = [[cols[j][i] for j in range(n)] for i in range(n)]
-    assert all(x.denominator == 1 for row in inv for x in row)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise RuntimeError("inverse of a unimodular matrix is not integral (bug)")
     return [[int(x) for x in row] for row in inv]
 
 
@@ -498,8 +499,8 @@ def positive_kernel_witness(
         if bv < ncols:
             y[bv] = tab[i][width]
     x = tuple(yi + 1 for yi in y)
-    assert all(v == 0 for v in m.mul_vector(x))
-    assert min(x) >= 1
+    if any(v != 0 for v in m.mul_vector(x)) or min(x) < 1:
+        raise RuntimeError("simplex witness fails M x = 0, x >= 1 (bug)")
     return x
 
 

@@ -39,13 +39,19 @@ from .spectral import (
     BASE_ORBIFOLD_M2,
     BASE_ORBIFOLD_M3,
     NONLINEAR,
-    GroupPresentation,
     eigenvalue,
     first_invariant_index,
     invariant_harmonic_dimension,
     weight_interval,
 )
-from .toric_lattice import SU, classify_fan, validate_fan
+from .toric_lattice import (
+    SU,
+    U_NON_SU,
+    UNSUPPORTED,
+    GroupPresentation,
+    classify_fan,
+    validate_fan,
+)
 
 
 def _q(x: Fraction) -> str:
@@ -157,23 +163,22 @@ def fan_report(fanfile: FanFile, k: Optional[int] = None) -> dict[str, Any]:
     }
 
     classified = classify_fan(fan)
-    from .toric_lattice import UNSUPPORTED, is_gorenstein
-
     table = []
-    for (label, qd), idx in zip(classified, range(len(classified))):
+    for label, qd in classified:
         if qd is None:
             table.append({"label": label, "classification": UNSUPPORTED})
             continue
-        cone = fan.cone(idx)
+        # classify_fan has checked the classification against the
+        # Gorenstein covector, so the cell is read off it.
         table.append(
             {
                 "label": label,
                 "order": qd.order,
-                "cyclic_factors": list(qd.cyclic_factors),
-                "action_weights": [list(w) for w in qd.action_weights],
+                "cyclic_factors": list(qd.orders),
+                "action_weights": [list(w) for w in qd.weights],
                 "classification": qd.classification,
                 "isolated": qd.isolated,
-                "gorenstein": is_gorenstein(cone) if qd.order > 1 else True,
+                "gorenstein": qd.classification != U_NON_SU,
             }
         )
     report["classification"] = table
@@ -235,12 +240,11 @@ def fan_report(fanfile: FanFile, k: Optional[int] = None) -> dict[str, Any]:
 
     groups: dict[tuple, dict[str, Any]] = {}
     for label, qd in classified:
-        if qd is None or qd.order == 1:
+        if qd is None or qd.is_trivial():
             continue
-        g = GroupPresentation.from_quotient(qd, fan.dim)
-        key = (g.orders, g.weights)
+        key = (qd.orders, qd.weights)
         if key not in groups:
-            groups[key] = _spectral_notes(g, fan.dim)
+            groups[key] = _spectral_notes(qd, fan.dim)
     report["spectral"] = {
         "groups": sorted(groups.values(), key=lambda e: (e["orders"], e["weights"])),
         "weight_intervals": _weight_intervals(fan.dim),
@@ -329,6 +333,36 @@ def render_table(rows: list[list[str]], header: list[str]) -> str:
     return "\n".join(lines)
 
 
+def classification_table(entries: list[dict[str, Any]]) -> str:
+    """The cone-classification table of a fan report's entries."""
+    rows = []
+    for e in entries:
+        if e["classification"] == UNSUPPORTED:
+            rows.append([e["label"], "-", "-", "-", UNSUPPORTED, "-"])
+            continue
+        rows.append(
+            [
+                e["label"],
+                str(e["order"]),
+                "*".join(str(d) for d in e["cyclic_factors"]) or "1",
+                "; ".join(",".join(map(str, w)) for w in e["action_weights"]) or "-",
+                e["classification"],
+                "yes" if e["isolated"] else "no",
+            ]
+        )
+    return render_table(rows, ["cone", "|G|", "factors", "weights", "class", "isolated"])
+
+
+def leading_cell(c: dict[str, Any]) -> str:
+    """The leading-coefficient cell of one coefficient entry."""
+    if c["leading"] is None:
+        return c.get("leading_note", "-")
+    lead = c["leading"]["coeff"]
+    if c["leading"]["pi_power"]:
+        lead += f"*pi^{c['leading']['pi_power']}"
+    return lead
+
+
 def render_text(report: dict[str, Any]) -> str:
     """Human-readable rendering of a full report."""
     body = report["report"]
@@ -342,22 +376,7 @@ def render_text(report: dict[str, Any]) -> str:
             out.append("INVALID FAN:")
             out.extend(f"  - {v}" for v in body["validation"]["violations"])
             return "\n".join(out) + "\n"
-        rows = [
-            [
-                e["label"],
-                str(e["order"]),
-                "*".join(str(d) for d in e["cyclic_factors"]) or "1",
-                "; ".join(",".join(map(str, w)) for w in e["action_weights"]) or "-",
-                e["classification"],
-                "yes" if e["isolated"] else "no",
-            ]
-            for e in body["classification"]
-        ]
-        out.append(
-            render_table(
-                rows, ["cone", "|G|", "factors", "weights", "class", "isolated"]
-            )
-        )
+        out.append(classification_table(body["classification"]))
         out.append("")
         poly = body["polytope"]
         if "error" in poly:
@@ -404,15 +423,7 @@ def render_text(report: dict[str, Any]) -> str:
                 + "; ".join("(" + ", ".join(v) + ")" for v in bal["kernel_basis"])
             )
         coeffs = bal.get("coefficients") or []
-        rows = []
-        for c in coeffs:
-            if c["leading"] is not None:
-                lead = c["leading"]["coeff"]
-                if c["leading"]["pi_power"]:
-                    lead += f"*pi^{c['leading']['pi_power']}"
-            else:
-                lead = c.get("leading_note", "-")
-            rows.append([c["label"], c["kind"], lead])
+        rows = [[c["label"], c["kind"], leading_cell(c)] for c in coeffs]
         if rows:
             out.append(render_table(rows, ["point", "kind", "leading coefficient"]))
         for note in bal.get("notes", []):

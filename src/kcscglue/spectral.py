@@ -1,95 +1,23 @@
 """Sphere-Laplacian bookkeeping and invariant harmonic dimensions.
 
 Eigenvalues on S^{2m-1}, dimensions of harmonic eigenspaces, the dimensions
-of their Gamma-invariant subspaces via exact character averaging over
-cyclotomic integers, indicial-root sets and weighted-space admissibility.
+of their Gamma-invariant subspaces by counting invariant monomials (the
+diagonal case of Molien's formula), the first invariant index in closed
+form, indicial-root sets and weighted-space admissibility.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
-from math import comb, lcm
-from typing import Sequence
+from math import comb
 
-from .toric_lattice import QuotientData
-
-IntVector = tuple[int, ...]
+from .toric_lattice import GroupPresentation
 
 BASE_ORBIFOLD_M3 = "base_orbifold_m3"
 BASE_ORBIFOLD_M2 = "base_orbifold_m2"
 ALE = "ale"
 NONLINEAR = "nonlinear"
-
-
-@dataclass(frozen=True)
-class GroupPresentation:
-    """Finite abelian subgroup of U(m) acting diagonally.
-
-    One weight vector in (Z/d)^m per cyclic factor of order d; the factor's
-    generator acts by diag(zeta^w1, ..., zeta^wm) with zeta a primitive d-th
-    root of unity.  The trivial group has no factors.
-    """
-
-    m: int
-    orders: tuple[int, ...]
-    weights: tuple[IntVector, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.orders) != len(self.weights):
-            raise ValueError("one weight vector per cyclic factor")
-        for d, w in zip(self.orders, self.weights):
-            if d < 2:
-                raise ValueError("cyclic factor orders must be >= 2")
-            if len(w) != self.m:
-                raise ValueError("weight vector length must equal m")
-        object.__setattr__(
-            self,
-            "weights",
-            tuple(
-                tuple(x % d for x in w) for d, w in zip(self.orders, self.weights)
-            ),
-        )
-
-    @staticmethod
-    def trivial(m: int) -> "GroupPresentation":
-        return GroupPresentation(m=m, orders=(), weights=())
-
-    @staticmethod
-    def from_quotient(data: QuotientData, m: int) -> "GroupPresentation":
-        return GroupPresentation(m=m, orders=data.cyclic_factors, weights=data.action_weights)
-
-    @property
-    def order(self) -> int:
-        n = 1
-        for d in self.orders:
-            n *= d
-        return n
-
-    def is_trivial(self) -> bool:
-        return not self.orders
-
-    def elements(self):
-        """Yield (n, ks, exps): lcm order, exponent tuple, and the element's
-        eigenvalue exponents mod n on the m complex coordinates."""
-        if not self.orders:
-            yield 1, (), tuple(0 for _ in range(self.m))
-            return
-        n = lcm(*self.orders)
-        for ks in product(*(range(d) for d in self.orders)):
-            exps = tuple(
-                sum(k * w[j] * (n // d) for k, d, w in zip(ks, self.orders, self.weights)) % n
-                for j in range(self.m)
-            )
-            yield n, ks, exps
-
-    def is_fixed_point_free(self) -> bool:
-        for _, ks, exps in self.elements():
-            if any(ks) and any(e == 0 for e in exps):
-                return False
-        return True
 
 
 def eigenvalue(j: int, m: int) -> int:
@@ -108,205 +36,49 @@ def harmonic_dimension(j: int, m: int) -> int:
     return comb(n + j - 1, j) - second
 
 
-# ---------------------------------------------------------------------------
-# Cyclotomic integers Z[x]/Phi_n(x)
-# ---------------------------------------------------------------------------
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division in Z[x]; den need not be monic but must divide num."""
-    num = num[:]
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1] != 0:
-            raise ArithmeticError("inexact polynomial division")
-        q[i] = c // den[-1]
-        if q[i]:
-            for j, dj in enumerate(den):
-                num[i + j] -= q[i] * dj
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
-    return q
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending degree."""
-    if n < 1:
-        raise ValueError("n >= 1")
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_divexact(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
-
-
-class CyclotomicRing:
-    """Exact arithmetic in Z[zeta_n] as integer vectors mod Phi_n."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.phi = list(cyclotomic_polynomial(n))
-        self.deg = len(self.phi) - 1
-
-    def reduce(self, coeffs: Sequence[int]) -> tuple[int, ...]:
-        c = list(coeffs)
-        for i in range(len(c) - 1, self.deg - 1, -1):
-            top = c[i]
-            if top:
-                # phi is monic, so the reduction stays integral.
-                for j in range(self.deg + 1):
-                    c[i - self.deg + j] -= top * self.phi[j]
-        c = c[: self.deg]
-        c += [0] * (self.deg - len(c))
-        return tuple(c)
-
-    def zero(self) -> tuple[int, ...]:
-        return tuple([0] * self.deg)
-
-    def one(self) -> tuple[int, ...]:
-        return self.reduce([1])
-
-    def root_power(self, e: int) -> tuple[int, ...]:
-        return self.reduce([0] * (e % self.n) + [1])
-
-    def add(self, a, b) -> tuple[int, ...]:
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b) -> tuple[int, ...]:
-        return tuple(x - y for x, y in zip(a, b))
-
-    def neg(self, a) -> tuple[int, ...]:
-        return tuple(-x for x in a)
-
-    def mul(self, a, b) -> tuple[int, ...]:
-        return self.reduce(_poly_mul(list(a), list(b)))
-
-    def as_integer(self, a) -> int:
-        """The rational-integer value of an element known to be in Z."""
-        if any(a[1:]):
-            raise ArithmeticError(f"cyclotomic element {a} is not a rational integer")
-        return a[0]
-
-
-def _polynomial_characters(
-    ring: CyclotomicRing, exps: IntVector, up_to: int
-) -> list[tuple[int, ...]]:
-    """Characters p_0..p_up_to of the element's action on real polynomials.
-
-    p_j is the t^j coefficient of 1/det(1 - t * gamma_R); over C^m the real
-    characteristic polynomial factors as prod_i (1 - (z^e + z^-e) t + t^2),
-    so the series inversion stays inside the cyclotomic ring.
-    """
-    # D(t) with ring coefficients, degree 2m.
-    den: list[tuple[int, ...]] = [ring.one()]
-    for e in exps:
-        s = ring.add(ring.root_power(e), ring.root_power(-e))
-        factor = [ring.one(), ring.neg(s), ring.one()]
-        new = [ring.zero()] * (len(den) + 2)
-        for i, di in enumerate(den):
-            for j, fj in enumerate(factor):
-                new[i + j] = ring.add(new[i + j], ring.mul(di, fj))
-        den = new
-    # Power-series inverse: q_0 = 1, q_k = -sum_{l>=1} D_l q_{k-l}.
-    q = [ring.one()]
-    for k in range(1, up_to + 1):
-        acc = ring.zero()
-        for l in range(1, min(k, len(den) - 1) + 1):
-            acc = ring.add(acc, ring.mul(den[l], q[k - l]))
-        q.append(ring.neg(acc))
-    return q
-
-
 def invariant_harmonic_dimension(g: GroupPresentation, j: int, m: int) -> int:
     """Dimension of the Gamma-invariant part of the degree-j harmonic space.
 
-    Averages the harmonic character chi_j = p_j - p_{j-2} over the group,
-    entirely in exact cyclotomic arithmetic; a non-integer average is a hard
-    failure (it would mean the character bookkeeping is wrong).
+    Gamma acts diagonally on the monomials z^a zbar^b, so the invariant
+    polynomials of degree j are spanned by the invariant monomials, and the
+    harmonics are P_j minus r^2 P_{j-2}.  The monomials are counted by a
+    dynamic program over the 2m coordinates, by degree and character.
     """
     if g.m != m:
         raise ValueError("presentation dimension mismatch")
     if j < 0:
         raise ValueError("j >= 0")
-    if g.is_trivial():
-        return harmonic_dimension(j, m)
-    n = lcm(*g.orders)
-    ring = CyclotomicRing(n)
-    total = ring.zero()
-    count = 0
-    for _, _, exps in g.elements():
-        count += 1
-        p = _polynomial_characters(ring, exps, j)
-        chi = p[j]
-        if j >= 2:
-            chi = ring.sub(chi, p[j - 2])
-        total = ring.add(total, chi)
-    value = ring.as_integer(total)
-    if value % count != 0 or value < 0:
-        raise ArithmeticError("character average is not a nonnegative integer")
-    return value // count
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def invariant_dimension_bruteforce(g: GroupPresentation, j: int, m: int) -> int:
-    """Monomial-basis oracle: the group acts diagonally on the monomials
-    z^a zbar^b, so the invariant polynomial subspace is spanned by the fixed
-    basis monomials; harmonic invariants are P_j minus r^2 P_{j-2}."""
-
-    def invariant_monomials(deg: int) -> int:
-        if deg < 0:
-            return 0
-        count = 0
-        for mono in _compositions(deg, 2 * m):
-            z, zbar = mono[:m], mono[m:]
-            if all(
-                sum(w[i] * (z[i] - zbar[i]) for i in range(m)) % d == 0
-                for d, w in zip(g.orders, g.weights)
-            ):
-                count += 1
-        return count
-
-    return invariant_monomials(j) - invariant_monomials(j - 2)
+    # Character of z_i, then of zbar_i, in the sum of the Z/d_k.
+    chars = [tuple(w[i] for w in g.weights) for i in range(m)]
+    chars += [tuple(-x % d for x, d in zip(c, g.orders)) for c in chars]
+    zero = tuple(0 for _ in g.orders)
+    # counts[t][r]: monomials of degree t and character r in the
+    # coordinates processed so far.
+    counts: list[dict[tuple[int, ...], int]] = [{zero: 1}] + [{} for _ in range(j)]
+    for c in chars:
+        for t in range(1, j + 1):
+            layer = counts[t]
+            for r, n in counts[t - 1].items():
+                s = tuple((x + y) % d for x, y, d in zip(r, c, g.orders))
+                layer[s] = layer.get(s, 0) + n
+    lower = counts[j - 2].get(zero, 0) if j >= 2 else 0
+    return counts[j].get(zero, 0) - lower
 
 
 def first_invariant_index(g: GroupPresentation, m: int) -> int:
     """Smallest j >= 1 with a nonzero Gamma-invariant harmonic subspace.
 
-    Degree-|Gamma| invariants always exist, so the search is bounded.  For
-    nontrivial fixed-point-free groups the answer is >= 2 (no invariant
-    linear functions); that bound is asserted, not assumed.
+    Degree-one harmonics are the linear functions, invariant exactly when
+    some coordinate has weight 0 in every factor; otherwise the index is 2,
+    since |z1|^2 - |z2|^2 is always invariant and harmonic.  The trivial
+    group has index 1 by this rule.
     """
-    if g.is_trivial():
-        return 1
-    bound = 2 * max(g.orders)
-    for j in range(1, bound + 1):
-        if invariant_harmonic_dimension(g, j, m) > 0:
-            if j == 1 and g.is_fixed_point_free():
-                raise RuntimeError(
-                    "fixed-point-free group with invariant linear functions (bug)"
-                )
-            return j
-    raise RuntimeError("no invariant harmonics up to twice the max cyclic order")
+    if g.m != m:
+        raise ValueError("presentation dimension mismatch")
+    if m < 2:
+        raise ValueError("need m >= 2")
+    fixed = any(all(w[i] == 0 for w in g.weights) for i in range(m))
+    return 1 if fixed else 2
 
 
 @dataclass(frozen=True)

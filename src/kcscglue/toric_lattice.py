@@ -2,16 +2,19 @@
 
 Each maximal simplicial cone of a complete fan describes an affine chart
 C^m / Gamma with Gamma abelian.  The group is extracted from the generator
-matrix via Smith normal form, its diagonal action weights are read off the
-unimodular factors, and the chart is classified as smooth, SU(m)
-(Gorenstein, crepant-resolvable candidates) or U(m)-non-SU.
+matrix via Smith normal form as a GroupPresentation, the one abelian-group
+type of the package: cyclic orders plus diagonal action weights read off
+the unimodular factors.  Its order, classification (smooth, SU(m) --
+Gorenstein, crepant-resolvable candidates -- or U(m)-non-SU) and isolation
+are derived from the presentation by closed forms and Smith normal forms,
+never by enumerating Gamma.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd
 from typing import Iterator, Optional, Sequence
 
 from .exact_linalg import (
@@ -76,14 +79,77 @@ class Fan:
 
 
 @dataclass(frozen=True)
-class QuotientData:
-    """Gamma = Z^m / (generator lattice) with its diagonal action."""
+class GroupPresentation:
+    """Finite abelian subgroup of U(m) acting diagonally.
 
-    order: int
-    cyclic_factors: tuple[int, ...]
-    action_weights: tuple[IntVector, ...]  # one weight vector per cyclic factor
-    classification: str
-    isolated: bool
+    One weight vector in (Z/d)^m per cyclic factor of order d; the factor's
+    generator acts by diag(zeta^w1, ..., zeta^wm) with zeta a primitive d-th
+    root of unity.  The trivial group has no factors.  The presented group
+    is the direct sum of the factors; a presentation need not be faithful.
+    """
+
+    m: int
+    orders: tuple[int, ...]
+    weights: tuple[IntVector, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.orders) != len(self.weights):
+            raise ValueError("one weight vector per cyclic factor")
+        for d, w in zip(self.orders, self.weights):
+            if d < 2:
+                raise ValueError("cyclic factor orders must be >= 2")
+            if len(w) != self.m:
+                raise ValueError("weight vector length must equal m")
+        object.__setattr__(
+            self,
+            "weights",
+            tuple(
+                tuple(x % d for x in w) for d, w in zip(self.orders, self.weights)
+            ),
+        )
+
+    @staticmethod
+    def trivial(m: int) -> "GroupPresentation":
+        return GroupPresentation(m=m, orders=(), weights=())
+
+    @property
+    def order(self) -> int:
+        n = 1
+        for d in self.orders:
+            n *= d
+        return n
+
+    def is_trivial(self) -> bool:
+        return not self.orders
+
+    @property
+    def classification(self) -> str:
+        """Smooth, SU (every generator has determinant one) or U-non-SU."""
+        if self.is_trivial():
+            return SMOOTH
+        su = all(sum(w) % d == 0 for d, w in zip(self.orders, self.weights))
+        return SU if su else U_NON_SU
+
+    @property
+    def isolated(self) -> bool:
+        """True iff no nontrivial element fixes a coordinate axis.
+
+        Coordinate i is moved by every nontrivial element iff its character
+        (w_k[i] mod d_k)_k generates the character group, the sum of the
+        Z/d_k, so no element is enumerated.
+        """
+        return all(self._characters_generate((i,)) for i in range(self.m))
+
+    def _characters_generate(self, coords: Sequence[int]) -> bool:
+        """Whether the characters of the given coordinates generate the
+        character group: the rows [w_k[coords] | d_k e_k] have an SNF
+        diagonal of ones (for one factor and one coordinate, gcd(w, d) = 1)."""
+        r = len(self.orders)
+        rows = [
+            [w[i] for i in coords] + [d * (k == l) for l in range(r)]
+            for k, (d, w) in enumerate(zip(self.orders, self.weights))
+        ]
+        return all(x == 1 for x in smith_normal_form(rows).diagonal())
 
 
 @dataclass(frozen=True)
@@ -146,7 +212,7 @@ def cone_index(cone: Cone) -> int:
     return abs(det)
 
 
-def quotient_action(cone: Cone) -> QuotientData:
+def quotient_action(cone: Cone) -> GroupPresentation:
     """Extract Gamma and its diagonal action weights from the cone.
 
     With G the generator-column matrix and G = U·D·V its Smith decomposition,
@@ -157,66 +223,24 @@ def quotient_action(cone: Cone) -> QuotientData:
     suite pins this convention down.
     """
     order = cone_index(cone)
-    g = cone.generator_matrix()
-    snf = smith_normal_form(g)
-    diag = snf.diagonal()
+    m = cone.ambient_dim
+    snf = smith_normal_form(cone.generator_matrix())
     v_inv = unimodular_inverse([list(r) for r in snf.v])
     factors: list[int] = []
     weights: list[IntVector] = []
-    for i, d in enumerate(diag):
+    for i, d in enumerate(snf.diagonal()):
         if d <= 1:
             continue
         factors.append(d)
-        weights.append(tuple(v_inv[j][i] % d for j in range(cone.ambient_dim)))
-    prod = 1
-    for d in factors:
-        prod *= d
-    if prod != order:
+        weights.append(tuple(v_inv[j][i] % d for j in range(m)))
+    group = GroupPresentation(m=m, orders=tuple(factors), weights=tuple(weights))
+    if group.order != order:
         raise RuntimeError("SNF diagonal inconsistent with |det|")
-    isolated = _is_isolated_from_weights(factors, weights, cone.ambient_dim)
-    classification = _classify(order, factors, weights)
-    return QuotientData(
-        order=order,
-        cyclic_factors=tuple(factors),
-        action_weights=tuple(weights),
-        classification=classification,
-        isolated=isolated,
-    )
-
-
-def group_elements(
-    factors: Sequence[int], weights: Sequence[IntVector], m: int
-) -> Iterator[tuple[int, tuple[int, ...], IntVector]]:
-    """Yield (n, exponent tuple, eigenvalue exponents mod n) per element.
-
-    n is the lcm of the cyclic orders; the element with exponent tuple ks
-    acts on coordinate j by the n-th root of unity to the returned exponent.
-    """
-    if not factors:
-        yield 1, (), tuple(0 for _ in range(m))
-        return
-    n = lcm(*factors)
-    for ks in product(*(range(d) for d in factors)):
-        exps = tuple(
-            sum(k * w[j] * (n // d) for k, d, w in zip(ks, factors, weights)) % n
-            for j in range(m)
-        )
-        yield n, ks, exps
-
-
-def _is_isolated_from_weights(
-    factors: Sequence[int], weights: Sequence[IntVector], m: int
-) -> bool:
-    """Gamma acts freely away from the origin iff no nontrivial element
-    fixes a coordinate (all eigenvalue exponents nonzero)."""
-    for _, ks, exps in group_elements(factors, weights, m):
-        if not any(ks):
-            continue
-        if all(e == 0 for e in exps):
-            raise RuntimeError("nontrivial element acts trivially (weights bug)")
-        if any(e == 0 for e in exps):
-            return False
-    return True
+    # Gamma acts faithfully on the torus, so the m coordinate characters
+    # together must generate its character group.
+    if not group._characters_generate(range(m)):
+        raise RuntimeError("nontrivial element acts trivially (weights bug)")
+    return group
 
 
 def _faces_smooth(cone: Cone) -> bool:
@@ -239,9 +263,9 @@ def is_isolated(cone: Cone) -> bool:
     the cone is smooth, and every nontrivial group element moves every
     coordinate axis.
     """
-    qd_isolated = quotient_action(cone).isolated
+    group_isolated = quotient_action(cone).isolated
     face_isolated = _faces_smooth(cone)
-    if qd_isolated != face_isolated:
+    if group_isolated != face_isolated:
         raise RuntimeError(
             "isolation criteria disagree (face smoothness vs group freeness)"
         )
@@ -267,50 +291,38 @@ def is_gorenstein(cone: Cone) -> bool:
     return gorenstein_covector(cone) is not None
 
 
-def _classify(
-    order: int, factors: Sequence[int], weights: Sequence[IntVector]
-) -> str:
-    if order == 1:
-        return SMOOTH
-    su = all(sum(w) % d == 0 for d, w in zip(factors, weights))
-    return SU if su else U_NON_SU
+def _verified_quotient(cone: Cone) -> GroupPresentation:
+    """The cone's group, its classification cross-checked two ways.
+
+    On singular cones the weight-sum criterion (each generator has
+    determinant one) must agree with the Gorenstein-covector test; a
+    mismatch means the group extraction convention broke, so it raises
+    rather than guessing.
+    """
+    group = quotient_action(cone)
+    if not group.is_trivial() and is_gorenstein(cone) != (group.classification == SU):
+        raise RuntimeError("Gorenstein test disagrees with weight-sum criterion")
+    return group
 
 
 def classify(cone: Cone) -> str:
-    """Smooth / SU / U-non-SU, cross-checked two ways.
-
-    The weight-sum criterion (each generator has determinant one) must agree
-    with the Gorenstein-covector test; a mismatch means the group extraction
-    convention broke, so it raises rather than guessing.
-    """
-    data = quotient_action(cone)
-    if data.classification == SMOOTH:
-        return SMOOTH
-    gor = is_gorenstein(cone)
-    weight_su = data.classification == SU
-    if gor != weight_su:
-        raise RuntimeError("Gorenstein test disagrees with weight-sum criterion")
-    return data.classification
+    """Smooth / SU / U-non-SU, cross-checked two ways."""
+    return _verified_quotient(cone).classification
 
 
-def classify_fan(fan: Fan) -> list[tuple[str, Optional[QuotientData]]]:
-    """Classify every maximal cone; results in input order.
+def classify_fan(fan: Fan) -> list[tuple[str, Optional[GroupPresentation]]]:
+    """Classify every maximal cone once; results in input order.
 
     Cones outside the isolated-singularity setting (non-simplicial,
     degenerate) yield None -- consumers present them as unsupported rather
     than aborting a database scan.
     """
-    out: list[tuple[str, Optional[QuotientData]]] = []
+    out: list[tuple[str, Optional[GroupPresentation]]] = []
     for label, cone in fan.cones():
         try:
-            data = quotient_action(cone)
-            if data.classification != SMOOTH:
-                # Exercise the double-entry bookkeeping on singular cones.
-                classify(cone)
+            out.append((label, _verified_quotient(cone)))
         except ValueError:
             out.append((label, None))
-            continue
-        out.append((label, data))
     return out
 
 

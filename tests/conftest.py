@@ -2,12 +2,18 @@
 
 These deliberately avoid the library's own code paths: cofactor expansion
 for determinants, an explicit symbolic Laplacian on integer-coefficient
-polynomials, and a recursive surface-area formula for sphere volumes.
+polynomials, a recursive surface-area formula for sphere volumes, and, for
+a finite abelian group, enumeration of its elements, character averaging
+in cyclotomic integers and a monomial-basis count.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+from math import lcm
+from typing import Sequence
 
 from kcscglue.balancing import PiRational
 
@@ -108,3 +114,210 @@ def sphere_volume_oracle(m: int) -> PiRational:
         return PiRational(Fraction(2), 1)
     prev = sphere_volume_oracle(m - 1)
     return prev * PiRational(Fraction(2, n - 1), 1)
+
+
+# ---------------------------------------------------------------------------
+# Finite abelian groups by element enumeration
+# ---------------------------------------------------------------------------
+
+
+def group_elements(g):
+    """Yield (n, ks, exps) per element of the presented group: the lcm n of
+    the cyclic orders, the exponent tuple ks, and the element's eigenvalue
+    exponents mod n on the m complex coordinates."""
+    if not g.orders:
+        yield 1, (), tuple(0 for _ in range(g.m))
+        return
+    n = lcm(*g.orders)
+    for ks in product(*(range(d) for d in g.orders)):
+        exps = tuple(
+            sum(k * w[j] * (n // d) for k, d, w in zip(ks, g.orders, g.weights)) % n
+            for j in range(g.m)
+        )
+        yield n, ks, exps
+
+
+def isolated_by_enumeration(g) -> bool:
+    """No nontrivial element fixes a coordinate axis."""
+    return all(
+        all(e != 0 for e in exps) for _, ks, exps in group_elements(g) if any(ks)
+    )
+
+
+def first_invariant_index_by_search(g, m: int) -> int:
+    """Smallest j >= 1 with invariant harmonics, by a bounded search over
+    the monomial-basis count (degree-|Gamma| invariants always exist)."""
+    for j in range(1, 2 * max(g.orders, default=1) + 1):
+        if invariant_dimension_bruteforce(g, j, m) > 0:
+            return j
+    raise AssertionError("no invariant harmonics up to twice the max cyclic order")
+
+
+# ---------------------------------------------------------------------------
+# Cyclotomic integers Z[x]/Phi_n(x) and character averaging
+# ---------------------------------------------------------------------------
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
+    """Exact division in Z[x]; den need not be monic but must divide num."""
+    num = num[:]
+    q = [0] * (len(num) - len(den) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c = num[i + len(den) - 1]
+        if c % den[-1] != 0:
+            raise ArithmeticError("inexact polynomial division")
+        q[i] = c // den[-1]
+        if q[i]:
+            for j, dj in enumerate(den):
+                num[i + j] -= q[i] * dj
+    if any(num):
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Coefficients of Phi_n, ascending degree."""
+    if n < 1:
+        raise ValueError("n >= 1")
+    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _poly_divexact(poly, list(cyclotomic_polynomial(d)))
+    return tuple(poly)
+
+
+class CyclotomicRing:
+    """Exact arithmetic in Z[zeta_n] as integer vectors mod Phi_n."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.phi = list(cyclotomic_polynomial(n))
+        self.deg = len(self.phi) - 1
+
+    def reduce(self, coeffs: Sequence[int]) -> tuple[int, ...]:
+        c = list(coeffs)
+        for i in range(len(c) - 1, self.deg - 1, -1):
+            top = c[i]
+            if top:
+                # phi is monic, so the reduction stays integral.
+                for j in range(self.deg + 1):
+                    c[i - self.deg + j] -= top * self.phi[j]
+        c = c[: self.deg]
+        c += [0] * (self.deg - len(c))
+        return tuple(c)
+
+    def zero(self) -> tuple[int, ...]:
+        return tuple([0] * self.deg)
+
+    def one(self) -> tuple[int, ...]:
+        return self.reduce([1])
+
+    def root_power(self, e: int) -> tuple[int, ...]:
+        return self.reduce([0] * (e % self.n) + [1])
+
+    def add(self, a, b) -> tuple[int, ...]:
+        return tuple(x + y for x, y in zip(a, b))
+
+    def sub(self, a, b) -> tuple[int, ...]:
+        return tuple(x - y for x, y in zip(a, b))
+
+    def neg(self, a) -> tuple[int, ...]:
+        return tuple(-x for x in a)
+
+    def mul(self, a, b) -> tuple[int, ...]:
+        return self.reduce(_poly_mul(list(a), list(b)))
+
+    def as_integer(self, a) -> int:
+        """The rational-integer value of an element known to be in Z."""
+        if any(a[1:]):
+            raise ArithmeticError(f"cyclotomic element {a} is not a rational integer")
+        return a[0]
+
+
+def _polynomial_characters(ring: CyclotomicRing, exps, up_to: int):
+    """Characters p_0..p_up_to of the element's action on real polynomials.
+
+    p_j is the t^j coefficient of 1/det(1 - t * gamma_R); over C^m the real
+    characteristic polynomial factors as prod_i (1 - (z^e + z^-e) t + t^2),
+    so the series inversion stays inside the cyclotomic ring.
+    """
+    # D(t) with ring coefficients, degree 2m.
+    den = [ring.one()]
+    for e in exps:
+        s = ring.add(ring.root_power(e), ring.root_power(-e))
+        factor = [ring.one(), ring.neg(s), ring.one()]
+        new = [ring.zero()] * (len(den) + 2)
+        for i, di in enumerate(den):
+            for j, fj in enumerate(factor):
+                new[i + j] = ring.add(new[i + j], ring.mul(di, fj))
+        den = new
+    # Power-series inverse: q_0 = 1, q_k = -sum_{l>=1} D_l q_{k-l}.
+    q = [ring.one()]
+    for k in range(1, up_to + 1):
+        acc = ring.zero()
+        for l in range(1, min(k, len(den) - 1) + 1):
+            acc = ring.add(acc, ring.mul(den[l], q[k - l]))
+        q.append(ring.neg(acc))
+    return q
+
+
+def invariant_dimension_characters(g, j: int, m: int) -> int:
+    """Character-averaging oracle: the harmonic character chi_j = p_j - p_{j-2}
+    averaged over the group in exact cyclotomic arithmetic; a non-integer
+    average is a hard failure."""
+    n = lcm(*g.orders) if g.orders else 1
+    ring = CyclotomicRing(n)
+    total = ring.zero()
+    count = 0
+    for _, _, exps in group_elements(g):
+        count += 1
+        p = _polynomial_characters(ring, exps, j)
+        chi = p[j]
+        if j >= 2:
+            chi = ring.sub(chi, p[j - 2])
+        total = ring.add(total, chi)
+    value = ring.as_integer(total)
+    if value % count != 0 or value < 0:
+        raise ArithmeticError("character average is not a nonnegative integer")
+    return value // count
+
+
+def _compositions(total: int, parts: int):
+    """All tuples of `parts` nonnegative ints summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def invariant_dimension_bruteforce(g, j: int, m: int) -> int:
+    """Monomial-basis oracle: the group acts diagonally on the monomials
+    z^a zbar^b, so the invariant polynomial subspace is spanned by the fixed
+    basis monomials; harmonic invariants are P_j minus r^2 P_{j-2}."""
+
+    def invariant_monomials(deg: int) -> int:
+        if deg < 0:
+            return 0
+        count = 0
+        for mono in _compositions(deg, 2 * m):
+            z, zbar = mono[:m], mono[m:]
+            if all(
+                sum(w[i] * (z[i] - zbar[i]) for i in range(m)) % d == 0
+                for d, w in zip(g.orders, g.weights)
+            ):
+                count += 1
+        return count
+
+    return invariant_monomials(j) - invariant_monomials(j - 2)

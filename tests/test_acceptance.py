@@ -13,7 +13,13 @@ from math import gcd
 
 import pytest
 
-from conftest import det_cofactor, sphere_eigenvalue_oracle
+from conftest import (
+    det_cofactor,
+    invariant_dimension_bruteforce,
+    invariant_dimension_characters,
+    isolated_by_enumeration,
+    sphere_eigenvalue_oracle,
+)
 from kcscglue.balancing import (
     RICCI_FLAT,
     SCALAR_FLAT,
@@ -53,15 +59,14 @@ from kcscglue.polytope import (
     subset_barycenter,
 )
 from kcscglue.spectral import (
-    GroupPresentation,
     eigenvalue,
-    invariant_dimension_bruteforce,
     invariant_harmonic_dimension,
 )
 from kcscglue.toric_lattice import (
     SU,
     U_NON_SU,
     Cone,
+    GroupPresentation,
     classify_fan,
     cone_index,
     invariant_monomial_count_lattice,
@@ -203,30 +208,31 @@ def test_criterion_5_spectral():
         # no invariant linear functions for groups extracted from the fans
         for name in ("x1", "x4"):
             fan = parse_fan(example_by_name(name).text).to_fan()
-            for _, qd in classify_fan(fan):
-                if qd.order == 1:
+            for _, g in classify_fan(fan):
+                if g.order == 1:
                     continue
-                g = GroupPresentation.from_quotient(qd, fan.dim)
-                assert g.is_fixed_point_free()
+                assert g.isolated
+                assert isolated_by_enumeration(g)
                 assert invariant_harmonic_dimension(g, 1, fan.dim) == 0
-        # character averaging vs monomial counting: exhaustive in m = 2,
-        # deterministic sample in m = 3, within |Gamma| <= 8, j <= 6
+        # monomial counting vs the monomial-basis and character-averaging
+        # oracles: exhaustive in m = 2, deterministic sample in m = 3,
+        # within |Gamma| <= 8, j <= 6
         for d in range(2, 9):
             for w in product(range(d), repeat=2):
                 g = GroupPresentation(m=2, orders=(d,), weights=(w,))
                 for j in range(0, 7):
-                    assert invariant_harmonic_dimension(g, j, 2) == (
-                        invariant_dimension_bruteforce(g, j, 2)
-                    )
+                    want = invariant_dimension_bruteforce(g, j, 2)
+                    assert invariant_harmonic_dimension(g, j, 2) == want
+                    assert invariant_dimension_characters(g, j, 2) == want
         rng = random.Random(29)
         for _ in range(120):
             d = rng.randint(2, 8)
             w = tuple(rng.randrange(d) for _ in range(3))
             g = GroupPresentation(m=3, orders=(d,), weights=(w,))
             j = rng.randint(0, 6)
-            assert invariant_harmonic_dimension(g, j, 3) == (
-                invariant_dimension_bruteforce(g, j, 3)
-            )
+            want = invariant_dimension_bruteforce(g, j, 3)
+            assert invariant_harmonic_dimension(g, j, 3) == want
+            assert invariant_dimension_characters(g, j, 3) == want
 
 
 def test_criterion_6_biharmonic():
@@ -323,13 +329,13 @@ def test_criterion_8_oracle_equivalence():
             cone = _random_cone(rng, dim, max_det=12 if dim == 2 else 8)
             data = quotient_action(cone)
             prod = 1
-            for d in data.cyclic_factors:
+            for d in data.orders:
                 prod *= d
             assert prod == data.order == cone_index(cone)
             if data.order > 1:
-                degree = max(data.cyclic_factors)
+                degree = max(data.orders)
                 assert invariant_monomial_count_weights(
-                    data.cyclic_factors, data.action_weights, dim, degree
+                    data.orders, data.weights, dim, degree
                 ) == invariant_monomial_count_lattice(cone, degree)
         # invariant dimensions vs monomial-basis counting
         for _ in range(1000):
@@ -338,9 +344,9 @@ def test_criterion_8_oracle_equivalence():
             w = tuple(rng.randrange(d) for _ in range(m))
             g = GroupPresentation(m=m, orders=(d,), weights=(w,))
             j = rng.randint(0, 6)
-            assert invariant_harmonic_dimension(g, j, m) == (
-                invariant_dimension_bruteforce(g, j, m)
-            )
+            want = invariant_dimension_bruteforce(g, j, m)
+            assert invariant_harmonic_dimension(g, j, m) == want
+            assert invariant_dimension_characters(g, j, m) == want
 
 
 def test_criterion_9_batch_determinism(tmp_path, capsys):

@@ -45,6 +45,18 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["classify", "/nonexistent/path.fan"]) == 2
 
+    def test_unread_flags_rejected(self, corpus, capsys):
+        orb = next(iter(sorted(corpus.glob("*.orb"))))
+        for argv in (
+            ["classify", str(corpus / "x1.fan"), "--format", "structured"],
+            ["classify", str(corpus / "x1.fan"), "--out", "x.json"],
+            ["classify", str(corpus / "x1.fan"), "--k", "2"],
+            ["coeffs", str(orb), "--k", "2"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+
 
 class TestClassify:
     def test_fan_table(self, corpus, capsys):

@@ -1,10 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
 
-from conftest import sphere_eigenvalue_oracle
+from conftest import (
+    first_invariant_index_by_search,
+    invariant_dimension_bruteforce,
+    invariant_dimension_characters,
+    isolated_by_enumeration,
+    sphere_eigenvalue_oracle,
+)
 from kcscglue.exact_linalg import RationalMatrix, rank
 from kcscglue.examples import example_by_name
 from kcscglue.formats import parse_fan
@@ -13,19 +20,33 @@ from kcscglue.spectral import (
     BASE_ORBIFOLD_M2,
     BASE_ORBIFOLD_M3,
     NONLINEAR,
-    GroupPresentation,
     eigenvalue,
     first_invariant_index,
     harmonic_dimension,
     indicial_roots,
-    invariant_dimension_bruteforce,
     invariant_harmonic_dimension,
     is_admissible_weight,
 )
-from kcscglue.toric_lattice import classify_fan
+from kcscglue.toric_lattice import GroupPresentation, classify_fan
 
 Z2_MINUS_ID = GroupPresentation(m=2, orders=(2,), weights=((1, 1),))
 Z3_12 = GroupPresentation(m=2, orders=(3,), weights=((1, 2),))
+
+# Two-factor, unfaithful and non-isolated presentations.
+EXTRA_GROUPS = [
+    GroupPresentation(m=2, orders=(2, 2), weights=((1, 1), (0, 1))),
+    GroupPresentation(m=2, orders=(2, 2), weights=((1, 0), (0, 1))),
+    GroupPresentation(m=2, orders=(2, 2), weights=((1, 1), (1, 1))),
+    GroupPresentation(m=2, orders=(2, 4), weights=((1, 1), (1, 3))),
+    GroupPresentation(m=2, orders=(3, 3), weights=((1, 2), (1, 1))),
+    GroupPresentation(m=2, orders=(4,), weights=((2, 2),)),
+    GroupPresentation(m=2, orders=(6,), weights=((1, 2),)),
+    GroupPresentation(m=3, orders=(2, 4), weights=((1, 1, 0), (0, 1, 3))),
+    GroupPresentation(m=3, orders=(2, 2), weights=((1, 1, 0), (0, 1, 1))),
+    GroupPresentation(m=3, orders=(3, 3), weights=((1, 2, 0), (0, 1, 2))),
+    GroupPresentation(m=3, orders=(4,), weights=((1, 2, 1),)),
+    GroupPresentation(m=3, orders=(2, 2), weights=((1, 1, 1), (1, 1, 1))),
+]
 
 
 class TestEigenvalue:
@@ -135,12 +156,12 @@ class TestInvariantDimension:
             GroupPresentation(m=3, orders=(3,), weights=((1, 1, 1),)),
             GroupPresentation(m=3, orders=(7,), weights=((1, 2, 4),)),
             GroupPresentation(m=3, orders=(2, 4), weights=((1, 1, 0), (0, 1, 3))),
-        ]
+        ] + EXTRA_GROUPS
         for g in groups:
             for j in range(0, 7):
-                assert invariant_harmonic_dimension(g, j, g.m) == (
-                    invariant_dimension_bruteforce(g, j, g.m)
-                ), (g, j)
+                want = invariant_dimension_bruteforce(g, j, g.m)
+                assert invariant_harmonic_dimension(g, j, g.m) == want, (g, j)
+                assert invariant_dimension_characters(g, j, g.m) == want, (g, j)
 
     def test_random_groups_against_bruteforce(self):
         rng = random.Random(17)
@@ -165,16 +186,43 @@ class TestFirstInvariantIndex:
     def test_trivial_convention(self):
         assert first_invariant_index(GroupPresentation.trivial(2), 2) == 1
 
+    def test_needs_m_at_least_two(self):
+        with pytest.raises(ValueError):
+            first_invariant_index(GroupPresentation.trivial(1), 1)
+        with pytest.raises(ValueError):
+            first_invariant_index(GroupPresentation(m=1, orders=(2,), weights=((1,),)), 1)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            first_invariant_index(Z3_12, 3)
+
+    def test_closed_forms_against_enumeration(self):
+        # isolation by the Smith-normal-form test and the closed-form index
+        # against element enumeration and a bounded search: every m = 2
+        # group with d <= 8, plus the two-factor and unfaithful ones
+        groups = [GroupPresentation.trivial(2)] + EXTRA_GROUPS
+        for d in range(2, 9):
+            for w in product(range(d), repeat=2):
+                groups.append(GroupPresentation(m=2, orders=(d,), weights=(w,)))
+        isolated = 0
+        for g in groups:
+            assert g.isolated == isolated_by_enumeration(g), g
+            assert first_invariant_index(g, g.m) == (
+                first_invariant_index_by_search(g, g.m)
+            ), g
+            isolated += g.isolated
+        assert 0 < isolated < len(groups)
+
     def test_bundled_fan_groups(self):
         # every nontrivial isolated chart group has no invariant linear
         # functions, so the first invariant index is at least 2
         for name in ("x1", "x4"):
             fan = parse_fan(example_by_name(name).text).to_fan()
-            for _, qd in classify_fan(fan):
-                if qd.order == 1:
+            for _, g in classify_fan(fan):
+                if g.order == 1:
                     continue
-                g = GroupPresentation.from_quotient(qd, fan.dim)
-                assert g.is_fixed_point_free()
+                assert g.isolated
+                assert isolated_by_enumeration(g)
                 assert invariant_harmonic_dimension(g, 1, fan.dim) == 0
                 assert first_invariant_index(g, fan.dim) >= 2
 

@@ -73,14 +73,14 @@ class TestQuotientAction:
     def test_smooth(self):
         data = quotient_action(Cone.from_rows([(1, 0), (0, 1)]))
         assert data.order == 1
-        assert data.cyclic_factors == ()
+        assert data.orders == ()
         assert data.classification == SMOOTH
 
     def test_z2_weights(self):
         data = quotient_action(A2_CONE)
         assert data.order == 2
-        assert data.cyclic_factors == (2,)
-        assert data.action_weights == ((1, 1),)
+        assert data.orders == (2,)
+        assert data.weights == ((1, 1),)
         assert data.classification == SU
 
     def test_x1_chart(self):
@@ -161,7 +161,7 @@ def test_order_equals_product_of_factors():
         cone = _random_cone(rng, rng.choice((2, 3)))
         data = quotient_action(cone)
         prod = 1
-        for d in data.cyclic_factors:
+        for d in data.orders:
             prod *= d
         assert prod == data.order == cone_index(cone)
 
@@ -182,9 +182,9 @@ def test_invariant_monomial_cross_check():
         data = quotient_action(cone)
         if data.order == 1:
             continue
-        degree = max(data.cyclic_factors)
+        degree = max(data.orders)
         by_weights = invariant_monomial_count_weights(
-            data.cyclic_factors, data.action_weights, cone.ambient_dim, degree
+            data.orders, data.weights, cone.ambient_dim, degree
         )
         by_lattice = invariant_monomial_count_lattice(cone, degree)
         assert by_weights == by_lattice
@@ -210,5 +210,5 @@ def test_isolated_weights_have_no_zero_component():
             data = quotient_action(cone)
             if data.order == 1 or not data.isolated:
                 continue
-            for d, w in zip(data.cyclic_factors, data.action_weights):
+            for d, w in zip(data.orders, data.weights):
                 assert all(x % d != 0 for x in w)
