@@ -119,7 +119,14 @@ def cmd_polytope(args) -> int:
     if k is None:
         raise ParseError(["no anticanonical multiple: pass --k or put k in the file"])
     report = build_report(args.input, text, parsed, k=k)
-    poly = report["report"]["polytope"]
+    body = report["report"]
+    if "polytope" not in body:
+        raise ParseError(
+            [f"invalid fan: {v}" for v in body["validation"]["violations"]]
+        )
+    poly = body["polytope"]
+    if "error" in poly:
+        raise ParseError([f"polytope: {poly['error']}"])
     print(f"k = {poly['k']}")
     print(f"vertices ({len(poly['vertices'])}):")
     for v in poly["vertices"]:
@@ -244,6 +251,11 @@ def _batch_report(args) -> int:
         except ParseError as exc:
             any_error = True
             summary.append([path.name, "error", "; ".join(exc.errors)])
+            continue
+        except (ValueError, ArithmeticError) as exc:
+            # One bad file must not cost the later files their reports.
+            any_error = True
+            summary.append([path.name, "error", str(exc)])
             continue
         (out_dir / (path.stem + ".report.json")).write_text(render_json(report))
         bal = report["report"].get("balancing")

@@ -1,9 +1,11 @@
 """Exact rational and integer linear algebra.
 
 Everything here is computed over Q (``fractions.Fraction``) or Z (Python
-ints); no floating point anywhere.  Provides rank, nullspaces, Smith normal
-form with unimodular transforms, and an exact-arithmetic LP feasibility
-routine for strictly positive kernel vectors.
+ints); no floating point anywhere.  Rank, determinants, square solves,
+nullspaces and unimodular inverses all run on one fraction-free integer
+elimination kernel (Bareiss); besides it there are a Smith normal form with
+unimodular transforms and an exact-arithmetic LP feasibility routine for
+strictly positive kernel vectors.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
 
@@ -69,9 +71,6 @@ class RationalMatrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -107,95 +106,75 @@ class RationalMatrix:
 IntMatrix = Sequence[Sequence[int]]
 
 
-def _integer_rows(m: RationalMatrix) -> list[list[int]]:
-    """Scale each row by the lcm of denominators (rank-preserving)."""
+def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Scale each row by the lcm of its denominators (rank-preserving);
+    returns the integer rows and the product of the scales."""
     out: list[list[int]] = []
-    for i in range(m.rows):
-        row = m.row(i)
+    scale = 1
+    for row in rows:
         mult = 1
         for e in row:
             mult = mult * e.denominator // gcd(mult, e.denominator)
         out.append([int(e * mult) for e in row])
-    return out
+        scale *= mult
+    return out, scale
 
 
-def _bareiss_echelon(a: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) elimination; returns the rank."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    rank = 0
+def _echelon(a: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) in place.
+
+    Pivots are sought in the first ``ncols`` columns; further columns (a
+    right-hand side, an identity block) are carried along.  Returns
+    ``(pivot columns, last pivot p, row-swap sign)``.  Afterwards pivot row
+    r equals p times row r of the reduced row echelon form and the rows
+    below it are zero in the first ``ncols`` columns.  Every division is
+    exact because each entry is a minor of the input (Sylvester's identity),
+    and p is the leading minor of the row-permuted input, so a square
+    nonsingular input has determinant ``sign * p``.
+    """
+    pivots: list[int] = []
     prev = 1
+    sign = 1
     for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if a[r][col]), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
         if piv is None:
             continue
-        a[rank], a[piv] = a[piv], a[rank]
-        p = a[rank][col]
-        for r in range(rank + 1, nrows):
-            factor = a[r][col]
-            for k in range(col + 1, ncols):
-                a[r][k] = (p * a[r][k] - factor * a[rank][k]) // prev
-            a[r][col] = 0
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        top = a[r]
+        p = top[col]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[col]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         prev = p
-        rank += 1
-    return rank
+        pivots.append(col)
+    return pivots, prev, sign
 
 
 def rank(m: RationalMatrix) -> int:
     """Exact rank over Q (empty matrix has rank 0)."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return _bareiss_echelon(_integer_rows(m))
+    rows, _ = _integer_rows(m.to_rows())
+    return len(_echelon(rows, m.cols)[0])
 
 
 def integer_determinant(a: IntMatrix) -> int:
-    """Exact determinant of a square integer matrix (Bareiss)."""
+    """Exact determinant of a square integer matrix."""
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("matrix is not square")
-    if n == 0:
-        return 1
-    m = [list(r) for r in a]
-    sign = 1
-    prev = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        p = m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col]
-            for k in range(col + 1, n):
-                m[r][k] = (p * m[r][k] - factor * m[col][k]) // prev
-            m[r][col] = 0
-        prev = p
-    return sign * m[n - 1][n - 1]
+    pivots, p, sign = _echelon([list(r) for r in a], n)
+    return sign * p if len(pivots) == n else 0
 
 
 def rational_determinant(m: RationalMatrix) -> Fraction:
     if m.rows != m.cols:
         raise ValueError("matrix is not square")
-    rows = m.to_rows()
-    n = m.rows
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        p = rows[col][col]
-        det *= p
-        for r in range(col + 1, n):
-            f = rows[r][col] / p
-            if f:
-                for k in range(col, n):
-                    rows[r][k] -= f * rows[col][k]
-    return det
+    rows, scale = _integer_rows(m.to_rows())
+    pivots, p, sign = _echelon(rows, m.cols)
+    return Fraction(sign * p, scale) if len(pivots) == m.cols else Fraction(0)
 
 
 def solve_square(m: RationalMatrix, b: Sequence[Scalar]) -> tuple[Fraction, ...]:
@@ -205,63 +184,23 @@ def solve_square(m: RationalMatrix, b: Sequence[Scalar]) -> tuple[Fraction, ...]
     n = m.rows
     if len(b) != n:
         raise ValueError("right-hand side has wrong length")
-    aug = [list(m.row(i)) + [frac(b[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("singular system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        for k in range(col, n + 1):
-            aug[col][k] /= p
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                for k in range(col, n + 1):
-                    aug[r][k] -= f * aug[col][k]
-    return tuple(aug[i][n] for i in range(n))
-
-
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][col]
-        rows[r] = [x / p for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    return rows, pivots
+    aug, _ = _integer_rows(m.row(i) + (frac(b[i]),) for i in range(n))
+    pivots, p, _ = _echelon(aug, n)
+    if len(pivots) < n:
+        raise ValueError("singular system")
+    return tuple(Fraction(row[n], p) for row in aug)
 
 
 def nullspace_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of ker(M), one vector per free column, ordered by free-column index."""
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        return [
-            tuple(Fraction(int(i == j)) for i in range(m.cols)) for j in range(m.cols)
-        ]
-    rows, pivots = _rref(m.to_rows())
-    free = [c for c in range(m.cols) if c not in pivots]
+    rows, _ = _integer_rows(m.to_rows())
+    pivots, p, _ = _echelon(rows, m.cols)
     basis = []
-    for f in free:
+    for f in (c for c in range(m.cols) if c not in pivots):
         v = [Fraction(0)] * m.cols
         v[f] = Fraction(1)
         for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
+            v[c] = Fraction(-rows[r][f], p)
         basis.append(tuple(v))
     return basis
 
@@ -273,33 +212,26 @@ def nullspace_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """A = U·D·V with U, V unimodular, D diagonal with d1 | d2 | ..."""
+    """A = U·D·V with U, V unimodular, D diagonal with d1 | d2 | ...;
+    v_inv is the exact inverse of V."""
 
     u: tuple[tuple[int, ...], ...]
     d: tuple[tuple[int, ...], ...]
     v: tuple[tuple[int, ...], ...]
+    v_inv: tuple[tuple[int, ...], ...]
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.d[i][i] for i in range(min(len(self.d), len(self.d[0]) if self.d else 0)))
-
-
-def _mat_mul_int(a: IntMatrix, b: IntMatrix) -> list[list[int]]:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("dimension mismatch")
-    inner = len(b)
-    cols = len(b[0]) if b else 0
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(len(a))
-    ]
 
 
 def smith_normal_form(a: IntMatrix) -> SnfResult:
     """Smith normal form with transforms: A = U·D·V exactly.
 
     Row/column operations on the working copy are mirrored inversely on U
-    (columns) and V (rows) so the product invariant holds at every step.
-    Diagonal entries are nonnegative with the divisibility chain enforced.
+    (columns) and V (rows) so the product invariant holds at every step;
+    each column operation is also applied as is to V^{-1}, so the inverse
+    comes without a solve.  Diagonal entries are nonnegative with the
+    divisibility chain enforced.
     """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
@@ -308,9 +240,10 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     b = [[int(x) for x in row] for row in a]
     u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    v_inv = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
     # Row ops B -> E·B pair with U -> U·E^{-1}; column ops B -> B·E with
-    # V -> E^{-1}·V.
+    # V -> E^{-1}·V and V^{-1} -> V^{-1}·E.
     def swap_rows(i, j):
         b[i], b[j] = b[j], b[i]
         for r in range(nrows):
@@ -320,6 +253,8 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
         for r in range(nrows):
             b[r][i], b[r][j] = b[r][j], b[r][i]
         v[i], v[j] = v[j], v[i]
+        for r in range(ncols):
+            v_inv[r][i], v_inv[r][j] = v_inv[r][j], v_inv[r][i]
 
     def add_row(src, dst, q):
         # row_dst += q * row_src  (on B); U: col_src -= q * col_dst
@@ -329,11 +264,13 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
             u[r][src] -= q * u[r][dst]
 
     def add_col(src, dst, q):
-        # col_dst += q * col_src (on B); V: row_src -= q * row_dst
+        # col_dst += q * col_src (on B and V^{-1}); V: row_src -= q * row_dst
         for r in range(nrows):
             b[r][dst] += q * b[r][src]
         for c in range(ncols):
             v[src][c] -= q * v[dst][c]
+        for r in range(ncols):
+            v_inv[r][dst] += q * v_inv[r][src]
 
     def negate_row(i):
         b[i] = [-x for x in b[i]]
@@ -392,21 +329,24 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
         tuple(tuple(r) for r in u),
         tuple(tuple(r) for r in b),
         tuple(tuple(r) for r in v),
+        tuple(tuple(r) for r in v_inv),
     )
 
 
 def unimodular_inverse(m: IntMatrix) -> list[list[int]]:
     """Exact integer inverse of a matrix with determinant ±1."""
     n = len(m)
-    det = integer_determinant(m)
-    if det not in (1, -1):
+    if any(len(r) != n for r in m):
+        raise ValueError("matrix is not square")
+    aug = [
+        [int(x) for x in row] + [int(i == j) for j in range(n)]
+        for i, row in enumerate(m)
+    ]
+    pivots, p, _ = _echelon(aug, n)
+    if len(pivots) < n or p not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    rm = RationalMatrix.from_rows([[int(x) for x in row] for row in m])
-    cols = [solve_square(rm, [int(i == j) for i in range(n)]) for j in range(n)]
-    inv = [[cols[j][i] for j in range(n)] for i in range(n)]
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise RuntimeError("inverse of a unimodular matrix is not integral (bug)")
-    return [[int(x) for x in row] for row in inv]
+    # Row i is p·[e_i | row i of M^{-1}], and 1/p = p.
+    return [[p * x for x in row[n:]] for row in aug]
 
 
 # ---------------------------------------------------------------------------
@@ -502,63 +442,3 @@ def positive_kernel_witness(
     if any(v != 0 for v in m.mul_vector(x)) or min(x) < 1:
         raise RuntimeError("simplex witness fails M x = 0, x >= 1 (bug)")
     return x
-
-
-def positive_kernel_witness_bruteforce(
-    m: RationalMatrix,
-) -> Optional[tuple[Fraction, ...]]:
-    """Vertex-enumeration oracle for positive_kernel_witness (small n only).
-
-    The feasible set {M x = 0, x >= 1} is a pointed polyhedron, so it is
-    nonempty iff it has a vertex, and every vertex pins x_j = 1 on some
-    coordinate subset with the rest determined by M x = 0.  Enumerate all
-    subsets; exponential, intended for n <= 6.
-    """
-    from itertools import combinations
-
-    n = m.cols
-    if n == 0:
-        return ()
-    for size in range(n + 1):
-        for fixed in combinations(range(n), size):
-            # Rows: M x = 0 and x_j = 1 for j in fixed.
-            rows = [list(m.row(i)) + [Fraction(0)] for i in range(m.rows)]
-            for j in fixed:
-                ind = [Fraction(0)] * n
-                ind[j] = Fraction(1)
-                rows.append(ind + [Fraction(1)])
-            reduced, pivots = _rref([r[:] for r in rows])
-            # Inconsistent system: pivot in the augmented column.
-            if n in pivots:
-                continue
-            if len(pivots) != n:
-                continue
-            x = [Fraction(0)] * n
-            for r, c in enumerate(pivots):
-                x[c] = reduced[r][n]
-            if all(v == 0 for v in m.mul_vector(x)) and min(x) >= 1:
-                return tuple(x)
-    return None
-
-
-def rank_bruteforce(m: RationalMatrix) -> int:
-    """Minor-based rank oracle (small matrices only)."""
-    from itertools import combinations
-
-    best = 0
-    top = min(m.rows, m.cols)
-    for k in range(1, top + 1):
-        found = False
-        for rset in combinations(range(m.rows), k):
-            for cset in combinations(range(m.cols), k):
-                sub = RationalMatrix.from_rows(
-                    [[m[i, j] for j in cset] for i in rset]
-                )
-                if rational_determinant(sub) != 0:
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            best = k
-    return best

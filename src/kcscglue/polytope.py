@@ -2,15 +2,18 @@
 
 The k-anticanonical polytope of a complete simplicial fan is the region
 <u, v_rho> >= -k over all rays.  Vertices come one per maximal cone (the
-moment image of the chart's torus-fixed point); faces come from facet
-incidence; barycenters are exact volume-weighted centroids over a pulling
-triangulation.
+moment image of the chart's torus-fixed point), each solved once and kept
+on the polytope as the moment correspondence; faces come from facet
+incidence through a face lattice built once per polytope; barycenters are
+exact volume-weighted centroids over a pulling triangulation of that
+lattice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .exact_linalg import (
@@ -39,7 +42,9 @@ class LatticePolytope:
     """H-representation <u, normal_i> >= offset_i plus derived exact vertices.
 
     For anticanonical polytopes every offset equals -k.  facet_vertices[i]
-    lists (indices of) the vertices saturating inequality i.
+    lists (indices of) the vertices saturating inequality i.  cone_vertices
+    is the moment correspondence (cone label -> vertex, in fan order) of a
+    polytope built from a fan, empty otherwise; it is not part of equality.
     """
 
     dim: int
@@ -48,6 +53,7 @@ class LatticePolytope:
     facet_offsets: tuple[Fraction, ...]
     vertices: tuple[QVector, ...]
     facet_vertices: tuple[tuple[int, ...], ...]
+    cone_vertices: tuple[tuple[str, QVector], ...] = field(default=(), compare=False)
 
     def contains(self, point: Sequence) -> bool:
         p = [frac(x) for x in point]
@@ -55,6 +61,19 @@ class LatticePolytope:
             sum(n_i * x_i for n_i, x_i in zip(n, p)) >= o
             for n, o in zip(self.facet_normals, self.facet_offsets)
         )
+
+    @cached_property
+    def face_lattice(self) -> dict[frozenset[int], int]:
+        """All faces as vertex-index sets (via facet-intersection closure),
+        mapped to their affine dimension.  Includes the polytope itself."""
+        facets = {frozenset(fv) for fv in self.facet_vertices}
+        found: set[frozenset[int]] = {frozenset(range(len(self.vertices)))}
+        frontier = {f for f in facets if f}
+        found |= frontier
+        while frontier:
+            frontier = {f & g for f in frontier for g in facets if f & g} - found
+            found |= frontier
+        return {f: _affine_dim([self.vertices[i] for i in f]) for f in found}
 
 
 def _check_bounded(dim: int, normals: Sequence[tuple[int, ...]]) -> None:
@@ -66,106 +85,55 @@ def _check_bounded(dim: int, normals: Sequence[tuple[int, ...]]) -> None:
         )
 
 
-def _assemble(
-    dim: int,
-    k: Optional[int],
-    normals: Sequence[tuple[int, ...]],
-    offsets: Sequence[Fraction],
-    points: Sequence[QVector],
-) -> LatticePolytope:
-    vertices = sorted(set(points))
-    facet_vertices = []
-    for n, o in zip(normals, offsets):
-        on_facet = tuple(
-            i
-            for i, v in enumerate(vertices)
-            if sum(ni * vi for ni, vi in zip(n, v)) == o
-        )
-        facet_vertices.append(on_facet)
-    return LatticePolytope(
-        dim=dim,
-        k=k,
-        facet_normals=tuple(tuple(n) for n in normals),
-        facet_offsets=tuple(offsets),
-        vertices=tuple(vertices),
-        facet_vertices=tuple(facet_vertices),
-    )
-
-
-def _cone_candidate(k: int, cone: Cone) -> QVector:
-    mat = RationalMatrix.from_rows([list(g) for g in cone.generators])
-    try:
-        return solve_square(mat, [-k] * len(cone.generators))
-    except ValueError:
-        raise ValueError("degenerate cone: singular vertex system")
-
-
 def vertex_for_cone(fan: Fan, k: int, cone: Cone) -> QVector:
     """The unique u with <u, v_i> = -k over the cone's generators.
 
     This is the moment image of the torus-fixed point of the cone's chart;
     it must satisfy every facet inequality of the k-anticanonical polytope.
     """
-    u = _cone_candidate(k, cone)
+    mat = RationalMatrix.from_rows([list(g) for g in cone.generators])
+    try:
+        u = solve_square(mat, [-k] * len(cone.generators))
+    except ValueError:
+        raise ValueError("degenerate cone: singular vertex system")
     for ray in fan.rays:
         if sum(r * x for r, x in zip(ray, u)) < -k:
             raise ValueError(f"cone vertex {u} violates facet of ray {ray}")
     return u
 
 
-def anticanonical_polytope(fan: Fan, k: int) -> LatticePolytope:
-    """Vertices of {<u, v_rho> >= -k} via the one-candidate-per-cone shortcut
-    (valid for complete simplicial fans; the general m-subset enumeration is
-    kept as a test oracle in polytope_from_h_rep)."""
-    if k < 1:
-        raise ValueError("anticanonical multiple k must be >= 1")
-    _check_bounded(fan.dim, fan.rays)
-    offsets = [Fraction(-k)] * len(fan.rays)
-    points = []
-    for _, cone in fan.cones():
-        u = _cone_candidate(k, cone)
-        if all(
-            sum(r * x for r, x in zip(ray, u)) >= -k for ray in fan.rays
-        ):
-            points.append(u)
-    if not points:
-        raise ValueError("no feasible cone vertices (inconsistent fan/k)")
-    return _assemble(fan.dim, k, fan.rays, offsets, points)
-
-
-def polytope_from_h_rep(
-    normals: Sequence[Sequence[int]], offsets: Sequence
-) -> LatticePolytope:
-    """General vertex enumeration over all m-subsets of facets (oracle path)."""
-    from itertools import combinations
-
-    normals = [tuple(int(x) for x in n) for n in normals]
-    if not normals:
-        raise ValueError("no facets")
-    dim = len(normals[0])
-    offs = [frac(o) for o in offsets]
-    _check_bounded(dim, normals)
-    points = []
-    for subset in combinations(range(len(normals)), dim):
-        mat = RationalMatrix.from_rows([list(normals[i]) for i in subset])
-        try:
-            u = solve_square(mat, [offs[i] for i in subset])
-        except ValueError:
-            continue
-        if all(
-            sum(ni * xi for ni, xi in zip(n, u)) >= o for n, o in zip(normals, offs)
-        ):
-            points.append(u)
-    if not points:
-        raise ValueError("empty polytope")
-    ks = {-o for o in offs}
-    k = int(next(iter(ks))) if len(ks) == 1 and next(iter(ks)).denominator == 1 else None
-    return _assemble(dim, k, normals, offs, points)
-
-
 def moment_assignment(fan: Fan, k: int) -> list[tuple[str, QVector]]:
     """Cone label -> polytope vertex correspondence, in fan order."""
     return [(label, vertex_for_cone(fan, k, cone)) for label, cone in fan.cones()]
+
+
+def anticanonical_polytope(fan: Fan, k: int) -> LatticePolytope:
+    """Vertices of {<u, v_rho> >= -k} via the one-vertex-per-cone shortcut,
+    valid for complete simplicial fans; a cone vertex that violates a facet
+    (overlapping cones) raises ValueError.  The moment correspondence is
+    kept as ``cone_vertices``."""
+    if k < 1:
+        raise ValueError("anticanonical multiple k must be >= 1")
+    _check_bounded(fan.dim, fan.rays)
+    assignment = moment_assignment(fan, k)
+    vertices = tuple(sorted({u for _, u in assignment}))
+    facet_vertices = tuple(
+        tuple(
+            i
+            for i, v in enumerate(vertices)
+            if sum(ni * vi for ni, vi in zip(n, v)) == -k
+        )
+        for n in fan.rays
+    )
+    return LatticePolytope(
+        dim=fan.dim,
+        k=k,
+        facet_normals=tuple(tuple(n) for n in fan.rays),
+        facet_offsets=(Fraction(-k),) * len(fan.rays),
+        vertices=vertices,
+        facet_vertices=facet_vertices,
+        cone_vertices=tuple(assignment),
+    )
 
 
 def _affine_dim(points: Sequence[QVector]) -> int:
@@ -178,31 +146,10 @@ def _affine_dim(points: Sequence[QVector]) -> int:
     return rank(RationalMatrix.from_rows(rows))
 
 
-def _face_lattice(p: LatticePolytope) -> dict[frozenset[int], int]:
-    """All faces as vertex-index sets (via facet-intersection closure),
-    mapped to their affine dimension.  Includes the polytope itself."""
-    faces: set[frozenset[int]] = {frozenset(range(len(p.vertices)))}
-    frontier = {frozenset(fv) for fv in p.facet_vertices if fv}
-    faces |= frontier
-    while True:
-        new = set()
-        for f in frontier:
-            for g in {frozenset(fv) for fv in p.facet_vertices}:
-                h = f & g
-                if h and h not in faces:
-                    new.add(h)
-        if not new:
-            break
-        faces |= new
-        frontier = new
-    return {f: _affine_dim([p.vertices[i] for i in f]) for f in faces}
-
-
 def faces(p: LatticePolytope, d: int) -> list[tuple[QVector, ...]]:
     """Faces of dimension d as sorted vertex tuples, deterministically ordered."""
-    lattice = _face_lattice(p)
     out = []
-    for f, fd in lattice.items():
+    for f, fd in p.face_lattice.items():
         if fd == d:
             out.append(tuple(sorted(p.vertices[i] for i in f)))
     return sorted(out)
@@ -248,7 +195,7 @@ def polytope_barycenter(p: LatticePolytope) -> QVector:
     m = p.dim
     if _affine_dim(p.vertices) < m:
         raise DegeneratePolytopeError("polytope is not full-dimensional")
-    lattice = _face_lattice(p)
+    lattice = p.face_lattice
     total = Fraction(0)
     acc = [Fraction(0)] * m
     for simplex in _pulling_triangulation(p, lattice):

@@ -31,7 +31,6 @@ from .formats import FanFile, OrbifoldFile
 from .polytope import (
     anticanonical_polytope,
     faces,
-    moment_assignment,
     polytope_barycenter,
     subset_barycenter,
 )
@@ -191,16 +190,17 @@ def fan_report(fanfile: FanFile, k: Optional[int] = None) -> dict[str, Any]:
         return report
     try:
         poly = anticanonical_polytope(fan, k_eff)
+        two_faces = faces(poly, 2) if fan.dim >= 2 else []
+        barycenter = polytope_barycenter(poly)
     except ValueError as exc:
         report["polytope"] = {"error": str(exc)}
         return report
-    assignment = moment_assignment(fan, k_eff)
-    two_faces = faces(poly, 2) if fan.dim >= 2 else []
+    assignment = poly.cone_vertices
     report["polytope"] = {
         "k": k_eff,
         "vertices": [_qvec(v) for v in poly.vertices],
         "two_faces": [[_qvec(v) for v in f] for f in two_faces],
-        "barycenter": _qvec(polytope_barycenter(poly)),
+        "barycenter": _qvec(barycenter),
         "moment_assignment": {label: _qvec(v) for label, v in assignment},
     }
 

@@ -13,7 +13,7 @@ never by enumerating Gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 from typing import Iterator, Optional, Sequence
 
@@ -22,7 +22,6 @@ from .exact_linalg import (
     integer_determinant,
     smith_normal_form,
     solve_square,
-    unimodular_inverse,
 )
 
 IntVector = tuple[int, ...]
@@ -166,7 +165,8 @@ def _is_primitive(v: IntVector) -> bool:
 
 
 def validate_fan(fan: Fan) -> FanValidation:
-    """Check primitivity, simpliciality and full-dimensionality of max cones.
+    """Check primitivity, simpliciality, full-dimensionality and
+    distinctness of max cones.
 
     Violations are reported, not raised: non-simplicial cones fall outside
     the isolated-singularity setting but should not abort a database scan.
@@ -181,6 +181,7 @@ def validate_fan(fan: Fan) -> FanValidation:
             violations.append(f"ray {i + 1} {list(ray)} is not primitive")
     if len(set(fan.rays)) != len(fan.rays):
         violations.append("rays are not pairwise distinct")
+    seen: dict[frozenset[int], int] = {}
     for i, idx in enumerate(fan.max_cones):
         label = fan.labels[i]
         if any(j < 0 or j >= len(fan.rays) for j in idx):
@@ -188,6 +189,11 @@ def validate_fan(fan: Fan) -> FanValidation:
             continue
         if len(set(idx)) != len(idx):
             violations.append(f"cone {label}: repeated ray")
+            continue
+        first = seen.setdefault(frozenset(idx), i)
+        if first != i:
+            # The same chart listed twice would enter balancing twice.
+            violations.append(f"cone {label}: same rays as cone {fan.labels[first]}")
             continue
         if len(idx) != fan.dim:
             violations.append(
@@ -225,7 +231,14 @@ def quotient_action(cone: Cone) -> GroupPresentation:
     order = cone_index(cone)
     m = cone.ambient_dim
     snf = smith_normal_form(cone.generator_matrix())
-    v_inv = unimodular_inverse([list(r) for r in snf.v])
+    v_inv = snf.v_inv
+    # The weights are read off V^{-1}, so it must really invert V.
+    if any(
+        sum(snf.v[i][k] * v_inv[k][j] for k in range(m)) != (i == j)
+        for i in range(m)
+        for j in range(m)
+    ):
+        raise RuntimeError("Smith normal form: V^{-1} is not the inverse of V (bug)")
     factors: list[int] = []
     weights: list[IntVector] = []
     for i, d in enumerate(snf.diagonal()):
@@ -324,48 +337,3 @@ def classify_fan(fan: Fan) -> list[tuple[str, Optional[GroupPresentation]]]:
         except ValueError:
             out.append((label, None))
     return out
-
-
-def invariant_monomial_count_weights(
-    factors: Sequence[int],
-    weights: Sequence[IntVector],
-    m: int,
-    max_degree: int,
-) -> int:
-    """Number of invariant monomials z^a, a in N^m, total degree <= bound,
-    decided through the extracted action weights."""
-    count = 0
-    for a in product(range(max_degree + 1), repeat=m):
-        if sum(a) > max_degree:
-            continue
-        if all(
-            sum(w[j] * a[j] for j in range(m)) % d == 0
-            for d, w in zip(factors, weights)
-        ):
-            count += 1
-    return count
-
-
-def invariant_monomial_count_lattice(cone: Cone, max_degree: int) -> int:
-    """Same count decided through the toric dictionary, independently of the
-    weight extraction: z^a descends to the quotient iff the corresponding
-    character G^{-T} a is an integral point (of the dual cone, since a >= 0)."""
-    m = cone.ambient_dim
-    gt = RationalMatrix.from_rows(cone.generator_matrix()).transpose()
-    # Columns of (G^T)^{-1}, computed once.
-    inv_cols = [
-        solve_square(gt, [int(i == j) for i in range(m)]) for j in range(m)
-    ]
-    count = 0
-    for a in product(range(max_degree + 1), repeat=m):
-        if sum(a) > max_degree:
-            continue
-        integral = True
-        for i in range(m):
-            coord = sum(inv_cols[j][i] * a[j] for j in range(m))
-            if coord.denominator != 1:
-                integral = False
-                break
-        if integral:
-            count += 1
-    return count

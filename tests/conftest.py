@@ -1,21 +1,27 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's own code paths: cofactor expansion
-for determinants, an explicit symbolic Laplacian on integer-coefficient
-polynomials, a recursive surface-area formula for sphere volumes, and, for
-a finite abelian group, enumeration of its elements, character averaging
-in cyclotomic integers and a monomial-basis count.
+for determinants, ranks (by minors) and square solves (Cramer's rule), a
+Fraction Gauss-Jordan reduction for kernels, subset enumeration for
+positive kernel vectors and polytope vertices, monomial counts for the
+quotient weights of a cone, an explicit symbolic Laplacian on
+integer-coefficient polynomials, a recursive surface-area formula for
+sphere volumes, and, for a finite abelian group, enumeration of its
+elements, character averaging in cyclotomic integers and a monomial-basis
+count.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import lcm
-from typing import Sequence
+from typing import Optional, Sequence
 
 from kcscglue.balancing import PiRational
+from kcscglue.exact_linalg import RationalMatrix
+from kcscglue.polytope import LatticePolytope
 
 
 def det_cofactor(rows) -> Fraction:
@@ -37,6 +43,175 @@ def det_cofactor(rows) -> Fraction:
         sign = -1 if j % 2 else 1
         total += sign * Fraction(rows[0][j]) * det_cofactor(minor)
     return total
+
+
+def rank_bruteforce(m: RationalMatrix) -> int:
+    """Largest k with a nonzero k x k minor, by cofactor expansion."""
+    for k in range(min(m.rows, m.cols), 0, -1):
+        for rset in combinations(range(m.rows), k):
+            for cset in combinations(range(m.cols), k):
+                if det_cofactor([[m[i, j] for j in cset] for i in rset]) != 0:
+                    return k
+    return 0
+
+
+def solve_cramer(rows, b) -> Optional[tuple[Fraction, ...]]:
+    """x with rows·x = b by Cramer's rule, or None if rows is singular."""
+    det = det_cofactor(rows)
+    if det == 0:
+        return None
+    n = len(rows)
+    return tuple(
+        det_cofactor([[b[i] if c == j else rows[i][c] for c in range(n)] for i in range(n)])
+        / det
+        for j in range(n)
+    )
+
+
+def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by Fraction Gauss-Jordan elimination;
+    returns (rows, pivot column indices)."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p = rows[r][col]
+        rows[r] = [x / p for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return rows, pivots
+
+
+def nullspace_by_rref(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
+    """Kernel basis read off the RREF: one vector per free column."""
+    rows, pivots = rref(m.to_rows())
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def positive_kernel_witness_bruteforce(
+    m: RationalMatrix,
+) -> Optional[tuple[Fraction, ...]]:
+    """Vertex-enumeration oracle for positive_kernel_witness (small n only).
+
+    The feasible set {M x = 0, x >= 1} is a pointed polyhedron, so it is
+    nonempty iff it has a vertex, and every vertex pins x_j = 1 on some
+    coordinate subset with the rest determined by M x = 0.  Enumerate all
+    subsets; exponential, intended for n <= 6.
+    """
+    n = m.cols
+    if n == 0:
+        return ()
+    for size in range(n + 1):
+        for fixed in combinations(range(n), size):
+            # Rows: M x = 0 and x_j = 1 for j in fixed.
+            rows = [list(m.row(i)) + [Fraction(0)] for i in range(m.rows)]
+            for j in fixed:
+                ind = [Fraction(0)] * n
+                ind[j] = Fraction(1)
+                rows.append(ind + [Fraction(1)])
+            reduced, pivots = rref([r[:] for r in rows])
+            # Inconsistent system: pivot in the augmented column.
+            if n in pivots:
+                continue
+            if len(pivots) != n:
+                continue
+            x = [Fraction(0)] * n
+            for r, c in enumerate(pivots):
+                x[c] = reduced[r][n]
+            if all(v == 0 for v in m.mul_vector(x)) and min(x) >= 1:
+                return tuple(x)
+    return None
+
+
+def polytope_from_h_rep(normals, offsets) -> LatticePolytope:
+    """General vertex enumeration over all dim-subsets of the facets of a
+    bounded region <u, normal_i> >= offset_i, each solved by Cramer's rule."""
+    normals = [tuple(int(x) for x in n) for n in normals]
+    offs = [Fraction(o) for o in offsets]
+    dim = len(normals[0])
+    points = set()
+    for subset in combinations(range(len(normals)), dim):
+        u = solve_cramer([normals[i] for i in subset], [offs[i] for i in subset])
+        if u is not None and all(
+            sum(ni * xi for ni, xi in zip(n, u)) >= o for n, o in zip(normals, offs)
+        ):
+            points.add(u)
+    vertices = tuple(sorted(points))
+    ks = {-o for o in offs}
+    k = int(next(iter(ks))) if len(ks) == 1 and next(iter(ks)).denominator == 1 else None
+    return LatticePolytope(
+        dim=dim,
+        k=k,
+        facet_normals=tuple(normals),
+        facet_offsets=tuple(offs),
+        vertices=vertices,
+        facet_vertices=tuple(
+            tuple(
+                i
+                for i, v in enumerate(vertices)
+                if sum(ni * vi for ni, vi in zip(n, v)) == o
+            )
+            for n, o in zip(normals, offs)
+        ),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Quotient weights of a cone by counting invariant monomials
+# ---------------------------------------------------------------------------
+
+
+def invariant_monomial_count_weights(factors, weights, m: int, max_degree: int) -> int:
+    """Number of invariant monomials z^a, a in N^m, total degree <= bound,
+    decided through the extracted action weights."""
+    count = 0
+    for a in product(range(max_degree + 1), repeat=m):
+        if sum(a) > max_degree:
+            continue
+        if all(
+            sum(w[j] * a[j] for j in range(m)) % d == 0
+            for d, w in zip(factors, weights)
+        ):
+            count += 1
+    return count
+
+
+def invariant_monomial_count_lattice(cone, max_degree: int) -> int:
+    """Same count decided through the toric dictionary, independently of the
+    weight extraction: z^a descends to the quotient iff the corresponding
+    character G^{-T} a is an integral point (of the dual cone, since a >= 0)."""
+    m = cone.ambient_dim
+    # Columns of (G^T)^{-1}; the rows of G^T are the generators.
+    gt = [list(g) for g in cone.generators]
+    inv_cols = [solve_cramer(gt, [int(i == j) for i in range(m)]) for j in range(m)]
+    count = 0
+    for a in product(range(max_degree + 1), repeat=m):
+        if sum(a) > max_degree:
+            continue
+        if all(
+            sum(inv_cols[j][i] * a[j] for j in range(m)).denominator == 1
+            for i in range(m)
+        ):
+            count += 1
+    return count
 
 
 class Poly:

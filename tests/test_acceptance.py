@@ -17,7 +17,11 @@ from conftest import (
     det_cofactor,
     invariant_dimension_bruteforce,
     invariant_dimension_characters,
+    invariant_monomial_count_lattice,
+    invariant_monomial_count_weights,
     isolated_by_enumeration,
+    positive_kernel_witness_bruteforce,
+    rank_bruteforce,
     sphere_eigenvalue_oracle,
 )
 from kcscglue.balancing import (
@@ -46,9 +50,7 @@ from kcscglue.exact_linalg import (
     RationalMatrix,
     nullspace_basis,
     positive_kernel_witness,
-    positive_kernel_witness_bruteforce,
     rank,
-    rank_bruteforce,
 )
 from kcscglue.formats import parse_fan, parse_orbifold
 from kcscglue.polytope import (
@@ -69,8 +71,6 @@ from kcscglue.toric_lattice import (
     GroupPresentation,
     classify_fan,
     cone_index,
-    invariant_monomial_count_lattice,
-    invariant_monomial_count_weights,
     quotient_action,
 )
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import sphere_volume_oracle
+from conftest import positive_kernel_witness_bruteforce, sphere_volume_oracle
 from kcscglue.balancing import (
     RICCI_FLAT,
     SCALAR_FLAT,
@@ -19,11 +19,7 @@ from kcscglue.balancing import (
     solve_scalar_flat_balancing,
     sphere_volume,
 )
-from kcscglue.exact_linalg import (
-    RationalMatrix,
-    positive_kernel_witness_bruteforce,
-    rank,
-)
+from kcscglue.exact_linalg import RationalMatrix, rank
 from kcscglue.examples import example_by_name
 from kcscglue.formats import parse_orbifold
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from kcscglue.cli import main
-from kcscglue.examples import embedded_examples
+from kcscglue.examples import embedded_examples, example_by_name
 
 INFEASIBLE_ORBIFOLD = """\
 m 2
@@ -11,6 +11,29 @@ d 1
 s positive
 einstein no
 point Q1 scalar_flat order=2 e_sign=+1 phi=[1]
+"""
+
+P2_RAYS = "dim 2\nk 1\nray [1, 0]\nray [0, 1]\nray [-1, -1]\n"
+P2_FAN = P2_RAYS + "cone [1, 2]\ncone [2, 3]\ncone [3, 1]\n"
+# Fans whose polytope stage fails, with the error it records.
+POLYTOPE_FAILURES = {
+    "incomplete.fan": (
+        P2_RAYS + "cone [1, 2]\ncone [2, 3]\n",
+        "polytope is not full-dimensional",
+    ),
+    "overlapping.fan": (
+        P2_RAYS + "ray [1, 1]\ncone [1, 2]\ncone [2, 3]\ncone [3, 1]\ncone [1, 4]\n",
+        "violates facet of ray (1, 1)",
+    ),
+}
+# Valid syntax, but explicit laplacian data with s positive cannot be balanced.
+NON_NUMERIC_S_ORBIFOLD = """\
+m 2
+d 2
+s positive
+einstein no
+point P1 ricci_flat order=2 phi=[1, 0] dphi=[1, 0]
+point P2 ricci_flat order=2 phi=[-1, 0] dphi=[-1, 0]
 """
 
 
@@ -72,6 +95,28 @@ class TestClassify:
         assert out.count("ricci_flat") == 3
         assert out.count("3") >= 3
         assert "su" in out
+
+
+class TestPolytopeStageErrors:
+    @pytest.mark.parametrize("name", sorted(POLYTOPE_FAILURES))
+    def test_error_recorded_and_classify_runs(self, name, tmp_path, capsys):
+        text, error = POLYTOPE_FAILURES[name]
+        p = tmp_path / name
+        p.write_text(text)
+        out_path = tmp_path / "report.json"
+        assert main(["report", str(p), "--out", str(out_path)]) == 0
+        poly = json.loads(out_path.read_text())["report"]["polytope"]
+        assert error in poly["error"]
+        assert main(["classify", str(p)]) == 0
+        assert "smooth" in capsys.readouterr().out
+        assert main(["polytope", str(p)]) == 2
+        assert "error: polytope: " in capsys.readouterr().err
+
+    def test_polytope_on_invalid_fan(self, tmp_path, capsys):
+        p = tmp_path / "one-ray-cone.fan"
+        p.write_text(P2_FAN + "cone [1]\n")
+        assert main(["polytope", str(p)]) == 2
+        assert "error: invalid fan: cone C4" in capsys.readouterr().err
 
 
 class TestPolytope:
@@ -146,6 +191,25 @@ class TestReport:
         d2.mkdir()
         (d2 / "single.orb").write_text(INFEASIBLE_ORBIFOLD)
         assert main(["report", "--batch", str(d2)]) == 1
+
+    def test_batch_continues_past_a_failing_file(self, tmp_path, capsys):
+        d = tmp_path / "failing"
+        d.mkdir()
+        (d / "a.fan").write_text(P2_FAN)
+        (d / "b.orb").write_text(NON_NUMERIC_S_ORBIFOLD)
+        (d / "c.orb").write_text(example_by_name("p2-z3").text)
+        assert main(["report", "--batch", str(d)]) == 2
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [r.split()[:2] for r in rows] == [
+            ["a.fan", "infeasible"],
+            ["b.orb", "error"],
+            ["c.orb", "feasible"],
+        ]
+        assert "needs a numeric scalar curvature" in rows[1]
+        assert sorted(p.name for p in d.glob("*.report.json")) == [
+            "a.report.json",
+            "c.report.json",
+        ]
 
 
 class TestExamples:

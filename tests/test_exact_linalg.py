@@ -2,16 +2,24 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import det_cofactor
+import pytest
+
+from conftest import (
+    det_cofactor,
+    nullspace_by_rref,
+    positive_kernel_witness_bruteforce,
+    rank_bruteforce,
+    solve_cramer,
+)
 from kcscglue.exact_linalg import (
     RationalMatrix,
     integer_determinant,
     nullspace_basis,
     positive_kernel_witness,
-    positive_kernel_witness_bruteforce,
     rank,
-    rank_bruteforce,
+    rational_determinant,
     smith_normal_form,
+    solve_square,
     unimodular_inverse,
 )
 
@@ -166,6 +174,15 @@ def test_rank_matches_minor_oracle(rows):
     assert rank(m) == rank_bruteforce(m)
 
 
+RATIONAL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def rational_square(draw, max_dim=4):
+    n = draw(st.integers(1, max_dim))
+    return [[draw(RATIONAL) for _ in range(n)] for _ in range(n)]
+
+
 @settings(max_examples=120, derandomize=True)
 @given(int_matrix())
 def test_rank_nullity_sum(rows):
@@ -174,6 +191,8 @@ def test_rank_nullity_sum(rows):
     assert rank(m) + len(basis) == m.cols
     for v in basis:
         assert all(x == 0 for x in m.mul_vector(v))
+    # the fraction-free kernel reads off the same (unique) RREF
+    assert basis == nullspace_by_rref(m)
 
 
 @settings(max_examples=120, derandomize=True)
@@ -191,6 +210,13 @@ def test_snf_invariants(rows):
     assert d[: len(nz)] == tuple(nz)
     for i in range(len(nz) - 1):
         assert nz[i + 1] % nz[i] == 0
+    # V^{-1} is carried along the column operations, not solved for
+    n = len(snf.v)
+    assert [list(r) for r in snf.v_inv] == unimodular_inverse(snf.v)
+    assert [
+        [sum(snf.v[i][k] * snf.v_inv[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ] == [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 @settings(max_examples=150, derandomize=True)
@@ -211,3 +237,24 @@ def test_integer_determinant_matches_cofactor(rows):
     n = min(len(rows), len(rows[0]))
     square = [r[:n] for r in rows[:n]]
     assert integer_determinant(square) == det_cofactor(square)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(rational_square())
+def test_rational_determinant_matches_cofactor(rows):
+    assert rational_determinant(mat(rows)) == det_cofactor(rows)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(rational_square(), st.lists(RATIONAL, min_size=4, max_size=4))
+def test_solve_square(rows, rhs):
+    m = mat(rows)
+    b = rhs[: m.rows]
+    want = solve_cramer(rows, b)
+    if want is None:
+        with pytest.raises(ValueError):
+            solve_square(m, b)
+        return
+    x = solve_square(m, b)
+    assert m.mul_vector(x) == tuple(b)
+    assert x == want

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import polytope_from_h_rep
 from kcscglue.examples import example_by_name
 from kcscglue.exact_linalg import integer_determinant, unimodular_inverse
 from kcscglue.formats import parse_fan
@@ -13,7 +14,6 @@ from kcscglue.polytope import (
     faces,
     moment_assignment,
     polytope_barycenter,
-    polytope_from_h_rep,
     subset_barycenter,
     vertex_for_cone,
 )
@@ -56,6 +56,17 @@ class TestAnticanonicalPolytope:
         with pytest.raises(UnboundedRegionError):
             anticanonical_polytope(fan, 1)
 
+    def test_overlapping_cones_rejected(self):
+        # P2 plus the ray (1, 1) and a cone overlapping the first one: the
+        # first cone's vertex violates the new facet
+        fan = Fan(
+            dim=2,
+            rays=((1, 0), (0, 1), (-1, -1), (1, 1)),
+            max_cones=((0, 1), (1, 2), (2, 0), (0, 3)),
+        )
+        with pytest.raises(ValueError, match="violates facet of ray"):
+            anticanonical_polytope(fan, 1)
+
     def test_every_vertex_satisfies_every_facet(self):
         for fan, k in ((X1, 3), (X4, 5), (P2_FAN, 1)):
             p = anticanonical_polytope(fan, k)
@@ -68,6 +79,11 @@ class TestAnticanonicalPolytope:
             fast = anticanonical_polytope(fan, k)
             slow = polytope_from_h_rep(fan.rays, [-k] * len(fan.rays))
             assert fast.vertices == slow.vertices
+            # the moment correspondence rides along but is not part of
+            # equality: the oracle leaves it empty
+            assert list(fast.cone_vertices) == moment_assignment(fan, k)
+            assert slow.cone_vertices == ()
+            assert fast == slow
 
 
 class TestVertexForCone:

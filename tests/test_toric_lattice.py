@@ -1,7 +1,11 @@
 import random
 from math import gcd
 
-from conftest import det_cofactor
+from conftest import (
+    det_cofactor,
+    invariant_monomial_count_lattice,
+    invariant_monomial_count_weights,
+)
 from kcscglue.examples import example_by_name
 from kcscglue.formats import parse_fan
 from kcscglue.toric_lattice import (
@@ -14,8 +18,6 @@ from kcscglue.toric_lattice import (
     classify_fan,
     cone_index,
     gorenstein_covector,
-    invariant_monomial_count_lattice,
-    invariant_monomial_count_weights,
     is_gorenstein,
     is_isolated,
     quotient_action,
@@ -42,6 +44,17 @@ class TestValidateFan:
         report = validate_fan(fan)
         assert not report.valid
         assert any("primitive" in v for v in report.violations)
+
+    def test_repeated_max_cone(self):
+        # P2 with its third cone listed twice, as [3, 1] and [1, 3]
+        fan = Fan(
+            dim=2,
+            rays=((1, 0), (0, 1), (-1, -1)),
+            max_cones=((0, 1), (1, 2), (2, 0), (0, 2)),
+        )
+        report = validate_fan(fan)
+        assert not report.valid
+        assert report.violations == ("cone C4: same rays as cone C3",)
 
     def test_low_dimensional_cone(self):
         fan = Fan(
