@@ -45,7 +45,6 @@ from .balancing import (
     SingularPointRecord,
     build_theta,
     build_xi,
-    check_nondegeneracy,
     gluing_scales,
     leading_coefficients,
     model_constants,

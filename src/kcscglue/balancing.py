@@ -1,10 +1,12 @@
 """Balancing conditions and gluing constants.
 
-Assembles the nondegeneracy matrices for the two gluing regimes (only
+Assembles the balancing matrices for the two gluing regimes (only
 scalar-flat models contribute balancing conditions; in the all-Ricci-flat
 regime the weights are tuned so the conditions reduce to a positive-kernel
-search), decides feasibility with exact LP, and evaluates every closed-form
-constant with pi-powers kept symbolic.
+search) and decides both with one routine: a positive kernel vector by
+exact LP, and full rank read off the elimination that gives the kernel
+basis.  Every closed-form constant is evaluated with pi-powers kept
+symbolic.
 """
 
 from __future__ import annotations
@@ -12,14 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .exact_linalg import (
     RationalMatrix,
     frac,
     nullspace_basis,
     positive_kernel_witness,
-    rank,
 )
 
 RICCI_FLAT = "ricci_flat"
@@ -186,13 +187,9 @@ class BalancingReport:
     regime: str
     d: int
     feasible: bool
-    xi_matrix: Optional[ScaledMatrix] = None
-    theta_matrix: Optional[ScaledMatrix] = None
-    xi_rank: Optional[int] = None
-    theta_rank: Optional[int] = None
-    joint_rank: Optional[int] = None
-    witness_a: Optional[tuple[Fraction, ...]] = None
-    witness_b: Optional[tuple[Fraction, ...]] = None
+    matrix: Optional[ScaledMatrix] = None
+    rank: Optional[int] = None
+    witness: Optional[tuple[Fraction, ...]] = None
     witness_c: Optional[tuple[Fraction, ...]] = None
     kernel_basis: tuple[tuple[Fraction, ...], ...] = ()
     coefficients: tuple["PointCoefficients", ...] = ()
@@ -244,15 +241,13 @@ def build_xi(
 def build_theta(
     points_p: Sequence[SingularPointRecord],
     b: Sequence,
-    c: Optional[Sequence] = None,
     s: ScalarCurvature = None,
     m: int = 2,
 ) -> ScaledMatrix:
-    """Balancing matrix for Ricci-flat points: entry (i, j) =
-    b_j Lap(phi_i)(p_j) + c_j phi_i(p_j).
+    """Balancing matrix for Ricci-flat points under the tuning c_j = s b_j:
+    entry (i, j) = b_j (Lap(phi_i) + s phi_i)(p_j).
 
-    c = None applies the tuning c_j = s b_j.  Under the Einstein flag the
-    entry collapses to (c_j - s b_j / m) phi_i(p_j); with tuning that is
+    Under the Einstein flag Lap phi_i = -(s/m) phi_i, so the entry is
     ((m-1) s / m) b_j phi_i(p_j), and since only positivity of s matters for
     rank and kernels, the factor (m-1) s / m is stripped into the scale.
     """
@@ -267,51 +262,27 @@ def build_theta(
             raise ValueError(f"{p.label} is not a Ricci-flat point")
         if len(p.phi_values) != d:
             raise ValueError("inconsistent kernel dimension")
-    einstein = all(p.laplacian_phi_values is None for p in points_p)
-    tuned = c is None
-    if not tuned:
-        cs = [frac(x) for x in c]
-        if len(cs) != len(points_p):
-            raise ValueError("one c per point")
 
-    if einstein:
-        if tuned:
-            rows = [
-                [bs[j] * points_p[j].phi_values[i] for j in range(len(points_p))]
-                for i in range(d)
-            ]
-            if s is None:
-                return ScaledMatrix(
-                    RationalMatrix.from_rows(rows),
-                    Fraction(m - 1, m),
-                    ("s_omega",),
-                )
-            if s <= 0:
-                raise ValueError("scalar curvature must be positive here")
-            return ScaledMatrix(
-                RationalMatrix.from_rows(rows), Fraction(m - 1, m) * s, ()
-            )
-        if s is None:
-            raise ValueError("explicit c with symbolic s is not representable")
+    if all(p.laplacian_phi_values is None for p in points_p):
         rows = [
-            [
-                (cs[j] - s * bs[j] / m) * points_p[j].phi_values[i]
-                for j in range(len(points_p))
-            ]
+            [bs[j] * points_p[j].phi_values[i] for j in range(len(points_p))]
             for i in range(d)
         ]
-        return ScaledMatrix(RationalMatrix.from_rows(rows))
+        if s is None:
+            return ScaledMatrix(
+                RationalMatrix.from_rows(rows), Fraction(m - 1, m), ("s_omega",)
+            )
+        if s <= 0:
+            raise ValueError("scalar curvature must be positive here")
+        return ScaledMatrix(RationalMatrix.from_rows(rows), Fraction(m - 1, m) * s)
 
+    if s is None:
+        raise ValueError("explicit laplacian data needs a numeric scalar curvature")
     if any(p.laplacian_phi_values is None for p in points_p):
         raise ValueError("mixed Einstein/explicit laplacian data")
-    if tuned:
-        if s is None:
-            raise ValueError("tuning with explicit laplacians needs a numeric s")
-        cs = [s * bj for bj in bs]
     rows = [
         [
-            bs[j] * points_p[j].laplacian_phi_values[i]
-            + cs[j] * points_p[j].phi_values[i]
+            bs[j] * (points_p[j].laplacian_phi_values[i] + s * points_p[j].phi_values[i])
             for j in range(len(points_p))
         ]
         for i in range(d)
@@ -319,29 +290,64 @@ def build_theta(
     return ScaledMatrix(RationalMatrix.from_rows(rows))
 
 
-def check_nondegeneracy(
-    xi: Optional[Union[RationalMatrix, ScaledMatrix]],
-    theta: Optional[Union[RationalMatrix, ScaledMatrix]],
-) -> tuple[bool, int]:
-    """Full-rank test of the (concatenated) balancing matrix."""
-    mats = []
-    d = None
-    for block in (xi, theta):
-        if block is None:
-            continue
-        mat = block.matrix if isinstance(block, ScaledMatrix) else block
-        if d is None:
-            d = mat.rows
-        elif mat.rows != d:
-            raise ValueError("row counts differ")
-        mats.append(mat)
-    if not mats:
-        raise ValueError("nothing to check")
-    joined = mats[0]
-    for other in mats[1:]:
-        joined = joined.hstack(other)
-    r = rank(joined)
-    return r == d, r
+_RANK_NOTES = {
+    RICCI_FLAT: "balancing matrix has rank {r} < d = {d}",
+    SCALAR_FLAT: "rank condition fails: rank {r} < d = {d}",
+}
+
+
+def _decide(
+    regime: str,
+    points: Sequence[SingularPointRecord],
+    build: Callable[[Sequence[Fraction]], ScaledMatrix],
+    notes: list[str],
+    m: int,
+    s: ScalarCurvature = None,
+) -> BalancingReport:
+    """The balancing decision shared by both regimes.
+
+    The regime's matrix is built once at unit weights; the simplex looks for
+    a positive kernel vector and one elimination gives the kernel basis and
+    with it the rank.  Every witness entry is >= 1, so weighting the columns
+    by the witness keeps the rank, and the reported matrix is the builder's
+    at the witness (at unit weights when there is none).
+    """
+    unit = build([Fraction(1)] * len(points))
+    witness = positive_kernel_witness(unit.matrix)
+    kernel = tuple(nullspace_basis(unit.matrix))
+    d = unit.matrix.rows
+    r = unit.matrix.cols - len(kernel)
+    if witness is None:
+        return BalancingReport(
+            regime=regime,
+            d=d,
+            feasible=False,
+            matrix=unit,
+            rank=r,
+            kernel_basis=kernel,
+            notes=tuple(notes + ["no positive kernel vector exists"]),
+        )
+    witness_c = None if s is None else tuple(s * w for w in witness)
+    if regime == RICCI_FLAT and s is None:
+        notes.append("tuning c_j = s_omega b_j recorded symbolically (s known by sign)")
+    if r < d:
+        notes.append(_RANK_NOTES[regime].format(r=r, d=d))
+    coefficients = tuple(
+        _point_coefficients(p, w, m, s, None if s is None else s * w)
+        for p, w in zip(points, witness)
+    )
+    return BalancingReport(
+        regime=regime,
+        d=d,
+        feasible=r == d,
+        matrix=build(witness),
+        rank=r,
+        witness=witness,
+        witness_c=witness_c,
+        kernel_basis=kernel,
+        coefficients=coefficients,
+        notes=tuple(notes),
+    )
 
 
 def solve_ricci_flat_balancing(
@@ -356,72 +362,15 @@ def solve_ricci_flat_balancing(
     = 0, needing a numeric s.  The feasibility verdict and the rank are
     invariant under the stripped positive factors.
     """
-    if not points_p:
-        raise ValueError("no Ricci-flat points")
-    d = len(points_p[0].phi_values)
-    notes: list[str] = []
-    einstein = all(p.laplacian_phi_values is None for p in points_p)
-    if einstein:
-        balance = RationalMatrix.from_rows(
-            [
-                [p.phi_values[i] for p in points_p]
-                for i in range(d)
-            ]
-        )
-        notes.append(
+    if all(p.laplacian_phi_values is None for p in points_p):
+        note = (
             "einstein reduction: tuned system is ((m-1)s/m) sum_j b_j phi_i(p_j); "
             "positive factor (m-1)s/m stripped"
         )
     else:
-        if s is None:
-            raise ValueError("explicit laplacian data needs a numeric scalar curvature")
-        balance = RationalMatrix.from_rows(
-            [
-                [
-                    p.laplacian_phi_values[i] + s * p.phi_values[i]
-                    for p in points_p
-                ]
-                for i in range(d)
-            ]
-        )
-        notes.append("tuned system: sum_j b_j (Lap phi_i + s phi_i)(p_j) = 0")
-
-    witness = positive_kernel_witness(balance)
-    kernel = tuple(nullspace_basis(balance))
-    if witness is None:
-        return BalancingReport(
-            regime="ricci_flat",
-            d=d,
-            feasible=False,
-            kernel_basis=kernel,
-            notes=tuple(notes + ["no positive kernel vector exists"]),
-        )
-    theta = build_theta(points_p, witness, c=None, s=s, m=m)
-    full_rank, r = check_nondegeneracy(None, theta)
-    feasible = full_rank
-    if s is not None:
-        witness_c = tuple(s * bj for bj in witness)
-    else:
-        witness_c = None
-        notes.append("tuning c_j = s_omega b_j recorded symbolically (s known by sign)")
-    coefficients = tuple(
-        _point_coefficients(p, bj, m, s, s * bj if s is not None else None)
-        for p, bj in zip(points_p, witness)
-    )
-    if not full_rank:
-        notes.append(f"balancing matrix has rank {r} < d = {d}")
-    return BalancingReport(
-        regime="ricci_flat",
-        d=d,
-        feasible=feasible,
-        theta_matrix=theta,
-        theta_rank=r,
-        joint_rank=r,
-        witness_b=witness,
-        witness_c=witness_c,
-        kernel_basis=kernel,
-        coefficients=coefficients,
-        notes=tuple(notes),
+        note = "tuned system: sum_j b_j (Lap phi_i + s phi_i)(p_j) = 0"
+    return _decide(
+        RICCI_FLAT, points_p, lambda b: build_theta(points_p, b, s, m), [note], m, s
     )
 
 
@@ -435,46 +384,12 @@ def solve_scalar_flat_balancing(
     weights a must kill the sign-weighted evaluation matrix, which must in
     turn have full rank.
     """
-    if not points_q:
-        raise ValueError("no scalar-flat points")
-    d = len(points_q[0].phi_values)
-    ones = [Fraction(1)] * len(points_q)
-    unweighted = build_xi(points_q, ones)
-    witness = positive_kernel_witness(unweighted)
-    kernel = tuple(nullspace_basis(unweighted))
     notes = [
         "ricci-flat points impose no balancing condition in this regime",
         "weights act by sign only; with |e| known, rescale to witness/|e|",
     ]
-    if witness is None:
-        return BalancingReport(
-            regime="scalar_flat",
-            d=d,
-            feasible=False,
-            xi_matrix=ScaledMatrix(unweighted),
-            xi_rank=rank(unweighted),
-            kernel_basis=kernel,
-            notes=tuple(notes + ["no positive kernel vector exists"]),
-        )
-    xi = ScaledMatrix(build_xi(points_q, witness))
-    full_rank, r = check_nondegeneracy(xi, None)
-    coefficients = tuple(
-        _point_coefficients(q, al, m, None, None)
-        for q, al in zip(points_q, witness)
-    )
-    if not full_rank:
-        notes.append(f"rank condition fails: rank {r} < d = {d}")
-    return BalancingReport(
-        regime="scalar_flat",
-        d=d,
-        feasible=full_rank,
-        xi_matrix=xi,
-        xi_rank=r,
-        joint_rank=r,
-        witness_a=witness,
-        kernel_basis=kernel,
-        coefficients=coefficients,
-        notes=tuple(notes),
+    return _decide(
+        SCALAR_FLAT, points_q, lambda a: ScaledMatrix(build_xi(points_q, a)), notes, m
     )
 
 

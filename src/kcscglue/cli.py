@@ -25,8 +25,11 @@ from .formats import (
 )
 from .report import (
     build_report,
+    classification_entries,
     classification_table,
     leading_cell,
+    point_entries,
+    polytope_section,
     render_json,
     render_table,
     render_text,
@@ -36,7 +39,7 @@ from .spectral import (
     first_invariant_index,
     invariant_harmonic_dimension,
 )
-from .toric_lattice import GroupPresentation
+from .toric_lattice import GroupPresentation, classify_fan, validate_fan
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -93,38 +96,36 @@ def _report_exit_code(report: dict) -> int:
 
 
 def cmd_classify(args) -> int:
-    text, parsed = _load(args.input)
-    report = build_report(args.input, text, parsed)
-    body = report["report"]
-    if body["kind"] == "fan":
-        print(classification_table(body["classification"]))
-        if not body["validation"]["valid"]:
-            for v in body["validation"]["violations"]:
+    _, parsed = _load(args.input)
+    if isinstance(parsed, FanFile):
+        fan = parsed.to_fan()
+        validation = validate_fan(fan)
+        print(classification_table(classification_entries(classify_fan(fan))))
+        if not validation.valid:
+            for v in validation.violations:
                 print(f"violation: {v}")
             return EXIT_INPUT_ERROR
     else:
         rows = [
             [e["label"], str(e["order"]), e["classification"], e["kind"]]
-            for e in body["points"]
+            for e in point_entries(parsed.points)
         ]
         print(render_table(rows, ["point", "|G|", "class", "kind"]))
     return EXIT_OK
 
 
 def cmd_polytope(args) -> int:
-    text, parsed = _load(args.input)
+    _, parsed = _load(args.input)
     if not isinstance(parsed, FanFile):
         raise ParseError(["polytope needs a fan file"])
     k = args.k if args.k is not None else parsed.k
     if k is None:
         raise ParseError(["no anticanonical multiple: pass --k or put k in the file"])
-    report = build_report(args.input, text, parsed, k=k)
-    body = report["report"]
-    if "polytope" not in body:
-        raise ParseError(
-            [f"invalid fan: {v}" for v in body["validation"]["violations"]]
-        )
-    poly = body["polytope"]
+    fan = parsed.to_fan()
+    validation = validate_fan(fan)
+    if not validation.valid:
+        raise ParseError([f"invalid fan: {v}" for v in validation.violations])
+    poly, _ = polytope_section(fan, k)
     if "error" in poly:
         raise ParseError([f"polytope: {poly['error']}"])
     print(f"k = {poly['k']}")

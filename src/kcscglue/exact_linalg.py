@@ -74,18 +74,6 @@ class RationalMatrix:
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix.from_rows(
-            [[self[i, j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row counts differ")
-        return RationalMatrix.from_rows(
-            [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)]
-        )
-
     def scaled(self, c: Scalar) -> "RationalMatrix":
         cf = frac(c)
         return RationalMatrix(self.rows, self.cols, tuple(cf * e for e in self.entries))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from . import __version__
 from .balancing import (
@@ -47,6 +47,7 @@ from .toric_lattice import (
     SU,
     U_NON_SU,
     UNSUPPORTED,
+    Fan,
     GroupPresentation,
     classify_fan,
     validate_fan,
@@ -97,17 +98,29 @@ def _coefficients(coeffs: tuple[PointCoefficients, ...]) -> list[dict[str, Any]]
 
 
 def _balancing_dict(rep: BalancingReport) -> dict[str, Any]:
+    """The report keys name the matrix, rank and witness by regime: xi and a
+    for scalar-flat points, theta and b for Ricci-flat ones.  A Ricci-flat
+    report shows its matrix and rank only at a witness; joint_rank is set
+    only at a witness."""
+    keyed: dict[str, Any] = dict.fromkeys(
+        ("xi", "theta", "xi_rank", "theta_rank", "witness_a", "witness_b")
+    )
+    matrix, rank, witness = (
+        ("xi", "xi_rank", "witness_a")
+        if rep.regime == SCALAR_FLAT
+        else ("theta", "theta_rank", "witness_b")
+    )
+    if rep.witness or rep.regime == SCALAR_FLAT:
+        keyed[matrix] = _scaled_matrix(rep.matrix)
+        keyed[rank] = rep.rank
+    if rep.witness:
+        keyed[witness] = _qvec(rep.witness)
     return {
         "regime": rep.regime,
         "d": rep.d,
         "feasible": rep.feasible,
-        "xi": _scaled_matrix(rep.xi_matrix),
-        "theta": _scaled_matrix(rep.theta_matrix),
-        "xi_rank": rep.xi_rank,
-        "theta_rank": rep.theta_rank,
-        "joint_rank": rep.joint_rank,
-        "witness_a": _qvec(rep.witness_a) if rep.witness_a else None,
-        "witness_b": _qvec(rep.witness_b) if rep.witness_b else None,
+        **keyed,
+        "joint_rank": rep.rank if rep.witness else None,
         "witness_c": _qvec(rep.witness_c) if rep.witness_c else None,
         "kernel_basis": [_qvec(v) for v in rep.kernel_basis],
         "coefficients": _coefficients(rep.coefficients),
@@ -131,37 +144,18 @@ def _spectral_notes(group: GroupPresentation, m: int) -> dict[str, Any]:
 
 
 def _weight_intervals(m: int) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    if m >= 3:
-        iv = weight_interval(BASE_ORBIFOLD_M3, m)
-        out["base_orbifold"] = [str(iv.lower), str(iv.upper)]
-    else:
-        iv = weight_interval(BASE_ORBIFOLD_M2, m)
-        out["base_orbifold"] = [str(iv.lower), str(iv.upper)]
+    base = weight_interval(BASE_ORBIFOLD_M3 if m >= 3 else BASE_ORBIFOLD_M2, m)
     nl = weight_interval(NONLINEAR, m)
-    out["nonlinear"] = [str(nl.lower), str(nl.upper)]
-    return out
-
-
-def fan_report(fanfile: FanFile, k: Optional[int] = None) -> dict[str, Any]:
-    """Full pipeline on a fan: classification, polytope, balancing, spectra.
-
-    Validation violations do not abort the scan: every cone is classified
-    independently (unsupported where the isolated-singularity hypotheses
-    fail) and only the polytope/balancing stages require a fully valid fan.
-    """
-    fan = fanfile.to_fan()
-    validation = validate_fan(fan)
-    report: dict[str, Any] = {
-        "kind": "fan",
-        "dim": fan.dim,
-        "validation": {
-            "valid": validation.valid,
-            "violations": list(validation.violations),
-        },
+    return {
+        "base_orbifold": [str(base.lower), str(base.upper)],
+        "nonlinear": [str(nl.lower), str(nl.upper)],
     }
 
-    classified = classify_fan(fan)
+
+def classification_entries(
+    classified: list[tuple[str, Optional[GroupPresentation]]],
+) -> list[dict[str, Any]]:
+    """The classification section of a fan report, one entry per cone."""
     table = []
     for label, qd in classified:
         if qd is None:
@@ -180,29 +174,60 @@ def fan_report(fanfile: FanFile, k: Optional[int] = None) -> dict[str, Any]:
                 "gorenstein": qd.classification != U_NON_SU,
             }
         )
-    report["classification"] = table
-    if not validation.valid:
-        return report
+    return table
 
-    k_eff = k if k is not None else fanfile.k
-    if k_eff is None:
-        report["polytope"] = {"error": "no anticanonical multiple k given"}
-        return report
+
+def polytope_section(
+    fan: Fan, k: Optional[int]
+) -> tuple[dict[str, Any], tuple[tuple[str, tuple[Fraction, ...]], ...]]:
+    """The polytope section of a fan report, with the (cone label, moment
+    vertex) pairs it lists; a failing stage is recorded as {"error": ...}
+    and has no pairs."""
+    if k is None:
+        return {"error": "no anticanonical multiple k given"}, ()
     try:
-        poly = anticanonical_polytope(fan, k_eff)
+        poly = anticanonical_polytope(fan, k)
         two_faces = faces(poly, 2) if fan.dim >= 2 else []
         barycenter = polytope_barycenter(poly)
     except ValueError as exc:
-        report["polytope"] = {"error": str(exc)}
-        return report
-    assignment = poly.cone_vertices
-    report["polytope"] = {
-        "k": k_eff,
+        return {"error": str(exc)}, ()
+    section = {
+        "k": k,
         "vertices": [_qvec(v) for v in poly.vertices],
         "two_faces": [[_qvec(v) for v in f] for f in two_faces],
         "barycenter": _qvec(barycenter),
-        "moment_assignment": {label: _qvec(v) for label, v in assignment},
+        "moment_assignment": {label: _qvec(v) for label, v in poly.cone_vertices},
     }
+    return section, poly.cone_vertices
+
+
+def fan_report(fanfile: FanFile, k: Optional[int] = None) -> dict[str, Any]:
+    """Full pipeline on a fan: classification, polytope, balancing, spectra.
+
+    Validation violations do not abort the scan: every cone is classified
+    independently (unsupported where the isolated-singularity hypotheses
+    fail) and only the polytope/balancing stages require a fully valid fan.
+    """
+    fan = fanfile.to_fan()
+    validation = validate_fan(fan)
+    classified = classify_fan(fan)
+    report: dict[str, Any] = {
+        "kind": "fan",
+        "dim": fan.dim,
+        "validation": {
+            "valid": validation.valid,
+            "violations": list(validation.violations),
+        },
+        "classification": classification_entries(classified),
+    }
+    if not validation.valid:
+        return report
+
+    report["polytope"], assignment = polytope_section(
+        fan, k if k is not None else fanfile.k
+    )
+    if "error" in report["polytope"]:
+        return report
 
     su_labels = [
         label for label, qd in classified if qd and qd.classification == SU
@@ -252,6 +277,20 @@ def fan_report(fanfile: FanFile, k: Optional[int] = None) -> dict[str, Any]:
     return report
 
 
+def point_entries(points: Sequence[SingularPointRecord]) -> list[dict[str, Any]]:
+    """The points section of an orbifold report, one entry per point."""
+    return [
+        {
+            "label": p.label,
+            "kind": p.kind,
+            "classification": SU if p.kind == RICCI_FLAT else U_NON_SU,
+            "order": p.group_order,
+            "phi": _qvec(p.phi_values),
+        }
+        for p in points
+    ]
+
+
 def orbifold_report(orb: OrbifoldFile) -> dict[str, Any]:
     """Balancing pipeline on explicit orbifold point data."""
     report: dict[str, Any] = {
@@ -261,18 +300,7 @@ def orbifold_report(orb: OrbifoldFile) -> dict[str, Any]:
         "s": "positive" if orb.s is None else str(orb.s),
         "einstein": orb.einstein,
     }
-    points_table = []
-    for p in orb.points:
-        points_table.append(
-            {
-                "label": p.label,
-                "kind": p.kind,
-                "classification": SU if p.kind == RICCI_FLAT else "u_non_su",
-                "order": p.group_order,
-                "phi": _qvec(p.phi_values),
-            }
-        )
-    report["points"] = points_table
+    report["points"] = point_entries(orb.points)
 
     q_points = [p for p in orb.points if p.kind == SCALAR_FLAT]
     p_points = [p for p in orb.points if p.kind == RICCI_FLAT]

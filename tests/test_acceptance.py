@@ -169,14 +169,14 @@ def test_criterion_3_x4():
         ]
         rep = solve_ricci_flat_balancing(points, s=None, m=3)
         assert rep.feasible
-        assert rep.witness_b == (1, 1, 1, 1)
+        assert rep.witness == (1, 1, 1, 1)
 
 
 def test_criterion_4_surface_examples():
     with _Timer("criterion 4: surface quotient examples", 1.0):
         # first surface: family (a, b, b, a)
         orb = parse_orbifold(example_by_name("p1xp1-z2").text)
-        theta = build_theta(orb.points, [1] * 4, c=None, s=None, m=2)
+        theta = build_theta(orb.points, [1] * 4, s=None, m=2)
         reference = RationalMatrix.from_rows([[-1, -1, 1, 1], [-1, 1, -1, 1]])
         assert rank(theta.matrix) == 2
         assert theta.scale > 0
@@ -185,19 +185,19 @@ def test_criterion_4_surface_examples():
             nullspace_basis(theta.matrix), nullspace_basis(reference), 4
         )
         rep = solve_ricci_flat_balancing(orb.points, s=None, m=2)
-        assert rep.feasible and rep.theta_rank == 2
+        assert rep.feasible and rep.rank == 2
         family = {(1, 1, 1, 1), (1, 2, 2, 1), (3, 1, 1, 3)}
         for member in family:
             assert all(v == 0 for v in theta.matrix.mul_vector(member))
         # second surface: family (a, a, a)
         orb2 = parse_orbifold(example_by_name("p2-z3").text)
-        theta2 = build_theta(orb2.points, [1] * 3, c=None, s=None, m=2)
+        theta2 = build_theta(orb2.points, [1] * 3, s=None, m=2)
         assert rank(theta2.matrix) == 2
         assert _kernel_span_equal(
             nullspace_basis(theta2.matrix), [(1, 1, 1)], 3
         )
         rep2 = solve_ricci_flat_balancing(orb2.points, s=None, m=2)
-        assert rep2.feasible and rep2.theta_rank == 2
+        assert rep2.feasible and rep2.rank == 2
 
 
 def test_criterion_5_spectral():

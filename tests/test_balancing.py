@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import positive_kernel_witness_bruteforce, sphere_volume_oracle
+from conftest import (
+    positive_kernel_witness_bruteforce,
+    rank_bruteforce,
+    sphere_volume_oracle,
+)
 from kcscglue.balancing import (
     RICCI_FLAT,
     SCALAR_FLAT,
@@ -11,7 +15,6 @@ from kcscglue.balancing import (
     SingularPointRecord,
     build_theta,
     build_xi,
-    check_nondegeneracy,
     gluing_scales,
     leading_coefficients,
     model_constants,
@@ -112,7 +115,7 @@ class TestBuildXi:
 
 class TestBuildTheta:
     def test_einstein_tuned_strips_positive_factor(self):
-        theta = build_theta(P1XP1.points, [1, 1, 1, 1], c=None, s=None, m=2)
+        theta = build_theta(P1XP1.points, [1, 1, 1, 1], s=None, m=2)
         assert theta.scale == Fraction(1, 2)
         assert theta.scale_symbols == ("s_omega",)
         assert theta.matrix.to_rows() == [
@@ -121,15 +124,13 @@ class TestBuildTheta:
         ]
 
     def test_einstein_tuned_numeric_s(self):
-        theta = build_theta(P2Z3.points, [1, 1, 1], c=None, s=Fraction(6), m=2)
+        theta = build_theta(P2Z3.points, [1, 1, 1], s=Fraction(6), m=2)
         assert theta.scale == Fraction(3)  # (m-1)/m * s = 6/2
         assert theta.scale_symbols == ()
         assert theta.matrix.to_rows() == [[1, -1, 0], [0, -1, 1]]
 
     def test_zero_weights(self):
-        theta = build_theta(
-            P1XP1.points, [0, 0, 0, 0], c=[0, 0, 0, 0], s=Fraction(1), m=2
-        )
+        theta = build_theta(P1XP1.points, [0, 0, 0, 0], s=Fraction(1), m=2)
         assert theta.matrix.is_zero()
 
     def test_explicit_laplacian_matches_einstein_reduction(self):
@@ -146,44 +147,27 @@ class TestBuildTheta:
             )
             for p in P1XP1.points
         ]
-        t1 = build_theta(explicit, [1, 1, 1, 1], c=None, s=s, m=m)
-        t2 = build_theta(P1XP1.points, [1, 1, 1, 1], c=None, s=s, m=m)
+        t1 = build_theta(explicit, [1, 1, 1, 1], s=s, m=m)
+        t2 = build_theta(P1XP1.points, [1, 1, 1, 1], s=s, m=m)
         lhs = t1.matrix.scaled(t1.scale)
         rhs = t2.matrix.scaled(t2.scale)
         assert lhs == rhs
-
-
-class TestNondegeneracy:
-    def test_surface_theta_full_rank(self):
-        theta = build_theta(P1XP1.points, [1, 1, 1, 1], c=None, s=None, m=2)
-        ok, r = check_nondegeneracy(None, theta)
-        assert ok and r == 2
-
-    def test_three_point_theta_full_rank(self):
-        theta = build_theta(P2Z3.points, [1, 1, 1], c=None, s=None, m=2)
-        ok, r = check_nondegeneracy(None, theta)
-        assert ok and r == 2
-
-    def test_zero_matrix_degenerate(self):
-        zero = RationalMatrix.from_rows([[0, 0], [0, 0]])
-        ok, r = check_nondegeneracy(zero, None)
-        assert not ok and r == 0
 
 
 class TestRicciFlatBalancing:
     def test_four_point_surface(self):
         rep = solve_ricci_flat_balancing(P1XP1.points, s=None, m=2)
         assert rep.feasible
-        assert rep.witness_b == (1, 1, 1, 1)
-        assert rep.theta_rank == 2
+        assert rep.witness == (1, 1, 1, 1)
+        assert rep.rank == 2
         kernel = set(rep.kernel_basis)
         assert kernel == {(0, 1, 1, 0), (1, 0, 0, 1)}  # the (a, b, b, a) family
 
     def test_three_point_surface(self):
         rep = solve_ricci_flat_balancing(P2Z3.points, s=None, m=2)
         assert rep.feasible
-        assert rep.witness_b == (1, 1, 1)
-        assert rep.theta_rank == 2
+        assert rep.witness == (1, 1, 1)
+        assert rep.rank == 2
         assert rep.kernel_basis == ((1, 1, 1),)
 
     def test_threefold_su_vertices(self):
@@ -191,8 +175,8 @@ class TestRicciFlatBalancing:
         points = [p_point(lab, v, order=3) for lab, v in su.items()]
         rep = solve_ricci_flat_balancing(points, s=None, m=3)
         assert rep.feasible
-        assert rep.witness_b == (1,) * 6
-        assert rep.theta_rank == 3
+        assert rep.witness == (1,) * 6
+        assert rep.rank == 3
 
     def test_numeric_s_sets_witness_c(self):
         rep = solve_ricci_flat_balancing(P2Z3.points, s=Fraction(6), m=2)
@@ -203,15 +187,15 @@ class TestRicciFlatBalancing:
         points = [p_point("p1", (1, 0)), p_point("p2", (1, 1))]
         rep = solve_ricci_flat_balancing(points, s=None, m=2)
         assert not rep.feasible
-        assert rep.witness_b is None
+        assert rep.witness is None
 
     def test_witness_reverifies(self):
         rep = solve_ricci_flat_balancing(P1XP1.points, s=None, m=2)
         phi = RationalMatrix.from_rows(
             [[p.phi_values[i] for p in P1XP1.points] for i in range(2)]
         )
-        assert all(v == 0 for v in phi.mul_vector(rep.witness_b))
-        assert min(rep.witness_b) >= 1
+        assert all(v == 0 for v in phi.mul_vector(rep.witness))
+        assert min(rep.witness) >= 1
 
 
 class TestScalarFlatBalancing:
@@ -219,8 +203,8 @@ class TestScalarFlatBalancing:
         points = [q_point("q1", (1,)), q_point("q2", (-1,))]
         rep = solve_scalar_flat_balancing(points, 2)
         assert rep.feasible
-        assert rep.witness_a == (1, 1)
-        assert rep.xi_rank == 1
+        assert rep.witness == (1, 1)
+        assert rep.rank == 1
 
     def test_single_point_infeasible(self):
         rep = solve_scalar_flat_balancing([q_point("q", (1, 0))], 2)
@@ -230,14 +214,14 @@ class TestScalarFlatBalancing:
         points = [q_point("q1", (1,), sign=1), q_point("q2", (1,), sign=-1)]
         rep = solve_scalar_flat_balancing(points, 2)
         assert rep.feasible
-        assert rep.witness_a == (1, 1)
+        assert rep.witness == (1, 1)
 
     def test_rank_condition_can_fail_despite_kernel(self):
         # phi identically zero: positive kernel trivially exists, rank 0 < d
         points = [q_point("q1", (0,)), q_point("q2", (0,))]
         rep = solve_scalar_flat_balancing(points, 2)
         assert not rep.feasible
-        assert rep.xi_rank == 0
+        assert rep.rank == 0
 
 
 class TestLeadingCoefficients:
@@ -309,7 +293,7 @@ class TestScaleInvariance:
             for s in (None, Fraction(1), Fraction(7, 3))
         ]
         assert len({r.feasible for r in reports}) == 1
-        assert len({r.theta_rank for r in reports}) == 1
+        assert len({r.rank for r in reports}) == 1
 
     @pytest.mark.parametrize("orb", [P1XP1, P2Z3])
     def test_rank_invariant_under_positive_witness(self, orb):
@@ -318,8 +302,8 @@ class TestScaleInvariance:
         base = solve_ricci_flat_balancing(orb.points, s=None, m=2)
         for _ in range(10):
             b = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in orb.points]
-            theta = build_theta(orb.points, b, c=None, s=None, m=2)
-            assert rank(theta.matrix) == base.theta_rank
+            theta = build_theta(orb.points, b, s=None, m=2)
+            assert rank(theta.matrix) == base.rank
 
 
 def test_einstein_verdict_matches_bruteforce_oracle():
@@ -348,4 +332,67 @@ def test_einstein_verdict_matches_bruteforce_oracle():
             for b in product(grid, repeat=n)
         )
         if grid_hit:
-            assert rep.witness_b is not None
+            assert rep.witness is not None
+
+
+def _outcome(rep, m, d):
+    """Check one report against the oracles on the regime's unit-weight
+    matrix m; returns (witness found, full rank)."""
+    oracle_witness = positive_kernel_witness_bruteforce(m)
+    assert (rep.witness is None) == (oracle_witness is None)
+    assert rep.feasible == (oracle_witness is not None and rank_bruteforce(m) == d)
+    assert rep.rank == rank_bruteforce(rep.matrix.matrix)
+    return oracle_witness is not None, rep.rank == d
+
+
+def test_scalar_flat_verdict_matches_bruteforce_oracle():
+    rng = random.Random(43)
+    outcomes = set()
+    for _ in range(120):
+        d = rng.randint(1, 3)
+        n = rng.randint(1, 4)
+        points = [
+            q_point(
+                f"q{l}",
+                [rng.randint(-2, 2) for _ in range(d)],
+                sign=rng.choice((1, -1)),
+                order=rng.randint(1, 4),
+            )
+            for l in range(n)
+        ]
+        rep = solve_scalar_flat_balancing(points, 2)
+        xi = RationalMatrix.from_rows(
+            [[q.e_sign * q.phi_values[i] / q.group_order for q in points] for i in range(d)]
+        )
+        outcomes.add(_outcome(rep, xi, d))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_explicit_laplacian_verdict_matches_bruteforce_oracle():
+    rng = random.Random(47)
+    outcomes = set()
+    for _ in range(120):
+        d = rng.randint(1, 3)
+        n = rng.randint(1, 4)
+        s = rng.choice((Fraction(1), Fraction(2), Fraction(5, 2)))
+        points = [
+            SingularPointRecord(
+                label=f"p{j}",
+                kind=RICCI_FLAT,
+                group_order=rng.randint(1, 4),
+                phi_values=tuple(Fraction(rng.randint(-2, 2)) for _ in range(d)),
+                laplacian_phi_values=tuple(Fraction(rng.randint(-2, 2)) for _ in range(d)),
+            )
+            for j in range(n)
+        ]
+        rep = solve_ricci_flat_balancing(points, s=s, m=3)
+        tuned = RationalMatrix.from_rows(
+            [
+                [p.laplacian_phi_values[i] + s * p.phi_values[i] for p in points]
+                for i in range(d)
+            ]
+        )
+        outcomes.add(_outcome(rep, tuned, d))
+        if rep.witness is not None:
+            assert rep.witness_c == tuple(s * b for b in rep.witness)
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}

@@ -35,6 +35,12 @@ einstein no
 point P1 ricci_flat order=2 phi=[1, 0] dphi=[1, 0]
 point P2 ricci_flat order=2 phi=[-1, 0] dphi=[-1, 0]
 """
+# Einstein points under a negative scalar curvature: the tuning c_j = s b_j
+# needs s > 0, whether or not the points admit a positive kernel vector.
+NEGATIVE_S_POINTS = {
+    "antipodal": ("[1, 0]", "[-1, 0]", "[0, 1]", "[0, -1]"),
+    "one-sided": ("[1, 0]", "[1, 1]"),
+}
 
 
 @pytest.fixture()
@@ -68,6 +74,21 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["classify", "/nonexistent/path.fan"]) == 2
 
+    @pytest.mark.parametrize("name", sorted(NEGATIVE_S_POINTS))
+    def test_balance_rejects_negative_s(self, name, tmp_path, capsys):
+        p = tmp_path / f"{name}.orb"
+        p.write_text(
+            "m 2\nd 2\ns -1\neinstein yes\n"
+            + "".join(
+                f"point P{j} ricci_flat order=2 phi={phi}\n"
+                for j, phi in enumerate(NEGATIVE_S_POINTS[name])
+            )
+        )
+        assert main(["balance", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: scalar curvature must be positive here\n"
+        assert "feasible" not in captured.out
+
     def test_unread_flags_rejected(self, corpus, capsys):
         orb = next(iter(sorted(corpus.glob("*.orb"))))
         for argv in (
@@ -95,6 +116,17 @@ class TestClassify:
         assert out.count("ricci_flat") == 3
         assert out.count("3") >= 3
         assert "su" in out
+
+    def test_orbifold_table_skips_balancing(self, tmp_path, capsys):
+        # the balancing stage of this file raises; classify does not run it
+        p = tmp_path / "non-numeric-s.orb"
+        p.write_text(NON_NUMERIC_S_ORBIFOLD)
+        assert main(["classify", str(p)]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [r.split() for r in rows] == [
+            ["P1", "2", "su", "ricci_flat"],
+            ["P2", "2", "su", "ricci_flat"],
+        ]
 
 
 class TestPolytopeStageErrors:

@@ -1,0 +1,94 @@
+"""Report bytes pinned by sha256.
+
+Each input's JSON report (``render_json(build_report(...))``) must hash to
+the digest recorded here, so a refactor of the pipeline that changes one
+byte of any report fails.  The inputs cover the bundled examples and each
+balancing outcome of both regimes.  Only a deliberate change to a report's
+content may update a digest.
+"""
+
+import hashlib
+
+import pytest
+
+from kcscglue.examples import embedded_examples
+from kcscglue.formats import parse_fan, parse_orbifold
+from kcscglue.report import build_report, render_json
+
+INPUTS = {ex.filename: ex.text for ex in embedded_examples()}
+INPUTS.update(
+    {
+        "scalar-flat-no-witness.orb": """\
+m 2
+d 1
+s positive
+einstein no
+point Q1 scalar_flat order=2 e_sign=+1 phi=[1]
+point Q2 scalar_flat order=3 e_sign=+1 phi=[2]
+""",
+        "scalar-flat-rank-deficient.orb": """\
+m 3
+d 2
+s positive
+einstein no
+point Q1 scalar_flat order=2 e_sign=+1 e_mag=1 phi=[1, 0]
+point Q2 scalar_flat order=3 e_sign=-1 phi=[1, 0]
+point P1 ricci_flat order=3 phi=[0, 1] dphi=[0, -1]
+""",
+        "einstein-no-witness.orb": """\
+m 2
+d 2
+s positive
+einstein yes
+point P1 ricci_flat order=2 phi=[1, 0]
+point P2 ricci_flat order=2 phi=[1, 1]
+""",
+        "numeric-s.orb": """\
+m 3
+d 2
+s 6
+einstein yes
+point P1 ricci_flat order=3 c_gamma=1/2 phi=[1, 0]
+point P2 ricci_flat order=3 phi=[-1, -1]
+point P3 ricci_flat order=3 phi=[0, 1]
+""",
+        "explicit-laplacian.orb": """\
+m 2
+d 2
+s 3/2
+einstein no
+point P1 ricci_flat order=2 phi=[1, 0] dphi=[-1, 0]
+point P2 ricci_flat order=2 phi=[-1, 0] dphi=[1, 1]
+point P3 ricci_flat order=2 phi=[0, 1] dphi=[0, -2]
+point P4 ricci_flat order=2 phi=[0, -1] dphi=[1, 0]
+""",
+    }
+)
+
+DIGESTS = {
+    "einstein-no-witness.orb": "d05d5bb62b6a33ba5f246f50a423652bea89a7e0b2942848fbd454fb2eb9848f",
+    "explicit-laplacian.orb": "5044cad617314781d78b525facad5eaf883b2a72c6aba2eb901e137c22e1433e",
+    "numeric-s.orb": "e184874edb507267bdba9490949d23b82932494a98d12137b846b7fa21ec39a4",
+    "p1xp1-z2.orb": "ea784b7c80e2b81a65ffeab5082ca36931bd951f4208136de8e8679aa5ca4199",
+    "p2-z3.orb": "61bda3c508555dad6d2bb47d7fec4091e53c56808303e0911c9c358e77ecc50a",
+    "scalar-flat-no-witness.orb": "d80c37aed79d8c1e0fb177e4badbd94bda8cee28140e43b780686973aafedc0d",
+    "scalar-flat-rank-deficient.orb": "2213f3d27990a2e209dcb57ffde1812584ee6e135597f5429b830517ca11aac7",
+    "x1.fan": "ddadb2fae791eb6abfb0174b57ba62ed37a03bb3df15a25ddc7142e80b6b7f9c",
+    "x4.fan": "a31dfbb7ebf001149b65a1409c7e3a83d7a82223f5372229a118d7192ec3d483",
+}
+
+
+def report_digest(name: str) -> str:
+    text = INPUTS[name]
+    parse = parse_fan if name.endswith(".fan") else parse_orbifold
+    rendered = render_json(build_report(name, text, parse(text)))
+    return hashlib.sha256(rendered.encode()).hexdigest()
+
+
+def test_every_input_is_pinned():
+    assert sorted(DIGESTS) == sorted(INPUTS)
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_report_bytes(name):
+    assert report_digest(name) == DIGESTS[name]
