@@ -3,9 +3,12 @@
 Everything here is computed over Q (``fractions.Fraction``) or Z (Python
 ints); no floating point anywhere.  Rank, determinants, square solves,
 nullspaces and unimodular inverses all run on one fraction-free integer
-elimination kernel (Bareiss); besides it there are a Smith normal form with
-unimodular transforms and an exact-arithmetic LP feasibility routine for
-strictly positive kernel vectors.
+elimination kernel (Bareiss).  The polytope and toric layers call its
+integer wrappers (integer_rank, integer_determinant, integer_solve) on
+scaled-integer data; of the Fraction wrappers only nullspace_basis
+(balancing) is on the report path.  Besides it there are a Smith normal
+form with unimodular transforms and an exact-arithmetic LP feasibility
+routine for strictly positive kernel vectors.
 """
 
 from __future__ import annotations
@@ -144,8 +147,12 @@ def _echelon(a: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
 
 def rank(m: RationalMatrix) -> int:
     """Exact rank over Q (empty matrix has rank 0)."""
-    rows, _ = _integer_rows(m.to_rows())
-    return len(_echelon(rows, m.cols)[0])
+    return integer_rank(_integer_rows(m.to_rows())[0])
+
+
+def integer_rank(a: IntMatrix) -> int:
+    """Exact rank of an integer matrix (empty matrix has rank 0)."""
+    return len(_echelon([list(r) for r in a], len(a[0]) if a else 0)[0])
 
 
 def integer_determinant(a: IntMatrix) -> int:
@@ -155,6 +162,19 @@ def integer_determinant(a: IntMatrix) -> int:
         raise ValueError("matrix is not square")
     pivots, p, sign = _echelon([list(r) for r in a], n)
     return sign * p if len(pivots) == n else 0
+
+
+def integer_solve(a: IntMatrix, b: Sequence[int]) -> tuple[list[int], int]:
+    """Solve the square integer system A x = b as x = numerators / p with p the
+    determinant up to sign; raises ValueError on a singular system."""
+    n = len(a)
+    if any(len(r) != n for r in a) or len(b) != n:
+        raise ValueError("system is not square")
+    aug = [list(r) + [x] for r, x in zip(a, b)]
+    pivots, p, _ = _echelon(aug, n)
+    if len(pivots) < n:
+        raise ValueError("singular system")
+    return [row[n] for row in aug], p
 
 
 def rational_determinant(m: RationalMatrix) -> Fraction:
@@ -167,16 +187,11 @@ def rational_determinant(m: RationalMatrix) -> Fraction:
 
 def solve_square(m: RationalMatrix, b: Sequence[Scalar]) -> tuple[Fraction, ...]:
     """Solve M x = b exactly; raises ValueError on a singular system."""
-    if m.rows != m.cols:
-        raise ValueError("matrix is not square")
-    n = m.rows
-    if len(b) != n:
-        raise ValueError("right-hand side has wrong length")
-    aug, _ = _integer_rows(m.row(i) + (frac(b[i]),) for i in range(n))
-    pivots, p, _ = _echelon(aug, n)
-    if len(pivots) < n:
-        raise ValueError("singular system")
-    return tuple(Fraction(row[n], p) for row in aug)
+    if m.rows != m.cols or len(b) != m.rows:
+        raise ValueError("system is not square")
+    aug, _ = _integer_rows(m.row(i) + (frac(b[i]),) for i in range(m.rows))
+    num, p = integer_solve([row[:-1] for row in aug], [row[-1] for row in aug])
+    return tuple(Fraction(x, p) for x in num)
 
 
 def nullspace_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:

@@ -17,12 +17,7 @@ from itertools import combinations
 from math import gcd
 from typing import Iterator, Optional, Sequence
 
-from .exact_linalg import (
-    RationalMatrix,
-    integer_determinant,
-    smith_normal_form,
-    solve_square,
-)
+from .exact_linalg import integer_determinant, integer_solve, smith_normal_form
 
 IntVector = tuple[int, ...]
 
@@ -287,14 +282,12 @@ def is_isolated(cone: Cone) -> bool:
 
 def gorenstein_covector(cone: Cone) -> Optional[IntVector]:
     """Integer covector u with <u, v_i> = 1 for all generators, if any."""
-    m = cone.ambient_dim
-    mat = RationalMatrix.from_rows([list(g) for g in cone.generators])
     try:
-        u = solve_square(mat, [1] * m)
+        num, p = integer_solve(cone.generators, [1] * cone.ambient_dim)
     except ValueError:
         raise ValueError("degenerate cone: singular generator system")
-    if all(x.denominator == 1 for x in u):
-        return tuple(int(x) for x in u)
+    if all(x % p == 0 for x in num):
+        return tuple(x // p for x in num)
     return None
 
 

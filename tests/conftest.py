@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: cofactor expansion
 for determinants, ranks (by minors) and square solves (Cramer's rule), a
 Fraction Gauss-Jordan reduction for kernels, subset enumeration for
-positive kernel vectors and polytope vertices, monomial counts for the
+positive kernel vectors and polytope vertices, Fraction arithmetic for
+facet incidence, face dimensions and barycenters, monomial counts for the
 quotient weights of a cone, an explicit symbolic Laplacian on
 integer-coefficient polynomials, a recursive surface-area formula for
 sphere volumes, and, for a finite abelian group, enumeration of its
@@ -20,8 +21,8 @@ from math import lcm
 from typing import Optional, Sequence
 
 from kcscglue.balancing import PiRational
-from kcscglue.exact_linalg import RationalMatrix
-from kcscglue.polytope import LatticePolytope
+from kcscglue.exact_linalg import RationalMatrix, rational_determinant
+from kcscglue.polytope import LatticePolytope, _pulling_triangulation
 
 
 def det_cofactor(rows) -> Fraction:
@@ -163,15 +164,66 @@ def polytope_from_h_rep(normals, offsets) -> LatticePolytope:
         facet_normals=tuple(normals),
         facet_offsets=tuple(offs),
         vertices=vertices,
-        facet_vertices=tuple(
-            tuple(
-                i
-                for i, v in enumerate(vertices)
-                if sum(ni * vi for ni, vi in zip(n, v)) == o
-            )
-            for n, o in zip(normals, offs)
-        ),
     )
+
+
+def facet_incidence_fraction(p: LatticePolytope) -> tuple[tuple[int, ...], ...]:
+    """Indices of the vertices saturating each inequality, in Fractions."""
+    return tuple(
+        tuple(
+            i
+            for i, v in enumerate(p.vertices)
+            if sum(ni * vi for ni, vi in zip(n, v)) == o
+        )
+        for n, o in zip(p.facet_normals, p.facet_offsets)
+    )
+
+
+def affine_dim_fraction(points) -> int:
+    """Affine dimension of a point set: rank of its Fraction edge rows."""
+    if not points:
+        return -1
+    base = points[0]
+    rows = [[Fraction(x - b) for x, b in zip(q, base)] for q in points[1:]]
+    return len(rref(rows)[1])
+
+
+def face_dims_by_tight_facets(p: LatticePolytope) -> dict[frozenset[int], int]:
+    """Each face of p.face_lattice mapped to m - rank of the normals of the
+    facets tight on every vertex of the face (its equality set in the
+    H-representation), tightness decided in Fractions."""
+    incidence = [frozenset(fv) for fv in facet_incidence_fraction(p)]
+    dims = {}
+    for face in p.face_lattice:
+        tight = [
+            [Fraction(x) for x in n]
+            for n, fv in zip(p.facet_normals, incidence)
+            if face <= fv
+        ]
+        dims[face] = p.dim - len(rref(tight)[1])
+    return dims
+
+
+def barycenter_fraction(p: LatticePolytope, lattice) -> tuple[Fraction, ...]:
+    """Volume-weighted centroid in Fractions over the pulling triangulation
+    of the given face lattice (face -> dimension).  It shares the library's
+    triangulation and rational_determinant (checked against cofactor
+    expansion elsewhere), so what it checks is the scaled-integer
+    arithmetic of polytope_barycenter."""
+    m = p.dim
+    total = Fraction(0)
+    acc = [Fraction(0)] * m
+    for simplex in _pulling_triangulation(lattice, frozenset(range(len(p.vertices)))):
+        verts = [p.vertices[i] for i in simplex]
+        base = verts[0]
+        edges = RationalMatrix.from_rows(
+            [[v[i] - base[i] for i in range(m)] for v in verts[1:]]
+        )
+        w = abs(rational_determinant(edges))
+        total += w
+        for i in range(m):
+            acc[i] += w * sum(v[i] for v in verts) / (m + 1)
+    return tuple(a / total for a in acc)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from conftest import (
 from kcscglue.exact_linalg import (
     RationalMatrix,
     integer_determinant,
+    integer_rank,
+    integer_solve,
     nullspace_basis,
     positive_kernel_witness,
     rank,
@@ -172,6 +174,7 @@ def int_matrix(draw, max_dim=4, lo=-3, hi=3):
 def test_rank_matches_minor_oracle(rows):
     m = mat(rows)
     assert rank(m) == rank_bruteforce(m)
+    assert integer_rank(rows) == rank(m)
 
 
 RATIONAL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
@@ -258,3 +261,25 @@ def test_solve_square(rows, rhs):
     x = solve_square(m, b)
     assert m.mul_vector(x) == tuple(b)
     assert x == want
+
+
+@settings(max_examples=60, derandomize=True)
+@given(int_matrix(max_dim=3), st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+def test_integer_solve(rows, rhs):
+    n = min(len(rows), len(rows[0]))
+    square, b = [r[:n] for r in rows[:n]], rhs[:n]
+    want = solve_cramer(square, b)
+    if want is None:
+        with pytest.raises(ValueError, match="singular"):
+            integer_solve(square, b)
+        return
+    num, p = integer_solve(square, b)
+    assert tuple(Fraction(x, p) for x in num) == want
+    assert abs(p) == abs(det_cofactor(square))
+
+
+def test_integer_solve_rejects_non_square():
+    with pytest.raises(ValueError, match="not square"):
+        integer_solve([[1, 2]], [1])
+    with pytest.raises(ValueError, match="not square"):
+        integer_solve([[1, 0], [0, 1]], [1])

@@ -1,9 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import gcd, lcm
 
 import pytest
 
-from conftest import polytope_from_h_rep
+from conftest import (
+    affine_dim_fraction,
+    barycenter_fraction,
+    face_dims_by_tight_facets,
+    facet_incidence_fraction,
+    polytope_from_h_rep,
+    solve_cramer,
+)
 from kcscglue.examples import example_by_name
 from kcscglue.exact_linalg import integer_determinant, unimodular_inverse
 from kcscglue.formats import parse_fan
@@ -258,3 +267,112 @@ def test_k_scaling():
         assert polytope_barycenter(scaled) == tuple(
             lam * x for x in polytope_barycenter(base)
         )
+
+
+def _sheared_product_fan(rng, m, r):
+    """Rays +-A e_i under a random unimodular map, A the identity with last
+    column (w, r) and each w_i a unit mod r: every chart is C^m / Z_r, so
+    the vertices are fractional unless r divides k."""
+    units = [x for x in range(1, r) if gcd(x, r) == 1]
+    last = tuple(rng.choice(units) for _ in range(m - 1)) + (r,)
+    columns = [tuple(int(i == j) for i in range(m)) for j in range(m - 1)] + [last]
+    u = _random_unimodular(rng, m)
+    rays = []
+    for c in columns:
+        g = tuple(sum(u[i][j] * c[j] for j in range(m)) for i in range(m))
+        rays += [g, tuple(-x for x in g)]
+    cones = tuple(
+        tuple(2 * j + s for j, s in enumerate(signs))
+        for signs in product((0, 1), repeat=m)
+    )
+    return Fan(dim=m, rays=tuple(rays), max_cones=cones)
+
+
+def _random_h_rep(rng, m):
+    """The box [-2, 2]^m cut by up to three random half-spaces
+    <n, u> >= -c with rational c > 0, so the origin stays interior."""
+    normals = [tuple(s * int(i == j) for j in range(m)) for i in range(m) for s in (1, -1)]
+    offsets = [Fraction(-2)] * (2 * m)
+    for _ in range(3):
+        n = tuple(rng.randint(-2, 2) for _ in range(m))
+        if any(n):
+            normals.append(n)
+            offsets.append(Fraction(-rng.randint(1, 5), rng.randint(1, 3)))
+    return polytope_from_h_rep(normals, offsets)
+
+
+def _assert_matches_fraction_oracles(p):
+    d, scaled = p.integer_vertices
+    assert d == lcm(1, *(x.denominator for v in p.vertices for x in v))
+    assert scaled == tuple(tuple(d * x for x in v) for v in p.vertices)
+    lattice = p.face_lattice
+    top = frozenset(range(len(p.vertices)))
+    facets = [frozenset(fv) for fv in facet_incidence_fraction(p)]
+    assert {f for f in facets if f} <= set(lattice)
+    oracle_dims = face_dims_by_tight_facets(p)
+    for face, dim in lattice.items():
+        # a face is the intersection of the facets containing it
+        assert face == top.intersection(*(f for f in facets if face <= f))
+        assert dim == oracle_dims[face]
+        assert dim == affine_dim_fraction([p.vertices[i] for i in sorted(face)])
+    for dim in range(p.dim + 1):
+        assert faces(p, dim) == sorted(
+            tuple(sorted(p.vertices[i] for i in f))
+            for f, fd in oracle_dims.items()
+            if fd == dim
+        )
+    if lattice[top] == p.dim:
+        assert polytope_barycenter(p) == barycenter_fraction(p, oracle_dims)
+    else:
+        with pytest.raises(DegeneratePolytopeError):
+            polytope_barycenter(p)
+
+
+def test_integer_polytope_layer_matches_fraction_oracles():
+    rng = random.Random(5)
+    denominators = set()
+    for m in range(2, 6):
+        for r in range(2, 6):
+            fan = _sheared_product_fan(rng, m, r)
+            unit = {
+                label: solve_cramer(cone.generators, [-1] * m)
+                for label, cone in fan.cones()
+            }
+            for k in range(1, 4):
+                p = anticanonical_polytope(fan, k)
+                assert p.cone_vertices == tuple(
+                    (label, tuple(k * x for x in unit[label])) for label in fan.labels
+                )
+                _assert_matches_fraction_oracles(p)
+                denominators.add(p.integer_vertices[0])
+    h_rep = [_random_h_rep(rng, m) for m in (2, 2, 3, 3, 3)]
+    # the unit cube and a segment posing as a 2-d polytope
+    h_rep.append(polytope_from_h_rep(
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+        [0, -1, 0, -1, 0, -1],
+    ))
+    h_rep.append(polytope_from_h_rep([(1, 0), (-1, 0), (0, 1), (0, -1)], [0, -1, 0, 0]))
+    for p in h_rep:
+        _assert_matches_fraction_oracles(p)
+        denominators.add(p.integer_vertices[0])
+    # guards against a vacuous run: some polytopes have fractional vertices
+    assert max(denominators) > 1
+
+
+def test_integer_polytope_layer_checks_still_fire():
+    # overlapping cones whose first vertex is fractional and violates a facet
+    overlapping = Fan(
+        dim=2,
+        rays=((1, 0), (0, 1), (-1, -1), (-4, 3)),
+        max_cones=((0, 3), (0, 1), (1, 2), (2, 0)),
+    )
+    with pytest.raises(ValueError) as exc:
+        anticanonical_polytope(overlapping, 1)
+    assert str(exc.value) == (
+        "cone vertex (Fraction(-1, 1), Fraction(-5, 3)) violates facet of ray (0, 1)"
+    )
+    with pytest.raises(ValueError, match="singular vertex system"):
+        vertex_for_cone(P2_FAN, 1, Cone.from_rows([(1, 0), (2, 0)]))
+    incomplete = Fan(dim=2, rays=P2_FAN.rays, max_cones=P2_FAN.max_cones[:2])
+    with pytest.raises(DegeneratePolytopeError, match="not full-dimensional"):
+        polytope_barycenter(anticanonical_polytope(incomplete, 1))

@@ -2,7 +2,9 @@
 
 Each input's JSON report (``render_json(build_report(...))``) must hash to
 the digest recorded here, so a refactor of the pipeline that changes one
-byte of any report fails.  The inputs cover the bundled examples and each
+byte of any report fails.  The inputs cover the bundled examples, two fans
+whose polytopes have fractional vertices (a sheared 3-d product fan with
+charts of order 3, and a 2-d cyclic fan with a nonzero barycenter) and each
 balancing outcome of both regimes.  Only a deliberate change to a report's
 content may update a digest.
 """
@@ -18,6 +20,34 @@ from kcscglue.report import build_report, render_json
 INPUTS = {ex.filename: ex.text for ex in embedded_examples()}
 INPUTS.update(
     {
+        "sheared-product-r3.fan": """\
+dim 3
+k 2
+ray [0, -1, 0]
+ray [0, 1, 0]
+ray [1, 2, 0]
+ray [-1, -2, 0]
+ray [2, 3, 3]
+ray [-2, -3, -3]
+cone [1, 3, 5] C1
+cone [1, 3, 6] C2
+cone [1, 4, 5] C3
+cone [1, 4, 6] C4
+cone [2, 3, 5] C5
+cone [2, 3, 6] C6
+cone [2, 4, 5] C7
+cone [2, 4, 6] C8
+""",
+        "cyclic-r7.fan": """\
+dim 2
+k 2
+ray [-1, 0]
+ray [13, 7]
+ray [-1, -1]
+cone [1, 2] C1
+cone [2, 3] C2
+cone [3, 1] C3
+""",
         "scalar-flat-no-witness.orb": """\
 m 2
 d 1
@@ -66,6 +96,7 @@ point P4 ricci_flat order=2 phi=[0, -1] dphi=[1, 0]
 )
 
 DIGESTS = {
+    "cyclic-r7.fan": "6d063de4f54a0b50917ca6b98894b060a7801c510356145369f7ddc6a1fd3fd8",
     "einstein-no-witness.orb": "d05d5bb62b6a33ba5f246f50a423652bea89a7e0b2942848fbd454fb2eb9848f",
     "explicit-laplacian.orb": "5044cad617314781d78b525facad5eaf883b2a72c6aba2eb901e137c22e1433e",
     "numeric-s.orb": "e184874edb507267bdba9490949d23b82932494a98d12137b846b7fa21ec39a4",
@@ -73,6 +104,7 @@ DIGESTS = {
     "p2-z3.orb": "61bda3c508555dad6d2bb47d7fec4091e53c56808303e0911c9c358e77ecc50a",
     "scalar-flat-no-witness.orb": "d80c37aed79d8c1e0fb177e4badbd94bda8cee28140e43b780686973aafedc0d",
     "scalar-flat-rank-deficient.orb": "2213f3d27990a2e209dcb57ffde1812584ee6e135597f5429b830517ca11aac7",
+    "sheared-product-r3.fan": "1c7e1a7ddc48cbaaae5f3d673507762984702f11b01abe1c924121360eb060a2",
     "x1.fan": "ddadb2fae791eb6abfb0174b57ba62ed37a03bb3df15a25ddc7142e80b6b7f9c",
     "x4.fan": "a31dfbb7ebf001149b65a1409c7e3a83d7a82223f5372229a118d7192ec3d483",
 }

@@ -1,10 +1,13 @@
 import random
 from math import gcd
 
+import pytest
+
 from conftest import (
     det_cofactor,
     invariant_monomial_count_lattice,
     invariant_monomial_count_weights,
+    solve_cramer,
 )
 from kcscglue.examples import example_by_name
 from kcscglue.formats import parse_fan
@@ -119,6 +122,22 @@ class TestGorenstein:
         assert is_gorenstein(cone)
         assert gorenstein_covector(cone) == (1, 1)
         assert classify(cone) == SMOOTH
+
+    def test_singular_system_raises(self):
+        with pytest.raises(ValueError, match="singular generator system"):
+            gorenstein_covector(Cone.from_rows([(1, 0), (2, 0)]))
+        with pytest.raises(ValueError, match="singular generator system"):
+            gorenstein_covector(Cone.from_rows([(1, 0, 0), (0, 1, 0)]))
+        fan = Fan(dim=2, rays=((1, 0), (2, 0), (0, 1)), max_cones=((0, 1), (0, 2)))
+        assert classify_fan(fan)[0] == ("C1", None)
+
+    def test_covector_matches_cramer_on_random_cones(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            cone = _random_cone(rng, rng.choice((2, 3)))
+            u = solve_cramer(cone.generators, [1] * cone.ambient_dim)
+            integral = all(x.denominator == 1 for x in u)
+            assert gorenstein_covector(cone) == (tuple(map(int, u)) if integral else None)
 
 
 class TestClassify:
