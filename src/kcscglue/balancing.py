@@ -75,9 +75,6 @@ class PiRational:
             raise ArithmeticError("value carries a pi power")
         return self.coeff
 
-    def approx(self) -> float:
-        return float(self.coeff) * math.pi**self.pi_power
-
     def __str__(self) -> str:
         if self.pi_power == 0:
             return str(self.coeff)
@@ -97,9 +94,6 @@ class EpsPower:
 
     eps: Fraction
     exponent: Fraction
-
-    def approx(self) -> float:
-        return float(self.eps) ** float(self.exponent)
 
     def __str__(self) -> str:
         return f"({self.eps})^({self.exponent})"

@@ -1,8 +1,12 @@
 """Command line interface.
 
 Subcommands: classify | polytope | balance | coeffs | spectral | dtn |
-report | examples.  Exit codes: 0 feasible/valid, 1 infeasible verdict,
-2 input error.
+report | examples.  ``classify``, ``polytope`` and ``balance`` run the
+report stages up to the section they print.  Exit codes, one rule for
+every report-backed subcommand (``report.exit_code``): 0 feasible/valid,
+1 infeasible verdict, 2 input error -- a file that does not parse, an
+invalid fan or a stage that recorded an error.  Batch mode exits with the
+largest code of its files.
 """
 
 from __future__ import annotations
@@ -24,12 +28,13 @@ from .formats import (
     sniff_kind,
 )
 from .report import (
+    EXIT_INPUT_ERROR,
+    EXIT_OK,
     build_report,
-    classification_entries,
     classification_table,
+    exit_code,
+    input_errors,
     leading_cell,
-    point_entries,
-    polytope_section,
     render_json,
     render_table,
     render_text,
@@ -39,11 +44,7 @@ from .spectral import (
     first_invariant_index,
     invariant_harmonic_dimension,
 )
-from .toric_lattice import GroupPresentation, classify_fan, validate_fan
-
-EXIT_OK = 0
-EXIT_INFEASIBLE = 1
-EXIT_INPUT_ERROR = 2
+from .toric_lattice import GroupPresentation
 
 
 def _load(path: str):
@@ -51,7 +52,7 @@ def _load(path: str):
     p = Path(path)
     try:
         text = p.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError([f"cannot read {path}: {exc}"])
     if not text.strip():
         raise ParseError([f"{path}: empty file"])
@@ -88,46 +89,39 @@ def _emit(report: dict, fmt: str, out: Optional[str]) -> None:
         sys.stdout.write(rendered)
 
 
-def _report_exit_code(report: dict) -> int:
-    bal = report["report"].get("balancing")
-    if bal is not None and not bal.get("feasible", False):
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+def _print_errors(body: dict) -> bool:
+    """Print a report body's input errors to stderr; whether it had any."""
+    errors = input_errors(body)
+    for e in errors:
+        print(f"error: {e}", file=sys.stderr)
+    return bool(errors)
 
 
 def cmd_classify(args) -> int:
-    _, parsed = _load(args.input)
+    text, parsed = _load(args.input)
     if isinstance(parsed, FanFile):
-        fan = parsed.to_fan()
-        validation = validate_fan(fan)
-        print(classification_table(classification_entries(classify_fan(fan))))
-        if not validation.valid:
-            for v in validation.violations:
-                print(f"violation: {v}")
-            return EXIT_INPUT_ERROR
+        body = build_report(args.input, text, parsed, until="validation")["report"]
+        print(classification_table(body["classification"]))
+        for v in body["validation"]["violations"]:
+            print(f"violation: {v}")
     else:
+        body = build_report(args.input, text, parsed, until="points")["report"]
         rows = [
             [e["label"], str(e["order"]), e["classification"], e["kind"]]
-            for e in point_entries(parsed.points)
+            for e in body["points"]
         ]
         print(render_table(rows, ["point", "|G|", "class", "kind"]))
-    return EXIT_OK
+    return exit_code(body)
 
 
 def cmd_polytope(args) -> int:
-    _, parsed = _load(args.input)
+    text, parsed = _load(args.input)
     if not isinstance(parsed, FanFile):
         raise ParseError(["polytope needs a fan file"])
-    k = args.k if args.k is not None else parsed.k
-    if k is None:
-        raise ParseError(["no anticanonical multiple: pass --k or put k in the file"])
-    fan = parsed.to_fan()
-    validation = validate_fan(fan)
-    if not validation.valid:
-        raise ParseError([f"invalid fan: {v}" for v in validation.violations])
-    poly, _ = polytope_section(fan, k)
-    if "error" in poly:
-        raise ParseError([f"polytope: {poly['error']}"])
+    body = build_report(args.input, text, parsed, k=args.k, until="polytope")["report"]
+    if _print_errors(body):
+        return exit_code(body)
+    poly = body["polytope"]
     print(f"k = {poly['k']}")
     print(f"vertices ({len(poly['vertices'])}):")
     for v in poly["vertices"]:
@@ -139,17 +133,20 @@ def cmd_polytope(args) -> int:
     print("cone -> vertex:")
     for label, v in sorted(poly["moment_assignment"].items()):
         print(f"  {label} -> (" + ", ".join(v) + ")")
-    return EXIT_OK
+    return exit_code(body)
 
 
 def cmd_balance(args) -> int:
     text, parsed = _load(args.input)
-    report = build_report(args.input, text, parsed, k=args.k)
+    # The JSON report written with --out is the full one.
+    until = None if args.out else "balancing"
+    report = build_report(args.input, text, parsed, k=args.k, until=until)
     if args.out:
         Path(args.out).write_text(render_json(report))
-    bal = report["report"].get("balancing")
-    if bal is None:
-        raise ParseError(["input produced no balancing problem"])
+    body = report["report"]
+    if _print_errors(body):
+        return exit_code(body)
+    bal = body["balancing"]
     print(f"regime: {bal['regime']}")
     print(f"feasible: {'yes' if bal['feasible'] else 'no'}")
     for key in ("witness_a", "witness_b", "witness_c"):
@@ -165,18 +162,20 @@ def cmd_balance(args) -> int:
         )
     for note in bal.get("notes", []):
         print(f"note: {note}")
-    return EXIT_OK if bal["feasible"] else EXIT_INFEASIBLE
+    return exit_code(body)
 
 
 def cmd_coeffs(args) -> int:
     text, parsed = _load(args.input)
     if not isinstance(parsed, OrbifoldFile):
         raise ParseError(["coeffs needs an orbifold file"])
-    report = build_report(args.input, text, parsed)
-    bal = report["report"]["balancing"]
+    body = build_report(args.input, text, parsed, until="balancing")["report"]
+    if _print_errors(body):
+        return exit_code(body)
+    bal = body["balancing"]
     if not bal["feasible"]:
         print("balancing infeasible; no coefficients")
-        return EXIT_INFEASIBLE
+        return exit_code(body)
     rows = []
     for c in bal["coefficients"]:
         extra = ""
@@ -189,7 +188,7 @@ def cmd_coeffs(args) -> int:
             extra += f"  C = {c['c_constant']}"
         rows.append([c["label"], c["kind"], leading_cell(c), extra])
     print(render_table(rows, ["point", "kind", "leading", "model constants"]))
-    return EXIT_OK
+    return exit_code(body)
 
 
 def cmd_spectral(args) -> int:
@@ -227,11 +226,19 @@ def cmd_report(args) -> int:
     text, parsed = _load(args.input)
     report = build_report(args.input, text, parsed, k=args.k)
     _emit(report, args.format, args.out)
-    return _report_exit_code(report)
+    return exit_code(report["report"])
+
+
+# Summary-row verdict by exit code.
+VERDICTS = ("feasible", "infeasible", "error")
 
 
 def _batch_report(args) -> int:
-    """One report per input file plus a summary table, deterministic order."""
+    """One report per input file plus a summary table, deterministic order.
+
+    A file that does not parse gets an error row and no report; the run's
+    exit code is the largest of its files'.
+    """
     directory = Path(args.batch)
     if not directory.is_dir():
         raise ParseError([f"{args.batch}: not a directory"])
@@ -243,37 +250,22 @@ def _batch_report(args) -> int:
     out_dir = Path(args.out) if args.out else directory
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = []
-    any_error = False
-    any_infeasible = False
+    worst = EXIT_OK
     for path in files:
         try:
             text, parsed = _load(str(path))
-            report = build_report(path.name, text, parsed, k=args.k)
         except ParseError as exc:
-            any_error = True
-            summary.append([path.name, "error", "; ".join(exc.errors)])
-            continue
-        except (ValueError, ArithmeticError) as exc:
-            # One bad file must not cost the later files their reports.
-            any_error = True
-            summary.append([path.name, "error", str(exc)])
-            continue
-        (out_dir / (path.stem + ".report.json")).write_text(render_json(report))
-        bal = report["report"].get("balancing")
-        if bal is None:
-            verdict = "n/a"
-        elif bal.get("feasible"):
-            verdict = "feasible"
+            code, detail = EXIT_INPUT_ERROR, "; ".join(exc.errors)
         else:
-            verdict = "infeasible"
-            any_infeasible = True
-        summary.append([path.name, verdict, report["input"]["sha256"][:12]])
+            report = build_report(path.name, text, parsed, k=args.k)
+            (out_dir / (path.stem + ".report.json")).write_text(render_json(report))
+            code = exit_code(report["report"])
+            detail = "; ".join(input_errors(report["report"]))
+            detail = detail or report["input"]["sha256"][:12]
+        summary.append([path.name, VERDICTS[code], detail])
+        worst = max(worst, code)
     print(render_table(summary, ["input", "verdict", "sha256"]))
-    if any_error:
-        return EXIT_INPUT_ERROR
-    if any_infeasible:
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    return worst
 
 
 def cmd_examples(args) -> int:

@@ -114,6 +114,9 @@ def parse_fan(text: str) -> FanFile:
                 dim = int(rest)
             except ValueError:
                 errors.append(f"line {lineno}: dim must be an integer")
+                continue
+            if dim < 2:
+                errors.append(f"line {lineno}: dim must be >= 2")
         elif key == "k":
             try:
                 k = int(rest)

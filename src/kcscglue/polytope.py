@@ -116,7 +116,8 @@ def vertex_for_cone(fan: Fan, k: int, cone: Cone) -> QVector:
     for ray in fan.rays:
         # <ray, u> + k = (<ray, num> + k p) / p, negative iff a violation
         if (sum(r * x for r, x in zip(ray, num)) + k * p) * p < 0:
-            raise ValueError(f"cone vertex {u} violates facet of ray {ray}")
+            point = ", ".join(map(str, u))
+            raise ValueError(f"cone vertex ({point}) violates facet of ray {ray}")
     return u
 
 

@@ -1,9 +1,12 @@
-"""Report assembly and rendering.
+"""Report assembly, exit codes and rendering.
 
-One pipeline per input kind: fans run classification, the anticanonical
-polytope with its moment correspondence, the Einstein-toric balancing over
-the SU charts, and spectral notes per distinct group; orbifold files run
-the balancing regime their point kinds select plus the coefficient table.
+A report is its input kind's stages run in order, each adding one section.
+Fans run classification, validation, the anticanonical polytope with its
+moment correspondence, the Einstein-toric balancing over the SU charts, and
+spectral notes per distinct group; orbifold files run their points, the
+balancing regime their point kinds select (with the coefficient table) and
+the weight intervals.  A stage that fails is recorded as its section's
+error and ends the run, and ``exit_code`` reads the verdict off the body.
 Reports are plain dicts with every number an exact string, rendered either
 as sorted JSON or as a text table; identical inputs give identical bytes.
 """
@@ -12,8 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
-from typing import Any, Optional, Sequence
+from types import SimpleNamespace
+from typing import Any, Optional
 
 from . import __version__
 from .balancing import (
@@ -47,15 +50,9 @@ from .toric_lattice import (
     SU,
     U_NON_SU,
     UNSUPPORTED,
-    Fan,
-    GroupPresentation,
     classify_fan,
     validate_fan,
 )
-
-
-def _q(x: Fraction) -> str:
-    return str(x)
 
 
 def _qvec(v) -> list[str]:
@@ -128,21 +125,6 @@ def _balancing_dict(rep: BalancingReport) -> dict[str, Any]:
     }
 
 
-def _spectral_notes(group: GroupPresentation, m: int) -> dict[str, Any]:
-    j1 = invariant_harmonic_dimension(group, 1, m)
-    first = first_invariant_index(group, m)
-    entry = {
-        "orders": list(group.orders),
-        "weights": [list(w) for w in group.weights],
-        "invariant_linear_dimension": j1,
-        "first_invariant_index": first,
-        "first_invariant_eigenvalue": eigenvalue(first, m),
-    }
-    if group.is_trivial():
-        entry["note"] = "trivial group: index 1 by convention"
-    return entry
-
-
 def _weight_intervals(m: int) -> dict[str, Any]:
     base = weight_interval(BASE_ORBIFOLD_M3 if m >= 3 else BASE_ORBIFOLD_M2, m)
     nl = weight_interval(NONLINEAR, m)
@@ -152,12 +134,16 @@ def _weight_intervals(m: int) -> dict[str, Any]:
     }
 
 
-def classification_entries(
-    classified: list[tuple[str, Optional[GroupPresentation]]],
-) -> list[dict[str, Any]]:
-    """The classification section of a fan report, one entry per cone."""
+# Stages.  Each takes the run -- the parsed input, the report built so far
+# and what earlier stages left for later ones -- and returns its section.
+# They call library functions by module-global name, so that wrappers put
+# on those names (bench/spans.py) see every call.
+
+
+def _classification(run: SimpleNamespace) -> list[dict[str, Any]]:
+    run.classified = classify_fan(run.fan)
     table = []
-    for label, qd in classified:
+    for label, qd in run.classified:
         if qd is None:
             table.append({"label": label, "classification": UNSUPPORTED})
             continue
@@ -177,108 +163,81 @@ def classification_entries(
     return table
 
 
-def polytope_section(
-    fan: Fan, k: Optional[int]
-) -> tuple[dict[str, Any], tuple[tuple[str, tuple[Fraction, ...]], ...]]:
-    """The polytope section of a fan report, with the (cone label, moment
-    vertex) pairs it lists; a failing stage is recorded as {"error": ...}
-    and has no pairs."""
-    if k is None:
-        return {"error": "no anticanonical multiple k given"}, ()
-    try:
-        poly = anticanonical_polytope(fan, k)
-        two_faces = faces(poly, 2) if fan.dim >= 2 else []
-        barycenter = polytope_barycenter(poly)
-    except ValueError as exc:
-        return {"error": str(exc)}, ()
-    section = {
-        "k": k,
+def _validation(run: SimpleNamespace) -> dict[str, Any]:
+    validation = validate_fan(run.fan)
+    return {"valid": validation.valid, "violations": list(validation.violations)}
+
+
+def _polytope(run: SimpleNamespace) -> dict[str, Any]:
+    if run.k is None:
+        raise ValueError("no anticanonical multiple k given")
+    poly = anticanonical_polytope(run.fan, run.k)
+    run.cone_vertices = dict(poly.cone_vertices)
+    return {
+        "k": run.k,
         "vertices": [_qvec(v) for v in poly.vertices],
-        "two_faces": [[_qvec(v) for v in f] for f in two_faces],
-        "barycenter": _qvec(barycenter),
+        "two_faces": [[_qvec(v) for v in f] for f in faces(poly, 2)],
+        "barycenter": _qvec(polytope_barycenter(poly)),
         "moment_assignment": {label: _qvec(v) for label, v in poly.cone_vertices},
     }
-    return section, poly.cone_vertices
 
 
-def fan_report(fanfile: FanFile, k: Optional[int] = None) -> dict[str, Any]:
-    """Full pipeline on a fan: classification, polytope, balancing, spectra.
-
-    Validation violations do not abort the scan: every cone is classified
-    independently (unsupported where the isolated-singularity hypotheses
-    fail) and only the polytope/balancing stages require a fully valid fan.
-    """
-    fan = fanfile.to_fan()
-    validation = validate_fan(fan)
-    classified = classify_fan(fan)
-    report: dict[str, Any] = {
-        "kind": "fan",
-        "dim": fan.dim,
-        "validation": {
-            "valid": validation.valid,
-            "violations": list(validation.violations),
-        },
-        "classification": classification_entries(classified),
-    }
-    if not validation.valid:
-        return report
-
-    report["polytope"], assignment = polytope_section(
-        fan, k if k is not None else fanfile.k
-    )
-    if "error" in report["polytope"]:
-        return report
-
-    su_labels = [
-        label for label, qd in classified if qd and qd.classification == SU
-    ]
-    report["su_cones"] = su_labels
-    if su_labels:
-        vert = dict(assignment)
-        orders = {label: qd.order for label, qd in classified if qd}
-        points = [
-            SingularPointRecord(
-                label=label,
-                kind=RICCI_FLAT,
-                group_order=orders[label],
-                phi_values=tuple(vert[label]),
-            )
-            for label in su_labels
-        ]
-        report["su_vertex_barycenter"] = _qvec(
-            subset_barycenter([vert[label] for label in su_labels])
-        )
-        bal = solve_ricci_flat_balancing(points, s=None, m=fan.dim)
-        report["balancing"] = _balancing_dict(bal)
-        report["balancing"]["notes"] = list(bal.notes) + [
-            "kernel data: toric Einstein input, d = m, phi values are moment "
-            "coordinates of the SU chart fixed points",
-            "resolution existence: SU(3) charts admit Kaehler crepant "
-            "resolutions; other orders are external input",
-        ]
-    else:
-        report["balancing"] = {
+def _fan_balancing(run: SimpleNamespace) -> dict[str, Any]:
+    """Einstein-toric balancing over the SU charts; also sets su_cones and,
+    when there are SU charts, su_vertex_barycenter."""
+    su = [(label, qd) for label, qd in run.classified if qd and qd.classification == SU]
+    run.report["su_cones"] = [label for label, _ in su]
+    if not su:
+        return {
             "regime": "ricci_flat",
             "feasible": False,
             "notes": ["no SU charts: nothing to glue in the Ricci-flat regime"],
         }
+    vert = run.cone_vertices
+    points = [
+        SingularPointRecord(
+            label=label,
+            kind=RICCI_FLAT,
+            group_order=qd.order,
+            phi_values=tuple(vert[label]),
+        )
+        for label, qd in su
+    ]
+    run.report["su_vertex_barycenter"] = _qvec(
+        subset_barycenter([vert[label] for label, _ in su])
+    )
+    bal = solve_ricci_flat_balancing(points, s=None, m=run.fan.dim)
+    section = _balancing_dict(bal)
+    section["notes"] = list(bal.notes) + [
+        "kernel data: toric Einstein input, d = m, phi values are moment "
+        "coordinates of the SU chart fixed points",
+        "resolution existence: SU(3) charts admit Kaehler crepant "
+        "resolutions; other orders are external input",
+    ]
+    return section
 
+
+def _spectral(run: SimpleNamespace) -> dict[str, Any]:
+    m = run.fan.dim
     groups: dict[tuple, dict[str, Any]] = {}
-    for label, qd in classified:
-        if qd is None or qd.is_trivial():
+    for _, qd in run.classified:
+        if qd is None or qd.is_trivial() or (qd.orders, qd.weights) in groups:
             continue
-        key = (qd.orders, qd.weights)
-        if key not in groups:
-            groups[key] = _spectral_notes(qd, fan.dim)
-    report["spectral"] = {
+        first = first_invariant_index(qd, m)
+        groups[qd.orders, qd.weights] = {
+            "orders": list(qd.orders),
+            "weights": [list(w) for w in qd.weights],
+            "invariant_linear_dimension": invariant_harmonic_dimension(qd, 1, m),
+            "first_invariant_index": first,
+            "first_invariant_eigenvalue": eigenvalue(first, m),
+        }
+    return {
         "groups": sorted(groups.values(), key=lambda e: (e["orders"], e["weights"])),
-        "weight_intervals": _weight_intervals(fan.dim),
+        "weight_intervals": _weight_intervals(m),
     }
-    return report
 
 
-def point_entries(points: Sequence[SingularPointRecord]) -> list[dict[str, Any]]:
-    """The points section of an orbifold report, one entry per point."""
+def _points(run: SimpleNamespace) -> list[dict[str, Any]]:
     return [
         {
             "label": p.label,
@@ -287,36 +246,63 @@ def point_entries(points: Sequence[SingularPointRecord]) -> list[dict[str, Any]]
             "order": p.group_order,
             "phi": _qvec(p.phi_values),
         }
-        for p in points
+        for p in run.orb.points
     ]
 
 
-def orbifold_report(orb: OrbifoldFile) -> dict[str, Any]:
-    """Balancing pipeline on explicit orbifold point data."""
-    report: dict[str, Any] = {
-        "kind": "orbifold",
-        "m": orb.m,
-        "d": orb.d,
-        "s": "positive" if orb.s is None else str(orb.s),
-        "einstein": orb.einstein,
-    }
-    report["points"] = point_entries(orb.points)
-
+def _orbifold_balancing(run: SimpleNamespace) -> dict[str, Any]:
+    """The regime the point kinds select: scalar-flat as soon as there is a
+    scalar-flat point, Ricci-flat otherwise."""
+    orb = run.orb
     q_points = [p for p in orb.points if p.kind == SCALAR_FLAT]
     p_points = [p for p in orb.points if p.kind == RICCI_FLAT]
-    if q_points:
-        bal = solve_scalar_flat_balancing(q_points, orb.m)
-        report["balancing"] = _balancing_dict(bal)
-        if p_points:
-            report["balancing"]["notes"].append(
-                "ricci-flat weights b are free in this regime; each class "
-                "coefficient approaches the chosen b_j"
-            )
-    else:
-        bal = solve_ricci_flat_balancing(p_points, orb.s, orb.m)
-        report["balancing"] = _balancing_dict(bal)
-    report["weight_intervals"] = _weight_intervals(orb.m)
-    return report
+    if not q_points:
+        return _balancing_dict(solve_ricci_flat_balancing(p_points, orb.s, orb.m))
+    section = _balancing_dict(solve_scalar_flat_balancing(q_points, orb.m))
+    if p_points:
+        section["notes"].append(
+            "ricci-flat weights b are free in this regime; each class "
+            "coefficient approaches the chosen b_j"
+        )
+    return section
+
+
+FAN_STAGES = (
+    ("classification", _classification),
+    ("validation", _validation),
+    ("polytope", _polytope),
+    ("balancing", _fan_balancing),
+    ("spectral", _spectral),
+)
+ORBIFOLD_STAGES = (
+    ("points", _points),
+    ("balancing", _orbifold_balancing),
+    ("weight_intervals", lambda run: _weight_intervals(run.orb.m)),
+)
+
+EXIT_OK, EXIT_INFEASIBLE, EXIT_INPUT_ERROR = 0, 1, 2
+
+
+def input_errors(body: dict[str, Any]) -> list[str]:
+    """Why a report body is an input error, one line each: the violations of
+    an invalid fan, or the error a stage recorded after its stage name
+    (balancing errors name the input at fault, so they stand alone)."""
+    validation = body.get("validation", {"valid": True})
+    if not validation["valid"]:
+        return [f"invalid fan: {v}" for v in validation["violations"]]
+    for stage, section in body.items():
+        if isinstance(section, dict) and "error" in section:
+            prefix = "" if stage == "balancing" else f"{stage}: "
+            return [prefix + section["error"]]
+    return []
+
+
+def exit_code(body: dict[str, Any]) -> int:
+    """2 for an input error, 1 for an infeasible balancing verdict, else 0."""
+    if input_errors(body):
+        return EXIT_INPUT_ERROR
+    balancing = body.get("balancing", {"feasible": True})
+    return EXIT_OK if balancing["feasible"] else EXIT_INFEASIBLE
 
 
 def build_report(
@@ -324,14 +310,34 @@ def build_report(
     text: str,
     parsed,
     k: Optional[int] = None,
+    until: Optional[str] = None,
 ) -> dict[str, Any]:
-    """Wrap the pipeline output with input echo, hash and version."""
+    """Run the parsed input's stages in order, through the one named
+    ``until`` if given, and wrap the body with input echo, hash and version.
+
+    A stage that raises ValueError or ArithmeticError is recorded as
+    ``{"error": message}`` under its name, and once the body is an input
+    error (such an error, or an invalid fan) no further stage runs.
+    """
     if isinstance(parsed, FanFile):
-        body = fan_report(parsed, k=k)
+        fan = parsed.to_fan()
+        run = SimpleNamespace(fan=fan, k=parsed.k if k is None else k)
+        body, stages = {"kind": "fan", "dim": fan.dim}, FAN_STAGES
     elif isinstance(parsed, OrbifoldFile):
-        body = orbifold_report(parsed)
+        run, stages = SimpleNamespace(orb=parsed), ORBIFOLD_STAGES
+        s = "positive" if parsed.s is None else str(parsed.s)
+        body = {"kind": "orbifold", "m": parsed.m, "d": parsed.d, "s": s}
+        body["einstein"] = parsed.einstein
     else:
         raise TypeError(f"unsupported input type {type(parsed)!r}")
+    run.report = body
+    for stage_name, stage in stages:
+        try:
+            body[stage_name] = stage(run)
+        except (ValueError, ArithmeticError) as exc:
+            body[stage_name] = {"error": str(exc)}
+        if stage_name == until or input_errors(body):
+            break
     return {
         "input": {
             "name": name,
@@ -436,7 +442,9 @@ def render_text(report: dict[str, Any]) -> str:
         out.append("")
 
     bal = body.get("balancing")
-    if bal:
+    if bal and "error" in bal:
+        out.append(f"balancing: {bal['error']}")
+    elif bal:
         out.append(f"balancing regime: {bal.get('regime')}")
         out.append(f"feasible: {'yes' if bal.get('feasible') else 'no'}")
         for key in ("witness_a", "witness_b", "witness_c"):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,19 @@ POLYTOPE_FAILURES = {
         "violates facet of ray (1, 1)",
     ),
 }
+# Fans whose report is an input error, with the exit codes of report,
+# classify, polytope and balance on each.
+ERROR_FANS = {
+    "three-generator-cone.fan": (
+        P2_RAYS + "cone [1, 2, 3]\ncone [2, 3]\ncone [3, 1]\n",
+        (2, 2, 2, 2),
+    ),
+    "incomplete.fan": (POLYTOPE_FAILURES["incomplete.fan"][0], (2, 0, 2, 2)),
+    "overlapping.fan": (POLYTOPE_FAILURES["overlapping.fan"][0], (2, 0, 2, 2)),
+    "no-k.fan": (P2_FAN.replace("k 1\n", ""), (2, 0, 2, 2)),
+    "dim-1.fan": ("dim 1\nk 1\nray [1]\nray [-1]\ncone [1]\ncone [2]\n", (2, 2, 2, 2)),
+}
+FIXTURES = Path(__file__).parent / "fixtures"
 # Valid syntax, but explicit laplacian data with s positive cannot be balanced.
 NON_NUMERIC_S_ORBIFOLD = """\
 m 2
@@ -136,7 +150,7 @@ class TestPolytopeStageErrors:
         p = tmp_path / name
         p.write_text(text)
         out_path = tmp_path / "report.json"
-        assert main(["report", str(p), "--out", str(out_path)]) == 0
+        assert main(["report", str(p), "--out", str(out_path)]) == 2
         poly = json.loads(out_path.read_text())["report"]["polytope"]
         assert error in poly["error"]
         assert main(["classify", str(p)]) == 0
@@ -144,11 +158,61 @@ class TestPolytopeStageErrors:
         assert main(["polytope", str(p)]) == 2
         assert "error: polytope: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", sorted(ERROR_FANS))
+    def test_exit_codes(self, name, tmp_path, capsys):
+        text, codes = ERROR_FANS[name]
+        p = tmp_path / name
+        p.write_text(text)
+        commands = ("report", "classify", "polytope", "balance")
+        assert tuple(main([c, str(p)]) for c in commands) == codes
+
+    def test_dim_one_rejected_by_every_subcommand(self, tmp_path, capsys):
+        p = tmp_path / "dim-1.fan"
+        p.write_text(ERROR_FANS["dim-1.fan"][0])
+        for command in ("report", "classify", "polytope", "balance"):
+            assert main([command, str(p)]) == 2
+            assert capsys.readouterr().err == "error: line 1: dim must be >= 2\n"
+
+    def test_checked_in_overlapping_fixture(self, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        path = FIXTURES / "overlapping-p2.fan"
+        assert main(["report", str(path), "--out", str(out_path)]) == 2
+        poly = json.loads(out_path.read_text())["report"]["polytope"]
+        assert poly == {"error": "cone vertex (-1, -1) violates facet of ray (1, 1)"}
+        assert main(["balance", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: polytope: cone vertex (-1, -1) violates facet of ray (1, 1)\n"
+        )
+
     def test_polytope_on_invalid_fan(self, tmp_path, capsys):
         p = tmp_path / "one-ray-cone.fan"
         p.write_text(P2_FAN + "cone [1]\n")
         assert main(["polytope", str(p)]) == 2
         assert "error: invalid fan: cone C4" in capsys.readouterr().err
+
+
+class TestBalancingStageError:
+    MESSAGE = "explicit laplacian data needs a numeric scalar curvature"
+
+    def test_report_records_the_error(self, tmp_path, capsys):
+        p = tmp_path / "non-numeric-s.orb"
+        p.write_text(NON_NUMERIC_S_ORBIFOLD)
+        out_path = tmp_path / "report.json"
+        assert main(["report", str(p), "--out", str(out_path)]) == 2
+        body = json.loads(out_path.read_text())["report"]
+        assert body["balancing"] == {"error": self.MESSAGE}
+        assert "weight_intervals" not in body
+        assert main(["report", str(p), "--format", "text"]) == 2
+        assert f"balancing: {self.MESSAGE}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["balance", "coeffs"])
+    def test_subcommands_print_the_error(self, command, tmp_path, capsys):
+        p = tmp_path / "non-numeric-s.orb"
+        p.write_text(NON_NUMERIC_S_ORBIFOLD)
+        assert main([command, str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {self.MESSAGE}\n"
+        assert captured.out == ""
 
 
 class TestPolytope:
@@ -240,8 +304,19 @@ class TestReport:
         assert "needs a numeric scalar curvature" in rows[1]
         assert sorted(p.name for p in d.glob("*.report.json")) == [
             "a.report.json",
+            "b.report.json",
             "c.report.json",
         ]
+
+    def test_batch_continues_past_an_undecodable_file(self, tmp_path, capsys):
+        d = tmp_path / "undecodable"
+        d.mkdir()
+        (d / "a.fan").write_bytes(b"\xff\xfe")
+        (d / "b.orb").write_text(example_by_name("p2-z3").text)
+        assert main(["report", "--batch", str(d)]) == 2
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [r.split()[:2] for r in rows] == [["a.fan", "error"], ["b.orb", "feasible"]]
+        assert "cannot read" in rows[0]
 
 
 class TestExamples:

@@ -50,8 +50,13 @@ class TestParseFan:
             parse_fan(text)
         assert any(e.startswith("line 3:") for e in err.value.errors)
 
+    def test_dim_below_two_rejected(self):
+        with pytest.raises(ParseError) as err:
+            parse_fan("# a line\ndim 1\nray [1]\nray [-1]\ncone [1]\ncone [2]\n")
+        assert list(err.value.errors) == ["line 2: dim must be >= 2"]
+
     def test_default_labels(self):
-        text = "dim 1\nray [1]\nray [-1]\ncone [1]\ncone [2]\n"
+        text = "dim 2\nray [1, 0]\nray [0, 1]\nray [-1, -1]\ncone [1, 2]\ncone [2, 3]\n"
         f = parse_fan(text)
         assert f.labels == ("C1", "C2")
 

@@ -368,9 +368,7 @@ def test_integer_polytope_layer_checks_still_fire():
     )
     with pytest.raises(ValueError) as exc:
         anticanonical_polytope(overlapping, 1)
-    assert str(exc.value) == (
-        "cone vertex (Fraction(-1, 1), Fraction(-5, 3)) violates facet of ray (0, 1)"
-    )
+    assert str(exc.value) == "cone vertex (-1, -5/3) violates facet of ray (0, 1)"
     with pytest.raises(ValueError, match="singular vertex system"):
         vertex_for_cone(P2_FAN, 1, Cone.from_rows([(1, 0), (2, 0)]))
     incomplete = Fan(dim=2, rays=P2_FAN.rays, max_cones=P2_FAN.max_cones[:2])
