@@ -49,7 +49,8 @@ def _check_mode(m: int, gamma: int, nontrivial_group: bool) -> None:
         raise ValueError("gamma >= 0")
     if gamma == 1 and nontrivial_group:
         raise ValueError(
-            "gamma = 1 carries no invariant functions for a nontrivial group"
+            "gamma = 1 carries no invariant function: the group has no "
+            "invariant linear function (--nontrivial-group)"
         )
 
 

@@ -72,13 +72,19 @@ def _parse_group(spec: str, m: int) -> GroupPresentation:
     spec = spec.strip()
     if not spec:
         return GroupPresentation.trivial(m)
-    orders = []
-    weights = []
-    for part in spec.split(";"):
-        head, _, tail = part.partition(":")
-        orders.append(int(head))
-        weights.append(tuple(int(x) for x in tail.split(",")))
-    return GroupPresentation(m=m, orders=tuple(orders), weights=tuple(weights))
+    try:
+        factors = [part.split(":") for part in spec.split(";")]
+        orders = tuple(int(d) for d, _ in factors)
+        weights = tuple(tuple(int(x) for x in w.split(",")) for _, w in factors)
+    except ValueError:
+        raise ValueError(
+            f"group spec {spec!r} is not of the form 'd:w1,...,wm[;d2:...]' "
+            "with integers d and w_i"
+        ) from None
+    try:
+        return GroupPresentation(m=m, orders=orders, weights=weights)
+    except ValueError as exc:
+        raise ValueError(f"group spec {spec!r}: {exc}") from None
 
 
 def _emit(report: dict, fmt: str, out: Optional[str]) -> None:
@@ -193,14 +199,16 @@ def cmd_coeffs(args) -> int:
 
 def cmd_spectral(args) -> int:
     m = args.m
+    if args.jmax < 0:
+        raise ValueError(f"--jmax must be >= 0, got {args.jmax}")
     group = _parse_group(args.group, m)
-    print(f"m = {m}, group order {group.order}")
     rows = [
         [str(j), str(eigenvalue(j, m)), str(invariant_harmonic_dimension(group, j, m))]
         for j in range(args.jmax + 1)
     ]
-    print(render_table(rows, ["j", "eigenvalue", "invariant dim"]))
     first = first_invariant_index(group, m)
+    print(f"m = {m}, group order {group.order}")
+    print(render_table(rows, ["j", "eigenvalue", "invariant dim"]))
     print(f"first invariant index: {first} (eigenvalue {eigenvalue(first, m)})")
     if group.is_trivial():
         print("note: trivial group, index 1 by convention")
@@ -331,7 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dtn", help="Dirichlet-to-Neumann mode matrix")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--gamma", type=int, required=True)
-    p.add_argument("--nontrivial-group", action="store_true")
+    p.add_argument(
+        "--nontrivial-group",
+        action="store_true",
+        help="the group has no invariant linear function (rejects gamma = 1)",
+    )
     p.set_defaults(func=cmd_dtn)
 
     p = sub.add_parser("report", help="full machine-readable report")

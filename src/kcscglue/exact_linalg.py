@@ -7,15 +7,16 @@ elimination kernel (Bareiss).  The polytope and toric layers call its
 integer wrappers (integer_rank, integer_determinant, integer_solve) on
 scaled-integer data; of the Fraction wrappers only nullspace_basis
 (balancing) is on the report path.  Besides it there are a Smith normal
-form with unimodular transforms and an exact-arithmetic LP feasibility
-routine for strictly positive kernel vectors.
+form with unimodular transforms and a phase-one simplex for strictly
+positive kernel vectors, whose tableau rows are integer vectors with
+implicit positive scales, so no pivot touches a Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
@@ -97,16 +98,20 @@ class RationalMatrix:
 IntMatrix = Sequence[Sequence[int]]
 
 
+def _integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, and that lcm."""
+    mult = lcm(*(e.denominator for e in row))
+    return [e.numerator * (mult // e.denominator) for e in row], mult
+
+
 def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     """Scale each row by the lcm of its denominators (rank-preserving);
     returns the integer rows and the product of the scales."""
     out: list[list[int]] = []
     scale = 1
     for row in rows:
-        mult = 1
-        for e in row:
-            mult = mult * e.denominator // gcd(mult, e.denominator)
-        out.append([int(e * mult) for e in row])
+        ints, mult = _integer_row(row)
+        out.append(ints)
         scale *= mult
     return out, scale
 
@@ -353,7 +358,7 @@ def unimodular_inverse(m: IntMatrix) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Positive kernel feasibility (exact phase-one simplex, Bland's rule)
+# Positive kernel feasibility (integer phase-one simplex, Bland's rule)
 # ---------------------------------------------------------------------------
 
 
@@ -366,82 +371,95 @@ def positive_kernel_witness(
     Substituting y = x - 1 >= 0 turns the search into LP feasibility
     (M y = -M·1), decided by a phase-one simplex run with Bland's pivoting
     rule so the returned witness is deterministic.
+
+    The tableau is kept in Python ints.  Row i is an integer vector R_i
+    standing for the rational row R_i / s_i with an implicit scale s_i > 0;
+    since the basic column of a row holds 1, s_i is that column's entry.  A
+    row starts as M's row times the lcm of its denominators, with that lcm
+    as its artificial entry.  A pivot on (r, c) with p = R_r[c] > 0 replaces
+    every other row with R_i[c] = f != 0 by p·R_i - f·R_r divided by its
+    content gcd, leaves R_r as it is, and updates the objective row (scale
+    L > 0) the same way.  Signs and ratios of the rational tableau are read
+    off the integers (ratios by cross-multiplication), so every pivot is
+    the one the rational simplex would take.
     """
     ncols = m.cols
     nrows = m.rows
     if ncols == 0:
         return ()
-    ones = [Fraction(1)] * ncols
-    rhs = [-v for v in m.mul_vector(ones)]
     if nrows == 0:
-        return tuple(ones)
+        return (Fraction(1),) * ncols
 
-    # Tableau rows: [A | I_artificial | rhs], artificials start basic.
-    tab: list[list[Fraction]] = []
-    for i in range(nrows):
-        row = list(m.row(i))
-        if rhs[i] < 0:
-            row = [-x for x in row]
-            bi = -rhs[i]
-        else:
-            bi = rhs[i]
-        row += [Fraction(int(i == j)) for j in range(nrows)]
-        row.append(bi)
-        tab.append(row)
+    # Tableau rows: [A | artificial block | rhs], artificials start basic.
     width = ncols + nrows
+    a_rows: list[list[int]] = []
+    tab: list[list[int]] = []
+    for i in range(nrows):
+        row, scale = _integer_row(m.row(i))
+        a_rows.append(row)
+        rhs = -sum(row)
+        if rhs < 0:
+            row, rhs = [-x for x in row], -rhs
+        art = [0] * nrows
+        art[i] = scale
+        tab.append(row + art + [rhs])
     basis = [ncols + i for i in range(nrows)]
 
     # Objective: minimize the sum of artificials.  Reduced-cost row after
-    # pricing out the basic artificials.
-    obj = [Fraction(0)] * (width + 1)
-    for j in range(width):
-        obj[j] = (Fraction(1) if j >= ncols else Fraction(0)) - sum(
-            tab[i][j] for i in range(nrows)
-        )
-    obj[width] = -sum(tab[i][width] for i in range(nrows))
+    # pricing out the basic artificials, on the common denominator L of
+    # the row scales.
+    big_l = lcm(*(row[bv] for row, bv in zip(tab, basis)))
+    weights = [big_l // row[bv] for row, bv in zip(tab, basis)]
+    obj = [-sum(w * row[j] for w, row in zip(weights, tab)) for j in range(width + 1)]
+    for j in range(ncols, width):
+        obj[j] += big_l
 
-    def pivot(row: int, col: int) -> None:
-        p = tab[row][col]
-        tab[row] = [x / p for x in tab[row]]
-        for i in range(nrows):
-            if i != row and tab[i][col]:
-                f = tab[i][col]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[row])]
-        if obj[col]:
-            f = obj[col]
-            for k in range(width + 1):
-                obj[k] -= f * tab[row][k]
-        basis[row] = col
+    def reduce(p: int, row: list[int], f: int, top: list[int]) -> list[int]:
+        new = [p * x - f * y for x, y in zip(row, top)]
+        g = gcd(*new)
+        return [x // g for x in new] if g > 1 else new
 
     while True:
         entering = next((j for j in range(width) if obj[j] < 0), None)
         if entering is None:
             break
         leaving = None
-        best: Optional[Fraction] = None
         for i in range(nrows):
             coeff = tab[i][entering]
             if coeff > 0:
-                ratio = tab[i][width] / coeff
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leaving]  # Bland tie-break
-                ):
-                    best = ratio
+                if leaving is None:
+                    leaving = i
+                    continue
+                # rhs_i / coeff  vs  rhs_l / coeff_l, both denominators > 0.
+                lhs = tab[i][width] * tab[leaving][entering]
+                rhs = tab[leaving][width] * coeff
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):  # Bland tie-break
                     leaving = i
         if leaving is None:
             # Phase-one objective is bounded below by 0, so an unbounded
             # pivot column cannot occur on a well-formed tableau.
             raise RuntimeError("phase-one simplex lost boundedness (bug)")
-        pivot(leaving, entering)
+        top = tab[leaving]
+        p = top[entering]
+        for i in range(nrows):
+            f = tab[i][entering]
+            if i != leaving and f:
+                tab[i] = reduce(p, tab[i], f, top)
+        obj = reduce(p, obj, obj[entering], top)
+        basis[leaving] = entering
 
-    if -obj[width] != 0:
+    if obj[width] != 0:
         return None
 
-    y = [Fraction(0)] * ncols
+    # x = X / D with X integral: y[bv] = rhs / (basic entry) and x = y + 1.
+    num = [0] * ncols
+    den = [1] * ncols
     for i, bv in enumerate(basis):
         if bv < ncols:
-            y[bv] = tab[i][width]
-    x = tuple(yi + 1 for yi in y)
-    if any(v != 0 for v in m.mul_vector(x)) or min(x) < 1:
+            g = gcd(tab[i][width], tab[i][bv])
+            num[bv], den[bv] = tab[i][width] // g, tab[i][bv] // g
+    d = lcm(*den)
+    x = [d + n * (d // q) for n, q in zip(num, den)]
+    if min(x) < d or any(sum(a * v for a, v in zip(row, x)) for row in a_rows):
         raise RuntimeError("simplex witness fails M x = 0, x >= 1 (bug)")
-    return x
+    return tuple(Fraction(v, d) for v in x)

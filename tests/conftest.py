@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: cofactor expansion
 for determinants, ranks (by minors) and square solves (Cramer's rule), a
 Fraction Gauss-Jordan reduction for kernels, subset enumeration for
-positive kernel vectors and polytope vertices, Fraction arithmetic for
+positive kernel vectors and polytope vertices, the Fraction phase-one
+simplex whose witnesses the integer simplex must reproduce, Fraction arithmetic for
 facet incidence, face dimensions and barycenters, monomial counts for the
 quotient weights of a cone, an explicit symbolic Laplacian on
 integer-coefficient polynomials, a recursive surface-area formula for
@@ -141,6 +142,94 @@ def positive_kernel_witness_bruteforce(
                 return tuple(x)
     return None
 
+
+def positive_kernel_witness_fraction(
+    m: RationalMatrix,
+) -> Optional[tuple[Fraction, ...]]:
+    """The Fraction phase-one simplex that positive_kernel_witness replaced.
+
+    Same search (y = x - 1 >= 0 with M y = -M·1, Bland's rule) on an
+    explicit rational tableau, normalizing each pivot row; the integer
+    simplex must return exactly this witness, or None with it.
+    """
+    ncols = m.cols
+    nrows = m.rows
+    if ncols == 0:
+        return ()
+    ones = [Fraction(1)] * ncols
+    rhs = [-v for v in m.mul_vector(ones)]
+    if nrows == 0:
+        return tuple(ones)
+
+    # Tableau rows: [A | I_artificial | rhs], artificials start basic.
+    tab: list[list[Fraction]] = []
+    for i in range(nrows):
+        row = list(m.row(i))
+        if rhs[i] < 0:
+            row = [-x for x in row]
+            bi = -rhs[i]
+        else:
+            bi = rhs[i]
+        row += [Fraction(int(i == j)) for j in range(nrows)]
+        row.append(bi)
+        tab.append(row)
+    width = ncols + nrows
+    basis = [ncols + i for i in range(nrows)]
+
+    # Objective: minimize the sum of artificials.  Reduced-cost row after
+    # pricing out the basic artificials.
+    obj = [Fraction(0)] * (width + 1)
+    for j in range(width):
+        obj[j] = (Fraction(1) if j >= ncols else Fraction(0)) - sum(
+            tab[i][j] for i in range(nrows)
+        )
+    obj[width] = -sum(tab[i][width] for i in range(nrows))
+
+    def pivot(row: int, col: int) -> None:
+        p = tab[row][col]
+        tab[row] = [x / p for x in tab[row]]
+        for i in range(nrows):
+            if i != row and tab[i][col]:
+                f = tab[i][col]
+                tab[i] = [a - f * b for a, b in zip(tab[i], tab[row])]
+        if obj[col]:
+            f = obj[col]
+            for k in range(width + 1):
+                obj[k] -= f * tab[row][k]
+        basis[row] = col
+
+    while True:
+        entering = next((j for j in range(width) if obj[j] < 0), None)
+        if entering is None:
+            break
+        leaving = None
+        best: Optional[Fraction] = None
+        for i in range(nrows):
+            coeff = tab[i][entering]
+            if coeff > 0:
+                ratio = tab[i][width] / coeff
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leaving]  # Bland tie-break
+                ):
+                    best = ratio
+                    leaving = i
+        if leaving is None:
+            # Phase-one objective is bounded below by 0, so an unbounded
+            # pivot column cannot occur on a well-formed tableau.
+            raise RuntimeError("phase-one simplex lost boundedness (bug)")
+        pivot(leaving, entering)
+
+    if -obj[width] != 0:
+        return None
+
+    y = [Fraction(0)] * ncols
+    for i, bv in enumerate(basis):
+        if bv < ncols:
+            y[bv] = tab[i][width]
+    x = tuple(yi + 1 for yi in y)
+    if any(v != 0 for v in m.mul_vector(x)) or min(x) < 1:
+        raise RuntimeError("simplex witness fails M x = 0, x >= 1 (bug)")
+    return x
 
 def polytope_from_h_rep(normals, offsets) -> LatticePolytope:
     """General vertex enumeration over all dim-subsets of the facets of a

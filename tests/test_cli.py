@@ -233,6 +233,31 @@ class TestSpectralAndDtn:
         out = capsys.readouterr().out
         assert "first invariant index: 2" in out
 
+    @pytest.mark.parametrize("spec", ["x", "3", "2:1,x", "2:1,1;", "2:1:1"])
+    def test_spectral_bad_group_spec(self, spec, capsys):
+        assert main(["spectral", "--m", "2", "--group", spec]) == 2
+        err = capsys.readouterr().err
+        assert f"group spec {spec!r}" in err
+        assert "'d:w1,...,wm[;d2:...]'" in err
+        assert "int()" not in err
+
+    def test_spectral_group_spec_names_bad_factor(self, capsys):
+        assert main(["spectral", "--m", "2", "--group", "2:1"]) == 2
+        assert "group spec '2:1': weight vector length must equal m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--m", "3", "--jmax", "-1"], "error: --jmax must be >= 0, got -1"),
+            (["--m", "1"], "error: need j >= 0 and m >= 2"),
+        ],
+    )
+    def test_spectral_out_of_range(self, argv, message, capsys):
+        assert main(["spectral", *argv]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_dtn(self, capsys):
         assert main(["dtn", "--m", "3", "--gamma", "0"]) == 0
         out = capsys.readouterr().out
@@ -241,6 +266,7 @@ class TestSpectralAndDtn:
 
     def test_dtn_gamma_one_gate(self, capsys):
         assert main(["dtn", "--m", "3", "--gamma", "1", "--nontrivial-group"]) == 2
+        assert "no invariant linear function" in capsys.readouterr().err
 
 
 class TestReport:

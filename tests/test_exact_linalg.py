@@ -1,3 +1,6 @@
+import fractions
+import random
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -8,6 +11,7 @@ from conftest import (
     det_cofactor,
     nullspace_by_rref,
     positive_kernel_witness_bruteforce,
+    positive_kernel_witness_fraction,
     rank_bruteforce,
     solve_cramer,
 )
@@ -149,6 +153,44 @@ class TestPositiveKernelWitness:
     def test_no_rows(self):
         assert positive_kernel_witness(RationalMatrix(0, 3, ())) == (1, 1, 1)
 
+    def test_no_columns(self):
+        assert positive_kernel_witness(RationalMatrix(2, 0, ())) == ()
+        assert positive_kernel_witness(RationalMatrix(0, 0, ())) == ()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 1], [1, -1]],  # rhs -2 (row flipped) and 0
+            [[-1, -2], [1, -1]],  # rhs 3 and 0
+            [[1, Fraction(1, 2), -2], [Fraction(-1, 3), 1, Fraction(-2, 3)]],
+            [[0, 0, 0], [Fraction(1, 6), Fraction(-1, 4), Fraction(1, 12)]],
+            # ratio-test ties where Bland's tie-break decides the witness
+            [[-2, 1, 1, 2, -2], [-4, -1, 1, -2, 2], [1, 0, 2, -1, -2]],
+            [[2, -2, 0, -2, 2], [1, 1, 2, 0, -4], [2, -1, -2, -1, 0]],
+        ],
+    )
+    def test_witness_equals_fraction_simplex(self, rows):
+        m = mat(rows)
+        assert positive_kernel_witness(m) == positive_kernel_witness_fraction(m)
+
+    def test_no_fraction_arithmetic(self):
+        # Only reading numerators and denominators on the way in and building
+        # the witness on the way out touch Fraction; no operator does.
+        m = mat([[Fraction(1, 2), -1, Fraction(2, 3), 0], [1, Fraction(-3, 4), -1, 2]])
+        seen = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == fractions.__file__:
+                seen.add(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            w = positive_kernel_witness(m)
+        finally:
+            sys.setprofile(None)
+        assert w == positive_kernel_witness_fraction(m) is not None
+        assert seen <= {"__new__", "numerator", "denominator"}
+
 
 def test_unimodular_inverse_roundtrip():
     v = [[1, 1, 0], [0, 1, 2], [0, 0, 1]]
@@ -232,6 +274,90 @@ def test_positive_kernel_matches_bruteforce(rows):
     if got is not None:
         assert all(x == 0 for x in m.mul_vector(got))
         assert min(got) >= 1
+
+
+@st.composite
+def simplex_matrix(draw, max_rows=4, max_cols=8):
+    """A rational matrix whose rows are zero, sum to zero (rhs 0) or free
+    (rhs of either sign); zero rows or columns allowed."""
+    nrows = draw(st.integers(0, max_rows))
+    ncols = draw(st.integers(0, max_cols))
+    flat = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(("zero", "sum-zero", "free")))
+        if kind == "zero":
+            row = [Fraction(0)] * ncols
+        else:
+            row = [draw(RATIONAL) for _ in range(ncols)]
+            if kind == "sum-zero" and ncols:
+                row[-1] = -sum(row[:-1], Fraction(0))
+        flat += row
+    return RationalMatrix(nrows, ncols, tuple(flat))
+
+
+@settings(max_examples=200, derandomize=True)
+@given(simplex_matrix())
+def test_positive_kernel_equals_fraction_simplex(m):
+    got = positive_kernel_witness(m)
+    assert got == positive_kernel_witness_fraction(m)
+    if m.cols <= 5:  # the vertex enumeration is exponential in the columns
+        assert (got is None) == (positive_kernel_witness_bruteforce(m) is None)
+    if got is not None:
+        assert all(isinstance(x, Fraction) for x in got)
+        assert all(x == 0 for x in m.mul_vector(got))
+        assert min(got, default=1) >= 1
+
+
+def _orbifold_shaped(rng: random.Random, klass: str, d: int, n: int) -> RationalMatrix:
+    """A d x n balancing-shaped matrix: "balanced" has a positive kernel
+    vector, "halfspace" has none (y·column > 0 for a y with no zero entry),
+    "hyperplane" has one but rank d - 1 (columns in a hyperplane, then
+    mixed by a unimodular matrix)."""
+
+    def rational() -> Fraction:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    def nonzero() -> Fraction:
+        return Fraction(rng.randint(1, 6), rng.randint(1, 4)) * rng.choice((1, -1))
+
+    def unit(i: int, scale: Fraction) -> list[Fraction]:
+        return [scale if j == i else Fraction(0) for j in range(d)]
+
+    if klass == "halfspace":
+        y = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(d)]
+        cols = [unit(i, abs(nonzero()) * (1 if y[i] > 0 else -1)) for i in range(d)]
+        while len(cols) < n:
+            x = [rational() for _ in range(d)]
+            side = sum(a * b for a, b in zip(x, y))
+            if side:
+                cols.append(x if side > 0 else [-v for v in x])
+    else:
+        rk = d - 1 if klass == "hyperplane" else d
+        cols = [unit(i, nonzero()) for i in range(rk)]
+        cols += [[rational() for _ in range(rk)] + [Fraction(0)] * (d - rk) for _ in range(n - 1 - rk)]
+        b = [rng.randint(1, 4) for _ in range(n)]
+        cols.append([-sum(bj * c[i] for bj, c in zip(b, cols)) / b[-1] for i in range(d)])
+        if klass == "hyperplane":
+            # unit lower times unit upper triangular: determinant 1
+            low = [[rng.randint(-2, 2) if j < i else int(i == j) for j in range(d)] for i in range(d)]
+            up = [[rng.randint(-2, 2) if j > i else int(i == j) for j in range(d)] for i in range(d)]
+            mix = [[sum(low[i][k] * up[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+            cols = [[sum(mix[i][j] * c[j] for j in range(d)) for i in range(d)] for c in cols]
+    rng.shuffle(cols)
+    return mat([[c[i] for c in cols] for i in range(d)])
+
+
+@pytest.mark.parametrize("klass", ["balanced", "halfspace", "hyperplane"])
+def test_orbifold_shaped_witness_equals_fraction_simplex(klass):
+    rng = random.Random(f"simplex-{klass}")
+    for d in range(3, 7):
+        m = _orbifold_shaped(rng, klass, d, rng.randint(32, 96))
+        got = positive_kernel_witness(m)
+        assert got == positive_kernel_witness_fraction(m)
+        assert (got is None) == (klass == "halfspace")
+        if got is not None:
+            assert all(x == 0 for x in m.mul_vector(got)) and min(got) >= 1
+        assert rank(m) == (d - 1 if klass == "hyperplane" else d)
 
 
 @settings(max_examples=60, derandomize=True)
