@@ -25,7 +25,6 @@ from .toric_lattice import (
     classify_fan,
     cone_index,
     is_gorenstein,
-    is_isolated,
     quotient_action,
     validate_fan,
 )

@@ -60,12 +60,6 @@ class RationalMatrix:
             flat.extend(frac(x) for x in r)
         return RationalMatrix(nrows, ncols, tuple(flat))
 
-    @staticmethod
-    def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix.from_rows(
-            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        )
-
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -77,22 +71,6 @@ class RationalMatrix:
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def scaled(self, c: Scalar) -> "RationalMatrix":
-        cf = frac(c)
-        return RationalMatrix(self.rows, self.cols, tuple(cf * e for e in self.entries))
-
-    def mul_vector(self, x: Sequence[Scalar]) -> tuple[Fraction, ...]:
-        if len(x) != self.cols:
-            raise ValueError("vector length does not match column count")
-        xs = [frac(v) for v in x]
-        return tuple(
-            sum((self[i, j] * xs[j] for j in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
 
 
 IntMatrix = Sequence[Sequence[int]]

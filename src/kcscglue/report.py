@@ -285,15 +285,13 @@ EXIT_OK, EXIT_INFEASIBLE, EXIT_INPUT_ERROR = 0, 1, 2
 
 def input_errors(body: dict[str, Any]) -> list[str]:
     """Why a report body is an input error, one line each: the violations of
-    an invalid fan, or the error a stage recorded after its stage name
-    (balancing errors name the input at fault, so they stand alone)."""
+    an invalid fan, or the error a stage recorded after its stage name."""
     validation = body.get("validation", {"valid": True})
     if not validation["valid"]:
         return [f"invalid fan: {v}" for v in validation["violations"]]
     for stage, section in body.items():
         if isinstance(section, dict) and "error" in section:
-            prefix = "" if stage == "balancing" else f"{stage}: "
-            return [prefix + section["error"]]
+            return [f"{stage}: {section['error']}"]
     return []
 
 

@@ -6,15 +6,14 @@ matrix via Smith normal form as a GroupPresentation, the one abelian-group
 type of the package: cyclic orders plus diagonal action weights read off
 the unimodular factors.  Its order, classification (smooth, SU(m) --
 Gorenstein, crepant-resolvable candidates -- or U(m)-non-SU) and isolation
-are derived from the presentation by closed forms and Smith normal forms,
-never by enumerating Gamma.
+are derived from the presentation by closed forms, never by enumerating
+Gamma.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
 from .exact_linalg import integer_determinant, integer_solve, smith_normal_form
@@ -129,21 +128,16 @@ class GroupPresentation:
         """True iff no nontrivial element fixes a coordinate axis.
 
         Coordinate i is moved by every nontrivial element iff its character
-        (w_k[i] mod d_k)_k generates the character group, the sum of the
-        Z/d_k, so no element is enumerated.
+        (w_k[i] mod d_k)_k is injective, that is, has order |Gamma|: the lcm
+        over the factors of d_k / gcd(w_k[i], d_k).  This holds for any
+        presentation, Smith form or not, faithful or not, and the trivial
+        group (an empty lcm) is isolated.
         """
-        return all(self._characters_generate((i,)) for i in range(self.m))
-
-    def _characters_generate(self, coords: Sequence[int]) -> bool:
-        """Whether the characters of the given coordinates generate the
-        character group: the rows [w_k[coords] | d_k e_k] have an SNF
-        diagonal of ones (for one factor and one coordinate, gcd(w, d) = 1)."""
-        r = len(self.orders)
-        rows = [
-            [w[i] for i in coords] + [d * (k == l) for l in range(r)]
-            for k, (d, w) in enumerate(zip(self.orders, self.weights))
-        ]
-        return all(x == 1 for x in smith_normal_form(rows).diagonal())
+        return all(
+            lcm(*(d // gcd(w[i], d) for d, w in zip(self.orders, self.weights)))
+            == self.order
+            for i in range(self.m)
+        )
 
 
 @dataclass(frozen=True)
@@ -245,39 +239,16 @@ def quotient_action(cone: Cone) -> GroupPresentation:
     if group.order != order:
         raise RuntimeError("SNF diagonal inconsistent with |det|")
     # Gamma acts faithfully on the torus, so the m coordinate characters
-    # together must generate its character group.
-    if not group._characters_generate(range(m)):
+    # together must generate its character group: the rows
+    # [w_k | d_k e_k] have an SNF diagonal of ones.
+    r = len(factors)
+    rows = [
+        list(w) + [d * (k == l) for l in range(r)]
+        for k, (d, w) in enumerate(zip(factors, weights))
+    ]
+    if any(x != 1 for x in smith_normal_form(rows).diagonal()):
         raise RuntimeError("nontrivial element acts trivially (weights bug)")
     return group
-
-
-def _faces_smooth(cone: Cone) -> bool:
-    """True iff every proper nonempty face is a smooth cone."""
-    m = cone.ambient_dim
-    for size in range(1, m):
-        for subset in combinations(range(m), size):
-            sub = [[cone.generators[j][i] for j in subset] for i in range(m)]
-            diag = smith_normal_form(sub).diagonal()
-            nonzero = [d for d in diag if d != 0]
-            if len(nonzero) != size or any(d != 1 for d in nonzero):
-                return False
-    return True
-
-
-def is_isolated(cone: Cone) -> bool:
-    """True iff the chart singularity is isolated.
-
-    Both characterizations are computed and must agree: every proper face of
-    the cone is smooth, and every nontrivial group element moves every
-    coordinate axis.
-    """
-    group_isolated = quotient_action(cone).isolated
-    face_isolated = _faces_smooth(cone)
-    if group_isolated != face_isolated:
-        raise RuntimeError(
-            "isolation criteria disagree (face smoothness vs group freeness)"
-        )
-    return face_isolated
 
 
 def gorenstein_covector(cone: Cone) -> Optional[IntVector]:

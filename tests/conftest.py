@@ -8,9 +8,11 @@ simplex whose witnesses the integer simplex must reproduce, Fraction arithmetic 
 facet incidence, face dimensions and barycenters, monomial counts for the
 quotient weights of a cone, an explicit symbolic Laplacian on
 integer-coefficient polynomials, a recursive surface-area formula for
-sphere volumes, and, for a finite abelian group, enumeration of its
-elements, character averaging in cyclotomic integers and a monomial-basis
-count.
+sphere volumes, face smoothness by maximal minors for isolated cones, and,
+for a finite abelian group, enumeration of its elements, character
+averaging in cyclotomic integers and a monomial-basis count.  Small
+RationalMatrix helpers (identity, scaling, M·x, zero test) that the
+library itself never needs live here too.
 """
 
 from __future__ import annotations
@@ -18,12 +20,35 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from kcscglue.balancing import PiRational
-from kcscglue.exact_linalg import RationalMatrix, rational_determinant
+from kcscglue.exact_linalg import RationalMatrix, Scalar, frac, rational_determinant
 from kcscglue.polytope import LatticePolytope, _pulling_triangulation
+
+
+def identity(n: int) -> RationalMatrix:
+    return RationalMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def scaled(m: RationalMatrix, c: Scalar) -> RationalMatrix:
+    cf = frac(c)
+    return RationalMatrix(m.rows, m.cols, tuple(cf * e for e in m.entries))
+
+
+def mul_vector(m: RationalMatrix, x: Sequence[Scalar]) -> tuple[Fraction, ...]:
+    """M·x in Fractions."""
+    if len(x) != m.cols:
+        raise ValueError("vector length does not match column count")
+    xs = [frac(v) for v in x]
+    return tuple(
+        sum((a * b for a, b in zip(m.row(i), xs)), Fraction(0)) for i in range(m.rows)
+    )
+
+
+def is_zero(m: RationalMatrix) -> bool:
+    return all(e == 0 for e in m.entries)
 
 
 def det_cofactor(rows) -> Fraction:
@@ -138,7 +163,7 @@ def positive_kernel_witness_bruteforce(
             x = [Fraction(0)] * n
             for r, c in enumerate(pivots):
                 x[c] = reduced[r][n]
-            if all(v == 0 for v in m.mul_vector(x)) and min(x) >= 1:
+            if all(v == 0 for v in mul_vector(m, x)) and min(x) >= 1:
                 return tuple(x)
     return None
 
@@ -157,7 +182,7 @@ def positive_kernel_witness_fraction(
     if ncols == 0:
         return ()
     ones = [Fraction(1)] * ncols
-    rhs = [-v for v in m.mul_vector(ones)]
+    rhs = [-v for v in mul_vector(m, ones)]
     if nrows == 0:
         return tuple(ones)
 
@@ -227,7 +252,7 @@ def positive_kernel_witness_fraction(
         if bv < ncols:
             y[bv] = tab[i][width]
     x = tuple(yi + 1 for yi in y)
-    if any(v != 0 for v in m.mul_vector(x)) or min(x) < 1:
+    if any(v != 0 for v in mul_vector(m, x)) or min(x) < 1:
         raise RuntimeError("simplex witness fails M x = 0, x >= 1 (bug)")
     return x
 
@@ -458,6 +483,22 @@ def isolated_by_enumeration(g) -> bool:
     return all(
         all(e != 0 for e in exps) for _, ks, exps in group_elements(g) if any(ks)
     )
+
+
+def isolated_by_face_smoothness(cone) -> bool:
+    """The toric criterion for an isolated chart singularity: every proper
+    nonempty face of the cone is smooth, i.e. its generators extend to a
+    lattice basis, i.e. the gcd of their maximal minors is 1."""
+    m = cone.ambient_dim
+    for size in range(1, m):
+        for subset in combinations(cone.generators, size):
+            minors = 0
+            for rows in combinations(range(m), size):
+                minor = det_cofactor([[g[i] for g in subset] for i in rows])
+                minors = gcd(minors, int(minor))
+            if minors != 1:
+                return False
+    return True
 
 
 def first_invariant_index_by_search(g, m: int) -> int:

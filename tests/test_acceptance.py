@@ -20,6 +20,7 @@ from conftest import (
     invariant_monomial_count_lattice,
     invariant_monomial_count_weights,
     isolated_by_enumeration,
+    mul_vector,
     positive_kernel_witness_bruteforce,
     rank_bruteforce,
     sphere_eigenvalue_oracle,
@@ -188,7 +189,7 @@ def test_criterion_4_surface_examples():
         assert rep.feasible and rep.rank == 2
         family = {(1, 1, 1, 1), (1, 2, 2, 1), (3, 1, 1, 3)}
         for member in family:
-            assert all(v == 0 for v in theta.matrix.mul_vector(member))
+            assert all(v == 0 for v in mul_vector(theta.matrix, member))
         # second surface: family (a, a, a)
         orb2 = parse_orbifold(example_by_name("p2-z3").text)
         theta2 = build_theta(orb2.points, [1] * 3, s=None, m=2)
@@ -321,7 +322,7 @@ def test_criterion_8_oracle_equivalence():
             want = positive_kernel_witness_bruteforce(m)
             assert (got is None) == (want is None)
             if got is not None:
-                assert all(x == 0 for x in m.mul_vector(got))
+                assert all(x == 0 for x in mul_vector(m, got))
                 assert min(got) >= 1
         # quotient-group extraction vs lattice-point counting
         for i in range(1000):

@@ -100,7 +100,9 @@ class TestExitCodes:
         )
         assert main(["balance", str(p)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: scalar curvature must be positive here\n"
+        assert captured.err == (
+            "error: balancing: scalar curvature must be positive here\n"
+        )
         assert "feasible" not in captured.out
 
     def test_unread_flags_rejected(self, corpus, capsys):
@@ -211,7 +213,7 @@ class TestBalancingStageError:
         p.write_text(NON_NUMERIC_S_ORBIFOLD)
         assert main([command, str(p)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: {self.MESSAGE}\n"
+        assert captured.err == f"error: balancing: {self.MESSAGE}\n"
         assert captured.out == ""
 
 

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, gcd, prod
 
 import pytest
 
@@ -47,6 +47,42 @@ EXTRA_GROUPS = [
     GroupPresentation(m=3, orders=(4,), weights=((1, 2, 1),)),
     GroupPresentation(m=3, orders=(2, 2), weights=((1, 1, 1), (1, 1, 1))),
 ]
+
+# Spec-named presentations that are not in Smith form: "2:1,0;3:0,1" is
+# Z/6 with a fixed axis, "2:1,1;3:1,1" is Z/6 acting freely and
+# "2:1,0;2:0,1" is not cyclic.
+NAMED_ISOLATION = [
+    (GroupPresentation(m=2, orders=(2, 3), weights=((1, 0), (0, 1))), False),
+    (GroupPresentation(m=2, orders=(2, 3), weights=((1, 1), (1, 1))), True),
+    (GroupPresentation(m=2, orders=(2, 2), weights=((1, 0), (0, 1))), False),
+]
+
+
+def _non_smith_presentations(rng: random.Random, count: int) -> list[GroupPresentation]:
+    """m = 3..4 and 1-3 factors of repeated or non-coprime orders, |Gamma| <=
+    200; weights are mostly units, sometimes zero or any residue, and in a
+    quarter of the multi-factor draws the second factor acts through the
+    first's weights, which makes the presentation unfaithful."""
+    out = []
+    while len(out) < count:
+        m = rng.choice((3, 4))
+        orders = [rng.choice((2, 2, 3, 4, 5, 6, 9)) for _ in range(rng.randint(1, 3))]
+        if prod(orders) > 200:
+            continue
+        weights = []
+        for d in orders:
+            units = [u for u in range(1, d) if gcd(u, d) == 1]
+            weights.append([
+                rng.choice(units) if rng.random() < 0.8 else rng.randrange(d)
+                for _ in range(m)
+            ])
+        if len(orders) > 1 and rng.random() < 0.25:
+            k = rng.randrange(1, orders[1])
+            weights[1] = [k * x for x in weights[0]]
+        out.append(
+            GroupPresentation(m=m, orders=tuple(orders), weights=tuple(map(tuple, weights)))
+        )
+    return out
 
 
 class TestEigenvalue:
@@ -197,10 +233,13 @@ class TestFirstInvariantIndex:
             first_invariant_index(Z3_12, 3)
 
     def test_closed_forms_against_enumeration(self):
-        # isolation by the Smith-normal-form test and the closed-form index
-        # against element enumeration and a bounded search: every m = 2
-        # group with d <= 8, plus the two-factor and unfaithful ones
+        # isolation by element orders and the closed-form index against
+        # element enumeration and a bounded search: every m = 2 group with
+        # d <= 8, plus the two-factor, unfaithful and spec-named ones
+        for g, isolated in NAMED_ISOLATION:
+            assert g.isolated is isolated, g
         groups = [GroupPresentation.trivial(2)] + EXTRA_GROUPS
+        groups += [g for g, _ in NAMED_ISOLATION]
         for d in range(2, 9):
             for w in product(range(d), repeat=2):
                 groups.append(GroupPresentation(m=2, orders=(d,), weights=(w,)))
@@ -212,6 +251,14 @@ class TestFirstInvariantIndex:
             ), g
             isolated += g.isolated
         assert 0 < isolated < len(groups)
+        # isolation alone (the index search is exponential in m) on seeded
+        # presentations in m = 3..4 that are not in Smith form
+        groups = _non_smith_presentations(random.Random(8), 300)
+        isolated = [g for g in groups if g.isolated]
+        for g in groups:
+            assert g.isolated == isolated_by_enumeration(g), g
+        assert 0 < len(isolated) < len(groups)
+        assert any(len(g.orders) > 1 for g in isolated)
 
     def test_bundled_fan_groups(self):
         # every nontrivial isolated chart group has no invariant linear

@@ -7,6 +7,7 @@ from conftest import (
     det_cofactor,
     invariant_monomial_count_lattice,
     invariant_monomial_count_weights,
+    isolated_by_face_smoothness,
     solve_cramer,
 )
 from kcscglue.examples import example_by_name
@@ -22,7 +23,6 @@ from kcscglue.toric_lattice import (
     cone_index,
     gorenstein_covector,
     is_gorenstein,
-    is_isolated,
     quotient_action,
     validate_fan,
 )
@@ -157,17 +157,24 @@ class TestClassify:
         assert classify(Cone.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1)])) == SMOOTH
 
 
+def _isolated(cone: Cone) -> bool:
+    """The group's verdict, which the face-smoothness oracle must share."""
+    isolated = quotient_action(cone).isolated
+    assert isolated == isolated_by_face_smoothness(cone)
+    return isolated
+
+
 class TestIsolated:
     def test_surface_quotient(self):
-        assert is_isolated(A2_CONE)
+        assert _isolated(A2_CONE)
 
     def test_all_x1_charts(self):
         for _, cone in X1.cones():
-            assert is_isolated(cone)
+            assert _isolated(cone)
 
     def test_non_isolated(self):
         cone = Cone.from_rows([(1, 0, 0), (1, 2, 0), (0, 0, 1)])
-        assert not is_isolated(cone)
+        assert not _isolated(cone)
 
 
 def _random_cone(rng, m, max_det=30):
@@ -204,6 +211,7 @@ def test_classification_criteria_agree_on_random_cones():
         cone = _random_cone(rng, rng.choice((2, 3)))
         # classify() raises if the Gorenstein and weight-sum routes disagree
         classify(cone)
+        _isolated(cone)
 
 
 def test_invariant_monomial_cross_check():
