@@ -203,11 +203,18 @@ class PointCoefficients:
     c_constant: Optional[Fraction] = None
 
 
+def _matrix(d: int, n: int, entries: list[Fraction]) -> RationalMatrix:
+    """The d x n matrix of row-major Fraction entries, shaped as from_rows
+    shapes a list of d rows (no rows, no columns)."""
+    return RationalMatrix(d, n if d else 0, tuple(entries))
+
+
 def build_xi(
     points_q: Sequence[SingularPointRecord], a: Sequence
 ) -> RationalMatrix:
     """Sign-weighted balancing matrix for scalar-flat points:
-    entry (i, l) = a_l * sign(e_l) * phi_i(q_l) / |Gamma_l|."""
+    entry (i, l) = a_l * sign(e_l) * phi_i(q_l) / |Gamma_l|, made as one
+    Fraction from the products of numerators and of denominators."""
     if len(a) != len(points_q):
         raise ValueError("one weight per point")
     weights = [frac(x) for x in a]
@@ -221,15 +228,19 @@ def build_xi(
             raise ValueError(f"{p.label} is missing e_sign")
         if len(p.phi_values) != d:
             raise ValueError("inconsistent kernel dimension")
-    rows = [
-        [
-            weights[l] * points_q[l].e_sign * points_q[l].phi_values[i]
-            / points_q[l].group_order
-            for l in range(len(points_q))
-        ]
-        for i in range(d)
+    columns = [
+        (w.numerator * p.e_sign, w.denominator * p.group_order, p.phi_values)
+        for w, p in zip(weights, points_q)
     ]
-    return RationalMatrix.from_rows(rows)
+    return _matrix(
+        d,
+        len(points_q),
+        [
+            Fraction(num * phi[i].numerator, den * phi[i].denominator)
+            for i in range(d)
+            for num, den, phi in columns
+        ],
+    )
 
 
 def build_theta(
@@ -257,31 +268,36 @@ def build_theta(
         if len(p.phi_values) != d:
             raise ValueError("inconsistent kernel dimension")
 
+    n = len(points_p)
     if all(p.laplacian_phi_values is None for p in points_p):
-        rows = [
-            [bs[j] * points_p[j].phi_values[i] for j in range(len(points_p))]
-            for i in range(d)
-        ]
+        if all(w == 1 for w in bs):
+            entries = [p.phi_values[i] for i in range(d) for p in points_p]
+        else:
+            entries = [
+                Fraction(
+                    w.numerator * p.phi_values[i].numerator,
+                    w.denominator * p.phi_values[i].denominator,
+                )
+                for i in range(d)
+                for w, p in zip(bs, points_p)
+            ]
+        matrix = _matrix(d, n, entries)
         if s is None:
-            return ScaledMatrix(
-                RationalMatrix.from_rows(rows), Fraction(m - 1, m), ("s_omega",)
-            )
+            return ScaledMatrix(matrix, Fraction(m - 1, m), ("s_omega",))
         if s <= 0:
             raise ValueError("scalar curvature must be positive here")
-        return ScaledMatrix(RationalMatrix.from_rows(rows), Fraction(m - 1, m) * s)
+        return ScaledMatrix(matrix, Fraction(m - 1, m) * s)
 
     if s is None:
         raise ValueError("explicit laplacian data needs a numeric scalar curvature")
     if any(p.laplacian_phi_values is None for p in points_p):
         raise ValueError("mixed Einstein/explicit laplacian data")
-    rows = [
-        [
-            bs[j] * (points_p[j].laplacian_phi_values[i] + s * points_p[j].phi_values[i])
-            for j in range(len(points_p))
-        ]
+    entries = [
+        w * (p.laplacian_phi_values[i] + s * p.phi_values[i])
         for i in range(d)
+        for w, p in zip(bs, points_p)
     ]
-    return ScaledMatrix(RationalMatrix.from_rows(rows))
+    return ScaledMatrix(_matrix(d, n, entries))
 
 
 _RANK_NOTES = {

@@ -42,12 +42,12 @@ def _normalize(terms: Sequence[RadialTerm]) -> tuple[RadialTerm, ...]:
     return tuple(out)
 
 
-def _check_mode(m: int, gamma: int, nontrivial_group: bool) -> None:
+def _check_mode(m: int, gamma: int, no_invariant_linear: bool) -> None:
     if m < 2:
         raise ValueError("m >= 2")
     if gamma < 0:
         raise ValueError("gamma >= 0")
-    if gamma == 1 and nontrivial_group:
+    if gamma == 1 and no_invariant_linear:
         raise ValueError(
             "gamma = 1 carries no invariant function: the group has no "
             "invariant linear function (--nontrivial-group)"
@@ -59,12 +59,12 @@ def outer_extension(
     gamma: int,
     h,
     k,
-    nontrivial_group: bool = False,
+    no_invariant_linear: bool = False,
     allow_log: bool = True,
 ) -> tuple[RadialTerm, ...]:
     """Biharmonic extension to the exterior with H = h, (Lap H) = k on the
     unit sphere, decaying at infinity (log slot at m = 2, gamma = 0)."""
-    _check_mode(m, gamma, nontrivial_group)
+    _check_mode(m, gamma, no_invariant_linear)
     h = frac(h)
     k = frac(k)
     if m == 2 and gamma == 0:
@@ -90,10 +90,10 @@ def inner_extension(
     gamma: int,
     h,
     k,
-    nontrivial_group: bool = False,
+    no_invariant_linear: bool = False,
 ) -> tuple[RadialTerm, ...]:
     """Biharmonic extension to the unit ball with the same boundary data."""
-    _check_mode(m, gamma, nontrivial_group)
+    _check_mode(m, gamma, no_invariant_linear)
     h = frac(h)
     k = frac(k)
     c = k / (4 * (m + gamma))
@@ -190,9 +190,11 @@ class ModeMatrix:
         )
 
 
-def _dtn_image(m: int, gamma: int, h, k, nontrivial_group: bool) -> tuple[Fraction, Fraction]:
-    outer = outer_extension(m, gamma, h, k, nontrivial_group)
-    inner = inner_extension(m, gamma, h, k, nontrivial_group)
+def _dtn_image(
+    m: int, gamma: int, h, k, no_invariant_linear: bool
+) -> tuple[Fraction, Fraction]:
+    outer = outer_extension(m, gamma, h, k, no_invariant_linear)
+    inner = inner_extension(m, gamma, h, k, no_invariant_linear)
     first = radial_derivative_at_one(outer) - radial_derivative_at_one(inner)
     second = radial_derivative_at_one(
         radial_laplacian(outer, m)
@@ -200,15 +202,15 @@ def _dtn_image(m: int, gamma: int, h, k, nontrivial_group: bool) -> tuple[Fracti
     return first, second
 
 
-def dtn_mode_matrix(m: int, gamma: int, nontrivial_group: bool = False) -> ModeMatrix:
+def dtn_mode_matrix(m: int, gamma: int, no_invariant_linear: bool = False) -> ModeMatrix:
     """Mode component of the matching map (h, k) -> jump of the normal
     derivatives of the outer minus inner extension at the unit sphere.
 
     Assembled by exact differentiation of the mode terms; a zero determinant
     would contradict invertibility of the matching map and raises.
     """
-    col_h = _dtn_image(m, gamma, 1, 0, nontrivial_group)
-    col_k = _dtn_image(m, gamma, 0, 1, nontrivial_group)
+    col_h = _dtn_image(m, gamma, 1, 0, no_invariant_linear)
+    col_k = _dtn_image(m, gamma, 0, 1, no_invariant_linear)
     matrix = ModeMatrix(
         m, gamma, ((col_h[0], col_k[0]), (col_h[1], col_k[1]))
     )
@@ -219,9 +221,9 @@ def dtn_mode_matrix(m: int, gamma: int, nontrivial_group: bool = False) -> ModeM
     return matrix
 
 
-def dtn_inverse(m: int, gamma: int, nontrivial_group: bool = False) -> ModeMatrix:
+def dtn_inverse(m: int, gamma: int, no_invariant_linear: bool = False) -> ModeMatrix:
     """Exact 2x2 inverse of the mode matrix."""
-    p = dtn_mode_matrix(m, gamma, nontrivial_group)
+    p = dtn_mode_matrix(m, gamma, no_invariant_linear)
     det = p.determinant
     e = p.entries
     return ModeMatrix(

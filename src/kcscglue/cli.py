@@ -216,8 +216,8 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_dtn(args) -> int:
-    mat = dtn_mode_matrix(args.m, args.gamma, nontrivial_group=args.nontrivial_group)
-    inv = dtn_inverse(args.m, args.gamma, nontrivial_group=args.nontrivial_group)
+    mat = dtn_mode_matrix(args.m, args.gamma, no_invariant_linear=args.nontrivial_group)
+    inv = dtn_inverse(args.m, args.gamma, no_invariant_linear=args.nontrivial_group)
     print(f"mode matrix (m = {args.m}, gamma = {args.gamma}):")
     for row in mat.entries:
         print("  [" + ", ".join(str(x) for x in row) + "]")

@@ -9,12 +9,16 @@ the weight intervals.  A stage that fails is recorded as its section's
 error and ends the run, and ``exit_code`` reads the verdict off the body.
 Reports are plain dicts with every number an exact string, rendered either
 as sorted JSON or as a text table; identical inputs give identical bytes.
+The JSON comes from a small recursive writer, with one join per list of
+strings; its bytes are those of ``json.dumps(report, sort_keys=True,
+indent=2)``, which would run json's pure-Python indenting encoder.  A float
+is never a report value, and the writer rejects one.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
+from json.encoder import encode_basestring_ascii as _json_str
 from types import SimpleNamespace
 from typing import Any, Optional
 
@@ -347,8 +351,61 @@ def build_report(
     }
 
 
+def _write_json(value: Any, indent: str, out: list[str]) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(value, sort_keys=True,
+    indent=2)`` writes it, ``indent`` (a newline and two spaces per level)
+    going before its closing bracket.  Only str, int, bool, None, lists,
+    tuples and dicts with str keys are written; anything else, a float
+    included, is a TypeError."""
+    if isinstance(value, str):
+        out.append(_json_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple, dict)) and not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, (list, tuple)):
+        inner = indent + "  "
+        sep = "," + inner
+        try:  # most report lists hold only strings
+            out.append(f"[{inner}{sep.join(map(_json_str, value))}{indent}]")
+            return
+        except TypeError:
+            pass
+        lead = "[" + inner
+        for item in value:
+            out.append(lead)
+            _write_json(item, inner, out)
+            lead = sep
+        out.append(indent + "]")
+    elif isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("report keys must be str")
+        inner = indent + "  "
+        sep = "," + inner
+        lead = "{" + inner
+        for key in sorted(value):
+            out.append(f"{lead}{_json_str(key)}: ")
+            _write_json(value[key], inner, out)
+            lead = sep
+        out.append(indent + "}")
+    else:
+        raise TypeError(f"{type(value).__name__} is not a report value")
+
+
 def render_json(report: dict[str, Any]) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The report as sorted, 2-space indented ASCII JSON with a final
+    newline: the bytes of ``json.dumps(report, sort_keys=True, indent=2)``,
+    written directly rather than by json's pure-Python indenting encoder."""
+    out: list[str] = []
+    _write_json(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _fmt_row(cells: list[str], widths: list[int]) -> str:

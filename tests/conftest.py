@@ -4,7 +4,8 @@ These deliberately avoid the library's own code paths: cofactor expansion
 for determinants, ranks (by minors) and square solves (Cramer's rule), a
 Fraction Gauss-Jordan reduction for kernels, subset enumeration for
 positive kernel vectors and polytope vertices, the Fraction phase-one
-simplex whose witnesses the integer simplex must reproduce, Fraction arithmetic for
+simplex whose witnesses the integer simplex must reproduce, the balancing
+matrices entry by entry in chained Fraction arithmetic, Fraction arithmetic for
 facet incidence, face dimensions and barycenters, monomial counts for the
 quotient weights of a cone, an explicit symbolic Laplacian on
 integer-coefficient polynomials, a recursive surface-area formula for
@@ -23,7 +24,7 @@ from itertools import combinations, product
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from kcscglue.balancing import PiRational
+from kcscglue.balancing import PiRational, ScaledMatrix
 from kcscglue.exact_linalg import RationalMatrix, Scalar, frac, rational_determinant
 from kcscglue.polytope import LatticePolytope, _pulling_triangulation
 
@@ -255,6 +256,40 @@ def positive_kernel_witness_fraction(
     if any(v != 0 for v in mul_vector(m, x)) or min(x) < 1:
         raise RuntimeError("simplex witness fails M x = 0, x >= 1 (bug)")
     return x
+
+
+def build_xi_fraction(points_q, a) -> RationalMatrix:
+    """The scalar-flat balancing matrix by its formula, entry by entry:
+    (i, l) = a_l * sign(e_l) * phi_i(q_l) / |Gamma_l|."""
+    d = len(points_q[0].phi_values)
+    rows = [
+        [frac(w) * p.e_sign * p.phi_values[i] / p.group_order for w, p in zip(a, points_q)]
+        for i in range(d)
+    ]
+    return RationalMatrix.from_rows(rows)
+
+
+def build_theta_fraction(points_p, b, s, m: int) -> ScaledMatrix:
+    """The Ricci-flat balancing matrix by its formula, entry by entry:
+    b_j phi_i(p_j) with the stripped scale (m-1) s / m under the Einstein
+    flag, b_j (Lap phi_i + s phi_i)(p_j) otherwise."""
+    d = len(points_p[0].phi_values)
+    if all(p.laplacian_phi_values is None for p in points_p):
+        matrix = RationalMatrix.from_rows(
+            [[frac(w) * p.phi_values[i] for w, p in zip(b, points_p)] for i in range(d)]
+        )
+        if s is None:
+            return ScaledMatrix(matrix, Fraction(m - 1, m), ("s_omega",))
+        return ScaledMatrix(matrix, Fraction(m - 1, m) * s)
+    rows = [
+        [
+            frac(w) * (p.laplacian_phi_values[i] + s * p.phi_values[i])
+            for w, p in zip(b, points_p)
+        ]
+        for i in range(d)
+    ]
+    return ScaledMatrix(RationalMatrix.from_rows(rows))
+
 
 def polytope_from_h_rep(normals, offsets) -> LatticePolytope:
     """General vertex enumeration over all dim-subsets of the facets of a

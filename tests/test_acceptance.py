@@ -248,14 +248,14 @@ def test_criterion_6_biharmonic():
         ]
         for m in (2, 3, 4):
             for gamma in (0, 2, 3, 4, 5, 6):
-                mat = dtn_mode_matrix(m, gamma, nontrivial_group=True)
-                inv = dtn_inverse(m, gamma, nontrivial_group=True)
+                mat = dtn_mode_matrix(m, gamma, no_invariant_linear=True)
+                inv = dtn_inverse(m, gamma, no_invariant_linear=True)
                 assert mat.determinant != 0
                 assert mat.compose(inv).entries == ((1, 0), (0, 1))
                 assert inv.compose(mat).entries == ((1, 0), (0, 1))
                 for h, k in samples:
-                    outer = outer_extension(m, gamma, h, k, nontrivial_group=True)
-                    inner = inner_extension(m, gamma, h, k, nontrivial_group=True)
+                    outer = outer_extension(m, gamma, h, k, no_invariant_linear=True)
+                    inner = inner_extension(m, gamma, h, k, no_invariant_linear=True)
                     for terms in (outer, inner):
                         assert evaluate(terms, 1) == h
                         assert evaluate(radial_laplacian(terms, m), 1) == k

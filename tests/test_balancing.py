@@ -1,9 +1,14 @@
+import fractions
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    build_theta_fraction,
+    build_xi_fraction,
     is_zero,
     mul_vector,
     positive_kernel_witness_bruteforce,
@@ -155,6 +160,91 @@ class TestBuildTheta:
         lhs = scaled(t1.matrix, t1.scale)
         rhs = scaled(t2.matrix, t2.scale)
         assert lhs == rhs
+
+
+RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+WEIGHTS = st.one_of(
+    st.integers(-3, 5), st.fractions(min_value=-4, max_value=4, max_denominator=9)
+)
+
+
+@st.composite
+def point_sets(draw, kind):
+    """Points of one kind with a common d (0 to 3), phi values that are
+    negative, zero or positive, and one weight per point."""
+    d = draw(st.integers(0, 3))
+    n = draw(st.integers(1, 6))
+    explicit = kind == RICCI_FLAT and draw(st.booleans())
+    points = [
+        SingularPointRecord(
+            label=f"p{j}",
+            kind=kind,
+            group_order=draw(st.integers(1, 12)),
+            phi_values=tuple(draw(RATIONALS) for _ in range(d)),
+            laplacian_phi_values=(
+                tuple(draw(RATIONALS) for _ in range(d)) if explicit else None
+            ),
+            e_sign=draw(st.sampled_from([1, -1])) if kind == SCALAR_FLAT else None,
+        )
+        for j in range(n)
+    ]
+    unit = draw(st.booleans())
+    weights = [1] * n if unit else [draw(WEIGHTS) for _ in range(n)]
+    return points, weights
+
+
+class TestMatricesAgainstFormulas:
+    """build_xi and build_theta equal their chained-Fraction formulas."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(point_sets(SCALAR_FLAT))
+    def test_xi(self, drawn):
+        points, a = drawn
+        assert build_xi(points, a) == build_xi_fraction(points, a)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        point_sets(RICCI_FLAT),
+        st.one_of(st.none(), st.fractions(min_value=0, max_denominator=5).filter(bool)),
+        st.integers(2, 5),
+    )
+    def test_theta(self, drawn, s, m):
+        points, b = drawn
+        if points[0].laplacian_phi_values is not None and s is None:
+            s = Fraction(3, 2)
+        assert build_theta(points, b, s, m) == build_theta_fraction(points, b, s, m)
+
+    @staticmethod
+    def fraction_calls(build, *args):
+        """The result of build(*args) and the names of the fractions-module
+        functions it called."""
+        seen = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == fractions.__file__:
+                seen.add(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            result = build(*args)
+        finally:
+            sys.setprofile(None)
+        return result, seen
+
+    def test_no_fraction_arithmetic(self):
+        # Each entry is one Fraction(numerator, denominator); no Fraction
+        # operator runs, only comparisons of weights and scale.
+        q = [q_point("q1", (1, Fraction(-2, 3))), q_point("q2", (0, 5), -1, 3)]
+        p = [p_point("p1", (1, Fraction(-2, 3))), p_point("p2", (0, 5))]
+        w = [Fraction(3, 4), 2]
+        xi, seen_xi = self.fraction_calls(build_xi, q, w)
+        theta, seen_theta = self.fraction_calls(build_theta, p, w, None, 3)
+        assert xi == build_xi_fraction(q, w)
+        assert theta == build_theta_fraction(p, w, None, 3)
+        assert seen_xi <= {"__new__", "numerator", "denominator"}
+        assert seen_theta <= {
+            "__new__", "numerator", "denominator", "__eq__", "__le__", "_richcmp"
+        }
 
 
 class TestRicciFlatBalancing:

@@ -42,8 +42,8 @@ class TestOuterExtension:
 
     def test_mode_one_rejected_for_nontrivial_group(self):
         with pytest.raises(ValueError):
-            outer_extension(3, 1, 1, 0, nontrivial_group=True)
-        outer_extension(3, 1, 1, 0)  # fine when the group is trivial
+            outer_extension(3, 1, 1, 0, no_invariant_linear=True)
+        outer_extension(3, 1, 1, 0)  # fine when a linear function is invariant
 
 
 class TestInnerExtension:
@@ -151,7 +151,7 @@ class TestModeMatrix:
 
     def test_gamma_one_gate(self):
         with pytest.raises(ValueError):
-            dtn_mode_matrix(3, 1, nontrivial_group=True)
+            dtn_mode_matrix(3, 1, no_invariant_linear=True)
         assert dtn_mode_matrix(3, 1).determinant != 0
 
 
@@ -161,8 +161,8 @@ class TestInverse:
         for gamma in range(0, 7):
             if gamma == 1:
                 continue
-            p = dtn_mode_matrix(m, gamma, nontrivial_group=True)
-            q = dtn_inverse(m, gamma, nontrivial_group=True)
+            p = dtn_mode_matrix(m, gamma, no_invariant_linear=True)
+            q = dtn_inverse(m, gamma, no_invariant_linear=True)
             assert p.compose(q).entries == ((1, 0), (0, 1))
             assert q.compose(p).entries == ((1, 0), (0, 1))
 

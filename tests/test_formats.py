@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kcscglue.balancing import RICCI_FLAT, SCALAR_FLAT, SingularPointRecord
 from kcscglue.examples import embedded_examples, example_by_name
 from kcscglue.formats import (
+    FanFile,
+    OrbifoldFile,
     ParseError,
     parse_fan,
     parse_orbifold,
@@ -133,6 +137,75 @@ class TestRoundTrip:
         assert first.points[0].e_sign == -1
         assert first.points[1].c_gamma == 3
         assert parse_orbifold(serialize_orbifold(first)) == first
+
+
+# Labels are single tokens without '#' (a comment) or ']' (the end of a
+# cone's index list); they may leave ASCII.
+LABELS = st.text(st.sampled_from("abcQPCxyz019_-+.'=éüλΩ∞€𝔽"), min_size=1, max_size=6)
+RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+POSITIVE = st.fractions(min_value=0, max_value=20, max_denominator=12).filter(bool)
+
+
+@st.composite
+def fan_files(draw) -> FanFile:
+    dim = draw(st.integers(2, 4))
+    rays = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * dim), min_size=1, max_size=6))
+    cones = draw(
+        st.lists(
+            st.lists(st.integers(0, len(rays) - 1), min_size=1, max_size=dim).map(tuple),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    labels = draw(st.lists(LABELS, min_size=len(cones), max_size=len(cones)))
+    k = draw(st.one_of(st.none(), st.integers(1, 5)))
+    return FanFile(
+        dim=dim, rays=tuple(rays), max_cones=tuple(cones), k=k, labels=tuple(labels)
+    )
+
+
+@st.composite
+def orbifold_files(draw) -> OrbifoldFile:
+    d = draw(st.integers(1, 3))
+    einstein = draw(st.booleans())
+    points = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from([RICCI_FLAT, SCALAR_FLAT]))
+        dphi = None
+        if not einstein and (kind == RICCI_FLAT or draw(st.booleans())):
+            dphi = tuple(draw(RATIONALS) for _ in range(d))
+        sign = draw(st.sampled_from([1, -1]))
+        points.append(
+            SingularPointRecord(
+                label=draw(LABELS),
+                kind=kind,
+                group_order=draw(st.integers(1, 24)),
+                phi_values=tuple(draw(RATIONALS) for _ in range(d)),
+                laplacian_phi_values=dphi,
+                e_sign=sign if kind == SCALAR_FLAT or draw(st.booleans()) else None,
+                e_magnitude=draw(st.one_of(st.none(), POSITIVE)),
+                c_gamma=draw(st.one_of(st.none(), POSITIVE)),
+            )
+        )
+    return OrbifoldFile(
+        m=draw(st.integers(2, 5)),
+        d=d,
+        s=draw(st.one_of(st.none(), RATIONALS)),
+        einstein=einstein,
+        points=tuple(points),
+    )
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(fan_files())
+def test_fan_round_trip(fan):
+    assert parse_fan(serialize_fan(fan)) == fan
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(orbifold_files())
+def test_orbifold_round_trip(orb):
+    assert parse_orbifold(serialize_orbifold(orb)) == orb
 
 
 def test_sniff_kind():

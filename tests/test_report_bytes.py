@@ -5,9 +5,10 @@ the digest recorded here, so a refactor of the pipeline that changes one
 byte of any report fails.  The inputs cover the bundled examples, two fans
 whose polytopes have fractional vertices (a sheared 3-d product fan with
 charts of order 3, and a 2-d cyclic fan with a nonzero barycenter), each
-balancing outcome of both regimes, and reports that stop early: an invalid
-fan and fans whose polytope stage records an error.  Only a deliberate
-change to a report's content may update a digest.
+balancing outcome of both regimes, point labels outside ASCII (escaped as
+``\\u`` sequences, an astral one as a surrogate pair), and reports that
+stop early: an invalid fan and fans whose polytope stage records an error.
+Only a deliberate change to a report's content may update a digest.
 """
 
 import hashlib
@@ -95,6 +96,17 @@ point P2 ricci_flat order=2 phi=[-1, 0] dphi=[1, 1]
 point P3 ricci_flat order=2 phi=[0, 1] dphi=[0, -2]
 point P4 ricci_flat order=2 phi=[0, -1] dphi=[1, 0]
 """,
+        # labels outside ASCII, one of them astral: the report escapes them
+        "non-ascii-label.orb": """\
+m 2
+d 2
+s positive
+einstein no
+point Qé scalar_flat order=2 e_sign=+1 e_mag=1/2 phi=[1, 0]
+point Qü scalar_flat order=2 e_sign=+1 phi=[0, 1]
+point Q∞ scalar_flat order=2 e_sign=+1 phi=[-1, -1]
+point P𝔽 ricci_flat order=3 phi=[0, 1] dphi=[0, -1]
+""",
         # error-shaped reports: a recorded polytope error, an invalid fan
         "incomplete-p2.fan": P2_RAYS + "cone [1, 2]\ncone [2, 3]\n",
         "p2-no-k.fan": P2_RAYS.replace("k 1\n", "") + P2_CONES,
@@ -108,6 +120,7 @@ DIGESTS = {
     "einstein-no-witness.orb": "d05d5bb62b6a33ba5f246f50a423652bea89a7e0b2942848fbd454fb2eb9848f",
     "incomplete-p2.fan": "de4b1050d1f4a6f9dab1707b1927737a03b41e4f1a12174873d4c5c010fa18ac",
     "explicit-laplacian.orb": "5044cad617314781d78b525facad5eaf883b2a72c6aba2eb901e137c22e1433e",
+    "non-ascii-label.orb": "764476004ea9fd6ecea3b7f7c1c356ba79905661ff0b6d6aef94d2f9ca25a04a",
     "numeric-s.orb": "e184874edb507267bdba9490949d23b82932494a98d12137b846b7fa21ec39a4",
     "overlapping-p2.fan": "f3b66c1e0f35198fd2c72d0304c0acecf74d694f58be85ff9fd45fc752047fc2",
     "p1xp1-z2.orb": "ea784b7c80e2b81a65ffeab5082ca36931bd951f4208136de8e8679aa5ca4199",
