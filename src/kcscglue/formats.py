@@ -1,7 +1,8 @@
 """Input file parsing and serialization.
 
 Both formats are line-oriented `key value` records with exact integer and
-p/q rational literals; decimal floats are rejected by construction.  Fan
+p/q rational literals; every rational is read by one ASCII grammar, so
+decimals are rejected by construction and on every interpreter.  Fan
 files carry rays and maximal cones (1-based ray indices, optional labels);
 orbifold files carry the kernel dimension, scalar curvature (exact or
 `positive`), the Einstein flag and one `point` record per singular point.
@@ -51,6 +52,10 @@ class OrbifoldFile:
 
 _LIST_RE = re.compile(r"^\[(.*)\]$", re.DOTALL)
 _ATTR_RE = re.compile(r"(\w+)=(\[[^\]]*\]|\S+)")
+# The one rational literal: ASCII digits, an optional sign and denominator.
+# Fraction(str) would also take decimals, exponents, underscores, spaces
+# around the slash and non-ASCII digits, some only on newer interpreters.
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def _strip_comment(line: str) -> str:
@@ -75,6 +80,18 @@ def _parse_int_list(text: str, errors: list, lineno: int, what: str) -> Optional
     return out
 
 
+def _rational(text: str) -> Optional[Fraction]:
+    """The exact rational a literal names, or None if it is not one (a zero
+    denominator included)."""
+    text = text.strip()
+    if not _RATIONAL_RE.fullmatch(text):
+        return None
+    num, _, den = text.partition("/")
+    if den and int(den) == 0:
+        return None
+    return Fraction(int(num), int(den or 1))
+
+
 def _parse_rational_list(
     text: str, errors: list, lineno: int, what: str
 ) -> Optional[list[Fraction]]:
@@ -85,14 +102,11 @@ def _parse_rational_list(
     items = [t.strip() for t in m.group(1).split(",") if t.strip()]
     out = []
     for t in items:
-        if "." in t or "e" in t.lower():
+        x = _rational(t)
+        if x is None:
             errors.append(f"line {lineno}: {what} entry {t!r} is not an exact rational")
             return None
-        try:
-            out.append(Fraction(t))
-        except (ValueError, ZeroDivisionError):
-            errors.append(f"line {lineno}: {what} entry {t!r} is not an exact rational")
-            return None
+        out.append(x)
     return out
 
 
@@ -218,15 +232,9 @@ def parse_orbifold(text: str) -> OrbifoldFile:
                 errors.append(f"line {lineno}: d must be an integer")
         elif key == "s":
             s_seen = True
-            if rest == "positive":
-                s = None
-            else:
-                try:
-                    s = Fraction(rest)
-                except (ValueError, ZeroDivisionError):
-                    errors.append(
-                        f"line {lineno}: s must be an exact rational or 'positive'"
-                    )
+            s = None if rest == "positive" else _rational(rest)
+            if s is None and rest != "positive":
+                errors.append(f"line {lineno}: s must be an exact rational or 'positive'")
         elif key == "einstein":
             if rest in ("yes", "true"):
                 einstein = True

@@ -2,9 +2,11 @@
 
 The k-anticanonical polytope of a complete simplicial fan is the region
 <u, v_rho> >= -k over all rays.  Vertices come one per maximal cone (the
-moment image of the chart's torus-fixed point), each one integer solve,
-kept on the polytope as the moment correspondence; faces come from facet
-incidence through a face lattice built once per polytope; barycenters are
+moment image of the chart's torus-fixed point), each -k times the cone's
+cached height-one solve, kept on the polytope as the moment
+correspondence; faces come from facet incidence through a face lattice
+built once per polytope, whose face dimensions are bounded from the
+lattice and take a rank only where the bounds differ; barycenters are
 exact volume-weighted centroids over a pulling triangulation of it.  All of
 this is scaled-integer arithmetic on (D, D * vertices), D the lcm of the
 vertex denominators, kept once per polytope; only the output is Fractions.
@@ -23,7 +25,6 @@ from .exact_linalg import (
     frac,
     integer_determinant,
     integer_rank,
-    integer_solve,
     positive_kernel_witness,
 )
 from .toric_lattice import Cone, Fan
@@ -67,25 +68,63 @@ class LatticePolytope:
     @cached_property
     def face_lattice(self) -> dict[frozenset[int], int]:
         """All faces as vertex-index sets (via facet-intersection closure),
-        mapped to their affine dimension, the integer rank of their edge
-        rows.  Includes the polytope itself.  Facet i holds the vertices
-        with <normal_i, D v> = D offset_i."""
+        mapped to their affine dimension.  Includes the polytope itself.
+        Facet i holds the vertices with <normal_i, D v> = D offset_i.
+
+        A facet set H not containing a face F misses a vertex of F, which
+        lies off H's hyperplane, so dim(F & H) < dim F.  So lo(F) = 1 + max
+        lo(F & H), lo(empty) = -1, is a lower bound, and dim minus the longest
+        chain of such cuts from the top an upper one.  They meet when the
+        vertex list is every vertex of the polytope, as for a complete fan:
+        each face is the intersection of the facets containing it, and each
+        facet of F is some F & H (Ziegler, Lectures on Polytopes, 2.2).  A
+        face where they differ takes the integer rank of its edge rows.
+        """
         d, scaled = self.integer_vertices
+        if not scaled:
+            return {frozenset(): -1}
         facets = {
-            frozenset(
-                i
+            sum(
+                1 << i
                 for i, v in enumerate(scaled)
                 if sum(a * b for a, b in zip(n, v)) * o.denominator == o.numerator * d
             )
             for n, o in zip(self.facet_normals, self.facet_offsets)
         }
-        found: set[frozenset[int]] = {frozenset(range(len(self.vertices)))}
-        frontier = {f for f in facets if f}
-        found |= frontier
+        facets.discard(0)
+        found = {(1 << len(scaled)) - 1} | facets
+        frontier = facets
         while frontier:
             frontier = {f & g for f in frontier for g in facets if f & g} - found
             found |= frontier
-        return {f: integer_rank(_edges([scaled[i] for i in f])) if f else -1 for f in found}
+        by_size = sorted(found, key=int.bit_count)
+        # cuts[F]: the F & H with H not containing F, the empty one included
+        lo, cuts = {0: -1}, {}
+        for f in by_size:
+            cuts[f] = [f & h for h in facets if f & h != f]
+            lo[f] = 1 + max([lo[g] for g in cuts[f]], default=-1)
+        hi = dict.fromkeys(found, self.dim)
+        for f in reversed(by_size):
+            for g in cuts[f]:
+                if g and hi[g] >= hi[f]:
+                    hi[g] = hi[f] - 1
+        lattice = {}
+        for f in by_size:
+            face = _bits(f)
+            lattice[frozenset(face)] = (
+                lo[f] if lo[f] == hi[f] else integer_rank(_edges([scaled[i] for i in face]))
+            )
+        return lattice
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _edges(points: Sequence[tuple[int, ...]]) -> list[list[int]]:
@@ -108,10 +147,11 @@ def vertex_for_cone(fan: Fan, k: int, cone: Cone) -> QVector:
     This is the moment image of the torus-fixed point of the cone's chart;
     it must satisfy every facet inequality of the k-anticanonical polytope.
     """
-    try:
-        num, p = integer_solve(cone.generators, [-k] * len(cone.generators))
-    except ValueError:
+    if cone.height_one is None:
         raise ValueError("degenerate cone: singular vertex system")
+    # u = -k times the cone's height-one covector, over the same p
+    unit, p = cone.height_one
+    num = [-k * x for x in unit]
     u = tuple(Fraction(x, p) for x in num)
     for ray in fan.rays:
         # <ray, u> + k = (<ray, num> + k p) / p, negative iff a violation

@@ -7,16 +7,19 @@ type of the package: cyclic orders plus diagonal action weights read off
 the unimodular factors.  Its order, classification (smooth, SU(m) --
 Gorenstein, crepant-resolvable candidates -- or U(m)-non-SU) and isolation
 are derived from the presentation by closed forms, never by enumerating
-Gamma.
+Gamma.  A fan builds each cone once, and each cone solves <u, v_i> = 1 once;
+that one elimination gives the cone's validity, its order |det|, its
+Gorenstein covector and its moment vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
-from .exact_linalg import integer_determinant, integer_solve, smith_normal_form
+from .exact_linalg import integer_solve, smith_normal_form
 
 IntVector = tuple[int, ...]
 
@@ -45,6 +48,18 @@ class Cone:
         m = self.ambient_dim
         return [[g[i] for g in self.generators] for i in range(m)]
 
+    @cached_property
+    def height_one(self) -> Optional[tuple[list[int], int]]:
+        """The solve of <u, v_i> = 1 over the generators, once per cone, as
+        (numerators, p) with u = numerators / p and |p| = |det|; None when
+        the system is singular or not square.  Every Bareiss step is linear
+        in the right-hand side, so the solve at height -k is -k times these
+        numerators over the same p."""
+        try:
+            return integer_solve(self.generators, [1] * len(self.generators))
+        except ValueError:
+            return None
+
 
 @dataclass(frozen=True)
 class Fan:
@@ -62,9 +77,17 @@ class Fan:
             )
         if len(self.labels) != len(self.max_cones):
             raise ValueError("one label per maximal cone required")
+        object.__setattr__(self, "_cones", {})
 
     def cone(self, index: int) -> Cone:
-        return Cone(tuple(self.rays[i] for i in self.max_cones[index]))
+        """The index-th maximal cone, built once per fan, so that what a cone
+        caches is shared by every stage of a report."""
+        cone = self._cones.get(index)
+        if cone is None:
+            cone = self._cones[index] = Cone(
+                tuple(self.rays[i] for i in self.max_cones[index])
+            )
+        return cone
 
     def cones(self) -> Iterator[tuple[str, Cone]]:
         for i in range(len(self.max_cones)):
@@ -190,21 +213,18 @@ def validate_fan(fan: Fan) -> FanValidation:
                 "(not full-dimensional simplicial)"
             )
             continue
-        cone = fan.cone(i)
-        if integer_determinant(cone.generator_matrix()) == 0:
+        if fan.cone(i).height_one is None:
             violations.append(f"cone {label}: generators are linearly dependent")
     return FanValidation(valid=not violations, violations=tuple(violations))
 
 
 def cone_index(cone: Cone) -> int:
-    """|Gamma| = |det| of the generator matrix."""
-    m = cone.ambient_dim
-    if len(cone.generators) != m:
+    """|Gamma| = |det| of the generator matrix, read off the height-one solve."""
+    if len(cone.generators) != cone.ambient_dim:
         raise ValueError("cone is not full-dimensional")
-    det = integer_determinant(cone.generator_matrix())
-    if det == 0:
+    if cone.height_one is None:
         raise ValueError("degenerate cone: zero determinant")
-    return abs(det)
+    return abs(cone.height_one[1])
 
 
 def quotient_action(cone: Cone) -> GroupPresentation:
@@ -222,10 +242,11 @@ def quotient_action(cone: Cone) -> GroupPresentation:
     snf = smith_normal_form(cone.generator_matrix())
     v_inv = snf.v_inv
     # The weights are read off V^{-1}, so it must really invert V.
+    columns = tuple(zip(*v_inv))
     if any(
-        sum(snf.v[i][k] * v_inv[k][j] for k in range(m)) != (i == j)
-        for i in range(m)
-        for j in range(m)
+        sum(a * b for a, b in zip(row, col)) != (i == j)
+        for i, row in enumerate(snf.v)
+        for j, col in enumerate(columns)
     ):
         raise RuntimeError("Smith normal form: V^{-1} is not the inverse of V (bug)")
     factors: list[int] = []
@@ -253,10 +274,9 @@ def quotient_action(cone: Cone) -> GroupPresentation:
 
 def gorenstein_covector(cone: Cone) -> Optional[IntVector]:
     """Integer covector u with <u, v_i> = 1 for all generators, if any."""
-    try:
-        num, p = integer_solve(cone.generators, [1] * cone.ambient_dim)
-    except ValueError:
+    if cone.height_one is None:
         raise ValueError("degenerate cone: singular generator system")
+    num, p = cone.height_one
     if all(x % p == 0 for x in num):
         return tuple(x // p for x in num)
     return None

@@ -6,7 +6,9 @@ Fraction Gauss-Jordan reduction for kernels, subset enumeration for
 positive kernel vectors and polytope vertices, the Fraction phase-one
 simplex whose witnesses the integer simplex must reproduce, the balancing
 matrices entry by entry in chained Fraction arithmetic, Fraction arithmetic for
-facet incidence, face dimensions and barycenters, monomial counts for the
+facet incidence, face dimensions and barycenters, the face lattice with
+one edge-rank elimination per face (checked after every test against each
+face lattice the test built), monomial counts for the
 quotient weights of a cone, an explicit symbolic Laplacian on
 integer-coefficient polynomials, a recursive surface-area formula for
 sphere volumes, face smoothness by maximal minors for isolated cones, and,
@@ -24,8 +26,16 @@ from itertools import combinations, product
 from math import gcd, lcm
 from typing import Optional, Sequence
 
+import pytest
+
 from kcscglue.balancing import PiRational, ScaledMatrix
-from kcscglue.exact_linalg import RationalMatrix, Scalar, frac, rational_determinant
+from kcscglue.exact_linalg import (
+    RationalMatrix,
+    Scalar,
+    frac,
+    integer_rank,
+    rational_determinant,
+)
 from kcscglue.polytope import LatticePolytope, _pulling_triangulation
 
 
@@ -314,6 +324,50 @@ def polytope_from_h_rep(normals, offsets) -> LatticePolytope:
         facet_offsets=tuple(offs),
         vertices=vertices,
     )
+
+
+def face_lattice_by_edge_rank(p: LatticePolytope) -> dict[frozenset[int], int]:
+    """Faces by facet-intersection closure, each mapped to the integer rank of
+    its edge rows: one elimination per face, with no bound from the lattice."""
+    d, scaled = p.integer_vertices
+    facets = {
+        frozenset(
+            i
+            for i, v in enumerate(scaled)
+            if sum(a * b for a, b in zip(n, v)) * o.denominator == o.numerator * d
+        )
+        for n, o in zip(p.facet_normals, p.facet_offsets)
+    }
+    found: set[frozenset[int]] = {frozenset(range(len(p.vertices)))}
+    frontier = {f for f in facets if f}
+    found |= frontier
+    while frontier:
+        frontier = {f & g for f in frontier for g in facets if f & g} - found
+        found |= frontier
+    return {
+        f: integer_rank([[x - b for x, b in zip(scaled[i], scaled[min(f)])] for i in f])
+        if f
+        else -1
+        for f in found
+    }
+
+
+@pytest.fixture(autouse=True)
+def face_lattices_match_edge_rank(monkeypatch):
+    """Every face lattice a test builds equals face_lattice_by_edge_rank.
+    It is compared after the test, so timed regions see the library alone."""
+    prop = LatticePolytope.__dict__["face_lattice"]
+    built = []
+
+    def recorded(p, build=prop.func):
+        lattice = build(p)
+        built.append((p, lattice))
+        return lattice
+
+    monkeypatch.setattr(prop, "func", recorded)
+    yield
+    for p, lattice in built:
+        assert lattice == face_lattice_by_edge_rank(p)
 
 
 def facet_incidence_fraction(p: LatticePolytope) -> tuple[tuple[int, ...], ...]:

@@ -186,6 +186,12 @@ class TestPolytopeStageErrors:
             "error: polytope: cone vertex (-1, -1) violates facet of ray (1, 1)\n"
         )
 
+    def test_checked_in_decimal_s_fixture(self, capsys):
+        assert main(["report", str(FIXTURES / "decimal-s.orb")]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 5: s must be an exact rational or 'positive'\n"
+        )
+
     def test_polytope_on_invalid_fan(self, tmp_path, capsys):
         p = tmp_path / "one-ray-cone.fan"
         p.write_text(P2_FAN + "cone [1]\n")

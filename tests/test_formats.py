@@ -115,6 +115,82 @@ class TestParseOrbifold:
         assert any("expected d=2" in e for e in err.value.errors)
 
 
+# Orbifold files with one rational literal at {x}, and the line it is on.
+# e_mag and c_gamma are key=value attributes, which end at a space, and
+# must be positive.
+RATIONAL_FIELDS = {
+    "s": ("m 2\nd 1\ns {x}\neinstein yes\npoint P ricci_flat order=2 phi=[1]\n", 3),
+    "phi": ("m 2\nd 1\ns 1\neinstein yes\npoint P ricci_flat order=2 phi=[{x}]\n", 5),
+    "dphi": (
+        "m 2\nd 1\ns 1\neinstein no\npoint P ricci_flat order=2 phi=[1] dphi=[{x}]\n",
+        5,
+    ),
+    "e_mag": (
+        "m 2\nd 1\ns 1\neinstein no\n"
+        "point Q scalar_flat order=2 e_sign=+ e_mag={x} phi=[1]\n",
+        5,
+    ),
+    "c_gamma": (
+        "m 2\nd 1\ns 1\neinstein yes\npoint P ricci_flat order=2 c_gamma={x} phi=[1]\n",
+        5,
+    ),
+}
+NOT_RATIONAL = (
+    "0.5", "1e-3", "1_0", "1 / 2", "\u0663", "\uff11", "1/0", "-3/0", "1/", "/2",
+    "3/-2", "+-1", ".5", "1.", "0x1", "inf", "nan", "1/2/3",
+)
+RATIONAL = {
+    "3": Fraction(3),
+    "+3": Fraction(3),
+    "-1/2": Fraction(-1, 2),
+    "007": Fraction(7),
+    "6/4": Fraction(3, 2),
+    "-0": Fraction(0),
+    "-0/5": Fraction(0),
+}
+
+
+def _rational_cases(literals):
+    return [
+        (field, x)
+        for field in RATIONAL_FIELDS
+        for x in literals
+        if not (field in ("e_mag", "c_gamma") and (" " in x or x.startswith("-")))
+    ]
+
+
+class TestRationalGrammar:
+    """One ASCII grammar, [+-]?[0-9]+(/[0-9]+)?, for s, phi, dphi, e_mag and
+    c_gamma, so a file gets the same verdict on every interpreter: Python's
+    Fraction(str) takes decimals and exponents everywhere, underscores from
+    3.11 on, spaces around the slash from 3.12 on, and non-ASCII digits."""
+
+    @pytest.mark.parametrize("field, literal", _rational_cases(NOT_RATIONAL))
+    def test_rejected(self, field, literal):
+        template, line = RATIONAL_FIELDS[field]
+        with pytest.raises(ParseError) as err:
+            parse_orbifold(template.format(x=literal))
+        if field == "s":
+            message = "s must be an exact rational or 'positive'"
+        else:
+            message = f"{field} entry {literal!r} is not an exact rational"
+        assert list(err.value.errors) == [f"line {line}: {message}"]
+
+    @pytest.mark.parametrize("field, literal", _rational_cases(RATIONAL))
+    def test_accepted(self, field, literal):
+        template, _ = RATIONAL_FIELDS[field]
+        o = parse_orbifold(template.format(x=literal))
+        point = o.points[0]
+        value = {
+            "s": o.s,
+            "phi": point.phi_values[0],
+            "dphi": (point.laplacian_phi_values or (None,))[0],
+            "e_mag": point.e_magnitude,
+            "c_gamma": point.c_gamma,
+        }[field]
+        assert value == RATIONAL[literal]
+
+
 class TestRoundTrip:
     def test_all_bundled_inputs(self):
         for ex in embedded_examples():

@@ -4,15 +4,18 @@ from itertools import product
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     affine_dim_fraction,
     barycenter_fraction,
     face_dims_by_tight_facets,
+    face_lattice_by_edge_rank,
     facet_incidence_fraction,
     polytope_from_h_rep,
     solve_cramer,
 )
+from kcscglue import polytope
 from kcscglue.examples import example_by_name
 from kcscglue.exact_linalg import integer_determinant, unimodular_inverse
 from kcscglue.formats import parse_fan
@@ -26,7 +29,7 @@ from kcscglue.polytope import (
     subset_barycenter,
     vertex_for_cone,
 )
-from kcscglue.toric_lattice import Cone, Fan
+from kcscglue.toric_lattice import Cone, Fan, validate_fan
 
 X1 = parse_fan(example_by_name("x1").text).to_fan()
 X4 = parse_fan(example_by_name("x4").text).to_fan()
@@ -374,3 +377,94 @@ def test_integer_polytope_layer_checks_still_fire():
     incomplete = Fan(dim=2, rays=P2_FAN.rays, max_cones=P2_FAN.max_cones[:2])
     with pytest.raises(DegeneratePolytopeError, match="not full-dimensional"):
         polytope_barycenter(anticanonical_polytope(incomplete, 1))
+
+
+def _cube_fan(m, keep=lambda signs: True):
+    """(P^1)^m: rays +-e_i, one cone per sign vector (0 for +e_i) it keeps."""
+    rays = tuple(
+        tuple(s * int(i == j) for j in range(m)) for i in range(m) for s in (1, -1)
+    )
+    cones = tuple(
+        tuple(2 * i + s for i, s in enumerate(signs))
+        for signs in product((0, 1), repeat=m)
+        if keep(signs)
+    )
+    return Fan(dim=m, rays=rays, max_cones=cones)
+
+
+# Cone lists that pass validate_fan but are not fans: their polytopes miss
+# vertices of the region, so some face dimensions are not fixed by the
+# lattice bounds and come from the rank fallback.
+NON_FANS = {
+    "alternating octants": _cube_fan(3, lambda signs: sum(signs) % 2 == 0),
+    "alternating hexagon": Fan(
+        dim=2,
+        rays=((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)),
+        max_cones=((0, 1), (2, 3), (4, 5)),
+    ),
+    "(P^1)^4 missing alternate vertices of a facet": _cube_fan(
+        4, lambda signs: signs[0] == 1 or sum(signs[1:]) % 2 == 0
+    ),
+}
+
+
+def _counting_rank(monkeypatch):
+    calls = []
+
+    def counted(a, rank=polytope.integer_rank):
+        calls.append(len(a))
+        return rank(a)
+
+    monkeypatch.setattr(polytope, "integer_rank", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(NON_FANS))
+def test_face_lattice_of_non_fans(name, monkeypatch):
+    fan = NON_FANS[name]
+    assert validate_fan(fan).valid
+    p = anticanonical_polytope(fan, 1)
+    calls = _counting_rank(monkeypatch)
+    assert p.face_lattice == face_lattice_by_edge_rank(p)
+    # the bounds cannot settle every face here: the rank fallback ran
+    assert calls
+
+
+def test_face_lattice_takes_no_rank_on_fans(monkeypatch):
+    rng = random.Random(3)
+    fans = [(X1, 3), (X4, 5), (P2_FAN, 1), (F1_FAN, 1), (_cube_fan(4), 1)]
+    fans += [(_sheared_product_fan(rng, m, r), 1) for m in (3, 5) for r in (2, 3, 5)]
+    polytopes = [anticanonical_polytope(fan, k) for fan, k in fans]
+    calls = _counting_rank(monkeypatch)
+    for p in polytopes:
+        lattice = p.face_lattice
+        assert lattice[frozenset(range(len(p.vertices)))] == p.dim
+    assert calls == []
+
+
+@st.composite
+def h_rep_polytopes(draw):
+    """A box [-b, b]^m cut by up to three half-spaces <n, u> >= -c, c > 0."""
+    m = draw(st.integers(2, 3))
+    b = draw(st.integers(1, 3))
+    normals = [tuple(s * int(i == j) for j in range(m)) for i in range(m) for s in (1, -1)]
+    offsets = [Fraction(-b)] * (2 * m)
+    for _ in range(draw(st.integers(0, 3))):
+        n = tuple(draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m)))
+        if any(n):
+            normals.append(n)
+            offsets.append(-Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 3))))
+    return polytope_from_h_rep(normals, offsets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(h_rep_polytopes())
+def test_face_lattice_matches_edge_rank_on_h_rep_polytopes(p):
+    """Every vertex of the region is listed, so the bounds meet on each face
+    of a full-dimensional polytope and no face takes a rank."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_rank(mp)
+        lattice = p.face_lattice
+    assert lattice == face_lattice_by_edge_rank(p)
+    assert lattice[frozenset(range(len(p.vertices)))] == p.dim
+    assert calls == []

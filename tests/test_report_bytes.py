@@ -8,10 +8,15 @@ charts of order 3, and a 2-d cyclic fan with a nonzero barycenter), each
 balancing outcome of both regimes, point labels outside ASCII (escaped as
 ``\\u`` sequences, an astral one as a surrogate pair), and reports that
 stop early: an invalid fan and fans whose polytope stage records an error.
+Three cone lists that are not fans but pass validation -- alternate
+octants of (P^1)^3, alternate cones of the hexagon fan, and (P^1)^4 without
+alternate vertices of one facet -- pin the faces whose dimension the face
+lattice cannot bound and takes by rank.
 Only a deliberate change to a report's content may update a digest.
 """
 
 import hashlib
+from itertools import product
 
 import pytest
 
@@ -21,6 +26,15 @@ from kcscglue.report import build_report, render_json
 
 P2_RAYS = "dim 2\nk 1\nray [1, 0]\nray [0, 1]\nray [-1, -1]\n"
 P2_CONES = "cone [1, 2]\ncone [2, 3]\ncone [3, 1]\n"
+CUBE3_RAYS = (
+    "dim 3\nk 1\nray [1, 0, 0]\nray [-1, 0, 0]\nray [0, 1, 0]\nray [0, -1, 0]\n"
+    "ray [0, 0, 1]\nray [0, 0, -1]\n"
+)
+CUBE4_RAYS = "dim 4\nk 1\n" + "".join(
+    f"ray [{', '.join(str(s * (j == i)) for j in range(4))}]\n"
+    for i in range(4)
+    for s in (1, -1)
+)
 INPUTS = {ex.filename: ex.text for ex in embedded_examples()}
 INPUTS.update(
     {
@@ -112,10 +126,35 @@ point P𝔽 ricci_flat order=3 phi=[0, 1] dphi=[0, -1]
         "p2-no-k.fan": P2_RAYS.replace("k 1\n", "") + P2_CONES,
         "overlapping-p2.fan": P2_RAYS + "ray [1, 1]\n" + P2_CONES + "cone [1, 4]\n",
         "three-generator-cone.fan": P2_RAYS + "cone [1, 2, 3]\ncone [2, 3]\ncone [3, 1]\n",
+        # not fans, yet valid: their polytopes miss vertices of the region
+        "alternating-octants.fan": CUBE3_RAYS
+        + "cone [1, 3, 5]\ncone [1, 4, 6]\ncone [2, 3, 6]\ncone [2, 4, 5]\n",
+        "alternating-hexagon.fan": """\
+dim 2
+k 1
+ray [1, 0]
+ray [1, 1]
+ray [0, 1]
+ray [-1, 0]
+ray [-1, -1]
+ray [0, -1]
+cone [1, 2]
+cone [3, 4]
+cone [5, 6]
+""",
+        "p1-4-missing-alternate.fan": CUBE4_RAYS
+        + "".join(
+            f"cone [{a}, {b}, {c}, {d}]\n"
+            for a, b, c, d in product((1, 2), (3, 4), (5, 6), (7, 8))
+            if a == 2 or (b + c + d) % 2 == 1
+        ),
     }
 )
 
 DIGESTS = {
+    "alternating-hexagon.fan": "5dbf2b47ea977bd1382866f05cc7a8f1ff5d45f35cbcfcd906dc6ed7339b90b3",
+    "alternating-octants.fan": "3b8313ab84eec1dc749303c3bfee0e4d99a23c320090728f17dfcf6915f1b22a",
+    "p1-4-missing-alternate.fan": "63ecfcf1071aa7d13c1ab452895c2f59ac953f5a2cd968c0a214417e5a2405ec",
     "cyclic-r7.fan": "6d063de4f54a0b50917ca6b98894b060a7801c510356145369f7ddc6a1fd3fd8",
     "einstein-no-witness.orb": "d05d5bb62b6a33ba5f246f50a423652bea89a7e0b2942848fbd454fb2eb9848f",
     "incomplete-p2.fan": "de4b1050d1f4a6f9dab1707b1927737a03b41e4f1a12174873d4c5c010fa18ac",

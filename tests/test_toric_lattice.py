@@ -10,8 +10,11 @@ from conftest import (
     isolated_by_face_smoothness,
     solve_cramer,
 )
+from kcscglue import exact_linalg
 from kcscglue.examples import example_by_name
+from kcscglue.exact_linalg import integer_determinant, integer_solve
 from kcscglue.formats import parse_fan
+from kcscglue.polytope import moment_assignment, vertex_for_cone
 from kcscglue.toric_lattice import (
     SMOOTH,
     SU,
@@ -252,3 +255,55 @@ def test_isolated_weights_have_no_zero_component():
                 continue
             for d, w in zip(data.orders, data.weights):
                 assert all(x % d != 0 for x in w)
+
+
+class TestSharedSolve:
+    """One height-one solve per cone serves its order, its Gorenstein
+    covector, its validation and its moment vertex."""
+
+    def test_matches_separate_eliminations_on_random_cones(self):
+        rng = random.Random(29)
+        for _ in range(150):
+            m = rng.choice((2, 3, 4))
+            cone = _random_cone(rng, m, max_det=30 if m < 4 else 10**4)
+            num, p = cone.height_one
+            assert abs(p) == abs(integer_determinant(cone.generator_matrix()))
+            assert abs(p) == cone_index(cone)
+            fan = Fan(dim=m, rays=cone.generators, max_cones=(tuple(range(m)),))
+            for k in (1, 2, 7):
+                # the same numerators and pivot as a solve at height -k
+                assert integer_solve(cone.generators, [-k] * m) == ([-k * x for x in num], p)
+                assert vertex_for_cone(fan, k, cone) == tuple(
+                    x * k for x in solve_cramer(cone.generators, [-1] * m)
+                )
+
+    def test_singular_or_not_square(self):
+        assert Cone.from_rows([(1, 0), (2, 0)]).height_one is None
+        assert Cone.from_rows([(1, 0, 0), (0, 1, 0)]).height_one is None
+        with pytest.raises(ValueError, match="not full-dimensional"):
+            cone_index(Cone.from_rows([(1, 0, 0), (0, 1, 0)]))
+        with pytest.raises(ValueError, match="zero determinant"):
+            cone_index(Cone.from_rows([(1, 0), (2, 0)]))
+
+    def test_fan_builds_each_cone_once(self):
+        fan = parse_fan(example_by_name("x4").text).to_fan()
+        assert all(fan.cone(i) is fan.cone(i) for i in range(len(fan.max_cones)))
+        assert [c for _, c in fan.cones()] == [fan.cone(i) for i in range(len(fan.max_cones))]
+
+    @pytest.mark.parametrize("name", ["x1", "x4"])
+    def test_one_elimination_per_cone(self, name, monkeypatch):
+        text = example_by_name(name).text
+        fan = parse_fan(text).to_fan()
+        k = parse_fan(text).k
+        calls = []
+
+        def counted(a, ncols, echelon=exact_linalg._echelon):
+            calls.append(ncols)
+            return echelon(a, ncols)
+
+        monkeypatch.setattr(exact_linalg, "_echelon", counted)
+        classified = classify_fan(fan)
+        assert validate_fan(fan).valid
+        moment_assignment(fan, k)
+        assert all(group is not None for _, group in classified)
+        assert calls == [fan.dim] * len(fan.max_cones)
