@@ -2,14 +2,14 @@
 
 Everything here is computed over Q (``fractions.Fraction``) or Z (Python
 ints); no floating point anywhere.  Rank, determinants, square solves,
-nullspaces and unimodular inverses all run on one fraction-free integer
-elimination kernel (Bareiss).  The polytope and toric layers call its
-integer wrappers (integer_rank, integer_determinant, integer_solve) on
-scaled-integer data; of the Fraction wrappers only nullspace_basis
-(balancing) is on the report path.  Besides it there are a Smith normal
-form with unimodular transforms and a phase-one simplex for strictly
-positive kernel vectors, whose tableau rows are integer vectors with
-implicit positive scales, so no pivot touches a Fraction.
+nullspaces and inverses all run on one fraction-free integer elimination
+kernel (Bareiss).  The toric layer calls its integer_inverse once per cone,
+and the polytope layer reads every cone datum off that inverse; of the
+Fraction wrappers only nullspace_basis (balancing) is on the report path.
+Besides it there are a Smith normal form with unimodular transforms and a
+phase-one simplex for strictly positive kernel vectors, whose tableau rows
+are integer vectors with implicit positive scales, so no pivot touches a
+Fraction.
 """
 
 from __future__ import annotations
@@ -158,6 +158,20 @@ def integer_solve(a: IntMatrix, b: Sequence[int]) -> tuple[list[int], int]:
     if len(pivots) < n:
         raise ValueError("singular system")
     return [row[n] for row in aug], p
+
+
+def integer_inverse(a: IntMatrix) -> tuple[list[list[int]], int]:
+    """(p·A^{-1}, p) for a square integer matrix A, p = ±det A, from one
+    elimination of [A | I]; raises ValueError on a singular matrix."""
+    n = len(a)
+    if any(len(r) != n for r in a):
+        raise ValueError("matrix is not square")
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
+    pivots, p, _ = _echelon(aug, n)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    # Row i is p·[e_i | row i of A^{-1}].
+    return [row[n:] for row in aug], p
 
 
 def rational_determinant(m: RationalMatrix) -> Fraction:
@@ -321,18 +335,11 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
 
 def unimodular_inverse(m: IntMatrix) -> list[list[int]]:
     """Exact integer inverse of a matrix with determinant ±1."""
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("matrix is not square")
-    aug = [
-        [int(x) for x in row] + [int(i == j) for j in range(n)]
-        for i, row in enumerate(m)
-    ]
-    pivots, p, _ = _echelon(aug, n)
-    if len(pivots) < n or p not in (1, -1):
+    inv, p = integer_inverse([[int(x) for x in row] for row in m])
+    if p not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    # Row i is p·[e_i | row i of M^{-1}], and 1/p = p.
-    return [[p * x for x in row[n:]] for row in aug]
+    # 1/p = p
+    return [[p * x for x in row] for row in inv]
 
 
 # ---------------------------------------------------------------------------

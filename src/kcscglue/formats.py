@@ -1,8 +1,9 @@
 """Input file parsing and serialization.
 
 Both formats are line-oriented `key value` records with exact integer and
-p/q rational literals; every rational is read by one ASCII grammar, so
-decimals are rejected by construction and on every interpreter.  Fan
+p/q rational literals; every integer and every rational is read by one
+ASCII grammar each, so decimals, underscores and non-ASCII digits are
+rejected by construction and on every interpreter.  Fan
 files carry rays and maximal cones (1-based ray indices, optional labels);
 orbifold files carry the kernel dimension, scalar curvature (exact or
 `positive`), the Einstein flag and one `point` record per singular point.
@@ -52,7 +53,10 @@ class OrbifoldFile:
 
 _LIST_RE = re.compile(r"^\[(.*)\]$", re.DOTALL)
 _ATTR_RE = re.compile(r"(\w+)=(\[[^\]]*\]|\S+)")
-# The one rational literal: ASCII digits, an optional sign and denominator.
+# The one integer literal: ASCII digits and an optional sign.  int(str)
+# would also take underscores and non-ASCII digits.
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+# The one rational literal: an integer and an optional denominator.
 # Fraction(str) would also take decimals, exponents, underscores, spaces
 # around the slash and non-ASCII digits, some only on newer interpreters.
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
@@ -64,6 +68,18 @@ def _strip_comment(line: str) -> str:
     return line.strip()
 
 
+def _integer(text: str) -> Optional[int]:
+    """The integer a stripped literal names, or None if it is not one."""
+    return int(text) if _INTEGER_RE.fullmatch(text) else None
+
+
+def _int_field(text: str, errors: list, lineno: int, what: str) -> Optional[int]:
+    value = _integer(text)
+    if value is None:
+        errors.append(f"line {lineno}: {what} must be an integer")
+    return value
+
+
 def _parse_int_list(text: str, errors: list, lineno: int, what: str) -> Optional[list[int]]:
     m = _LIST_RE.match(text.strip())
     if not m:
@@ -72,11 +88,11 @@ def _parse_int_list(text: str, errors: list, lineno: int, what: str) -> Optional
     items = [t.strip() for t in m.group(1).split(",") if t.strip()]
     out = []
     for t in items:
-        try:
-            out.append(int(t))
-        except ValueError:
+        x = _integer(t)
+        if x is None:
             errors.append(f"line {lineno}: {what} entry {t!r} is not an integer")
             return None
+        out.append(x)
     return out
 
 
@@ -124,19 +140,17 @@ def parse_fan(text: str) -> FanFile:
         key, _, rest = line.partition(" ")
         rest = rest.strip()
         if key == "dim":
-            try:
-                dim = int(rest)
-            except ValueError:
-                errors.append(f"line {lineno}: dim must be an integer")
+            value = _int_field(rest, errors, lineno, "dim")
+            if value is None:
                 continue
+            dim = value
             if dim < 2:
                 errors.append(f"line {lineno}: dim must be >= 2")
         elif key == "k":
-            try:
-                k = int(rest)
-            except ValueError:
-                errors.append(f"line {lineno}: k must be an integer")
+            value = _int_field(rest, errors, lineno, "k")
+            if value is None:
                 continue
+            k = value
             if k < 1:
                 errors.append(f"line {lineno}: k must be >= 1")
         elif key == "ray":
@@ -221,15 +235,11 @@ def parse_orbifold(text: str) -> OrbifoldFile:
         key, _, rest = line.partition(" ")
         rest = rest.strip()
         if key == "m":
-            try:
-                m = int(rest)
-            except ValueError:
-                errors.append(f"line {lineno}: m must be an integer")
+            value = _int_field(rest, errors, lineno, "m")
+            m = m if value is None else value
         elif key == "d":
-            try:
-                d = int(rest)
-            except ValueError:
-                errors.append(f"line {lineno}: d must be an integer")
+            value = _int_field(rest, errors, lineno, "d")
+            d = d if value is None else value
         elif key == "s":
             s_seen = True
             s = None if rest == "positive" else _rational(rest)
@@ -276,10 +286,8 @@ def parse_orbifold(text: str) -> OrbifoldFile:
         if "order" not in attrs or "phi" not in attrs:
             errors.append(f"line {lineno}: point needs order= and phi=")
             continue
-        try:
-            order = int(attrs["order"])
-        except ValueError:
-            errors.append(f"line {lineno}: order must be an integer")
+        order = _int_field(attrs["order"], errors, lineno, "order")
+        if order is None:
             continue
         phi = _parse_rational_list(attrs["phi"], errors, lineno, "phi")
         if phi is None:

@@ -1,15 +1,15 @@
 """Lattice polytopes of pluri-anticanonical polarizations.
 
-The k-anticanonical polytope of a complete simplicial fan is the region
-<u, v_rho> >= -k over all rays.  Vertices come one per maximal cone (the
-moment image of the chart's torus-fixed point), each -k times the cone's
-cached height-one solve, kept on the polytope as the moment
-correspondence; faces come from facet incidence through a face lattice
-built once per polytope, whose face dimensions are bounded from the
-lattice and take a rank only where the bounds differ; barycenters are
-exact volume-weighted centroids over a pulling triangulation of it.  All of
-this is scaled-integer arithmetic on (D, D * vertices), D the lcm of the
-vertex denominators, kept once per polytope; only the output is Fractions.
+The k-anticanonical polytope of a complete simplicial fan (one that passes
+validate_fan) is the region <u, v_rho> >= -k over all rays.  Vertices come
+one per maximal cone (the moment image of the chart's torus-fixed point),
+each -k times the cone's cached height-one solve, kept on the polytope as
+the moment correspondence.  The barycenter (by the Brion-Lawrence formula)
+and, when the cone vertices are pairwise distinct, the faces are read off
+the cones' cached integer inverses p·V^{-1}.  Otherwise faces come from a
+face lattice, by facet incidence on the scaled-integer vertices (D, D *
+vertices), D the lcm of the vertex denominators.  Only the output is
+Fractions.
 """
 
 from __future__ import annotations
@@ -17,27 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from itertools import combinations
+from math import lcm, prod
 from typing import Optional, Sequence
 
-from .exact_linalg import (
-    RationalMatrix,
-    frac,
-    integer_determinant,
-    integer_rank,
-    positive_kernel_witness,
-)
+from .exact_linalg import frac
 from .toric_lattice import Cone, Fan
 
 QVector = tuple[Fraction, ...]
-
-
-class UnboundedRegionError(ValueError):
-    """H-representation region is unbounded (fan not complete)."""
-
-
-class DegeneratePolytopeError(ValueError):
-    """Polytope is not full-dimensional."""
 
 
 @dataclass(frozen=True)
@@ -45,9 +32,10 @@ class LatticePolytope:
     """H-representation <u, normal_i> >= offset_i plus derived exact vertices.
 
     For anticanonical polytopes every offset equals -k.  Vertices are given
-    sorted, so vertex indices order like the vertices.  cone_vertices
-    is the moment correspondence (cone label -> vertex, in fan order) of a
-    polytope built from a fan, empty otherwise; it is not part of equality.
+    sorted, so vertex indices order like the vertices.  A polytope built
+    from a fan keeps the fan and the moment correspondence cone_vertices
+    (cone label -> vertex, in fan order); other polytopes have neither.
+    Neither is part of equality.
     """
 
     dim: int
@@ -56,6 +44,7 @@ class LatticePolytope:
     facet_offsets: tuple[Fraction, ...]
     vertices: tuple[QVector, ...]
     cone_vertices: tuple[tuple[str, QVector], ...] = field(default=(), compare=False)
+    fan: Optional[Fan] = field(default=None, compare=False)
 
     @cached_property
     def integer_vertices(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -72,13 +61,11 @@ class LatticePolytope:
         Facet i holds the vertices with <normal_i, D v> = D offset_i.
 
         A facet set H not containing a face F misses a vertex of F, which
-        lies off H's hyperplane, so dim(F & H) < dim F.  So lo(F) = 1 + max
-        lo(F & H), lo(empty) = -1, is a lower bound, and dim minus the longest
-        chain of such cuts from the top an upper one.  They meet when the
-        vertex list is every vertex of the polytope, as for a complete fan:
-        each face is the intersection of the facets containing it, and each
-        facet of F is some F & H (Ziegler, Lectures on Polytopes, 2.2).  A
-        face where they differ takes the integer rank of its edge rows.
+        lies off H's hyperplane, so dim(F & H) < dim F.  When the vertex
+        list is every vertex of the polytope, each face is the intersection
+        of the facets containing it and each facet of F is some F & H
+        (Ziegler, Lectures on Polytopes, 2.2), so dim F = 1 + max dim(F & H)
+        with dim(empty) = -1.
         """
         d, scaled = self.integer_vertices
         if not scaled:
@@ -97,24 +84,11 @@ class LatticePolytope:
         while frontier:
             frontier = {f & g for f in frontier for g in facets if f & g} - found
             found |= frontier
-        by_size = sorted(found, key=int.bit_count)
-        # cuts[F]: the F & H with H not containing F, the empty one included
-        lo, cuts = {0: -1}, {}
-        for f in by_size:
-            cuts[f] = [f & h for h in facets if f & h != f]
-            lo[f] = 1 + max([lo[g] for g in cuts[f]], default=-1)
-        hi = dict.fromkeys(found, self.dim)
-        for f in reversed(by_size):
-            for g in cuts[f]:
-                if g and hi[g] >= hi[f]:
-                    hi[g] = hi[f] - 1
-        lattice = {}
-        for f in by_size:
-            face = _bits(f)
-            lattice[frozenset(face)] = (
-                lo[f] if lo[f] == hi[f] else integer_rank(_edges([scaled[i] for i in face]))
-            )
-        return lattice
+        dims = {0: -1}
+        for f in sorted(found, key=int.bit_count):
+            dims[f] = 1 + max([dims[f & h] for h in facets if f & h != f], default=-1)
+        del dims[0]
+        return {frozenset(_bits(f)): dim for f, dim in dims.items()}
 
 
 def _bits(mask: int) -> list[int]:
@@ -125,20 +99,6 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def _edges(points: Sequence[tuple[int, ...]]) -> list[list[int]]:
-    """Edge rows p_i - p_0 of a nonempty point list."""
-    return [[x - b for x, b in zip(v, points[0])] for v in points[1:]]
-
-
-def _check_bounded(dim: int, normals: Sequence[tuple[int, ...]]) -> None:
-    """The region is bounded iff the normals positively span R^m."""
-    rows = [[n[i] for n in normals] for i in range(dim)]
-    if integer_rank(rows) < dim or positive_kernel_witness(RationalMatrix.from_rows(rows)) is None:
-        raise UnboundedRegionError(
-            "facet normals do not positively span the ambient space"
-        )
 
 
 def vertex_for_cone(fan: Fan, k: int, cone: Cone) -> QVector:
@@ -168,12 +128,13 @@ def moment_assignment(fan: Fan, k: int) -> list[tuple[str, QVector]]:
 
 def anticanonical_polytope(fan: Fan, k: int) -> LatticePolytope:
     """Vertices of {<u, v_rho> >= -k} via the one-vertex-per-cone shortcut,
-    valid for complete simplicial fans; a cone vertex that violates a facet
-    (overlapping cones) raises ValueError.  The moment correspondence is
-    kept as ``cone_vertices``."""
+    for a fan that passes validate_fan (ValueError otherwise); a cone vertex
+    that violates a facet (-K not nef) raises ValueError.  The moment
+    correspondence is kept as ``cone_vertices``, and the fan with it."""
     if k < 1:
         raise ValueError("anticanonical multiple k must be >= 1")
-    _check_bounded(fan.dim, fan.rays)
+    if not fan.validation.valid:
+        raise ValueError("invalid fan: " + "; ".join(fan.validation.violations))
     assignment = moment_assignment(fan, k)
     return LatticePolytope(
         dim=fan.dim,
@@ -182,69 +143,65 @@ def anticanonical_polytope(fan: Fan, k: int) -> LatticePolytope:
         facet_offsets=(Fraction(-k),) * len(fan.rays),
         vertices=tuple(sorted({u for _, u in assignment})),
         cone_vertices=tuple(assignment),
+        fan=fan,
     )
 
 
 def faces(p: LatticePolytope, d: int) -> list[tuple[QVector, ...]]:
-    """Faces of dimension d as sorted vertex tuples, deterministically ordered."""
-    index_tuples = sorted(tuple(sorted(f)) for f, fd in p.face_lattice.items() if fd == d)
-    return [tuple(p.vertices[i] for i in f) for f in index_tuples]
+    """Faces of dimension d as sorted vertex tuples, deterministically ordered.
 
-
-def _pulling_triangulation(
-    lattice: dict[frozenset[int], int], top: frozenset[int]
-) -> list[tuple[int, ...]]:
-    """Triangulate face top by coning its lowest-index (lex-smallest) vertex
-    over its far subfaces, recursively; simplices are vertex-index tuples."""
-    by_dim: dict[int, list[frozenset[int]]] = {}
-    for f, d in lattice.items():
-        by_dim.setdefault(d, []).append(f)
-
-    cache: dict[frozenset[int], list[tuple[int, ...]]] = {}
-
-    def tri(face: frozenset[int]) -> list[tuple[int, ...]]:
-        if face in cache:
-            return cache[face]
-        d = lattice[face]
-        if d == 0:
-            result = [tuple(face)]
-        else:
-            apex = min(face)
-            result = []
-            for sub in by_dim.get(d - 1, []):
-                if sub < face and apex not in sub:
-                    for simplex in tri(sub):
-                        result.append((apex,) + simplex)
-        cache[face] = result
-        return result
-
-    return tri(top)
+    When a fan's cone vertices are pairwise distinct, -K is ample and the
+    fan is the normal fan of p, so the d-faces are the vertex sets of the
+    cones through each (dim - d)-subset of a cone (Cox-Little-Schenck 2011,
+    2.3); otherwise they come from the face lattice.
+    """
+    fan = p.fan
+    if fan is None or len(p.vertices) < len(fan.max_cones) or d > p.dim:
+        found = [f for f, fd in p.face_lattice.items() if fd == d]
+    else:
+        index = {v: i for i, v in enumerate(p.vertices)}
+        through: dict[tuple[int, ...], list[int]] = {}
+        for idx, (_, v) in zip(fan.max_cones, p.cone_vertices):
+            i = index[v]
+            for tau in combinations(sorted(idx), p.dim - d):
+                through.setdefault(tau, []).append(i)
+        found = list(through.values())
+    return [tuple(p.vertices[i] for i in f) for f in sorted(tuple(sorted(f)) for f in found)]
 
 
 def polytope_barycenter(p: LatticePolytope) -> QVector:
-    """Exact volume-weighted centroid.
+    """Exact volume-weighted centroid of a fan's polytope, by the
+    Brion-Lawrence vertex-cone formula (Brion 1988, Lawrence 1991).
 
-    Each simplex of the pulling triangulation contributes its vertex average
-    weighted by |det| of its edge matrix (the 1/m! normalization cancels).
-    On the scaled vertices D v weights and vertex sums are integers, so each
-    coordinate is one division: sum(w * sum D v_i) / (sum(w) * D * (m + 1)).
+    A cone with inverse columns A_j over p has vertex x = -k S / p, S = sum
+    A_j, and tangent cone spanned by the A_j / p.  With alpha_j = <c, A_j>
+    for the fan's generic direction c, s = sum alpha_j, Pi = prod alpha_j and
+    Q = |p| (-1)^d Pi, the integral of e^<c, u> is sum e^<c, x> p^d / Q over
+    the cones.  Its degree-d term in c is the volume and the gradient of its
+    degree-(d+1) term the moment: with N_i = sum_j A_ij Pi / alpha_j,
+        b_i = -k/(d+1) · sum s^d ((d+1) S_i Pi - s N_i) / (p Q Pi) / sum s^d / Q.
+    Over the common denominator L^2, L = lcm |p Pi|, both sums are integers.
     """
-    m = p.dim
-    lattice = p.face_lattice
-    top = frozenset(range(len(p.vertices)))
-    if lattice[top] < m:
-        raise DegeneratePolytopeError("polytope is not full-dimensional")
-    d, scaled = p.integer_vertices
-    total = 0
-    acc = [0] * m
-    for simplex in _pulling_triangulation(lattice, top):
-        w = abs(integer_determinant(_edges([scaled[i] for i in simplex])))
-        total += w
-        for i in range(m):
-            acc[i] += w * sum(scaled[j][i] for j in simplex)
-    if total == 0:
-        raise DegeneratePolytopeError("zero volume")
-    return tuple(Fraction(a, total * d * (m + 1)) for a in acc)
+    fan = p.fan
+    if fan is None:
+        raise ValueError("the barycenter is read off the cones of a fan")
+    d = p.dim
+    inverses = [fan.cone(i).inverse for i in range(len(fan.max_cones))]
+    pairings = fan.generic_direction[1]
+    big_l = lcm(*(abs(q * prod(alphas)) for (_, q), alphas in zip(inverses, pairings)))
+    volume = 0
+    moment = [0] * d
+    for (columns, q), alphas in zip(inverses, pairings):
+        s = sum(alphas)
+        pi = prod(alphas)
+        scale = (big_l // abs(q * pi)) ** 2 * s**d
+        volume += scale * abs(q) * pi
+        # (d+1) S_i Pi - s N_i = sum_j A_ij ((d+1) Pi - s Pi / alpha_j)
+        weights = [(d + 1) * pi - s * (pi // a) for a in alphas]
+        scale = scale if q > 0 else -scale
+        for i in range(d):
+            moment[i] += scale * sum(col[i] * w for col, w in zip(columns, weights))
+    return tuple(Fraction(-p.k * x, (d + 1) * volume) for x in moment)
 
 
 def subset_barycenter(points: Sequence[Sequence]) -> QVector:

@@ -7,19 +7,23 @@ type of the package: cyclic orders plus diagonal action weights read off
 the unimodular factors.  Its order, classification (smooth, SU(m) --
 Gorenstein, crepant-resolvable candidates -- or U(m)-non-SU) and isolation
 are derived from the presentation by closed forms, never by enumerating
-Gamma.  A fan builds each cone once, and each cone solves <u, v_i> = 1 once;
-that one elimination gives the cone's validity, its order |det|, its
-Gorenstein covector and its moment vertices.
+Gamma.  A fan builds each cone once, and each cone inverts its generator
+matrix once, as p·V^{-1} in integers; that one elimination gives the cone's
+validity, its order |det|, its Gorenstein covector, its moment vertices and
+its side of each wall, which the fan check reads to decide that the cones
+form a complete fan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from math import gcd, lcm
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
-from .exact_linalg import integer_solve, smith_normal_form
+from .exact_linalg import integer_inverse, smith_normal_form
 
 IntVector = tuple[int, ...]
 
@@ -49,16 +53,24 @@ class Cone:
         return [[g[i] for g in self.generators] for i in range(m)]
 
     @cached_property
-    def height_one(self) -> Optional[tuple[list[int], int]]:
-        """The solve of <u, v_i> = 1 over the generators, once per cone, as
-        (numerators, p) with u = numerators / p and |p| = |det|; None when
-        the system is singular or not square.  Every Bareiss step is linear
-        in the right-hand side, so the solve at height -k is -k times these
-        numerators over the same p."""
+    def inverse(self) -> Optional[tuple[tuple[IntVector, ...], int]]:
+        """(columns A_j of p·V^{-1}, p), V the generators as rows and |p| =
+        |det V|, from one elimination; None if V is singular or not square.
+        <v_i, A_j> = p [i = j]: <q, A_j> / p is q's j-th generator coordinate."""
         try:
-            return integer_solve(self.generators, [1] * len(self.generators))
+            rows, p = integer_inverse(self.generators)
         except ValueError:
             return None
+        return tuple(zip(*rows)), p
+
+    @cached_property
+    def height_one(self) -> Optional[tuple[list[int], int]]:
+        """u with <u, v_i> = 1 as (numerators, p), u = numerators / p: the row
+        sums of the inverse.  At height -k it is -k times these over p."""
+        if self.inverse is None:
+            return None
+        columns, p = self.inverse
+        return [sum(row) for row in zip(*columns)], p
 
 
 @dataclass(frozen=True)
@@ -92,6 +104,22 @@ class Fan:
     def cones(self) -> Iterator[tuple[str, Cone]]:
         for i in range(len(self.max_cones)):
             yield self.labels[i], self.cone(i)
+
+    @cached_property
+    def validation(self) -> "FanValidation":
+        return _validate(self)
+
+    @cached_property
+    def generic_direction(self) -> tuple[IntVector, tuple[IntVector, ...]]:
+        """(c, alphas): c = (1, t, t^2, ...) for the least t >= 2 with every
+        alpha_j = <c, A_j> of every (nonsingular) cone nonzero, and those
+        alpha_j by cone; each is a nonzero polynomial in t of degree < dim."""
+        columns = [self.cone(i).inverse[0] for i in range(len(self.max_cones))]
+        for t in count(2):
+            c = tuple(t**i for i in range(self.dim))
+            alphas = tuple(tuple(sum(map(mul, c, a)) for a in cols) for cols in columns)
+            if all(map(all, alphas)):
+                return c, alphas
 
 
 @dataclass(frozen=True)
@@ -178,11 +206,16 @@ def _is_primitive(v: IntVector) -> bool:
 
 def validate_fan(fan: Fan) -> FanValidation:
     """Check primitivity, simpliciality, full-dimensionality and
-    distinctness of max cones.
+    distinctness of max cones, then that the cones form a complete fan.
 
     Violations are reported, not raised: non-simplicial cones fall outside
     the isolated-singularity setting but should not abort a database scan.
+    The verdict is cached on the fan.
     """
+    return fan.validation
+
+
+def _validate(fan: Fan) -> FanValidation:
     violations: list[str] = []
     for i, ray in enumerate(fan.rays):
         if len(ray) != fan.dim:
@@ -213,9 +246,40 @@ def validate_fan(fan: Fan) -> FanValidation:
                 "(not full-dimensional simplicial)"
             )
             continue
-        if fan.cone(i).height_one is None:
+        if fan.cone(i).inverse is None:
             violations.append(f"cone {label}: generators are linearly dependent")
+    if not violations:
+        violations = _fan_violations(fan)
     return FanValidation(valid=not violations, violations=tuple(violations))
+
+
+def _fan_violations(fan: Fan) -> list[str]:
+    """Why nonsingular simplicial cones on distinct ray sets are not a
+    complete fan (Cox-Little-Schenck 2011, 3.1): a ray in no cone, a wall (a
+    cone minus its ray j) not in exactly two cones on opposite sides (the
+    other cone's extra ray v' has <v', A_j> p < 0), or else, as the count is
+    then the same off every wall, the generic direction c not in exactly
+    one cone (c is in a cone iff every alpha_j p > 0)."""
+    used = set().union(*fan.max_cones)
+    out = [f"ray {i + 1} {list(r)} is in no cone" for i, r in enumerate(fan.rays) if i not in used]
+    walls: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for c, idx in enumerate(fan.max_cones):
+        for j in range(len(idx)):
+            walls.setdefault(tuple(sorted(idx[:j] + idx[j + 1 :])), []).append((c, j))
+    for wall, sides in walls.items():
+        name = f"wall {[i + 1 for i in wall]}"
+        if len(sides) != 2:
+            out.append(f"{name} lies in {len(sides)} of the cones, expected 2")
+            continue
+        (c, j), (c2, j2) = sides
+        columns, p = fan.cone(c).inverse
+        if sum(map(mul, fan.rays[fan.max_cones[c2][j2]], columns[j])) * p >= 0:
+            out.append(f"cones {fan.labels[c]} and {fan.labels[c2]} are on one side of {name}")
+    point, alphas = fan.generic_direction
+    inside = sum(all(a * fan.cone(c).inverse[1] > 0 for a in row) for c, row in enumerate(alphas))
+    if inside != 1:
+        out.append(f"point {list(point)} lies in {inside} of the cones, expected 1")
+    return out
 
 
 def cone_index(cone: Cone) -> int:

@@ -6,9 +6,11 @@ Fraction Gauss-Jordan reduction for kernels, subset enumeration for
 positive kernel vectors and polytope vertices, the Fraction phase-one
 simplex whose witnesses the integer simplex must reproduce, the balancing
 matrices entry by entry in chained Fraction arithmetic, Fraction arithmetic for
-facet incidence, face dimensions and barycenters, the face lattice with
-one edge-rank elimination per face (checked after every test against each
-face lattice the test built), monomial counts for the
+facet incidence, face dimensions and barycenters over a pulling
+triangulation, the face lattice with one edge-rank elimination per face,
+boundedness as positive spanning by the Fraction simplex (after every test
+these are checked against each face lattice, each fan-built polytope and
+each valid fan the test built), monomial counts for the
 quotient weights of a cone, an explicit symbolic Laplacian on
 integer-coefficient polynomials, a recursive surface-area formula for
 sphere volumes, face smoothness by maximal minors for isolated cones, and,
@@ -36,7 +38,8 @@ from kcscglue.exact_linalg import (
     integer_rank,
     rational_determinant,
 )
-from kcscglue.polytope import LatticePolytope, _pulling_triangulation
+from kcscglue.polytope import LatticePolytope, faces, polytope_barycenter
+from kcscglue.toric_lattice import Fan
 
 
 def identity(n: int) -> RationalMatrix:
@@ -370,6 +373,53 @@ def face_lattices_match_edge_rank(monkeypatch):
         assert lattice == face_lattice_by_edge_rank(p)
 
 
+def check_bounded(dim: int, normals: Sequence[tuple[int, ...]]) -> bool:
+    """The region <u, normal_i> >= -1 is bounded iff the normals positively
+    span R^dim: they have full rank and a strictly positive kernel vector."""
+    rows = [[Fraction(n[i]) for n in normals] for i in range(dim)]
+    return (
+        len(rref(rows)[1]) == dim
+        and positive_kernel_witness_fraction(RationalMatrix.from_rows(rows)) is not None
+    )
+
+
+@pytest.fixture(autouse=True)
+def fan_polytopes_match_oracles(monkeypatch):
+    """After the test: every valid fan it built bounds its polytope
+    (check_bounded), and every polytope it built from a fan has the
+    barycenter of barycenter_fraction and, in each dimension, the faces of
+    face_lattice_by_edge_rank."""
+    init = LatticePolytope.__init__
+    prop = Fan.__dict__["validation"]
+    polytopes, fans = [], []
+
+    def recording_init(p, *args, init=init, **kwargs):
+        init(p, *args, **kwargs)
+        if p.fan is not None:
+            polytopes.append(p)
+
+    def recorded(fan, validate=prop.func):
+        validation = validate(fan)
+        if validation.valid:
+            fans.append(fan)
+        return validation
+
+    monkeypatch.setattr(LatticePolytope, "__init__", recording_init)
+    monkeypatch.setattr(prop, "func", recorded)
+    yield
+    for fan in fans:
+        assert check_bounded(fan.dim, fan.rays)
+    for p in polytopes:
+        lattice = face_lattice_by_edge_rank(p)
+        assert polytope_barycenter(p) == barycenter_fraction(p, lattice)
+        for dim in range(p.dim + 1):
+            assert faces(p, dim) == sorted(
+                tuple(sorted(p.vertices[i] for i in f))
+                for f, fd in lattice.items()
+                if fd == dim
+            )
+
+
 def facet_incidence_fraction(p: LatticePolytope) -> tuple[tuple[int, ...], ...]:
     """Indices of the vertices saturating each inequality, in Fractions."""
     return tuple(
@@ -407,16 +457,49 @@ def face_dims_by_tight_facets(p: LatticePolytope) -> dict[frozenset[int], int]:
     return dims
 
 
+def pulling_triangulation(
+    lattice: dict[frozenset[int], int], top: frozenset[int]
+) -> list[tuple[int, ...]]:
+    """Triangulate face top by coning its lowest-index (lex-smallest) vertex
+    over its far subfaces, recursively; simplices are vertex-index tuples."""
+    by_dim: dict[int, list[frozenset[int]]] = {}
+    for f, d in lattice.items():
+        by_dim.setdefault(d, []).append(f)
+
+    cache: dict[frozenset[int], list[tuple[int, ...]]] = {}
+
+    def tri(face: frozenset[int]) -> list[tuple[int, ...]]:
+        if face in cache:
+            return cache[face]
+        d = lattice[face]
+        if d == 0:
+            result = [tuple(face)]
+        else:
+            apex = min(face)
+            result = []
+            for sub in by_dim.get(d - 1, []):
+                if sub < face and apex not in sub:
+                    for simplex in tri(sub):
+                        result.append((apex,) + simplex)
+        cache[face] = result
+        return result
+
+    return tri(top)
+
+
 def barycenter_fraction(p: LatticePolytope, lattice) -> tuple[Fraction, ...]:
     """Volume-weighted centroid in Fractions over the pulling triangulation
-    of the given face lattice (face -> dimension).  It shares the library's
-    triangulation and rational_determinant (checked against cofactor
-    expansion elsewhere), so what it checks is the scaled-integer
-    arithmetic of polytope_barycenter."""
+    of the given face lattice (face -> dimension), each simplex weighted by
+    rational_determinant (checked against cofactor expansion elsewhere) of
+    its edges.  Raises ValueError when the polytope is not
+    full-dimensional."""
     m = p.dim
+    top = frozenset(range(len(p.vertices)))
+    if lattice[top] < m:
+        raise ValueError("polytope is not full-dimensional")
     total = Fraction(0)
     acc = [Fraction(0)] * m
-    for simplex in _pulling_triangulation(lattice, frozenset(range(len(p.vertices)))):
+    for simplex in pulling_triangulation(lattice, top):
         verts = [p.vertices[i] for i in simplex]
         base = verts[0]
         edges = RationalMatrix.from_rows(

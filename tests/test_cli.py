@@ -16,17 +16,23 @@ point Q1 scalar_flat order=2 e_sign=+1 phi=[1]
 
 P2_RAYS = "dim 2\nk 1\nray [1, 0]\nray [0, 1]\nray [-1, -1]\n"
 P2_FAN = P2_RAYS + "cone [1, 2]\ncone [2, 3]\ncone [3, 1]\n"
-# Fans whose polytope stage fails, with the error it records.
-POLYTOPE_FAILURES = {
+# Cone lists that are not fans, with the violation validation names first.
+NON_FANS = {
     "incomplete.fan": (
         P2_RAYS + "cone [1, 2]\ncone [2, 3]\n",
-        "polytope is not full-dimensional",
+        "wall [1] lies in 1 of the cones, expected 2",
     ),
     "overlapping.fan": (
         P2_RAYS + "ray [1, 1]\ncone [1, 2]\ncone [2, 3]\ncone [3, 1]\ncone [1, 4]\n",
-        "violates facet of ray (1, 1)",
+        "wall [1] lies in 3 of the cones, expected 2",
     ),
 }
+# A complete fan whose -K is not nef (the Hirzebruch surface F_3): its
+# polytope stage records the facet a cone vertex violates.
+NOT_NEF_FAN = (
+    "dim 2\nk 1\nray [1, 0]\nray [0, 1]\nray [-1, 3]\nray [0, -1]\n"
+    "cone [1, 2]\ncone [2, 3]\ncone [3, 4]\ncone [4, 1]\n"
+)
 # Fans whose report is an input error, with the exit codes of report,
 # classify, polytope and balance on each.
 ERROR_FANS = {
@@ -34,8 +40,9 @@ ERROR_FANS = {
         P2_RAYS + "cone [1, 2, 3]\ncone [2, 3]\ncone [3, 1]\n",
         (2, 2, 2, 2),
     ),
-    "incomplete.fan": (POLYTOPE_FAILURES["incomplete.fan"][0], (2, 0, 2, 2)),
-    "overlapping.fan": (POLYTOPE_FAILURES["overlapping.fan"][0], (2, 0, 2, 2)),
+    "incomplete.fan": (NON_FANS["incomplete.fan"][0], (2, 2, 2, 2)),
+    "overlapping.fan": (NON_FANS["overlapping.fan"][0], (2, 2, 2, 2)),
+    "not-nef.fan": (NOT_NEF_FAN, (2, 0, 2, 2)),
     "no-k.fan": (P2_FAN.replace("k 1\n", ""), (2, 0, 2, 2)),
     "dim-1.fan": ("dim 1\nk 1\nray [1]\nray [-1]\ncone [1]\ncone [2]\n", (2, 2, 2, 2)),
 }
@@ -146,19 +153,35 @@ class TestClassify:
 
 
 class TestPolytopeStageErrors:
-    @pytest.mark.parametrize("name", sorted(POLYTOPE_FAILURES))
+    @pytest.mark.parametrize("name", sorted(NON_FANS))
     def test_error_recorded_and_classify_runs(self, name, tmp_path, capsys):
-        text, error = POLYTOPE_FAILURES[name]
+        text, violation = NON_FANS[name]
         p = tmp_path / name
         p.write_text(text)
         out_path = tmp_path / "report.json"
         assert main(["report", str(p), "--out", str(out_path)]) == 2
-        poly = json.loads(out_path.read_text())["report"]["polytope"]
-        assert error in poly["error"]
-        assert main(["classify", str(p)]) == 0
-        assert "smooth" in capsys.readouterr().out
+        body = json.loads(out_path.read_text())["report"]
+        assert body["validation"]["violations"][0] == violation
+        assert "polytope" not in body
+        assert main(["classify", str(p)]) == 2
+        out = capsys.readouterr().out
+        assert "smooth" in out and f"violation: {violation}" in out
         assert main(["polytope", str(p)]) == 2
-        assert "error: polytope: " in capsys.readouterr().err
+        assert f"error: invalid fan: {violation}" in capsys.readouterr().err
+
+    def test_polytope_error_recorded_on_a_fan(self, tmp_path, capsys):
+        p = tmp_path / "not-nef.fan"
+        p.write_text(NOT_NEF_FAN)
+        out_path = tmp_path / "report.json"
+        assert main(["report", str(p), "--out", str(out_path)]) == 2
+        body = json.loads(out_path.read_text())["report"]
+        assert body["validation"] == {"valid": True, "violations": []}
+        assert body["polytope"] == {
+            "error": "cone vertex (-1, -1) violates facet of ray (-1, 3)"
+        }
+        assert main(["classify", str(p)]) == 0
+        assert main(["polytope", str(p)]) == 2
+        assert "error: polytope: cone vertex" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", sorted(ERROR_FANS))
     def test_exit_codes(self, name, tmp_path, capsys):
@@ -179,12 +202,28 @@ class TestPolytopeStageErrors:
         out_path = tmp_path / "report.json"
         path = FIXTURES / "overlapping-p2.fan"
         assert main(["report", str(path), "--out", str(out_path)]) == 2
-        poly = json.loads(out_path.read_text())["report"]["polytope"]
-        assert poly == {"error": "cone vertex (-1, -1) violates facet of ray (1, 1)"}
+        body = json.loads(out_path.read_text())["report"]
+        assert body["validation"] == {
+            "valid": False,
+            "violations": [
+                "wall [1] lies in 3 of the cones, expected 2",
+                "wall [4] lies in 1 of the cones, expected 2",
+            ],
+        }
+        assert "polytope" not in body
+        assert main(["classify", str(path)]) == 2
+        capsys.readouterr()
         assert main(["balance", str(path)]) == 2
         assert capsys.readouterr().err == (
-            "error: polytope: cone vertex (-1, -1) violates facet of ray (1, 1)\n"
+            "error: invalid fan: wall [1] lies in 3 of the cones, expected 2\n"
+            "error: invalid fan: wall [4] lies in 1 of the cones, expected 2\n"
         )
+
+    def test_checked_in_unused_ray_fixture(self, capsys):
+        path = FIXTURES / "p2-unused-ray.fan"
+        for command in ("report", "classify", "polytope", "balance"):
+            assert main([command, str(path)]) == 2
+        assert "error: invalid fan: ray 4 [1, 1] is in no cone\n" in capsys.readouterr().err
 
     def test_checked_in_decimal_s_fixture(self, capsys):
         assert main(["report", str(FIXTURES / "decimal-s.orb")]) == 2

@@ -22,6 +22,7 @@ from kcscglue.exact_linalg import (
     RationalMatrix,
     integer_determinant,
     integer_rank,
+    integer_inverse,
     integer_solve,
     nullspace_basis,
     positive_kernel_witness,
@@ -405,6 +406,26 @@ def test_integer_solve(rows, rhs):
     num, p = integer_solve(square, b)
     assert tuple(Fraction(x, p) for x in num) == want
     assert abs(p) == abs(det_cofactor(square))
+
+
+@settings(max_examples=80, derandomize=True)
+@given(int_matrix(max_dim=4))
+def test_integer_inverse(rows):
+    n = min(len(rows), len(rows[0]))
+    square = [r[:n] for r in rows[:n]]
+    det = det_cofactor(square)
+    if det == 0:
+        with pytest.raises(ValueError, match="singular"):
+            integer_inverse(square)
+        return
+    inv, p = integer_inverse(square)
+    assert abs(p) == abs(det)
+    assert [
+        [sum(square[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ] == [[p * (i == j) for j in range(n)] for i in range(n)]
+    # its row sums are the solve at (1, ..., 1), over the same p
+    assert integer_solve(square, [1] * n) == ([sum(row) for row in inv], p)
 
 
 def test_integer_solve_rejects_non_square():

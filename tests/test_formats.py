@@ -191,6 +191,75 @@ class TestRationalGrammar:
         assert value == RATIONAL[literal]
 
 
+P2_TEMPLATE = (
+    "dim {dim}\nk {k}\nray [{ray}, 0]\nray [0, 1]\nray [-1, -1]\n"
+    "cone [{cone}, 2]\ncone [2, 3]\ncone [3, 1]\n"
+)
+POINT_TEMPLATE = "m {m}\nd {d}\ns 1\neinstein yes\npoint P ricci_flat order={order} phi=[1]\n"
+# Integer fields: the line each is on, and the value of a field when it is
+# not the one under test.
+INTEGER_FIELDS = {
+    "dim": (P2_TEMPLATE, 1, 2),
+    "k": (P2_TEMPLATE, 2, 1),
+    "ray": (P2_TEMPLATE, 3, 1),
+    "cone": (P2_TEMPLATE, 6, 1),
+    "m": (POINT_TEMPLATE, 1, 2),
+    "d": (POINT_TEMPLATE, 2, 1),
+    "order": (POINT_TEMPLATE, 5, 2),
+}
+NOT_INTEGER = (
+    "1_0", "\u0661", "\u0662", "\u0663", "\uff11", "1.0", "1e3", "0x1", "+-1", "1/1",
+)
+
+
+def _integer_text(field, literal):
+    template = INTEGER_FIELDS[field][0]
+    values = {name: value for name, (t, _, value) in INTEGER_FIELDS.items() if t is template}
+    values[field] = literal
+    return template.format(**values)
+
+
+def _parse_integer_text(field, literal):
+    parse = parse_fan if INTEGER_FIELDS[field][0] is P2_TEMPLATE else parse_orbifold
+    return parse(_integer_text(field, literal))
+
+
+class TestIntegerGrammar:
+    """One ASCII grammar, [+-]?[0-9]+, for dim, k, ray and cone entries, m,
+    d and order: Python's int(str) takes underscores and non-ASCII digits,
+    so 'k 1_0' would read as 10 and 'm \u0662' as 2."""
+
+    @pytest.mark.parametrize(
+        "field, literal", [(f, x) for f in INTEGER_FIELDS for x in NOT_INTEGER]
+    )
+    def test_rejected(self, field, literal):
+        with pytest.raises(ParseError) as err:
+            _parse_integer_text(field, literal)
+        line = INTEGER_FIELDS[field][1]
+        if field in ("ray", "cone"):
+            message = f"{field} entry {literal!r} is not an integer"
+        else:
+            message = f"{field} must be an integer"
+        assert err.value.errors[0] == f"line {line}: {message}"
+
+    @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+    @pytest.mark.parametrize("form", ["{}", "+{}", "00{}"])
+    def test_accepted(self, field, form):
+        value = INTEGER_FIELDS[field][2]
+        parsed = _parse_integer_text(field, form.format(value))
+        expected = _parse_integer_text(field, str(value))
+        assert parsed == expected
+
+    def test_underscore_and_non_ascii_digits(self):
+        for text in (
+            P2_TEMPLATE.format(dim=2, k="1_0", ray=1, cone=1),
+            P2_TEMPLATE.format(dim=2, k=1, ray="\u0661", cone=1),
+            POINT_TEMPLATE.format(m="\u0662", d=1, order=2),
+        ):
+            with pytest.raises(ParseError):
+                parse_fan(text) if text.startswith("dim") else parse_orbifold(text)
+
+
 class TestRoundTrip:
     def test_all_bundled_inputs(self):
         for ex in embedded_examples():

@@ -15,13 +15,11 @@ from conftest import (
     polytope_from_h_rep,
     solve_cramer,
 )
-from kcscglue import polytope
+from kcscglue import exact_linalg
 from kcscglue.examples import example_by_name
 from kcscglue.exact_linalg import integer_determinant, unimodular_inverse
 from kcscglue.formats import parse_fan
 from kcscglue.polytope import (
-    DegeneratePolytopeError,
-    UnboundedRegionError,
     anticanonical_polytope,
     faces,
     moment_assignment,
@@ -65,19 +63,22 @@ class TestAnticanonicalPolytope:
 
     def test_incomplete_fan_rejected(self):
         fan = Fan(dim=2, rays=((1, 0), (0, 1)), max_cones=((0, 1),))
-        with pytest.raises(UnboundedRegionError):
+        with pytest.raises(ValueError, match=r"^invalid fan: wall \[2\] lies in 1 of"):
             anticanonical_polytope(fan, 1)
 
     def test_overlapping_cones_rejected(self):
         # P2 plus the ray (1, 1) and a cone overlapping the first one: the
-        # first cone's vertex violates the new facet
+        # fan check rejects it before any vertex is solved for
         fan = Fan(
             dim=2,
             rays=((1, 0), (0, 1), (-1, -1), (1, 1)),
             max_cones=((0, 1), (1, 2), (2, 0), (0, 3)),
         )
-        with pytest.raises(ValueError, match="violates facet of ray"):
+        with pytest.raises(ValueError, match=r"^invalid fan: wall \[1\] lies in 3 of"):
             anticanonical_polytope(fan, 1)
+        # the facet check on its own still sees the overlap
+        with pytest.raises(ValueError, match="violates facet of ray"):
+            moment_assignment(fan, 1)
 
     def test_every_vertex_satisfies_every_facet(self):
         for fan, k in ((X1, 3), (X4, 5), (P2_FAN, 1)):
@@ -162,6 +163,8 @@ class TestBarycenter:
         assert polytope_barycenter(p) == (0, 0, 0)
 
     def test_unit_cube(self):
+        # an H-representation has no cones to read a barycenter off, so
+        # only the triangulation oracle applies
         normals = [
             (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
         ]
@@ -170,9 +173,11 @@ class TestBarycenter:
         assert ivert(p) == {
             (a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)
         }
-        assert polytope_barycenter(p) == (
+        assert barycenter_fraction(p, p.face_lattice) == (
             Fraction(1, 2), Fraction(1, 2), Fraction(1, 2),
         )
+        with pytest.raises(ValueError, match="cones of a fan"):
+            polytope_barycenter(p)
 
     def test_triangle(self):
         p = anticanonical_polytope(P2_FAN, 1)
@@ -183,7 +188,9 @@ class TestBarycenter:
         normals = [(1, 0), (-1, 0), (0, 1), (0, -1)]
         offsets = [0, -1, 0, 0]
         p = polytope_from_h_rep(normals, offsets)
-        with pytest.raises(DegeneratePolytopeError):
+        with pytest.raises(ValueError, match="not full-dimensional"):
+            barycenter_fraction(p, p.face_lattice)
+        with pytest.raises(ValueError, match="cones of a fan"):
             polytope_barycenter(p)
 
 
@@ -324,11 +331,14 @@ def _assert_matches_fraction_oracles(p):
             for f, fd in oracle_dims.items()
             if fd == dim
         )
-    if lattice[top] == p.dim:
+    if p.fan is not None:
         assert polytope_barycenter(p) == barycenter_fraction(p, oracle_dims)
+    elif lattice[top] == p.dim:
+        # no cones: the two lattices' triangulations must agree
+        assert barycenter_fraction(p, lattice) == barycenter_fraction(p, oracle_dims)
     else:
-        with pytest.raises(DegeneratePolytopeError):
-            polytope_barycenter(p)
+        with pytest.raises(ValueError, match="not full-dimensional"):
+            barycenter_fraction(p, lattice)
 
 
 def test_integer_polytope_layer_matches_fraction_oracles():
@@ -370,13 +380,56 @@ def test_integer_polytope_layer_checks_still_fire():
         max_cones=((0, 3), (0, 1), (1, 2), (2, 0)),
     )
     with pytest.raises(ValueError) as exc:
-        anticanonical_polytope(overlapping, 1)
+        moment_assignment(overlapping, 1)
     assert str(exc.value) == "cone vertex (-1, -5/3) violates facet of ray (0, 1)"
+    with pytest.raises(ValueError, match="^invalid fan: "):
+        anticanonical_polytope(overlapping, 1)
     with pytest.raises(ValueError, match="singular vertex system"):
         vertex_for_cone(P2_FAN, 1, Cone.from_rows([(1, 0), (2, 0)]))
     incomplete = Fan(dim=2, rays=P2_FAN.rays, max_cones=P2_FAN.max_cones[:2])
-    with pytest.raises(DegeneratePolytopeError, match="not full-dimensional"):
-        polytope_barycenter(anticanonical_polytope(incomplete, 1))
+    with pytest.raises(ValueError, match=r"^invalid fan: wall \[1\] lies in 1 of"):
+        anticanonical_polytope(incomplete, 1)
+
+
+def _hirzebruch(a):
+    """The Hirzebruch surface F_a: -K is ample for a <= 1, nef but not
+    ample for a = 2 and not nef for a >= 3."""
+    return Fan(
+        dim=2,
+        rays=((1, 0), (0, 1), (-1, a), (0, -1)),
+        max_cones=((0, 1), (1, 2), (2, 3), (3, 0)),
+    )
+
+
+def test_facet_check_rejects_a_complete_fan_without_nef_minus_k():
+    fan = _hirzebruch(3)
+    assert validate_fan(fan).valid
+    with pytest.raises(ValueError) as exc:
+        anticanonical_polytope(fan, 1)
+    assert str(exc.value) == "cone vertex (-1, -1) violates facet of ray (-1, 3)"
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_f2_cones_share_a_vertex(k):
+    """F_2 is nef but not ample: 4 cones, 3 vertices, so faces come from the
+    face lattice, while the barycenter is still read off the 4 cones."""
+    p = anticanonical_polytope(_hirzebruch(2), k)
+    assert len(p.cone_vertices) == 4
+    assert p.vertices == ((-k, -k), (-k, k), (3 * k, k))
+    assert faces(p, 1) == [
+        ((-k, -k), (-k, k)), ((-k, -k), (3 * k, k)), ((-k, k), (3 * k, k)),
+    ]
+    assert "face_lattice" in p.__dict__
+    assert polytope_barycenter(p) == (Fraction(k, 3), Fraction(k, 3))
+
+
+def test_faces_of_distinct_vertices_take_no_face_lattice():
+    for fan, k in ((X1, 3), (X4, 5), (P2_FAN, 1), (F1_FAN, 1)):
+        p = anticanonical_polytope(fan, k)
+        assert len(p.vertices) == len(fan.max_cones)
+        for d in range(fan.dim + 1):
+            faces(p, d)
+        assert "face_lattice" not in p.__dict__
 
 
 def _cube_fan(m, keep=lambda signs: True):
@@ -392,9 +445,8 @@ def _cube_fan(m, keep=lambda signs: True):
     return Fan(dim=m, rays=rays, max_cones=cones)
 
 
-# Cone lists that pass validate_fan but are not fans: their polytopes miss
-# vertices of the region, so some face dimensions are not fixed by the
-# lattice bounds and come from the rank fallback.
+# Cone lists on the rays of complete fans that are not fans themselves:
+# they skip vertices of the region their rays bound.
 NON_FANS = {
     "alternating octants": _cube_fan(3, lambda signs: sum(signs) % 2 == 0),
     "alternating hexagon": Fan(
@@ -408,34 +460,41 @@ NON_FANS = {
 }
 
 
-def _counting_rank(monkeypatch):
+def _counting_eliminations(monkeypatch):
     calls = []
 
-    def counted(a, rank=polytope.integer_rank):
-        calls.append(len(a))
-        return rank(a)
+    def counted(a, ncols, echelon=exact_linalg._echelon):
+        calls.append(ncols)
+        return echelon(a, ncols)
 
-    monkeypatch.setattr(polytope, "integer_rank", counted)
+    monkeypatch.setattr(exact_linalg, "_echelon", counted)
     return calls
 
 
 @pytest.mark.parametrize("name", sorted(NON_FANS))
 def test_face_lattice_of_non_fans(name, monkeypatch):
+    """A non-fan is rejected before any polytope or face lattice is built;
+    the region its rays bound, with every vertex listed, has its face
+    lattice without a rank."""
     fan = NON_FANS[name]
-    assert validate_fan(fan).valid
-    p = anticanonical_polytope(fan, 1)
-    calls = _counting_rank(monkeypatch)
-    assert p.face_lattice == face_lattice_by_edge_rank(p)
-    # the bounds cannot settle every face here: the rank fallback ran
-    assert calls
+    violations = validate_fan(fan).violations
+    assert violations and all(" of the cones, expected " in v for v in violations)
+    with pytest.raises(ValueError, match="^invalid fan: wall "):
+        anticanonical_polytope(fan, 1)
+    region = polytope_from_h_rep(fan.rays, [-1] * len(fan.rays))
+    calls = _counting_eliminations(monkeypatch)
+    lattice = region.face_lattice
+    assert calls == []
+    assert lattice == face_lattice_by_edge_rank(region)
 
 
 def test_face_lattice_takes_no_rank_on_fans(monkeypatch):
     rng = random.Random(3)
     fans = [(X1, 3), (X4, 5), (P2_FAN, 1), (F1_FAN, 1), (_cube_fan(4), 1)]
+    fans += [(_hirzebruch(2), 1), (_hirzebruch(2), 2)]
     fans += [(_sheared_product_fan(rng, m, r), 1) for m in (3, 5) for r in (2, 3, 5)]
     polytopes = [anticanonical_polytope(fan, k) for fan, k in fans]
-    calls = _counting_rank(monkeypatch)
+    calls = _counting_eliminations(monkeypatch)
     for p in polytopes:
         lattice = p.face_lattice
         assert lattice[frozenset(range(len(p.vertices)))] == p.dim
@@ -463,7 +522,7 @@ def test_face_lattice_matches_edge_rank_on_h_rep_polytopes(p):
     """Every vertex of the region is listed, so the bounds meet on each face
     of a full-dimensional polytope and no face takes a rank."""
     with pytest.MonkeyPatch.context() as mp:
-        calls = _counting_rank(mp)
+        calls = _counting_eliminations(mp)
         lattice = p.face_lattice
     assert lattice == face_lattice_by_edge_rank(p)
     assert lattice[frozenset(range(len(p.vertices)))] == p.dim

@@ -7,11 +7,11 @@ whose polytopes have fractional vertices (a sheared 3-d product fan with
 charts of order 3, and a 2-d cyclic fan with a nonzero barycenter), each
 balancing outcome of both regimes, point labels outside ASCII (escaped as
 ``\\u`` sequences, an astral one as a surrogate pair), and reports that
-stop early: an invalid fan and fans whose polytope stage records an error.
-Three cone lists that are not fans but pass validation -- alternate
+stop early: fans whose polytope stage records an error (no k, -K not nef)
+and invalid fans.  Among the invalid fans are cone lists that are not fans
+-- incomplete and overlapping P^2, P^2 with a ray in no cone, alternate
 octants of (P^1)^3, alternate cones of the hexagon fan, and (P^1)^4 without
-alternate vertices of one facet -- pin the faces whose dimension the face
-lattice cannot bound and takes by rank.
+alternate vertices of one facet -- which pin the fan check's violations.
 Only a deliberate change to a report's content may update a digest.
 """
 
@@ -121,12 +121,15 @@ point Qü scalar_flat order=2 e_sign=+1 phi=[0, 1]
 point Q∞ scalar_flat order=2 e_sign=+1 phi=[-1, -1]
 point P𝔽 ricci_flat order=3 phi=[0, 1] dphi=[0, -1]
 """,
-        # error-shaped reports: a recorded polytope error, an invalid fan
+        # error-shaped reports: recorded polytope errors, invalid fans
         "incomplete-p2.fan": P2_RAYS + "cone [1, 2]\ncone [2, 3]\n",
         "p2-no-k.fan": P2_RAYS.replace("k 1\n", "") + P2_CONES,
+        "p2-unused-ray.fan": P2_RAYS + "ray [1, 1]\n" + P2_CONES,
+        "f3-not-nef.fan": "dim 2\nk 1\nray [1, 0]\nray [0, 1]\nray [-1, 3]\nray [0, -1]\n"
+        "cone [1, 2]\ncone [2, 3]\ncone [3, 4]\ncone [4, 1]\n",
         "overlapping-p2.fan": P2_RAYS + "ray [1, 1]\n" + P2_CONES + "cone [1, 4]\n",
         "three-generator-cone.fan": P2_RAYS + "cone [1, 2, 3]\ncone [2, 3]\ncone [3, 1]\n",
-        # not fans, yet valid: their polytopes miss vertices of the region
+        # not fans: each skips vertices of the region its rays bound
         "alternating-octants.fan": CUBE3_RAYS
         + "cone [1, 3, 5]\ncone [1, 4, 6]\ncone [2, 3, 6]\ncone [2, 4, 5]\n",
         "alternating-hexagon.fan": """\
@@ -152,18 +155,20 @@ cone [5, 6]
 )
 
 DIGESTS = {
-    "alternating-hexagon.fan": "5dbf2b47ea977bd1382866f05cc7a8f1ff5d45f35cbcfcd906dc6ed7339b90b3",
-    "alternating-octants.fan": "3b8313ab84eec1dc749303c3bfee0e4d99a23c320090728f17dfcf6915f1b22a",
-    "p1-4-missing-alternate.fan": "63ecfcf1071aa7d13c1ab452895c2f59ac953f5a2cd968c0a214417e5a2405ec",
+    "alternating-hexagon.fan": "f2b0a405b9c315d2431db9af75aa17d0e63d61337cfb3d1d51644d072e561c03",
+    "alternating-octants.fan": "b808ed4cee2bfc26d14e13cba23244f4292c1ed5d902128fc5069517e39f3722",
+    "p1-4-missing-alternate.fan": "b29cdac2998911c4a361ef1665d40477369ea33ef5f847ca5adc45567877f9c2",
     "cyclic-r7.fan": "6d063de4f54a0b50917ca6b98894b060a7801c510356145369f7ddc6a1fd3fd8",
     "einstein-no-witness.orb": "d05d5bb62b6a33ba5f246f50a423652bea89a7e0b2942848fbd454fb2eb9848f",
-    "incomplete-p2.fan": "de4b1050d1f4a6f9dab1707b1927737a03b41e4f1a12174873d4c5c010fa18ac",
+    "incomplete-p2.fan": "8a29b514dbbb45d64539be417da0e6962da14530f3733ffcbadacb857d114536",
+    "f3-not-nef.fan": "cdf154f5620213c7ed4bcf88f7cd9a1e41b2e3d4bb8cab840f50929c6891092f",
     "explicit-laplacian.orb": "5044cad617314781d78b525facad5eaf883b2a72c6aba2eb901e137c22e1433e",
     "non-ascii-label.orb": "764476004ea9fd6ecea3b7f7c1c356ba79905661ff0b6d6aef94d2f9ca25a04a",
     "numeric-s.orb": "e184874edb507267bdba9490949d23b82932494a98d12137b846b7fa21ec39a4",
-    "overlapping-p2.fan": "f3b66c1e0f35198fd2c72d0304c0acecf74d694f58be85ff9fd45fc752047fc2",
+    "overlapping-p2.fan": "bb686cd62ca6d1f04344c77ef3691e96d549870cf73e5f77f9cb837ef6bdd8d4",
     "p1xp1-z2.orb": "ea784b7c80e2b81a65ffeab5082ca36931bd951f4208136de8e8679aa5ca4199",
     "p2-no-k.fan": "a318b6734f521e9932c3cf02435fad59f9910fd25b2914efdadcd96e496c4e71",
+    "p2-unused-ray.fan": "778a2cb90e29b677a12088e112c7217631357b4bc624e78755d01b9f29110b30",
     "p2-z3.orb": "61bda3c508555dad6d2bb47d7fec4091e53c56808303e0911c9c358e77ecc50a",
     "scalar-flat-no-witness.orb": "d80c37aed79d8c1e0fb177e4badbd94bda8cee28140e43b780686973aafedc0d",
     "scalar-flat-rank-deficient.orb": "2213f3d27990a2e209dcb57ffde1812584ee6e135597f5429b830517ca11aac7",

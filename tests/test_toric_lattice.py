@@ -14,7 +14,13 @@ from kcscglue import exact_linalg
 from kcscglue.examples import example_by_name
 from kcscglue.exact_linalg import integer_determinant, integer_solve
 from kcscglue.formats import parse_fan
-from kcscglue.polytope import moment_assignment, vertex_for_cone
+from kcscglue.polytope import (
+    anticanonical_polytope,
+    faces,
+    moment_assignment,
+    polytope_barycenter,
+    vertex_for_cone,
+)
 from kcscglue.toric_lattice import (
     SMOOTH,
     SU,
@@ -71,6 +77,73 @@ class TestValidateFan:
         report = validate_fan(fan)
         assert not report.valid
         assert any("full-dimensional" in v for v in report.violations)
+
+
+P2_RAYS = ((1, 0), (0, 1), (-1, -1))
+P2_CONES = ((0, 1), (1, 2), (2, 0))
+
+
+class TestFanCheck:
+    """Nonsingular simplicial cones on distinct ray sets must also form a
+    complete fan: every ray used, every wall in two cones on opposite sides,
+    and a generic point in exactly one cone."""
+
+    def test_complete_fans_pass(self):
+        for fan in (X1, X4, Fan(dim=2, rays=P2_RAYS, max_cones=P2_CONES)):
+            assert validate_fan(fan).valid
+        p1 = Fan(dim=1, rays=((1,), (-1,)), max_cones=((0,), (1,)))
+        assert validate_fan(p1).valid
+
+    def test_incomplete(self):
+        fan = Fan(dim=2, rays=P2_RAYS, max_cones=P2_CONES[:2])
+        assert validate_fan(fan).violations == (
+            "wall [1] lies in 1 of the cones, expected 2",
+            "wall [3] lies in 1 of the cones, expected 2",
+        )
+
+    def test_overlapping(self):
+        fan = Fan(dim=2, rays=P2_RAYS + ((1, 1),), max_cones=P2_CONES + ((0, 3),))
+        assert validate_fan(fan).violations == (
+            "wall [1] lies in 3 of the cones, expected 2",
+            "wall [4] lies in 1 of the cones, expected 2",
+        )
+
+    def test_unused_ray(self):
+        fan = Fan(dim=2, rays=P2_RAYS + ((1, 1),), max_cones=P2_CONES)
+        assert validate_fan(fan).violations == ("ray 4 [1, 1] is in no cone",)
+
+    def test_wall_with_both_cones_on_one_side(self):
+        fan = Fan(dim=2, rays=((1, 0), (0, 1), (1, 2)), max_cones=((0, 1), (1, 2)))
+        assert "cones C1 and C2 are on one side of wall [2]" in validate_fan(fan).violations
+
+    def test_double_cover(self):
+        # every wall in two cones on opposite sides, but the cones wind
+        # twice around the origin
+        rays = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
+        cones = ((0, 2), (2, 4), (4, 0), (1, 3), (3, 5), (5, 1))
+        fan = Fan(dim=2, rays=rays, max_cones=cones)
+        assert validate_fan(fan).violations == (
+            "point [1, 2] lies in 2 of the cones, expected 1",
+        )
+
+    def test_generic_direction_avoids_every_wall(self):
+        # c = (1, 2) lies on the ray [1, 2], so the search moves on to t = 3
+        fan = Fan(dim=2, rays=((1, 0), (1, 2), (-1, -1)), max_cones=P2_CONES)
+        assert validate_fan(fan).valid
+        point, pairings = fan.generic_direction
+        assert point == (1, 3)
+        assert all(all(alphas) for alphas in pairings)
+
+    def test_verdict_cached_on_the_fan(self):
+        fan = Fan(dim=2, rays=P2_RAYS, max_cones=P2_CONES)
+        assert validate_fan(fan) is validate_fan(fan) is fan.validation
+
+    def test_runs_only_after_the_cone_checks(self):
+        # a singular cone has no inverse to read walls off
+        fan = Fan(dim=2, rays=((1, 0), (-1, 0), (0, 1)), max_cones=((0, 1), (1, 2)))
+        assert validate_fan(fan).violations == (
+            "cone C1: generators are linearly dependent",
+        )
 
 
 class TestConeIndex:
@@ -258,8 +331,9 @@ def test_isolated_weights_have_no_zero_component():
 
 
 class TestSharedSolve:
-    """One height-one solve per cone serves its order, its Gorenstein
-    covector, its validation and its moment vertex."""
+    """One integer inverse per cone, whose row sums are its height-one
+    solve, serves its order, its Gorenstein covector, its validation, the
+    fan check, its moment vertex, the barycenter and the faces."""
 
     def test_matches_separate_eliminations_on_random_cones(self):
         rng = random.Random(29)
@@ -267,6 +341,13 @@ class TestSharedSolve:
             m = rng.choice((2, 3, 4))
             cone = _random_cone(rng, m, max_det=30 if m < 4 else 10**4)
             num, p = cone.height_one
+            columns, q = cone.inverse
+            # <v_i, A_j> = p [i = j], and the solve is the row sums of A
+            assert q == p
+            assert [
+                [sum(a * b for a, b in zip(v, col)) for col in columns]
+                for v in cone.generators
+            ] == [[p * (i == j) for j in range(m)] for i in range(m)]
             assert abs(p) == abs(integer_determinant(cone.generator_matrix()))
             assert abs(p) == cone_index(cone)
             fan = Fan(dim=m, rays=cone.generators, max_cones=(tuple(range(m)),))
@@ -303,7 +384,11 @@ class TestSharedSolve:
 
         monkeypatch.setattr(exact_linalg, "_echelon", counted)
         classified = classify_fan(fan)
+        # the fan check included
         assert validate_fan(fan).valid
-        moment_assignment(fan, k)
+        p = anticanonical_polytope(fan, k)
+        assert moment_assignment(fan, k) == list(p.cone_vertices)
+        assert polytope_barycenter(p) == (0, 0, 0)
+        assert faces(p, 2)
         assert all(group is not None for _, group in classified)
         assert calls == [fan.dim] * len(fan.max_cones)
