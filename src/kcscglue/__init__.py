@@ -39,11 +39,13 @@ from .polytope import (
 )
 from .balancing import (
     BalancingReport,
+    Certificate,
     EpsPower,
     PiRational,
     SingularPointRecord,
     build_theta,
     build_xi,
+    check_certificate,
     gluing_scales,
     leading_coefficients,
     model_constants,

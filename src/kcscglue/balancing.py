@@ -4,9 +4,10 @@ Assembles the balancing matrices for the two gluing regimes (only
 scalar-flat models contribute balancing conditions; in the all-Ricci-flat
 regime the weights are tuned so the conditions reduce to a positive-kernel
 search) and decides both with one routine: a positive kernel vector by
-exact LP, and full rank read off the elimination that gives the kernel
-basis.  Every closed-form constant is evaluated with pi-powers kept
-symbolic.
+exact LP, and the rank by one elimination.  Each verdict carries a
+certificate that an integer checker, independent of the solver, verifies
+before the verdict is returned.  Every closed-form constant is evaluated
+with pi-powers kept symbolic.
 """
 
 from __future__ import annotations
@@ -14,14 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
-from .exact_linalg import (
-    RationalMatrix,
-    frac,
-    nullspace_basis,
-    positive_kernel_witness,
-)
+from .exact_linalg import RationalMatrix, frac, phase_one, rank_certificate
 
 RICCI_FLAT = "ricci_flat"
 SCALAR_FLAT = "scalar_flat"
@@ -176,6 +173,27 @@ class ScaledMatrix:
             raise ValueError("stripped scale must be positive")
 
 
+FULL_RANK, RANK_DEFICIENT, GORDAN = "full_rank", "rank_deficient", "gordan"
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Why a balancing verdict holds, stated on M_int: the balancing matrix
+    at unit weights with each row scaled by the lcm of its denominators.
+
+    full_rank: M_int has the nonzero ``determinant`` on ``columns``
+    (0-based), so its rank is d.  rank_deficient: ``y`` != 0 with
+    yᵀ·M_int = 0, so its rank is below d.  gordan: yᵀ·M_int >= 0 and != 0,
+    a combination of the phi_i nonnegative at every point and positive at
+    one, so no positive kernel vector exists (Gordan's alternative).
+    """
+
+    kind: str
+    y: tuple[int, ...] = ()
+    columns: tuple[int, ...] = ()
+    determinant: int = 0
+
+
 @dataclass(frozen=True)
 class BalancingReport:
     regime: str
@@ -185,9 +203,13 @@ class BalancingReport:
     rank: Optional[int] = None
     witness: Optional[tuple[Fraction, ...]] = None
     witness_c: Optional[tuple[Fraction, ...]] = None
-    kernel_basis: tuple[tuple[Fraction, ...], ...] = ()
+    certificate: Optional[Certificate] = None
     coefficients: tuple["PointCoefficients", ...] = ()
     notes: tuple[str, ...] = ()
+
+    @property
+    def kernel_dim(self) -> int:
+        return self.matrix.matrix.cols - self.rank
 
 
 @dataclass(frozen=True)
@@ -300,6 +322,57 @@ def build_theta(
     return ScaledMatrix(_matrix(d, n, entries))
 
 
+def _determinant(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    a = [list(row) for row in a]
+    sign, prev = 1, 1
+    for k in range(len(a)):
+        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv], sign = a[piv], a[k], -sign
+        for i in range(k + 1, len(a)):
+            a[i] = [(a[k][k] * x - a[i][k] * y) // prev for x, y in zip(a[i], a[k])]
+        prev = a[k][k]
+    return sign * prev
+
+
+def check_certificate(
+    matrix: RationalMatrix, witness: Optional[Sequence[Fraction]], cert: Certificate
+) -> None:
+    """Verify a verdict in Python ints, apart from the solver: the witness
+    has entries >= 1 and M·w = 0, and the certificate holds on M_int (see
+    Certificate), rebuilt here from the matrix at unit weights.  A full_rank
+    or rank_deficient certificate goes with a witness, a gordan one without.
+    Raises RuntimeError if anything fails."""
+    rows = []
+    for i in range(matrix.rows):
+        scale = math.lcm(*(e.denominator for e in matrix.row(i)))
+        rows.append([e.numerator * (scale // e.denominator) for e in matrix.row(i)])
+    ok = (witness is None) == (cert.kind == GORDAN)
+    if witness is not None:
+        den = math.lcm(*(w.denominator for w in witness))
+        w = [x.numerator * (den // x.denominator) for x in witness]
+        ok = ok and len(w) == matrix.cols and min(w, default=den) >= den
+        ok = ok and not any(sum(map(mul, row, w)) for row in rows)
+    if cert.kind == FULL_RANK:
+        cols = cert.columns
+        ok = ok and len(cols) == matrix.rows and list(cols) == sorted(set(cols))
+        ok = ok and all(0 <= j < matrix.cols for j in cols) and cert.determinant != 0
+        ok = ok and _determinant([[row[j] for j in cols] for row in rows]) == cert.determinant
+    elif cert.kind in (RANK_DEFICIENT, GORDAN) and len(cert.y) == matrix.rows:
+        y_m = [sum(map(mul, cert.y, col)) for col in zip(*rows)]
+        if cert.kind == RANK_DEFICIENT:
+            ok = ok and any(cert.y) and not any(y_m)
+        else:
+            ok = ok and min(y_m, default=0) >= 0 and any(y_m)
+    else:
+        ok = False
+    if not ok:
+        raise RuntimeError(f"{cert.kind} balancing certificate fails its check (bug)")
+
+
 _RANK_NOTES = {
     RICCI_FLAT: "balancing matrix has rank {r} < d = {d}",
     SCALAR_FLAT: "rank condition fails: rank {r} < d = {d}",
@@ -317,16 +390,25 @@ def _decide(
     """The balancing decision shared by both regimes.
 
     The regime's matrix is built once at unit weights; the simplex looks for
-    a positive kernel vector and one elimination gives the kernel basis and
-    with it the rank.  Every witness entry is >= 1, so weighting the columns
-    by the witness keeps the rank, and the reported matrix is the builder's
-    at the witness (at unit weights when there is none).
+    a positive kernel vector, its duals giving a Gordan certificate when
+    there is none, and one elimination gives the rank with a full-rank or
+    rank-deficient certificate.  check_certificate verifies the verdict.
+    Every witness entry is >= 1, so weighting the columns by the witness
+    keeps the rank, and the reported matrix is the builder's at the witness
+    (at unit weights when there is none).
     """
     unit = build([Fraction(1)] * len(points))
-    witness = positive_kernel_witness(unit.matrix)
-    kernel = tuple(nullspace_basis(unit.matrix))
+    witness, gordan = phase_one(unit.matrix)
+    pivots, det, y = rank_certificate(unit.matrix)
     d = unit.matrix.rows
-    r = unit.matrix.cols - len(kernel)
+    r = len(pivots)
+    if witness is None:
+        cert = Certificate(GORDAN, y=gordan)
+    elif y is None:
+        cert = Certificate(FULL_RANK, columns=tuple(pivots), determinant=det)
+    else:
+        cert = Certificate(RANK_DEFICIENT, y=y)
+    check_certificate(unit.matrix, witness, cert)
     if witness is None:
         return BalancingReport(
             regime=regime,
@@ -334,7 +416,7 @@ def _decide(
             feasible=False,
             matrix=unit,
             rank=r,
-            kernel_basis=kernel,
+            certificate=cert,
             notes=tuple(notes + ["no positive kernel vector exists"]),
         )
     witness_c = None if s is None else tuple(s * w for w in witness)
@@ -354,7 +436,7 @@ def _decide(
         rank=r,
         witness=witness,
         witness_c=witness_c,
-        kernel_basis=kernel,
+        certificate=cert,
         coefficients=coefficients,
         notes=tuple(notes),
     )

@@ -30,6 +30,7 @@ from .formats import (
 from .report import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
+    balancing_lines,
     build_report,
     classification_table,
     exit_code,
@@ -152,22 +153,7 @@ def cmd_balance(args) -> int:
     body = report["report"]
     if _print_errors(body):
         return exit_code(body)
-    bal = body["balancing"]
-    print(f"regime: {bal['regime']}")
-    print(f"feasible: {'yes' if bal['feasible'] else 'no'}")
-    for key in ("witness_a", "witness_b", "witness_c"):
-        if bal.get(key):
-            print(f"{key[-1]} = ({', '.join(bal[key])})")
-    for rank_key in ("xi_rank", "theta_rank"):
-        if bal.get(rank_key) is not None:
-            print(f"{rank_key}: {bal[rank_key]} of d = {bal['d']}")
-    if bal.get("kernel_basis"):
-        print(
-            "kernel basis: "
-            + "; ".join("(" + ", ".join(v) + ")" for v in bal["kernel_basis"])
-        )
-    for note in bal.get("notes", []):
-        print(f"note: {note}")
+    print("\n".join(balancing_lines(body["balancing"])))
     return exit_code(body)
 
 

@@ -4,12 +4,14 @@ Everything here is computed over Q (``fractions.Fraction``) or Z (Python
 ints); no floating point anywhere.  Rank, determinants, square solves,
 nullspaces and inverses all run on one fraction-free integer elimination
 kernel (Bareiss).  The toric layer calls its integer_inverse once per cone,
-and the polytope layer reads every cone datum off that inverse; of the
-Fraction wrappers only nullspace_basis (balancing) is on the report path.
-Besides it there are a Smith normal form with unimodular transforms and a
-phase-one simplex for strictly positive kernel vectors, whose tableau rows
-are integer vectors with implicit positive scales, so no pivot touches a
-Fraction.
+and the polytope layer reads every cone datum off that inverse; the
+balancing layer takes a rank with its certificate (rank_certificate) from
+one elimination of [M | I].  None of the Fraction wrappers is on the report
+path.  Besides the kernel there are a Smith normal form with unimodular
+transforms and a phase-one simplex for strictly positive kernel vectors,
+whose tableau rows are integer vectors with implicit positive scales, so no
+pivot touches a Fraction; when there is no such vector its duals give a
+Gordan certificate.
 """
 
 from __future__ import annotations
@@ -191,6 +193,28 @@ def solve_square(m: RationalMatrix, b: Sequence[Scalar]) -> tuple[Fraction, ...]
     return tuple(Fraction(x, p) for x in num)
 
 
+def rank_certificate(
+    m: RationalMatrix,
+) -> tuple[list[int], int, Optional[tuple[int, ...]]]:
+    """The rank of M with a certificate, from one elimination of [M_int | I].
+
+    M_int is M with each row scaled by the lcm of its denominators.  Returns
+    ``(pivot columns, det, y)``.  At full row rank the pivot columns are a
+    nonsingular column subset, det is M_int's determinant on them and y is
+    None.  Below it det is 0 and y != 0 is an integer vector with
+    yᵀ·M_int = 0: the identity block of the first row that the elimination
+    zeroed, since every row of the result is (its identity block)ᵀ·[M_int | I].
+    """
+    d, n = m.rows, m.cols
+    aug = [_integer_row(m.row(i))[0] + [int(i == j) for j in range(d)] for i in range(d)]
+    pivots, p, sign = _echelon(aug, n)
+    if len(pivots) == d:
+        return pivots, sign * p, None
+    y = aug[len(pivots)][n:]
+    g = gcd(*y) or 1
+    return pivots, 0, tuple(x // g for x in y)
+
+
 def nullspace_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of ker(M), one vector per free column, ordered by free-column index."""
     rows, _ = _integer_rows(m.to_rows())
@@ -350,39 +374,61 @@ def unimodular_inverse(m: IntMatrix) -> list[list[int]]:
 def positive_kernel_witness(
     m: RationalMatrix,
 ) -> Optional[tuple[Fraction, ...]]:
-    """Find x with M·x = 0 and every component >= 1, or None.
+    """Find x with M·x = 0 and every component >= 1, or None (see phase_one)."""
+    return phase_one(m)[0]
+
+
+def phase_one(
+    m: RationalMatrix,
+) -> tuple[Optional[tuple[Fraction, ...]], Optional[tuple[int, ...]]]:
+    """``(x, None)`` with M·x = 0 and every component of x >= 1, or
+    ``(None, y)`` with y an integer vector such that yᵀ·M_int >= 0 and
+    yᵀ·M_int·1 > 0, M_int being M with each row scaled by the lcm of its
+    denominators.  The second is Gordan's alternative to the first.
 
     Kernel scale-invariance makes ``x >= 1`` equivalent to strict positivity.
-    Substituting y = x - 1 >= 0 turns the search into LP feasibility
-    (M y = -M·1), decided by a phase-one simplex run with Bland's pivoting
+    Substituting z = x - 1 >= 0 turns the search into LP feasibility
+    (M z = -M·1), decided by a phase-one simplex run with Bland's pivoting
     rule so the returned witness is deterministic.
 
     The tableau is kept in Python ints.  Row i is an integer vector R_i
     standing for the rational row R_i / s_i with an implicit scale s_i > 0;
     since the basic column of a row holds 1, s_i is that column's entry.  A
     row starts as M's row times the lcm of its denominators, with that lcm
-    as its artificial entry.  A pivot on (r, c) with p = R_r[c] > 0 replaces
-    every other row with R_i[c] = f != 0 by p·R_i - f·R_r divided by its
-    content gcd, leaves R_r as it is, and updates the objective row (scale
-    L > 0) the same way.  Signs and ratios of the rational tableau are read
-    off the integers (ratios by cross-multiplication), so every pivot is
-    the one the rational simplex would take.
+    as its artificial entry, and negated (sigma_i = -1) where that makes its
+    right-hand side nonnegative.  A pivot on (r, c) with p = R_r[c] > 0
+    replaces every other row with R_i[c] = f != 0 by p·R_i - f·R_r divided
+    by its content gcd and leaves R_r as it is.  The objective row is
+    updated the same way, its scale L becoming p·L/g with g the gcd of the
+    new row and p·L.  Signs and ratios of the rational tableau are read off
+    the integers (ratios by cross-multiplication), so every pivot is the one
+    the rational simplex would take.
+
+    When the optimum is positive, the reduced cost of artificial k is
+    1 - pi_k with pi the phase-one duals: pi_k = 1 - obj[artificial k] / L.
+    Every reduced cost is >= 0 and the optimum is pi·rhs > 0, so
+    y_k = -sigma_k·pi_k on the rows of M satisfies yᵀ·M >= 0 and
+    yᵀ·M·1 > 0 (Farkas); it is returned rescaled to M_int's rows.
     """
     ncols = m.cols
     nrows = m.rows
     if ncols == 0:
-        return ()
+        return (), None
     if nrows == 0:
-        return (Fraction(1),) * ncols
+        return (Fraction(1),) * ncols, None
 
     # Tableau rows: [A | artificial block | rhs], artificials start basic.
     width = ncols + nrows
     a_rows: list[list[int]] = []
+    scales: list[int] = []
+    signs: list[int] = []
     tab: list[list[int]] = []
     for i in range(nrows):
         row, scale = _integer_row(m.row(i))
         a_rows.append(row)
+        scales.append(scale)
         rhs = -sum(row)
+        signs.append(-1 if rhs < 0 else 1)
         if rhs < 0:
             row, rhs = [-x for x in row], -rhs
         art = [0] * nrows
@@ -393,8 +439,9 @@ def positive_kernel_witness(
     # Objective: minimize the sum of artificials.  Reduced-cost row after
     # pricing out the basic artificials, on the common denominator L of
     # the row scales.
-    big_l = lcm(*(row[bv] for row, bv in zip(tab, basis)))
-    weights = [big_l // row[bv] for row, bv in zip(tab, basis)]
+    common = lcm(*scales)
+    big_l = common
+    weights = [common // s for s in scales]
     obj = [-sum(w * row[j] for w, row in zip(weights, tab)) for j in range(width + 1)]
     for j in range(ncols, width):
         obj[j] += big_l
@@ -430,13 +477,24 @@ def positive_kernel_witness(
             f = tab[i][entering]
             if i != leaving and f:
                 tab[i] = reduce(p, tab[i], f, top)
-        obj = reduce(p, obj, obj[entering], top)
+        f = obj[entering]
+        new = [p * x - f * y for x, y in zip(obj, top)]
+        g = gcd(*new, p * big_l)
+        obj, big_l = [x // g for x in new], p * big_l // g
         basis[leaving] = entering
 
     if obj[width] != 0:
-        return None
+        # L·pi_k = L - obj[ncols + k], and row k of M is row k of M_int
+        # over scales[k]: over M_int's rows y is -sigma_k·L·pi_k/scales[k],
+        # here times the common multiple of the scales.
+        y = [
+            -sign * (big_l - obj[ncols + k]) * (common // scale)
+            for k, (sign, scale) in enumerate(zip(signs, scales))
+        ]
+        g = gcd(*y) or 1
+        return None, tuple(v // g for v in y)
 
-    # x = X / D with X integral: y[bv] = rhs / (basic entry) and x = y + 1.
+    # x = X / D with X integral: z[bv] = rhs / (basic entry) and x = z + 1.
     num = [0] * ncols
     den = [1] * ncols
     for i, bv in enumerate(basis):
@@ -447,4 +505,4 @@ def positive_kernel_witness(
     x = [d + n * (d // q) for n, q in zip(num, den)]
     if min(x) < d or any(sum(a * v for a, v in zip(row, x)) for row in a_rows):
         raise RuntimeError("simplex witness fails M x = 0, x >= 1 (bug)")
-    return tuple(Fraction(v, d) for v in x)
+    return tuple(Fraction(v, d) for v in x), None

@@ -180,7 +180,8 @@ def embedded_examples() -> list[EmbeddedExample]:
                 "rank": 2,
                 "witness_b": (1, 1, 1, 1),
                 "kernel_family": "(a, b, b, a)",
-                "kernel_basis": ((0, 1, 1, 0), (1, 0, 0, 1)),
+                "kernel_dim": 2,
+                "certificate": "full_rank",
                 "feasible": True,
             },
         ),
@@ -197,7 +198,8 @@ def embedded_examples() -> list[EmbeddedExample]:
                 "rank": 2,
                 "witness_b": (1, 1, 1),
                 "kernel_family": "(a, a, a)",
-                "kernel_basis": ((1, 1, 1),),
+                "kernel_dim": 1,
+                "certificate": "full_rank",
                 "feasible": True,
             },
         ),

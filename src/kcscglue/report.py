@@ -24,9 +24,12 @@ from typing import Any, Optional
 
 from . import __version__
 from .balancing import (
+    FULL_RANK,
+    RANK_DEFICIENT,
     RICCI_FLAT,
     SCALAR_FLAT,
     BalancingReport,
+    Certificate,
     PiRational,
     PointCoefficients,
     ScaledMatrix,
@@ -98,11 +101,21 @@ def _coefficients(coeffs: tuple[PointCoefficients, ...]) -> list[dict[str, Any]]
     return out
 
 
+def _certificate(cert: Certificate) -> dict[str, Any]:
+    """Columns are 1-based point numbers, in the order of the matrix."""
+    if cert.kind == FULL_RANK:
+        return {
+            "kind": cert.kind,
+            "columns": [j + 1 for j in cert.columns],
+            "determinant": str(cert.determinant),
+        }
+    return {"kind": cert.kind, "y": _qvec(cert.y)}
+
+
 def _balancing_dict(rep: BalancingReport) -> dict[str, Any]:
     """The report keys name the matrix, rank and witness by regime: xi and a
-    for scalar-flat points, theta and b for Ricci-flat ones.  A Ricci-flat
-    report shows its matrix and rank only at a witness; joint_rank is set
-    only at a witness."""
+    for scalar-flat points, theta and b for Ricci-flat ones.  joint_rank is
+    set only at a witness."""
     keyed: dict[str, Any] = dict.fromkeys(
         ("xi", "theta", "xi_rank", "theta_rank", "witness_a", "witness_b")
     )
@@ -111,9 +124,8 @@ def _balancing_dict(rep: BalancingReport) -> dict[str, Any]:
         if rep.regime == SCALAR_FLAT
         else ("theta", "theta_rank", "witness_b")
     )
-    if rep.witness or rep.regime == SCALAR_FLAT:
-        keyed[matrix] = _scaled_matrix(rep.matrix)
-        keyed[rank] = rep.rank
+    keyed[matrix] = _scaled_matrix(rep.matrix)
+    keyed[rank] = rep.rank
     if rep.witness:
         keyed[witness] = _qvec(rep.witness)
     return {
@@ -123,7 +135,8 @@ def _balancing_dict(rep: BalancingReport) -> dict[str, Any]:
         **keyed,
         "joint_rank": rep.rank if rep.witness else None,
         "witness_c": _qvec(rep.witness_c) if rep.witness_c else None,
-        "kernel_basis": [_qvec(v) for v in rep.kernel_basis],
+        "kernel_dim": rep.kernel_dim,
+        "certificate": _certificate(rep.certificate),
         "coefficients": _coefficients(rep.coefficients),
         "notes": list(rep.notes),
     }
@@ -452,6 +465,34 @@ def leading_cell(c: dict[str, Any]) -> str:
     return lead
 
 
+def _why(cert: dict[str, Any]) -> str:
+    """The reason a certificate gives for its verdict, in one line."""
+    if cert["kind"] == FULL_RANK:
+        columns = ", ".join(map(str, cert["columns"]))
+        return f"columns {columns} of M_int have det {cert['determinant']}, so the rank is d"
+    y = ", ".join(cert["y"])
+    if cert["kind"] == RANK_DEFICIENT:
+        return f"y = ({y}) gives y^T M_int = 0 with y != 0, so the rank is below d"
+    return f"y = ({y}) gives y^T M_int >= 0, != 0 (Gordan), so no positive kernel vector exists"
+
+
+def balancing_lines(bal: dict[str, Any]) -> list[str]:
+    """A balancing section as text: regime, verdict, witnesses, the rank with
+    the kernel dimension, one "why" line for the certificate and the notes.
+    M_int is the unit-weight matrix with its rows scaled to integers."""
+    lines = [f"regime: {bal['regime']}", f"feasible: {'yes' if bal['feasible'] else 'no'}"]
+    for key in ("witness_a", "witness_b", "witness_c"):
+        if bal.get(key):
+            lines.append(f"{key[-1]} = ({', '.join(bal[key])})")
+    for key in ("xi_rank", "theta_rank"):
+        if bal.get(key) is not None:
+            lines.append(f"{key}: {bal[key]} of d = {bal['d']}, kernel_dim {bal['kernel_dim']}")
+    if "certificate" in bal:
+        lines.append("why: " + _why(bal["certificate"]))
+    lines.extend(f"note: {note}" for note in bal["notes"])
+    return lines
+
+
 def render_text(report: dict[str, Any]) -> str:
     """Human-readable rendering of a full report."""
     body = report["report"]
@@ -500,23 +541,8 @@ def render_text(report: dict[str, Any]) -> str:
     if bal and "error" in bal:
         out.append(f"balancing: {bal['error']}")
     elif bal:
-        out.append(f"balancing regime: {bal.get('regime')}")
-        out.append(f"feasible: {'yes' if bal.get('feasible') else 'no'}")
-        for key in ("witness_a", "witness_b", "witness_c"):
-            if bal.get(key):
-                out.append(f"{key}: ({', '.join(bal[key])})")
-        for rank_key in ("xi_rank", "theta_rank", "joint_rank"):
-            if bal.get(rank_key) is not None:
-                out.append(f"{rank_key}: {bal[rank_key]} (d = {bal.get('d')})")
-        if bal.get("kernel_basis"):
-            out.append(
-                "kernel basis: "
-                + "; ".join("(" + ", ".join(v) + ")" for v in bal["kernel_basis"])
-            )
-        coeffs = bal.get("coefficients") or []
-        rows = [[c["label"], c["kind"], leading_cell(c)] for c in coeffs]
+        out.extend(balancing_lines(bal))
+        rows = [[c["label"], c["kind"], leading_cell(c)] for c in bal.get("coefficients", [])]
         if rows:
             out.append(render_table(rows, ["point", "kind", "leading coefficient"]))
-        for note in bal.get("notes", []):
-            out.append(f"note: {note}")
     return "\n".join(out) + "\n"

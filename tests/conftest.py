@@ -10,18 +10,23 @@ facet incidence, face dimensions and barycenters over a pulling
 triangulation, the face lattice with one edge-rank elimination per face,
 boundedness as positive spanning by the Fraction simplex (after every test
 these are checked against each face lattice, each fan-built polytope and
-each valid fan the test built), monomial counts for the
+each valid fan the test built), the kernel dimension of every balancing
+report and the faithfulness of every quotient action the test built, by
+nullspace_basis and by a Smith normal form, monomial counts for the
 quotient weights of a cone, an explicit symbolic Laplacian on
 integer-coefficient polynomials, a recursive surface-area formula for
 sphere volumes, face smoothness by maximal minors for isolated cones, and,
 for a finite abelian group, enumeration of its elements, character
 averaging in cyclotomic integers and a monomial-basis count.  Small
 RationalMatrix helpers (identity, scaling, M·x, zero test) that the
-library itself never needs live here too.
+library itself never needs live here too, as does a generator of
+balancing-shaped matrices in each of the three verdict classes.
 """
 
 from __future__ import annotations
 
+import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -30,16 +35,19 @@ from typing import Optional, Sequence
 
 import pytest
 
-from kcscglue.balancing import PiRational, ScaledMatrix
+from kcscglue import toric_lattice
+from kcscglue.balancing import BalancingReport, PiRational, ScaledMatrix
 from kcscglue.exact_linalg import (
     RationalMatrix,
     Scalar,
     frac,
     integer_rank,
+    nullspace_basis,
     rational_determinant,
+    smith_normal_form,
 )
 from kcscglue.polytope import LatticePolytope, faces, polytope_barycenter
-from kcscglue.toric_lattice import Fan
+from kcscglue.toric_lattice import Fan, GroupPresentation
 
 
 def identity(n: int) -> RationalMatrix:
@@ -271,6 +279,45 @@ def positive_kernel_witness_fraction(
     return x
 
 
+def orbifold_shaped_matrix(rng: random.Random, klass: str, d: int, n: int) -> RationalMatrix:
+    """A d x n balancing-shaped matrix: "balanced" has a positive kernel
+    vector, "halfspace" has none (y·column > 0 for a y with no zero entry),
+    "hyperplane" has one but rank d - 1 (columns in a hyperplane, then
+    mixed by a unimodular matrix)."""
+
+    def rational() -> Fraction:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    def nonzero() -> Fraction:
+        return Fraction(rng.randint(1, 6), rng.randint(1, 4)) * rng.choice((1, -1))
+
+    def unit(i: int, scale: Fraction) -> list[Fraction]:
+        return [scale if j == i else Fraction(0) for j in range(d)]
+
+    if klass == "halfspace":
+        y = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(d)]
+        cols = [unit(i, abs(nonzero()) * (1 if y[i] > 0 else -1)) for i in range(d)]
+        while len(cols) < n:
+            x = [rational() for _ in range(d)]
+            side = sum(a * b for a, b in zip(x, y))
+            if side:
+                cols.append(x if side > 0 else [-v for v in x])
+    else:
+        rk = d - 1 if klass == "hyperplane" else d
+        cols = [unit(i, nonzero()) for i in range(rk)]
+        cols += [[rational() for _ in range(rk)] + [Fraction(0)] * (d - rk) for _ in range(n - 1 - rk)]
+        b = [rng.randint(1, 4) for _ in range(n)]
+        cols.append([-sum(bj * c[i] for bj, c in zip(b, cols)) / b[-1] for i in range(d)])
+        if klass == "hyperplane":
+            # unit lower times unit upper triangular: determinant 1
+            low = [[rng.randint(-2, 2) if j < i else int(i == j) for j in range(d)] for i in range(d)]
+            up = [[rng.randint(-2, 2) if j > i else int(i == j) for j in range(d)] for i in range(d)]
+            mix = [[sum(low[i][k] * up[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+            cols = [[sum(mix[i][j] * c[j] for j in range(d)) for i in range(d)] for c in cols]
+    rng.shuffle(cols)
+    return RationalMatrix.from_rows([[c[i] for c in cols] for i in range(d)])
+
+
 def build_xi_fraction(points_q, a) -> RationalMatrix:
     """The scalar-flat balancing matrix by its formula, entry by entry:
     (i, l) = a_l * sign(e_l) * phi_i(q_l) / |Gamma_l|."""
@@ -418,6 +465,57 @@ def fan_polytopes_match_oracles(monkeypatch):
                 for f, fd in lattice.items()
                 if fd == dim
             )
+
+
+@pytest.fixture(autouse=True)
+def balancing_kernel_dims_match_nullspace(monkeypatch):
+    """After the test: every balancing report it built with a matrix has
+    kernel_dim == len(nullspace_basis(matrix)) (weighting the columns by a
+    witness keeps the kernel dimension)."""
+    init = BalancingReport.__init__
+    reports = []
+
+    def recording_init(rep, *args, init=init, **kwargs):
+        init(rep, *args, **kwargs)
+        reports.append(rep)
+
+    monkeypatch.setattr(BalancingReport, "__init__", recording_init)
+    yield
+    for rep in reports:
+        if rep.matrix is not None:
+            assert rep.kernel_dim == len(nullspace_basis(rep.matrix.matrix))
+
+
+def acts_faithfully(group: GroupPresentation) -> bool:
+    """Gamma acts faithfully iff the m coordinate characters generate its
+    character group: the rows [w_k | d_k e_k] have an SNF diagonal of ones."""
+    r = len(group.orders)
+    rows = [
+        list(w) + [d * (k == l) for l in range(r)]
+        for k, (d, w) in enumerate(zip(group.orders, group.weights))
+    ]
+    return all(x == 1 for x in smith_normal_form(rows).diagonal())
+
+
+@pytest.fixture(autouse=True)
+def quotient_actions_are_faithful(monkeypatch):
+    """After the test: every group quotient_action returned during it acts
+    faithfully.  The function is replaced at every kcscglue or test module
+    binding of it, so direct calls from tests are seen too."""
+    original = toric_lattice.quotient_action
+    groups = []
+
+    def recorded(cone):
+        group = original(cone)
+        groups.append(group)
+        return group
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith(("kcscglue", "test_")) and vars(module).get("quotient_action") is original:
+            monkeypatch.setattr(module, "quotient_action", recorded)
+    yield
+    for group in groups:
+        assert acts_faithfully(group)
 
 
 def facet_incidence_fraction(p: LatticePolytope) -> tuple[tuple[int, ...], ...]:

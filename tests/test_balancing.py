@@ -1,6 +1,8 @@
 import fractions
+import math
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,20 +11,27 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     build_theta_fraction,
     build_xi_fraction,
+    det_cofactor,
     is_zero,
     mul_vector,
+    orbifold_shaped_matrix,
     positive_kernel_witness_bruteforce,
     rank_bruteforce,
     scaled,
     sphere_volume_oracle,
 )
 from kcscglue.balancing import (
+    FULL_RANK,
+    GORDAN,
+    RANK_DEFICIENT,
     RICCI_FLAT,
     SCALAR_FLAT,
+    Certificate,
     PiRational,
     SingularPointRecord,
     build_theta,
     build_xi,
+    check_certificate,
     gluing_scales,
     leading_coefficients,
     model_constants,
@@ -30,7 +39,7 @@ from kcscglue.balancing import (
     solve_scalar_flat_balancing,
     sphere_volume,
 )
-from kcscglue.exact_linalg import RationalMatrix, rank
+from kcscglue.exact_linalg import RationalMatrix, nullspace_basis, rank
 from kcscglue.examples import example_by_name
 from kcscglue.formats import parse_orbifold
 
@@ -253,7 +262,8 @@ class TestRicciFlatBalancing:
         assert rep.feasible
         assert rep.witness == (1, 1, 1, 1)
         assert rep.rank == 2
-        kernel = set(rep.kernel_basis)
+        assert rep.kernel_dim == 2
+        kernel = set(nullspace_basis(rep.matrix.matrix))
         assert kernel == {(0, 1, 1, 0), (1, 0, 0, 1)}  # the (a, b, b, a) family
 
     def test_three_point_surface(self):
@@ -261,7 +271,8 @@ class TestRicciFlatBalancing:
         assert rep.feasible
         assert rep.witness == (1, 1, 1)
         assert rep.rank == 2
-        assert rep.kernel_basis == ((1, 1, 1),)
+        assert rep.kernel_dim == 1
+        assert nullspace_basis(rep.matrix.matrix) == [(1, 1, 1)]
 
     def test_threefold_su_vertices(self):
         su = example_by_name("x1").annotations["correspondences"]
@@ -315,6 +326,99 @@ class TestScalarFlatBalancing:
         rep = solve_scalar_flat_balancing(points, 2)
         assert not rep.feasible
         assert rep.rank == 0
+
+
+# The certificate kind of each class of orbifold_shaped_matrix.
+VERDICTS = {"balanced": FULL_RANK, "hyperplane": RANK_DEFICIENT, "halfspace": GORDAN}
+
+
+@st.composite
+def shaped_matrices(draw):
+    klass = draw(st.sampled_from(sorted(VERDICTS)))
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(d + 1, d + 5))
+    seed = draw(st.integers(0, 2**32))
+    return klass, orbifold_shaped_matrix(random.Random(seed), klass, d, n)
+
+
+def integer_rows(m: RationalMatrix) -> list[list[int]]:
+    """Each row of m times the lcm of its denominators."""
+    rows = m.to_rows()
+    return [[int(x * math.lcm(*(e.denominator for e in row))) for x in row] for row in rows]
+
+
+def corrupted(cert: Certificate, m: RationalMatrix) -> list[Certificate]:
+    """Certificates that must fail: the determinant off by one and a column
+    dropped, or one y entry flipped in sign (one whose row is nonzero, so
+    that yᵀ·M_int changes)."""
+    if cert.kind == FULL_RANK:
+        return [
+            replace(cert, determinant=cert.determinant + 1),
+            replace(cert, columns=cert.columns[:-1]),
+        ]
+    rows = integer_rows(m)
+    k = next((k for k, v in enumerate(cert.y) if v and any(rows[k])), None)
+    if k is None:
+        return []
+    return [replace(cert, y=tuple(-v if i == k else v for i, v in enumerate(cert.y)))]
+
+
+class TestCertificates:
+    """Every verdict's certificate passes check_certificate (run by the
+    solver on every verdict) and the matching oracles; corrupted ones fail."""
+
+    @staticmethod
+    def decide(m: RationalMatrix):
+        # Einstein points whose phi values are m's columns: their unit-weight
+        # balancing matrix is m itself.
+        points = [p_point(f"p{j}", col) for j, col in enumerate(zip(*m.to_rows()))]
+        return solve_ricci_flat_balancing(points, s=None, m=2)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(shaped_matrices())
+    def test_solver_certificates_pass_and_corruptions_fail(self, drawn):
+        klass, m = drawn
+        rep = self.decide(m)
+        cert = rep.certificate
+        assert cert.kind == VERDICTS[klass]
+        check_certificate(m, rep.witness, cert)
+        rows = integer_rows(m)
+        if cert.kind == FULL_RANK:
+            assert det_cofactor([[row[j] for j in cert.columns] for row in rows]) == cert.determinant
+        else:
+            y_m = [sum(y * x for y, x in zip(cert.y, col)) for col in zip(*rows)]
+            assert any(cert.y) and (min(y_m) >= 0 if cert.kind == GORDAN else not any(y_m))
+        assert rep.kernel_dim == m.cols - rank(m)
+        for bad in corrupted(cert, m):
+            with pytest.raises(RuntimeError, match="certificate fails its check"):
+                check_certificate(m, rep.witness, bad)
+
+    def test_verdict_and_certificate_kind_must_agree(self):
+        m = RationalMatrix.from_rows([[1, -1]])
+        rep = self.decide(m)
+        assert rep.certificate == Certificate(FULL_RANK, columns=(0,), determinant=1)
+        with pytest.raises(RuntimeError, match="gordan"):
+            check_certificate(m, rep.witness, Certificate(GORDAN, y=(1,)))
+        with pytest.raises(RuntimeError, match="full_rank"):
+            check_certificate(m, None, rep.certificate)
+        with pytest.raises(RuntimeError, match="full_rank"):
+            check_certificate(m, (Fraction(1), Fraction(2)), rep.certificate)
+
+    def test_pinned_verdicts(self):
+        one_sided = RationalMatrix.from_rows([[1, 1], [0, 1]])
+        assert self.decide(one_sided).certificate == Certificate(GORDAN, y=(1, 1))
+        flat = RationalMatrix.from_rows([[1, -1], [0, 0]])
+        assert self.decide(flat).certificate == Certificate(RANK_DEFICIENT, y=(0, 1))
+
+
+@pytest.mark.parametrize("name", ["p1xp1-z2", "p2-z3"])
+def test_orbifold_examples_match_annotations(name):
+    ex = example_by_name(name)
+    ann = ex.annotations
+    rep = solve_ricci_flat_balancing(parse_orbifold(ex.text).points, s=None, m=2)
+    assert (rep.feasible, rep.rank, rep.witness, rep.kernel_dim, rep.certificate.kind) == (
+        ann["feasible"], ann["rank"], ann["witness_b"], ann["kernel_dim"], ann["certificate"]
+    )
 
 
 class TestLeadingCoefficients:

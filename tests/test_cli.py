@@ -86,6 +86,23 @@ class TestExitCodes:
         assert main(["balance", str(p)]) == 1
         assert "feasible: no" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "name, why",
+        [
+            ("scalar-flat-no-witness.orb", "y = (1) gives y^T M_int >= 0, != 0 (Gordan)"),
+            ("scalar-flat-rank-deficient.orb", "y = (0, 1) gives y^T M_int = 0 with y != 0"),
+            ("einstein-no-witness.orb", "y = (1, 1) gives y^T M_int >= 0, != 0 (Gordan)"),
+        ],
+    )
+    def test_balance_infeasible_says_why(self, name, why, capsys):
+        assert main(["balance", str(FIXTURES / name)]) == 1
+        assert f"\nwhy: {why}" in capsys.readouterr().out
+
+    def test_balance_feasible_says_why(self, corpus, capsys):
+        assert main(["balance", str(corpus / "p2-z3.orb")]) == 0
+        out = capsys.readouterr().out
+        assert "why: columns 1, 2 of M_int have det -1, so the rank is d" in out
+
     def test_parse_error(self, tmp_path, capsys):
         p = tmp_path / "bad.fan"
         p.write_text("dim x\n")

@@ -12,6 +12,7 @@ from conftest import (
     identity,
     mul_vector,
     nullspace_by_rref,
+    orbifold_shaped_matrix,
     positive_kernel_witness_bruteforce,
     positive_kernel_witness_fraction,
     rank_bruteforce,
@@ -312,50 +313,11 @@ def test_positive_kernel_equals_fraction_simplex(m):
         assert min(got, default=1) >= 1
 
 
-def _orbifold_shaped(rng: random.Random, klass: str, d: int, n: int) -> RationalMatrix:
-    """A d x n balancing-shaped matrix: "balanced" has a positive kernel
-    vector, "halfspace" has none (y·column > 0 for a y with no zero entry),
-    "hyperplane" has one but rank d - 1 (columns in a hyperplane, then
-    mixed by a unimodular matrix)."""
-
-    def rational() -> Fraction:
-        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-
-    def nonzero() -> Fraction:
-        return Fraction(rng.randint(1, 6), rng.randint(1, 4)) * rng.choice((1, -1))
-
-    def unit(i: int, scale: Fraction) -> list[Fraction]:
-        return [scale if j == i else Fraction(0) for j in range(d)]
-
-    if klass == "halfspace":
-        y = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(d)]
-        cols = [unit(i, abs(nonzero()) * (1 if y[i] > 0 else -1)) for i in range(d)]
-        while len(cols) < n:
-            x = [rational() for _ in range(d)]
-            side = sum(a * b for a, b in zip(x, y))
-            if side:
-                cols.append(x if side > 0 else [-v for v in x])
-    else:
-        rk = d - 1 if klass == "hyperplane" else d
-        cols = [unit(i, nonzero()) for i in range(rk)]
-        cols += [[rational() for _ in range(rk)] + [Fraction(0)] * (d - rk) for _ in range(n - 1 - rk)]
-        b = [rng.randint(1, 4) for _ in range(n)]
-        cols.append([-sum(bj * c[i] for bj, c in zip(b, cols)) / b[-1] for i in range(d)])
-        if klass == "hyperplane":
-            # unit lower times unit upper triangular: determinant 1
-            low = [[rng.randint(-2, 2) if j < i else int(i == j) for j in range(d)] for i in range(d)]
-            up = [[rng.randint(-2, 2) if j > i else int(i == j) for j in range(d)] for i in range(d)]
-            mix = [[sum(low[i][k] * up[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
-            cols = [[sum(mix[i][j] * c[j] for j in range(d)) for i in range(d)] for c in cols]
-    rng.shuffle(cols)
-    return mat([[c[i] for c in cols] for i in range(d)])
-
-
 @pytest.mark.parametrize("klass", ["balanced", "halfspace", "hyperplane"])
 def test_orbifold_shaped_witness_equals_fraction_simplex(klass):
     rng = random.Random(f"simplex-{klass}")
     for d in range(3, 7):
-        m = _orbifold_shaped(rng, klass, d, rng.randint(32, 96))
+        m = orbifold_shaped_matrix(rng, klass, d, rng.randint(32, 96))
         got = positive_kernel_witness(m)
         assert got == positive_kernel_witness_fraction(m)
         assert (got is None) == (klass == "halfspace")

@@ -5,7 +5,8 @@ the digest recorded here, so a refactor of the pipeline that changes one
 byte of any report fails.  The inputs cover the bundled examples, two fans
 whose polytopes have fractional vertices (a sheared 3-d product fan with
 charts of order 3, and a 2-d cyclic fan with a nonzero barycenter), each
-balancing outcome of both regimes, point labels outside ASCII (escaped as
+balancing outcome of both regimes (the three that fail, one per kind of
+certificate, are read from ``tests/fixtures``), point labels outside ASCII (escaped as
 ``\\u`` sequences, an astral one as a surrogate pair), and reports that
 stop early: fans whose polytope stage records an error (no k, -K not nef)
 and invalid fans.  Among the invalid fans are cone lists that are not fans
@@ -17,6 +18,7 @@ Only a deliberate change to a report's content may update a digest.
 
 import hashlib
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +37,17 @@ CUBE4_RAYS = "dim 4\nk 1\n" + "".join(
     for i in range(4)
     for s in (1, -1)
 )
+FIXTURES = Path(__file__).parent / "fixtures"
 INPUTS = {ex.filename: ex.text for ex in embedded_examples()}
+# The three orbifold files whose verdict is not feasible, one per way to fail.
+INPUTS.update(
+    (name, (FIXTURES / name).read_text())
+    for name in (
+        "scalar-flat-no-witness.orb",
+        "scalar-flat-rank-deficient.orb",
+        "einstein-no-witness.orb",
+    )
+)
 INPUTS.update(
     {
         "sheared-product-r3.fan": """\
@@ -65,31 +77,6 @@ ray [-1, -1]
 cone [1, 2] C1
 cone [2, 3] C2
 cone [3, 1] C3
-""",
-        "scalar-flat-no-witness.orb": """\
-m 2
-d 1
-s positive
-einstein no
-point Q1 scalar_flat order=2 e_sign=+1 phi=[1]
-point Q2 scalar_flat order=3 e_sign=+1 phi=[2]
-""",
-        "scalar-flat-rank-deficient.orb": """\
-m 3
-d 2
-s positive
-einstein no
-point Q1 scalar_flat order=2 e_sign=+1 e_mag=1 phi=[1, 0]
-point Q2 scalar_flat order=3 e_sign=-1 phi=[1, 0]
-point P1 ricci_flat order=3 phi=[0, 1] dphi=[0, -1]
-""",
-        "einstein-no-witness.orb": """\
-m 2
-d 2
-s positive
-einstein yes
-point P1 ricci_flat order=2 phi=[1, 0]
-point P2 ricci_flat order=2 phi=[1, 1]
 """,
         "numeric-s.orb": """\
 m 3
@@ -158,24 +145,24 @@ DIGESTS = {
     "alternating-hexagon.fan": "f2b0a405b9c315d2431db9af75aa17d0e63d61337cfb3d1d51644d072e561c03",
     "alternating-octants.fan": "b808ed4cee2bfc26d14e13cba23244f4292c1ed5d902128fc5069517e39f3722",
     "p1-4-missing-alternate.fan": "b29cdac2998911c4a361ef1665d40477369ea33ef5f847ca5adc45567877f9c2",
-    "cyclic-r7.fan": "6d063de4f54a0b50917ca6b98894b060a7801c510356145369f7ddc6a1fd3fd8",
-    "einstein-no-witness.orb": "d05d5bb62b6a33ba5f246f50a423652bea89a7e0b2942848fbd454fb2eb9848f",
+    "cyclic-r7.fan": "c1c95eeb202806ec2858585a3dd7925708dc1d9b4fa74d8e970327ab9fe081d6",
+    "einstein-no-witness.orb": "86a1ce11bc5158e3a1eee21ea33ce5cd2373838df19bf57b801e07f7313ee2fa",
     "incomplete-p2.fan": "8a29b514dbbb45d64539be417da0e6962da14530f3733ffcbadacb857d114536",
     "f3-not-nef.fan": "cdf154f5620213c7ed4bcf88f7cd9a1e41b2e3d4bb8cab840f50929c6891092f",
-    "explicit-laplacian.orb": "5044cad617314781d78b525facad5eaf883b2a72c6aba2eb901e137c22e1433e",
-    "non-ascii-label.orb": "764476004ea9fd6ecea3b7f7c1c356ba79905661ff0b6d6aef94d2f9ca25a04a",
-    "numeric-s.orb": "e184874edb507267bdba9490949d23b82932494a98d12137b846b7fa21ec39a4",
+    "explicit-laplacian.orb": "c8489cb7c7e24eace6834d9fa9ec81d0bbf11a2c0b0cad630b5cb07dc198475e",
+    "non-ascii-label.orb": "c7b42218741c367467509b605d92059b087085e2e1c83aa6f9329f790f29baf0",
+    "numeric-s.orb": "9609dca14f1d45dbeae10304d72ba81121fef5f1788dc9d89de6c12582365157",
     "overlapping-p2.fan": "bb686cd62ca6d1f04344c77ef3691e96d549870cf73e5f77f9cb837ef6bdd8d4",
-    "p1xp1-z2.orb": "ea784b7c80e2b81a65ffeab5082ca36931bd951f4208136de8e8679aa5ca4199",
+    "p1xp1-z2.orb": "a5fb042d192a36278d8508a54702055d934dc483ac596d61273a0cdc7a35a129",
     "p2-no-k.fan": "a318b6734f521e9932c3cf02435fad59f9910fd25b2914efdadcd96e496c4e71",
     "p2-unused-ray.fan": "778a2cb90e29b677a12088e112c7217631357b4bc624e78755d01b9f29110b30",
-    "p2-z3.orb": "61bda3c508555dad6d2bb47d7fec4091e53c56808303e0911c9c358e77ecc50a",
-    "scalar-flat-no-witness.orb": "d80c37aed79d8c1e0fb177e4badbd94bda8cee28140e43b780686973aafedc0d",
-    "scalar-flat-rank-deficient.orb": "2213f3d27990a2e209dcb57ffde1812584ee6e135597f5429b830517ca11aac7",
-    "sheared-product-r3.fan": "1c7e1a7ddc48cbaaae5f3d673507762984702f11b01abe1c924121360eb060a2",
+    "p2-z3.orb": "00ea455d1335478c175303e805648af688704c8787a00f4aa5615e721ff1d534",
+    "scalar-flat-no-witness.orb": "7477bf84f58dd9b3f2829d012493c59b1eff783e5cf08fa368d1a7fe4328bdfc",
+    "scalar-flat-rank-deficient.orb": "c86b53ac38a88c748978d71099485ddcd8c3d6232d0da438fc7adec02bfeaac7",
+    "sheared-product-r3.fan": "402c68b7046244038748e3c4db112de59e925126c36e389cc537b36abbd7c344",
     "three-generator-cone.fan": "b35df61ecaa78603c98c52c3bd94205d7e388889384e90bf8cf3d7bcb012c4f6",
-    "x1.fan": "ddadb2fae791eb6abfb0174b57ba62ed37a03bb3df15a25ddc7142e80b6b7f9c",
-    "x4.fan": "a31dfbb7ebf001149b65a1409c7e3a83d7a82223f5372229a118d7192ec3d483",
+    "x1.fan": "53b04df3d49a33cd87084900c35552beedfc7722643c913d250ed91aa5ff89aa",
+    "x4.fan": "586aa15c424e7ca873037509c8be830261c3dbb095d1b66ad4491884e22e9f8e",
 }
 
 
