@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .exact_linalg import RationalMatrix, frac, phase_one, rank_certificate
 
@@ -382,22 +382,20 @@ _RANK_NOTES = {
 def _decide(
     regime: str,
     points: Sequence[SingularPointRecord],
-    build: Callable[[Sequence[Fraction]], ScaledMatrix],
+    unit: ScaledMatrix,
     notes: list[str],
     m: int,
     s: ScalarCurvature = None,
 ) -> BalancingReport:
-    """The balancing decision shared by both regimes.
+    """The balancing decision shared by both regimes, on the regime's matrix
+    at unit weights.
 
-    The regime's matrix is built once at unit weights; the simplex looks for
-    a positive kernel vector, its duals giving a Gordan certificate when
-    there is none, and one elimination gives the rank with a full-rank or
-    rank-deficient certificate.  check_certificate verifies the verdict.
-    Every witness entry is >= 1, so weighting the columns by the witness
-    keeps the rank, and the reported matrix is the builder's at the witness
-    (at unit weights when there is none).
+    The simplex looks for a positive kernel vector, its duals giving a
+    Gordan certificate when there is none, and one elimination gives the
+    rank with a full-rank or rank-deficient certificate.  check_certificate
+    verifies the verdict.  The reported matrix is the unit-weight one, on
+    which the certificate is stated and whose columns the witness weights.
     """
-    unit = build([Fraction(1)] * len(points))
     witness, gordan = phase_one(unit.matrix)
     pivots, det, y = rank_certificate(unit.matrix)
     d = unit.matrix.rows
@@ -432,7 +430,7 @@ def _decide(
         regime=regime,
         d=d,
         feasible=r == d,
-        matrix=build(witness),
+        matrix=unit,
         rank=r,
         witness=witness,
         witness_c=witness_c,
@@ -461,9 +459,8 @@ def solve_ricci_flat_balancing(
         )
     else:
         note = "tuned system: sum_j b_j (Lap phi_i + s phi_i)(p_j) = 0"
-    return _decide(
-        RICCI_FLAT, points_p, lambda b: build_theta(points_p, b, s, m), [note], m, s
-    )
+    unit = build_theta(points_p, [1] * len(points_p), s, m)
+    return _decide(RICCI_FLAT, points_p, unit, [note], m, s)
 
 
 def solve_scalar_flat_balancing(
@@ -480,9 +477,8 @@ def solve_scalar_flat_balancing(
         "ricci-flat points impose no balancing condition in this regime",
         "weights act by sign only; with |e| known, rescale to witness/|e|",
     ]
-    return _decide(
-        SCALAR_FLAT, points_q, lambda a: ScaledMatrix(build_xi(points_q, a)), notes, m
-    )
+    unit = ScaledMatrix(build_xi(points_q, [1] * len(points_q)))
+    return _decide(SCALAR_FLAT, points_q, unit, notes, m)
 
 
 def leading_coefficients(

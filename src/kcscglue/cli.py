@@ -1,12 +1,14 @@
 """Command line interface.
 
 Subcommands: classify | polytope | balance | coeffs | spectral | dtn |
-report | examples.  ``classify``, ``polytope`` and ``balance`` run the
-report stages up to the section they print.  Exit codes, one rule for
-every report-backed subcommand (``report.exit_code``): 0 feasible/valid,
-1 infeasible verdict, 2 input error -- a file that does not parse, an
-invalid fan or a stage that recorded an error.  Batch mode exits with the
-largest code of its files.
+report | examples.  ``classify``, ``polytope``, ``balance`` and ``coeffs``
+run the report stages through the last section they print, and print those
+sections as ``report --format text`` does (``report.render_sections``);
+this module formats only the spectral, dtn, examples and batch-summary
+tables.  Exit codes, one rule for every report-backed subcommand
+(``report.exit_code``): 0 feasible/valid, 1 infeasible verdict, 2 input
+error -- a file that does not parse, an invalid fan or a stage that
+recorded an error.  Batch mode exits with the largest code of its files.
 """
 
 from __future__ import annotations
@@ -30,15 +32,14 @@ from .formats import (
 from .report import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
-    balancing_lines,
     build_report,
-    classification_table,
     exit_code,
     input_errors,
-    leading_cell,
     render_json,
+    render_sections,
     render_table,
     render_text,
+    stage_error,
 )
 from .spectral import (
     eigenvalue,
@@ -88,98 +89,37 @@ def _parse_group(spec: str, m: int) -> GroupPresentation:
         raise ValueError(f"group spec {spec!r}: {exc}") from None
 
 
-def _emit(report: dict, fmt: str, out: Optional[str]) -> None:
-    rendered = render_json(report) if fmt == "structured" else render_text(report)
-    if out:
-        Path(out).write_text(rendered)
-    else:
-        sys.stdout.write(rendered)
+# The report sections each report-backed subcommand prints, by input type.
+SECTIONS = {
+    "classify": {FanFile: ("classification", "validation"), OrbifoldFile: ("points",)},
+    "polytope": {FanFile: ("polytope",)},
+    "balance": {FanFile: ("balancing",), OrbifoldFile: ("balancing",)},
+    "coeffs": {OrbifoldFile: ("balancing",)},
+}
 
 
-def _print_errors(body: dict) -> bool:
-    """Print a report body's input errors to stderr; whether it had any."""
-    errors = input_errors(body)
-    for e in errors:
-        print(f"error: {e}", file=sys.stderr)
-    return bool(errors)
-
-
-def cmd_classify(args) -> int:
+def cmd_sections(args) -> int:
+    """Run the report stages through the subcommand's last section and print
+    its sections as the text report does, or the input errors on stderr
+    when one of them is missing or recorded an error."""
     text, parsed = _load(args.input)
-    if isinstance(parsed, FanFile):
-        body = build_report(args.input, text, parsed, until="validation")["report"]
-        print(classification_table(body["classification"]))
-        for v in body["validation"]["violations"]:
-            print(f"violation: {v}")
-    else:
-        body = build_report(args.input, text, parsed, until="points")["report"]
-        rows = [
-            [e["label"], str(e["order"]), e["classification"], e["kind"]]
-            for e in body["points"]
-        ]
-        print(render_table(rows, ["point", "|G|", "class", "kind"]))
-    return exit_code(body)
-
-
-def cmd_polytope(args) -> int:
-    text, parsed = _load(args.input)
-    if not isinstance(parsed, FanFile):
-        raise ParseError(["polytope needs a fan file"])
-    body = build_report(args.input, text, parsed, k=args.k, until="polytope")["report"]
-    if _print_errors(body):
-        return exit_code(body)
-    poly = body["polytope"]
-    print(f"k = {poly['k']}")
-    print(f"vertices ({len(poly['vertices'])}):")
-    for v in poly["vertices"]:
-        print("  (" + ", ".join(v) + ")")
-    print(f"two-faces ({len(poly['two_faces'])}):")
-    for f in poly["two_faces"]:
-        print("  " + " ".join("(" + ",".join(v) + ")" for v in f))
-    print("barycenter: (" + ", ".join(poly["barycenter"]) + ")")
-    print("cone -> vertex:")
-    for label, v in sorted(poly["moment_assignment"].items()):
-        print(f"  {label} -> (" + ", ".join(v) + ")")
-    return exit_code(body)
-
-
-def cmd_balance(args) -> int:
-    text, parsed = _load(args.input)
+    by_type = SECTIONS[args.command]
+    names = by_type.get(type(parsed))
+    if names is None:
+        needed = "a fan" if FanFile in by_type else "an orbifold"
+        raise ParseError([f"{args.command} needs {needed} file"])
+    out = getattr(args, "out", None)
     # The JSON report written with --out is the full one.
-    until = None if args.out else "balancing"
-    report = build_report(args.input, text, parsed, k=args.k, until=until)
-    if args.out:
-        Path(args.out).write_text(render_json(report))
+    until = None if out else names[-1]
+    report = build_report(args.input, text, parsed, k=getattr(args, "k", None), until=until)
+    if out:
+        Path(out).write_text(render_json(report))
     body = report["report"]
-    if _print_errors(body):
-        return exit_code(body)
-    print("\n".join(balancing_lines(body["balancing"])))
-    return exit_code(body)
-
-
-def cmd_coeffs(args) -> int:
-    text, parsed = _load(args.input)
-    if not isinstance(parsed, OrbifoldFile):
-        raise ParseError(["coeffs needs an orbifold file"])
-    body = build_report(args.input, text, parsed, until="balancing")["report"]
-    if _print_errors(body):
-        return exit_code(body)
-    bal = body["balancing"]
-    if not bal["feasible"]:
-        print("balancing infeasible; no coefficients")
-        return exit_code(body)
-    rows = []
-    for c in bal["coefficients"]:
-        extra = ""
-        if "b_radicand" in c:
-            extra = (
-                f"B^(2m) = {c['b_radicand']['coeff']}*pi^{c['b_radicand']['pi_power']}"
-                f", exponent {c['b_root_exponent']}"
-            )
-        if "c_constant" in c:
-            extra += f"  C = {c['c_constant']}"
-        rows.append([c["label"], c["kind"], leading_cell(c), extra])
-    print(render_table(rows, ["point", "kind", "leading", "model constants"]))
+    if all(name in body and stage_error(body[name]) is None for name in names):
+        sys.stdout.write(render_sections(body, names))
+    else:
+        for e in input_errors(body):
+            print(f"error: {e}", file=sys.stderr)
     return exit_code(body)
 
 
@@ -219,7 +159,11 @@ def cmd_report(args) -> int:
         return _batch_report(args)
     text, parsed = _load(args.input)
     report = build_report(args.input, text, parsed, k=args.k)
-    _emit(report, args.format, args.out)
+    rendered = render_json(report) if args.format == "structured" else render_text(report)
+    if args.out:
+        Path(args.out).write_text(rendered)
+    else:
+        sys.stdout.write(rendered)
     return exit_code(report["report"])
 
 
@@ -295,22 +239,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify the quotient singularities")
     add_input(p)
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_sections)
 
     p = sub.add_parser("polytope", help="anticanonical polytope data")
     add_input(p)
     add_k(p)
-    p.set_defaults(func=cmd_polytope)
+    p.set_defaults(func=cmd_sections)
 
     p = sub.add_parser("balance", help="decide the balancing conditions")
     add_input(p)
     add_k(p)
     p.add_argument("--out", default=None, help="also write the JSON report here")
-    p.set_defaults(func=cmd_balance)
+    p.set_defaults(func=cmd_sections)
 
     p = sub.add_parser("coeffs", help="gluing coefficients for an orbifold file")
     add_input(p)
-    p.set_defaults(func=cmd_coeffs)
+    p.set_defaults(func=cmd_sections)
 
     p = sub.add_parser("spectral", help="sphere eigenvalue / invariant dimensions")
     p.add_argument("--m", type=int, required=True, help="complex dimension")

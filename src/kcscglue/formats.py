@@ -2,11 +2,14 @@
 
 Both formats are line-oriented `key value` records with exact integer and
 p/q rational literals; every integer and every rational is read by one
-ASCII grammar each, so decimals, underscores and non-ASCII digits are
-rejected by construction and on every interpreter.  Fan
-files carry rays and maximal cones (1-based ray indices, optional labels);
-orbifold files carry the kernel dimension, scalar curvature (exact or
-`positive`), the Einstein flag and one `point` record per singular point.
+ASCII grammar each, and every list by one list grammar, so decimals,
+underscores, non-ASCII digits and empty list entries are rejected by
+construction and on every interpreter.  Fan files carry rays and maximal
+cones (1-based ray indices, optional labels); orbifold files carry the
+kernel dimension, scalar curvature (exact or `positive`), the Einstein flag
+and one `point` record per singular point.  Nothing is dropped silently: a
+scalar key given twice, an unknown or repeated point attribute and text
+between point attributes are errors.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 # The one rational literal: an integer and an optional denominator.
 # Fraction(str) would also take decimals, exponents, underscores, spaces
 # around the slash and non-ASCII digits, some only on newer interpreters.
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _strip_comment(line: str) -> str:
@@ -73,57 +76,65 @@ def _integer(text: str) -> Optional[int]:
     return int(text) if _INTEGER_RE.fullmatch(text) else None
 
 
-def _int_field(text: str, errors: list, lineno: int, what: str) -> Optional[int]:
-    value = _integer(text)
+def _rational(text: str) -> Optional[Fraction]:
+    """The exact rational a stripped literal names, or None if it is not one
+    (a zero denominator included)."""
+    m = _RATIONAL_RE.fullmatch(text)
+    if not m:
+        return None
+    num, den = m.groups()
+    if den is None:
+        return Fraction(int(num))
+    den = int(den)
+    return Fraction(int(num), den) if den else None
+
+
+_NOUNS = {_integer: "an integer", _rational: "an exact rational"}
+
+
+def _field(literal, text: str, errors: list, lineno: int, what: str):
+    """The value of one integer or rational field, or None with an error."""
+    value = literal(text)
     if value is None:
-        errors.append(f"line {lineno}: {what} must be an integer")
+        errors.append(f"line {lineno}: {what} must be {_NOUNS[literal]}")
     return value
 
 
-def _parse_int_list(text: str, errors: list, lineno: int, what: str) -> Optional[list[int]]:
+def _parse_list(literal, text: str, errors: list, lineno: int, what: str) -> Optional[list]:
+    """The entries of a bracketed, comma-separated list of integer or
+    rational literals (``[]`` is empty), or None with an error; an empty
+    entry is an error, not a skipped one."""
     m = _LIST_RE.match(text.strip())
     if not m:
         errors.append(f"line {lineno}: {what} must be a bracketed list, got {text!r}")
         return None
-    items = [t.strip() for t in m.group(1).split(",") if t.strip()]
+    if not m.group(1).strip():
+        return []
     out = []
-    for t in items:
-        x = _integer(t)
+    for t in map(str.strip, m.group(1).split(",")):
+        x = literal(t)
         if x is None:
-            errors.append(f"line {lineno}: {what} entry {t!r} is not an integer")
+            errors.append(f"line {lineno}: {what} entry {t!r} is not {_NOUNS[literal]}")
             return None
         out.append(x)
     return out
 
 
-def _rational(text: str) -> Optional[Fraction]:
-    """The exact rational a literal names, or None if it is not one (a zero
-    denominator included)."""
-    text = text.strip()
-    if not _RATIONAL_RE.fullmatch(text):
-        return None
-    num, _, den = text.partition("/")
-    if den and int(den) == 0:
-        return None
-    return Fraction(int(num), int(den or 1))
-
-
-def _parse_rational_list(
-    text: str, errors: list, lineno: int, what: str
-) -> Optional[list[Fraction]]:
-    m = _LIST_RE.match(text.strip())
-    if not m:
-        errors.append(f"line {lineno}: {what} must be a bracketed list, got {text!r}")
-        return None
-    items = [t.strip() for t in m.group(1).split(",") if t.strip()]
-    out = []
-    for t in items:
-        x = _rational(t)
-        if x is None:
-            errors.append(f"line {lineno}: {what} entry {t!r} is not an exact rational")
-            return None
-        out.append(x)
-    return out
+def _records(text: str, scalar_keys: tuple[str, ...], errors: list):
+    """(line number, key, stripped rest) of each line with a record; a
+    scalar key given a second time is an error and its line is skipped."""
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = _strip_comment(raw)
+        if not line:
+            continue
+        key, _, rest = line.partition(" ")
+        if key in scalar_keys:
+            if key in seen:
+                errors.append(f"line {lineno}: {key} given twice")
+                continue
+            seen.add(key)
+        yield lineno, key, rest.strip()
 
 
 def parse_fan(text: str) -> FanFile:
@@ -133,28 +144,23 @@ def parse_fan(text: str) -> FanFile:
     rays: list[tuple[int, ...]] = []
     cones: list[tuple[int, ...]] = []
     labels: list[Optional[str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        key, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for lineno, key, rest in _records(text, ("dim", "k"), errors):
         if key == "dim":
-            value = _int_field(rest, errors, lineno, "dim")
+            value = _field(_integer, rest, errors, lineno, "dim")
             if value is None:
                 continue
             dim = value
             if dim < 2:
                 errors.append(f"line {lineno}: dim must be >= 2")
         elif key == "k":
-            value = _int_field(rest, errors, lineno, "k")
+            value = _field(_integer, rest, errors, lineno, "k")
             if value is None:
                 continue
             k = value
             if k < 1:
                 errors.append(f"line {lineno}: k must be >= 1")
         elif key == "ray":
-            vec = _parse_int_list(rest, errors, lineno, "ray")
+            vec = _parse_list(_integer, rest, errors, lineno, "ray")
             if vec is not None:
                 rays.append(tuple(vec))
         elif key == "cone":
@@ -170,7 +176,7 @@ def parse_fan(text: str) -> FanFile:
                     continue
             else:
                 rest_list = rest
-            idx = _parse_int_list(rest_list, errors, lineno, "cone")
+            idx = _parse_list(_integer, rest_list, errors, lineno, "cone")
             if idx is None:
                 continue
             if any(i < 1 for i in idx):
@@ -218,6 +224,29 @@ def serialize_fan(f: FanFile) -> str:
 
 
 _SIGNS = {"+": 1, "+1": 1, "-": -1, "-1": -1}
+_POINT_ATTRIBUTES = frozenset(("order", "phi", "dphi", "e_sign", "e_mag", "c_gamma"))
+
+
+def _point_attributes(text: str, errors: list, lineno: int) -> Optional[dict[str, str]]:
+    """A point record's ``key=value`` attributes, or None with an error for
+    text that is not an attribute, an unknown attribute or a repeated one.
+    One split of the text gives the text between attributes, the keys and
+    the values."""
+    parts = _ATTR_RE.split(text)
+    keys = parts[1::3]
+    attrs = dict(zip(keys, parts[2::3]))
+    stray = " ".join(parts[::3]).strip()
+    if stray:
+        errors.append(f"line {lineno}: unexpected text {stray!r} in point attributes")
+    elif len(attrs) < len(keys):
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        errors.append(f"line {lineno}: point attribute {repeated} given twice")
+    elif not _POINT_ATTRIBUTES.issuperset(keys):
+        unknown = next(key for key in keys if key not in _POINT_ATTRIBUTES)
+        errors.append(f"line {lineno}: unknown point attribute {unknown!r}")
+    else:
+        return attrs
+    return None
 
 
 def parse_orbifold(text: str) -> OrbifoldFile:
@@ -228,17 +257,12 @@ def parse_orbifold(text: str) -> OrbifoldFile:
     s_seen = False
     einstein = False
     point_lines: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        key, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for lineno, key, rest in _records(text, ("m", "d", "s", "einstein"), errors):
         if key == "m":
-            value = _int_field(rest, errors, lineno, "m")
+            value = _field(_integer, rest, errors, lineno, "m")
             m = m if value is None else value
         elif key == "d":
-            value = _int_field(rest, errors, lineno, "d")
+            value = _field(_integer, rest, errors, lineno, "d")
             d = d if value is None else value
         elif key == "s":
             s_seen = True
@@ -282,14 +306,16 @@ def parse_orbifold(text: str) -> OrbifoldFile:
         if kind not in (RICCI_FLAT, SCALAR_FLAT):
             errors.append(f"line {lineno}: unknown point kind {kind!r}")
             continue
-        attrs = dict(_ATTR_RE.findall(attr_text))
+        attrs = _point_attributes(attr_text, errors, lineno)
+        if attrs is None:
+            continue
         if "order" not in attrs or "phi" not in attrs:
             errors.append(f"line {lineno}: point needs order= and phi=")
             continue
-        order = _int_field(attrs["order"], errors, lineno, "order")
+        order = _field(_integer, attrs["order"], errors, lineno, "order")
         if order is None:
             continue
-        phi = _parse_rational_list(attrs["phi"], errors, lineno, "phi")
+        phi = _parse_list(_rational, attrs["phi"], errors, lineno, "phi")
         if phi is None:
             continue
         if len(phi) != d:
@@ -302,7 +328,7 @@ def parse_orbifold(text: str) -> OrbifoldFile:
                     f"line {lineno}: explicit dphi conflicts with the einstein flag"
                 )
                 continue
-            dphi = _parse_rational_list(attrs["dphi"], errors, lineno, "dphi")
+            dphi = _parse_list(_rational, attrs["dphi"], errors, lineno, "dphi")
             if dphi is None:
                 continue
             if len(dphi) != d:
@@ -322,20 +348,15 @@ def parse_orbifold(text: str) -> OrbifoldFile:
         elif kind == SCALAR_FLAT:
             errors.append(f"line {lineno}: scalar_flat point needs e_sign=")
             continue
-        e_mag = None
+        e_mag = c_gamma = None
         if "e_mag" in attrs:
-            mag = _parse_rational_list(f"[{attrs['e_mag']}]", errors, lineno, "e_mag")
-            if mag is None:
+            e_mag = _field(_rational, attrs["e_mag"], errors, lineno, "e_mag")
+            if e_mag is None:
                 continue
-            e_mag = mag[0]
-        c_gamma = None
         if "c_gamma" in attrs:
-            cg = _parse_rational_list(
-                f"[{attrs['c_gamma']}]", errors, lineno, "c_gamma"
-            )
-            if cg is None:
+            c_gamma = _field(_rational, attrs["c_gamma"], errors, lineno, "c_gamma")
+            if c_gamma is None:
                 continue
-            c_gamma = cg[0]
         try:
             points.append(
                 SingularPointRecord(

@@ -8,7 +8,11 @@ balancing regime their point kinds select (with the coefficient table) and
 the weight intervals.  A stage that fails is recorded as its section's
 error and ends the run, and ``exit_code`` reads the verdict off the body.
 Reports are plain dicts with every number an exact string, rendered either
-as sorted JSON or as a text table; identical inputs give identical bytes.
+as sorted JSON or as text; identical inputs give identical bytes.  The text
+has one renderer per section (``TEXT_SECTIONS``): ``render_text`` is the
+input and tool lines followed by every rendered section, and the
+``classify``, ``polytope``, ``balance`` and ``coeffs`` subcommands print
+their sections through ``render_sections``.
 The JSON comes from a small recursive writer, with one join per list of
 strings; its bytes are those of ``json.dumps(report, sort_keys=True,
 indent=2)``, which would run json's pure-Python indenting encoder.  A float
@@ -300,6 +304,13 @@ ORBIFOLD_STAGES = (
 EXIT_OK, EXIT_INFEASIBLE, EXIT_INPUT_ERROR = 0, 1, 2
 
 
+def stage_error(section: Any) -> Optional[str]:
+    """The error a stage recorded as its section, or None."""
+    if isinstance(section, dict) and "error" in section:
+        return section["error"]
+    return None
+
+
 def input_errors(body: dict[str, Any]) -> list[str]:
     """Why a report body is an input error, one line each: the violations of
     an invalid fan, or the error a stage recorded after its stage name."""
@@ -307,8 +318,9 @@ def input_errors(body: dict[str, Any]) -> list[str]:
     if not validation["valid"]:
         return [f"invalid fan: {v}" for v in validation["violations"]]
     for stage, section in body.items():
-        if isinstance(section, dict) and "error" in section:
-            return [f"{stage}: {section['error']}"]
+        error = stage_error(section)
+        if error is not None:
+            return [f"{stage}: {error}"]
     return []
 
 
@@ -435,8 +447,15 @@ def render_table(rows: list[list[str]], header: list[str]) -> str:
     return "\n".join(lines)
 
 
-def classification_table(entries: list[dict[str, Any]]) -> str:
-    """The cone-classification table of a fan report's entries."""
+def _vec(v: list[str]) -> str:
+    return "(" + ", ".join(v) + ")"
+
+
+# Text renderers, one per report section.  Each takes the section and the
+# body it is in and returns the section's lines.
+
+
+def _classification_text(entries: list[dict[str, Any]], body: dict[str, Any]) -> list[str]:
     rows = []
     for e in entries:
         if e["classification"] == UNSUPPORTED:
@@ -452,17 +471,28 @@ def classification_table(entries: list[dict[str, Any]]) -> str:
                 "yes" if e["isolated"] else "no",
             ]
         )
-    return render_table(rows, ["cone", "|G|", "factors", "weights", "class", "isolated"])
+    return [render_table(rows, ["cone", "|G|", "factors", "weights", "class", "isolated"])]
 
 
-def leading_cell(c: dict[str, Any]) -> str:
-    """The leading-coefficient cell of one coefficient entry."""
-    if c["leading"] is None:
-        return c.get("leading_note", "-")
-    lead = c["leading"]["coeff"]
-    if c["leading"]["pi_power"]:
-        lead += f"*pi^{c['leading']['pi_power']}"
-    return lead
+def _polytope_text(poly: dict[str, Any], body: dict[str, Any]) -> list[str]:
+    return [
+        f"k = {poly['k']}",
+        f"vertices ({len(poly['vertices'])}):",
+        *(f"  {_vec(v)}" for v in poly["vertices"]),
+        f"two-faces ({len(poly['two_faces'])}):",
+        *("  " + " ".join("(" + ",".join(v) + ")" for v in f) for f in poly["two_faces"]),
+        f"barycenter: {_vec(poly['barycenter'])}",
+        "cone -> vertex:",
+        *(f"  {label} -> {_vec(v)}" for label, v in sorted(poly["moment_assignment"].items())),
+    ]
+
+
+def _points_text(points: list[dict[str, Any]], body: dict[str, Any]) -> list[str]:
+    rows = [
+        [e["label"], str(e["order"]), e["classification"], e["kind"], _vec(e["phi"])]
+        for e in points
+    ]
+    return [render_table(rows, ["point", "|G|", "class", "kind", "phi"])]
 
 
 def _why(cert: dict[str, Any]) -> str:
@@ -476,73 +506,74 @@ def _why(cert: dict[str, Any]) -> str:
     return f"y = ({y}) gives y^T M_int >= 0, != 0 (Gordan), so no positive kernel vector exists"
 
 
-def balancing_lines(bal: dict[str, Any]) -> list[str]:
-    """A balancing section as text: regime, verdict, witnesses, the rank with
-    the kernel dimension, one "why" line for the certificate and the notes.
-    M_int is the unit-weight matrix with its rows scaled to integers."""
-    lines = [f"regime: {bal['regime']}", f"feasible: {'yes' if bal['feasible'] else 'no'}"]
+def _coefficient_row(c: dict[str, Any]) -> list[str]:
+    """Point, kind, leading coefficient and model constants (B and C, which
+    come together) of one entry."""
+    lead, b = c["leading"], c.get("b_radicand")
+    if lead is None:
+        leading = c.get("leading_note", "-")
+    else:
+        leading = lead["coeff"] + (f"*pi^{lead['pi_power']}" if lead["pi_power"] else "")
+    constants = (
+        f"B^(2m) = {b['coeff']}*pi^{b['pi_power']}, exponent {c['b_root_exponent']}"
+        f"  C = {c['c_constant']}"
+        if b
+        else ""
+    )
+    return [c["label"], c["kind"], leading, constants]
+
+
+def _balancing_text(bal: dict[str, Any], body: dict[str, Any]) -> list[str]:
+    """Regime, verdict, witnesses, the rank with the kernel dimension, one
+    "why" line for the certificate, the notes and the coefficient table; a
+    fan's SU vertex barycenter goes first.  M_int is the unit-weight matrix
+    with its rows scaled to integers."""
+    lines = []
+    if "su_vertex_barycenter" in body:
+        lines.append(f"SU vertices barycenter: {_vec(body['su_vertex_barycenter'])}")
+    lines += [f"regime: {bal['regime']}", f"feasible: {'yes' if bal['feasible'] else 'no'}"]
     for key in ("witness_a", "witness_b", "witness_c"):
         if bal.get(key):
-            lines.append(f"{key[-1]} = ({', '.join(bal[key])})")
+            lines.append(f"{key[-1]} = {_vec(bal[key])}")
     for key in ("xi_rank", "theta_rank"):
         if bal.get(key) is not None:
             lines.append(f"{key}: {bal[key]} of d = {bal['d']}, kernel_dim {bal['kernel_dim']}")
     if "certificate" in bal:
         lines.append("why: " + _why(bal["certificate"]))
     lines.extend(f"note: {note}" for note in bal["notes"])
+    rows = [_coefficient_row(c) for c in bal.get("coefficients", [])]
+    if rows:
+        lines.append(render_table(rows, ["point", "kind", "leading coefficient", "model constants"]))
     return lines
 
 
-def render_text(report: dict[str, Any]) -> str:
-    """Human-readable rendering of a full report."""
-    body = report["report"]
-    out = [
-        f"input: {report['input']['name']}  (sha256 {report['input']['sha256'][:12]})",
-        f"tool: kcscglue {report['tool_version']}",
-        "",
-    ]
-    if body["kind"] == "fan":
-        if not body["validation"]["valid"]:
-            out.append("INVALID FAN:")
-            out.extend(f"  - {v}" for v in body["validation"]["violations"])
-            return "\n".join(out) + "\n"
-        out.append(classification_table(body["classification"]))
-        out.append("")
-        poly = body["polytope"]
-        if "error" in poly:
-            out.append(f"polytope: {poly['error']}")
-        else:
-            out.append(
-                f"polytope (k = {poly['k']}): {len(poly['vertices'])} vertices, "
-                f"{len(poly['two_faces'])} two-faces, "
-                f"barycenter ({', '.join(poly['barycenter'])})"
-            )
-            rows = [
-                [label, "(" + ", ".join(v) + ")"]
-                for label, v in sorted(poly["moment_assignment"].items())
-            ]
-            out.append(render_table(rows, ["cone", "moment vertex"]))
-        out.append("")
-        if "su_vertex_barycenter" in body:
-            out.append(
-                "SU vertices barycenter: ("
-                + ", ".join(body["su_vertex_barycenter"])
-                + ")"
-            )
-    else:
-        rows = [
-            [e["label"], e["kind"], str(e["order"]), "(" + ", ".join(e["phi"]) + ")"]
-            for e in body["points"]
-        ]
-        out.append(render_table(rows, ["point", "kind", "|G|", "phi"]))
-        out.append("")
+TEXT_SECTIONS = {
+    "classification": _classification_text,
+    "validation": lambda validation, body: [f"violation: {v}" for v in validation["violations"]],
+    "polytope": _polytope_text,
+    "points": _points_text,
+    "balancing": _balancing_text,
+}
 
-    bal = body.get("balancing")
-    if bal and "error" in bal:
-        out.append(f"balancing: {bal['error']}")
-    elif bal:
-        out.extend(balancing_lines(bal))
-        rows = [[c["label"], c["kind"], leading_cell(c)] for c in bal.get("coefficients", [])]
-        if rows:
-            out.append(render_table(rows, ["point", "kind", "leading coefficient"]))
-    return "\n".join(out) + "\n"
+
+def render_sections(body: dict[str, Any], names) -> str:
+    """The named sections of a report body as text, a blank line between
+    two; a section that recorded an error is the line ``<stage>: <error>``."""
+    blocks = []
+    for name in names:
+        error = stage_error(body[name])
+        lines = [f"{name}: {error}"] if error is not None else TEXT_SECTIONS[name](body[name], body)
+        if lines:
+            blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
+
+
+def render_text(report: dict[str, Any]) -> str:
+    """The input and tool lines, then every section of the body that has a
+    text rendering."""
+    body = report["report"]
+    return (
+        f"input: {report['input']['name']}  (sha256 {report['input']['sha256'][:12]})\n"
+        f"tool: kcscglue {report['tool_version']}\n\n"
+        + render_sections(body, [name for name in body if name in TEXT_SECTIONS])
+    )

@@ -16,6 +16,7 @@ form a complete fan.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
@@ -206,7 +207,8 @@ def _is_primitive(v: IntVector) -> bool:
 
 def validate_fan(fan: Fan) -> FanValidation:
     """Check primitivity, simpliciality, full-dimensionality and
-    distinctness of max cones, then that the cones form a complete fan.
+    distinctness of max cones and of their labels, then that the cones form
+    a complete fan.
 
     Violations are reported, not raised: non-simplicial cones fall outside
     the isolated-singularity setting but should not abort a database scan.
@@ -226,6 +228,9 @@ def _validate(fan: Fan) -> FanValidation:
             violations.append(f"ray {i + 1} {list(ray)} is not primitive")
     if len(set(fan.rays)) != len(fan.rays):
         violations.append("rays are not pairwise distinct")
+    # Labels key the moment assignment and the charts balancing glues.
+    uses = Counter(fan.labels)
+    violations.extend(f"cone label {label} names {n} cones" for label, n in uses.items() if n > 1)
     seen: dict[frozenset[int], int] = {}
     for i, idx in enumerate(fan.max_cones):
         label = fan.labels[i]

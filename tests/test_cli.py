@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from kcscglue.cli import main
+from kcscglue.cli import SECTIONS, main
 from kcscglue.examples import embedded_examples, example_by_name
+from kcscglue.formats import FanFile, OrbifoldFile, ParseError, parse_fan, parse_orbifold
+from kcscglue.report import build_report, exit_code, input_errors, render_sections
 
 INFEASIBLE_ORBIFOLD = """\
 m 2
@@ -163,10 +165,48 @@ class TestClassify:
         p.write_text(NON_NUMERIC_S_ORBIFOLD)
         assert main(["classify", str(p)]) == 0
         rows = capsys.readouterr().out.splitlines()[2:]
-        assert [r.split() for r in rows] == [
-            ["P1", "2", "su", "ricci_flat"],
-            ["P2", "2", "su", "ricci_flat"],
+        assert [r.split(None, 4) for r in rows] == [
+            ["P1", "2", "su", "ricci_flat", "(1, 0)"],
+            ["P2", "2", "su", "ricci_flat", "(-1, 0)"],
         ]
+
+
+SECTION_INPUTS = {ex.filename: ex.text for ex in embedded_examples()}
+SECTION_INPUTS.update((p.name, p.read_text()) for p in FIXTURES.iterdir())
+
+
+@pytest.mark.parametrize("name", sorted(SECTION_INPUTS))
+def test_subcommands_print_sections_of_the_text_report(name, tmp_path, capsys):
+    """classify, polytope, balance and coeffs print their sections with the
+    text report's renderer, or nothing (an input error on stderr), and what
+    they print is part of the text report."""
+    path = tmp_path / name
+    path.write_text(SECTION_INPUTS[name])
+    main(["report", str(path), "--format", "text"])
+    text_report = capsys.readouterr().out
+    kind, parse = (FanFile, parse_fan) if name.endswith(".fan") else (OrbifoldFile, parse_orbifold)
+    try:
+        parsed = parse(SECTION_INPUTS[name])
+    except ParseError:
+        parsed = None
+    for command, by_kind in SECTIONS.items():
+        if kind not in by_kind:
+            continue
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        if parsed is None:
+            assert (code, captured.out) == (2, "")
+            continue
+        names = by_kind[kind]
+        body = build_report(str(path), SECTION_INPUTS[name], parsed, until=names[-1])["report"]
+        assert code == exit_code(body)
+        if captured.out:
+            assert captured.out == render_sections(body, names)
+            assert captured.out in text_report
+        else:
+            assert code == 2 and captured.err
+        if not input_errors(body):
+            assert captured.out
 
 
 class TestPolytopeStageErrors:
@@ -241,6 +281,23 @@ class TestPolytopeStageErrors:
         for command in ("report", "classify", "polytope", "balance"):
             assert main([command, str(path)]) == 2
         assert "error: invalid fan: ray 4 [1, 1] is in no cone\n" in capsys.readouterr().err
+
+    def test_checked_in_duplicate_labels_fixture(self, capsys):
+        path = FIXTURES / "duplicate-labels.fan"
+        assert main(["classify", str(path)]) == 2
+        assert capsys.readouterr().out.endswith(
+            "\n\nviolation: cone label A names 2 cones\nviolation: cone label B names 2 cones\n"
+        )
+        for command in ("report", "polytope", "balance"):
+            assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err.count("error: invalid fan: cone label A names 2 cones\n") == 2
+
+    def test_checked_in_empty_list_entry_fixture(self, capsys):
+        for command in ("report", "classify", "polytope", "balance"):
+            assert main([command, str(FIXTURES / "empty-list-entry.fan")]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "error: line 3: ray entry '' is not an integer\n"
+            assert captured.out == ""
 
     def test_checked_in_decimal_s_fixture(self, capsys):
         assert main(["report", str(FIXTURES / "decimal-s.orb")]) == 2

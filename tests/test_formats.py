@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,6 +116,77 @@ class TestParseOrbifold:
         assert any("expected d=2" in e for e in err.value.errors)
 
 
+P2_FAN = "dim 2\nk 1\nray [1, 0]\nray [0, 1]\nray [-1, -1]\ncone [1, 2]\ncone [2, 3]\ncone [3, 1]\n"
+P2_Z3 = example_by_name("p2-z3").text
+P1_LINE = "point P1 ricci_flat order=3 phi=[1, 0]"
+# Inputs that once parsed with a part silently dropped or overridden, and
+# the one error each gets now.
+DROPPED = {
+    "empty ray entry": (
+        parse_fan,
+        P2_FAN.replace("ray [1, 0]", "ray [1,,0]"),
+        "line 3: ray entry '' is not an integer",
+    ),
+    "trailing comma": (
+        parse_fan,
+        P2_FAN.replace("ray [0, 1]", "ray [0, 1,]"),
+        "line 4: ray entry '' is not an integer",
+    ),
+    "empty cone entry": (
+        parse_fan,
+        P2_FAN.replace("cone [1, 2]", "cone [, 1, 2] A"),
+        "line 6: cone entry '' is not an integer",
+    ),
+    "empty phi entry": (
+        parse_orbifold,
+        P2_Z3.replace(P1_LINE, "point P1 ricci_flat order=3 phi=[1, , 0]"),
+        "line 7: phi entry '' is not an exact rational",
+    ),
+    "unknown attribute": (
+        parse_orbifold,
+        P2_Z3.replace(P1_LINE, P1_LINE + " bogus=3"),
+        "line 7: unknown point attribute 'bogus'",
+    ),
+    "repeated attribute": (
+        parse_orbifold,
+        P2_Z3.replace(P1_LINE, P1_LINE + " phi=[0, 1]"),
+        "line 7: point attribute phi given twice",
+    ),
+    "stray text after the attributes": (
+        parse_orbifold,
+        P2_Z3.replace(P1_LINE, P1_LINE + " junk"),
+        "line 7: unexpected text 'junk' in point attributes",
+    ),
+    "stray text between attributes": (
+        parse_orbifold,
+        P2_Z3.replace(P1_LINE, "point P1 ricci_flat order=3 x phi=[1, 0]"),
+        "line 7: unexpected text 'x' in point attributes",
+    ),
+    **{
+        f"repeated {key}": (parse, text + f"{key} {value}\n", f"line {line}: {key} given twice")
+        for parse, text, line, pairs in (
+            (parse_fan, P2_FAN, 9, (("dim", 2), ("k", 1))),
+            (parse_orbifold, P2_Z3, 10, (("m", 2), ("d", 2), ("s", 1), ("einstein", "yes"))),
+        )
+        for key, value in pairs
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(DROPPED))
+def test_nothing_is_dropped_silently(case):
+    parse, text, message = DROPPED[case]
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.errors == (message,)
+
+
+def test_empty_list_entry_fixture():
+    with pytest.raises(ParseError) as err:
+        parse_fan((Path(__file__).parent / "fixtures" / "empty-list-entry.fan").read_text())
+    assert err.value.errors == ("line 3: ray entry '' is not an integer",)
+
+
 # Orbifold files with one rational literal at {x}, and the line it is on.
 # e_mag and c_gamma are key=value attributes, which end at a space, and
 # must be positive.
@@ -172,6 +244,8 @@ class TestRationalGrammar:
             parse_orbifold(template.format(x=literal))
         if field == "s":
             message = "s must be an exact rational or 'positive'"
+        elif field in ("e_mag", "c_gamma"):
+            message = f"{field} must be an exact rational"
         else:
             message = f"{field} entry {literal!r} is not an exact rational"
         assert list(err.value.errors) == [f"line {line}: {message}"]

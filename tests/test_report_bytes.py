@@ -9,7 +9,7 @@ balancing outcome of both regimes (the three that fail, one per kind of
 certificate, are read from ``tests/fixtures``), point labels outside ASCII (escaped as
 ``\\u`` sequences, an astral one as a surrogate pair), and reports that
 stop early: fans whose polytope stage records an error (no k, -K not nef)
-and invalid fans.  Among the invalid fans are cone lists that are not fans
+and invalid fans, one of them a fan whose cone labels repeat.  Among the invalid fans are cone lists that are not fans
 -- incomplete and overlapping P^2, P^2 with a ray in no cone, alternate
 octants of (P^1)^3, alternate cones of the hexagon fan, and (P^1)^4 without
 alternate vertices of one facet -- which pin the fan check's violations.
@@ -39,13 +39,15 @@ CUBE4_RAYS = "dim 4\nk 1\n" + "".join(
 )
 FIXTURES = Path(__file__).parent / "fixtures"
 INPUTS = {ex.filename: ex.text for ex in embedded_examples()}
-# The three orbifold files whose verdict is not feasible, one per way to fail.
+# The three orbifold files whose verdict is not feasible, one per way to
+# fail, and a fan whose cone labels repeat.
 INPUTS.update(
     (name, (FIXTURES / name).read_text())
     for name in (
         "scalar-flat-no-witness.orb",
         "scalar-flat-rank-deficient.orb",
         "einstein-no-witness.orb",
+        "duplicate-labels.fan",
     )
 )
 INPUTS.update(
@@ -142,6 +144,7 @@ cone [5, 6]
 )
 
 DIGESTS = {
+    "duplicate-labels.fan": "2b0d167a43d079665eedcec3e41b078d3186b8f522785c9c829cc737b048365c",
     "alternating-hexagon.fan": "f2b0a405b9c315d2431db9af75aa17d0e63d61337cfb3d1d51644d072e561c03",
     "alternating-octants.fan": "b808ed4cee2bfc26d14e13cba23244f4292c1ed5d902128fc5069517e39f3722",
     "p1-4-missing-alternate.fan": "b29cdac2998911c4a361ef1665d40477369ea33ef5f847ca5adc45567877f9c2",
@@ -149,7 +152,7 @@ DIGESTS = {
     "einstein-no-witness.orb": "86a1ce11bc5158e3a1eee21ea33ce5cd2373838df19bf57b801e07f7313ee2fa",
     "incomplete-p2.fan": "8a29b514dbbb45d64539be417da0e6962da14530f3733ffcbadacb857d114536",
     "f3-not-nef.fan": "cdf154f5620213c7ed4bcf88f7cd9a1e41b2e3d4bb8cab840f50929c6891092f",
-    "explicit-laplacian.orb": "c8489cb7c7e24eace6834d9fa9ec81d0bbf11a2c0b0cad630b5cb07dc198475e",
+    "explicit-laplacian.orb": "917d8e38ceb6e53907ba75bcd401871db1d76b84825dca3cb164bdb18b8cb812",
     "non-ascii-label.orb": "c7b42218741c367467509b605d92059b087085e2e1c83aa6f9329f790f29baf0",
     "numeric-s.orb": "9609dca14f1d45dbeae10304d72ba81121fef5f1788dc9d89de6c12582365157",
     "overlapping-p2.fan": "bb686cd62ca6d1f04344c77ef3691e96d549870cf73e5f77f9cb837ef6bdd8d4",
@@ -158,7 +161,7 @@ DIGESTS = {
     "p2-unused-ray.fan": "778a2cb90e29b677a12088e112c7217631357b4bc624e78755d01b9f29110b30",
     "p2-z3.orb": "00ea455d1335478c175303e805648af688704c8787a00f4aa5615e721ff1d534",
     "scalar-flat-no-witness.orb": "7477bf84f58dd9b3f2829d012493c59b1eff783e5cf08fa368d1a7fe4328bdfc",
-    "scalar-flat-rank-deficient.orb": "c86b53ac38a88c748978d71099485ddcd8c3d6232d0da438fc7adec02bfeaac7",
+    "scalar-flat-rank-deficient.orb": "4a0f3941151ab31a517586c173ed0ae54ef05c962d72975882d668888298ae50",
     "sheared-product-r3.fan": "402c68b7046244038748e3c4db112de59e925126c36e389cc537b36abbd7c344",
     "three-generator-cone.fan": "b35df61ecaa78603c98c52c3bd94205d7e388889384e90bf8cf3d7bcb012c4f6",
     "x1.fan": "53b04df3d49a33cd87084900c35552beedfc7722643c913d250ed91aa5ff89aa",

@@ -1,5 +1,6 @@
 import random
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,7 @@ from kcscglue.toric_lattice import (
     validate_fan,
 )
 
+FIXTURES = Path(__file__).parent / "fixtures"
 X1 = parse_fan(example_by_name("x1").text).to_fan()
 X4 = parse_fan(example_by_name("x4").text).to_fan()
 
@@ -67,6 +69,20 @@ class TestValidateFan:
         report = validate_fan(fan)
         assert not report.valid
         assert report.violations == ("cone C4: same rays as cone C3",)
+
+    def test_repeated_labels(self):
+        # A complete fan whose labels would key two charts each: rejected
+        # before the fan check, whatever the cones are.
+        fan = parse_fan((FIXTURES / "duplicate-labels.fan").read_text()).to_fan()
+        report = validate_fan(fan)
+        assert report.violations == ("cone label A names 2 cones", "cone label B names 2 cones")
+        labels = ("A1", "B1", "A2", "B2")
+        assert validate_fan(Fan(2, fan.rays, fan.max_cones, labels)).valid
+
+    def test_label_repeating_a_default_label(self):
+        # cone [1, 2] C2 followed by an unlabelled second cone
+        fan = Fan(dim=2, rays=P2_RAYS, max_cones=P2_CONES, labels=("C2", "C2", "C3"))
+        assert validate_fan(fan).violations == ("cone label C2 names 2 cones",)
 
     def test_low_dimensional_cone(self):
         fan = Fan(
