@@ -4,7 +4,8 @@ Each input's JSON report (``render_json(build_report(...))``) must hash to
 the digest recorded here, so a refactor of the pipeline that changes one
 byte of any report fails.  The inputs cover the bundled examples, two fans
 whose polytopes have fractional vertices (a sheared 3-d product fan with
-charts of order 3, and a 2-d cyclic fan with a nonzero barycenter), each
+charts of order 3, and a 2-d cyclic fan with a nonzero barycenter), a fan
+whose charts are not cyclic (Z/2 + Z/2, the Smith normal form path), each
 balancing outcome of both regimes (the three that fail, one per kind of
 certificate, are read from ``tests/fixtures``), point labels outside ASCII (escaped as
 ``\\u`` sequences, an astral one as a surrogate pair), and reports that
@@ -40,7 +41,7 @@ CUBE4_RAYS = "dim 4\nk 1\n" + "".join(
 FIXTURES = Path(__file__).parent / "fixtures"
 INPUTS = {ex.filename: ex.text for ex in embedded_examples()}
 # The three orbifold files whose verdict is not feasible, one per way to
-# fail, and a fan whose cone labels repeat.
+# fail, a fan whose cone labels repeat and a fan whose charts are Z/2 + Z/2.
 INPUTS.update(
     (name, (FIXTURES / name).read_text())
     for name in (
@@ -48,6 +49,7 @@ INPUTS.update(
         "scalar-flat-rank-deficient.orb",
         "einstein-no-witness.orb",
         "duplicate-labels.fan",
+        "z2xz2-product.fan",
     )
 )
 INPUTS.update(
@@ -166,6 +168,7 @@ DIGESTS = {
     "three-generator-cone.fan": "b35df61ecaa78603c98c52c3bd94205d7e388889384e90bf8cf3d7bcb012c4f6",
     "x1.fan": "53b04df3d49a33cd87084900c35552beedfc7722643c913d250ed91aa5ff89aa",
     "x4.fan": "586aa15c424e7ca873037509c8be830261c3dbb095d1b66ad4491884e22e9f8e",
+    "z2xz2-product.fan": "92f9a2bde71c1f10a7301dd526ed7d95511acf7becead06a68a710f2eb136060",
 }
 
 
