@@ -3,10 +3,11 @@
 The k-anticanonical polytope of a complete simplicial fan (one that passes
 validate_fan) is the region <u, v_rho> >= -k over all rays.  Vertices come
 one per maximal cone (the moment image of the chart's torus-fixed point),
-each -k times the cone's cached height-one solve, kept on the polytope as
-the moment correspondence.  The barycenter (by the Brion-Lawrence formula)
-and, when the cone vertices are pairwise distinct, the faces are read off
-the cones' cached integer inverses p·V^{-1}.  Otherwise faces come from a
+each -k times the cone's cached height-one solve; they are deduplicated as
+integer vectors over one denominator, and the polytope keeps the index of
+each cone's vertex as the moment correspondence.  The barycenter (by the
+Brion-Lawrence formula) and, when the cone vertices are pairwise distinct,
+the faces are read off the cones' cached integer inverses p·V^{-1}.  Otherwise faces come from a
 face lattice, by facet incidence on the scaled-integer vertices (D, D *
 vertices), D the lcm of the vertex denominators.  Only the output is
 Fractions.
@@ -33,9 +34,9 @@ class LatticePolytope:
 
     For anticanonical polytopes every offset equals -k.  Vertices are given
     sorted, so vertex indices order like the vertices.  A polytope built
-    from a fan keeps the fan and the moment correspondence cone_vertices
-    (cone label -> vertex, in fan order); other polytopes have neither.
-    Neither is part of equality.
+    from a fan keeps the fan and the moment correspondence
+    cone_vertex_index (the index of each cone's vertex, in fan order);
+    other polytopes have neither.  Neither is part of equality.
     """
 
     dim: int
@@ -43,8 +44,17 @@ class LatticePolytope:
     facet_normals: tuple[tuple[int, ...], ...]
     facet_offsets: tuple[Fraction, ...]
     vertices: tuple[QVector, ...]
-    cone_vertices: tuple[tuple[str, QVector], ...] = field(default=(), compare=False)
+    cone_vertex_index: tuple[int, ...] = field(default=(), compare=False)
     fan: Optional[Fan] = field(default=None, compare=False)
+
+    @property
+    def cone_vertices(self) -> tuple[tuple[str, QVector], ...]:
+        """(cone label, vertex) in fan order; empty without a fan."""
+        if self.fan is None:
+            return ()
+        return tuple(
+            (label, self.vertices[i]) for label, i in zip(self.fan.labels, self.cone_vertex_index)
+        )
 
     @cached_property
     def integer_vertices(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -101,24 +111,30 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _cone_vertex(fan: Fan, k: int, cone: Cone) -> tuple[list[int], int]:
+    """The cone's vertex u = num / p, <u, v_i> = -k over its generators, as
+    (num, p): -k times the cone's height-one solve.  A vertex that violates
+    a facet inequality raises ValueError."""
+    if cone.height_one is None:
+        raise ValueError("degenerate cone: singular vertex system")
+    unit, p = cone.height_one
+    num = [-k * x for x in unit]
+    for ray in fan.rays:
+        # <ray, u> + k = (<ray, num> + k p) / p, negative iff a violation
+        if (sum(r * x for r, x in zip(ray, num)) + k * p) * p < 0:
+            point = ", ".join(str(Fraction(x, p)) for x in num)
+            raise ValueError(f"cone vertex ({point}) violates facet of ray {ray}")
+    return num, p
+
+
 def vertex_for_cone(fan: Fan, k: int, cone: Cone) -> QVector:
     """The unique u with <u, v_i> = -k over the cone's generators.
 
     This is the moment image of the torus-fixed point of the cone's chart;
     it must satisfy every facet inequality of the k-anticanonical polytope.
     """
-    if cone.height_one is None:
-        raise ValueError("degenerate cone: singular vertex system")
-    # u = -k times the cone's height-one covector, over the same p
-    unit, p = cone.height_one
-    num = [-k * x for x in unit]
-    u = tuple(Fraction(x, p) for x in num)
-    for ray in fan.rays:
-        # <ray, u> + k = (<ray, num> + k p) / p, negative iff a violation
-        if (sum(r * x for r, x in zip(ray, num)) + k * p) * p < 0:
-            point = ", ".join(map(str, u))
-            raise ValueError(f"cone vertex ({point}) violates facet of ray {ray}")
-    return u
+    num, p = _cone_vertex(fan, k, cone)
+    return tuple(Fraction(x, p) for x in num)
 
 
 def moment_assignment(fan: Fan, k: int) -> list[tuple[str, QVector]]:
@@ -129,26 +145,34 @@ def moment_assignment(fan: Fan, k: int) -> list[tuple[str, QVector]]:
 def anticanonical_polytope(fan: Fan, k: int) -> LatticePolytope:
     """Vertices of {<u, v_rho> >= -k} via the one-vertex-per-cone shortcut,
     for a fan that passes validate_fan (ValueError otherwise); a cone vertex
-    that violates a facet (-K not nef) raises ValueError.  The moment
-    correspondence is kept as ``cone_vertices``, and the fan with it."""
+    that violates a facet (-K not nef) raises ValueError.  The cone vertices
+    are deduplicated and sorted as integer vectors over one common
+    denominator, which orders them as the rationals they stand for, and
+    each distinct one becomes Fractions once.  The moment correspondence is
+    kept as ``cone_vertex_index``, and the fan with it."""
     if k < 1:
         raise ValueError("anticanonical multiple k must be >= 1")
     if not fan.validation.valid:
         raise ValueError("invalid fan: " + "; ".join(fan.validation.violations))
-    assignment = moment_assignment(fan, k)
+    solved = [_cone_vertex(fan, k, cone) for _, cone in fan.cones()]
+    d = lcm(*(abs(p) for _, p in solved))
+    scaled = [tuple(x * (d // p) for x in num) for num, p in solved]
+    distinct = sorted(set(scaled))
+    index = {v: i for i, v in enumerate(distinct)}
     return LatticePolytope(
         dim=fan.dim,
         k=k,
         facet_normals=tuple(tuple(n) for n in fan.rays),
         facet_offsets=(Fraction(-k),) * len(fan.rays),
-        vertices=tuple(sorted({u for _, u in assignment})),
-        cone_vertices=tuple(assignment),
+        vertices=tuple(tuple(Fraction(x, d) for x in v) for v in distinct),
+        cone_vertex_index=tuple(index[v] for v in scaled),
         fan=fan,
     )
 
 
-def faces(p: LatticePolytope, d: int) -> list[tuple[QVector, ...]]:
-    """Faces of dimension d as sorted vertex tuples, deterministically ordered.
+def faces(p: LatticePolytope, d: int, items: Optional[Sequence] = None) -> list[tuple]:
+    """Faces of dimension d as sorted vertex tuples, deterministically ordered;
+    with ``items`` (one per vertex) each vertex i is given as items[i].
 
     When a fan's cone vertices are pairwise distinct, -K is ample and the
     fan is the normal fan of p, so the d-faces are the vertex sets of the
@@ -159,14 +183,13 @@ def faces(p: LatticePolytope, d: int) -> list[tuple[QVector, ...]]:
     if fan is None or len(p.vertices) < len(fan.max_cones) or d > p.dim:
         found = [f for f, fd in p.face_lattice.items() if fd == d]
     else:
-        index = {v: i for i, v in enumerate(p.vertices)}
         through: dict[tuple[int, ...], list[int]] = {}
-        for idx, (_, v) in zip(fan.max_cones, p.cone_vertices):
-            i = index[v]
+        for idx, i in zip(fan.max_cones, p.cone_vertex_index):
             for tau in combinations(sorted(idx), p.dim - d):
                 through.setdefault(tau, []).append(i)
         found = list(through.values())
-    return [tuple(p.vertices[i] for i in f) for f in sorted(tuple(sorted(f)) for f in found)]
+    items = p.vertices if items is None else items
+    return [tuple(items[i] for i in f) for f in sorted(tuple(sorted(f)) for f in found)]
 
 
 def polytope_barycenter(p: LatticePolytope) -> QVector:

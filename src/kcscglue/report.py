@@ -194,12 +194,16 @@ def _polytope(run: SimpleNamespace) -> dict[str, Any]:
         raise ValueError("no anticanonical multiple k given")
     poly = anticanonical_polytope(run.fan, run.k)
     run.cone_vertices = dict(poly.cone_vertices)
+    # each distinct vertex is turned into strings once
+    vertices = [_qvec(v) for v in poly.vertices]
     return {
         "k": run.k,
-        "vertices": [_qvec(v) for v in poly.vertices],
-        "two_faces": [[_qvec(v) for v in f] for f in faces(poly, 2)],
+        "vertices": vertices,
+        "two_faces": [list(f) for f in faces(poly, 2, vertices)],
         "barycenter": _qvec(polytope_barycenter(poly)),
-        "moment_assignment": {label: _qvec(v) for label, v in poly.cone_vertices},
+        "moment_assignment": {
+            label: vertices[i] for label, i in zip(run.fan.labels, poly.cone_vertex_index)
+        },
     }
 
 
@@ -451,6 +455,14 @@ def _vec(v: list[str]) -> str:
     return "(" + ", ".join(v) + ")"
 
 
+def _factors(orders: list[int]) -> str:
+    return "*".join(map(str, orders)) or "1"
+
+
+def _weights(weights: list[list[int]]) -> str:
+    return "; ".join(",".join(map(str, w)) for w in weights) or "-"
+
+
 # Text renderers, one per report section.  Each takes the section and the
 # body it is in and returns the section's lines.
 
@@ -465,8 +477,8 @@ def _classification_text(entries: list[dict[str, Any]], body: dict[str, Any]) ->
             [
                 e["label"],
                 str(e["order"]),
-                "*".join(str(d) for d in e["cyclic_factors"]) or "1",
-                "; ".join(",".join(map(str, w)) for w in e["action_weights"]) or "-",
+                _factors(e["cyclic_factors"]),
+                _weights(e["action_weights"]),
                 e["classification"],
                 "yes" if e["isolated"] else "no",
             ]
@@ -547,12 +559,40 @@ def _balancing_text(bal: dict[str, Any], body: dict[str, Any]) -> list[str]:
     return lines
 
 
+def _weight_intervals_text(intervals: dict[str, Any], body: dict[str, Any]) -> list[str]:
+    return [
+        f"{name.replace('_', '-')} weight interval: ({lower}, {upper})"
+        for name, (lower, upper) in intervals.items()
+    ]
+
+
+def _spectral_text(spectral: dict[str, Any], body: dict[str, Any]) -> list[str]:
+    """One row per distinct group, then the weight intervals."""
+    rows = [
+        [
+            _factors(g["orders"]),
+            _weights(g["weights"]),
+            str(g["invariant_linear_dimension"]),
+            str(g["first_invariant_index"]),
+            str(g["first_invariant_eigenvalue"]),
+        ]
+        for g in spectral["groups"]
+    ]
+    header = ["factors", "weights", "invariant linear dim", "first invariant index", "eigenvalue"]
+    return [
+        render_table(rows, header),
+        *_weight_intervals_text(spectral["weight_intervals"], body),
+    ]
+
+
 TEXT_SECTIONS = {
     "classification": _classification_text,
     "validation": lambda validation, body: [f"violation: {v}" for v in validation["violations"]],
     "polytope": _polytope_text,
     "points": _points_text,
     "balancing": _balancing_text,
+    "spectral": _spectral_text,
+    "weight_intervals": _weight_intervals_text,
 }
 
 

@@ -1,17 +1,19 @@
 """Fans of toric orbifolds and quotient-singularity classification.
 
 Each maximal simplicial cone of a complete fan describes an affine chart
-C^m / Gamma with Gamma abelian.  The group is extracted from the generator
-matrix via Smith normal form as a GroupPresentation, the one abelian-group
-type of the package: cyclic orders plus diagonal action weights read off
-the unimodular factors.  Its order, classification (smooth, SU(m) --
-Gorenstein, crepant-resolvable candidates -- or U(m)-non-SU) and isolation
-are derived from the presentation by closed forms, never by enumerating
-Gamma.  A fan builds each cone once, and each cone inverts its generator
-matrix once, as p·V^{-1} in integers; that one elimination gives the cone's
-validity, its order |det|, its Gorenstein covector, its moment vertices and
-its side of each wall, which the fan check reads to decide that the cones
-form a complete fan.
+C^m / Gamma with Gamma abelian, presented as a GroupPresentation, the one
+abelian-group type of the package: cyclic orders plus diagonal action
+weights.  Its order, classification (smooth, SU(m) -- Gorenstein,
+crepant-resolvable candidates -- or U(m)-non-SU) and isolation are derived
+from the presentation by closed forms, never by enumerating Gamma.  A fan
+builds each cone once, and each cone inverts its generator matrix once, as
+p·V^{-1} in integers; that one elimination gives the cone's validity, its
+order |det|, its Gorenstein covector, its moment vertices, its side of each
+wall, which the fan check reads to decide that the cones form a complete
+fan, and its group: a cyclic Gamma is read off the inverse as 1/n(w), w the
+lexicographically least unit multiple of a generator's weights (1/n(1, a_2,
+...) on isolated charts), and only a non-cyclic Gamma takes a Smith normal
+form.
 """
 
 from __future__ import annotations
@@ -299,14 +301,75 @@ def cone_index(cone: Cone) -> int:
 def quotient_action(cone: Cone) -> GroupPresentation:
     """Extract Gamma and its diagonal action weights from the cone.
 
-    With G the generator-column matrix and G = U·D·V its Smith decomposition,
-    Z^m/G(Z^m) is the direct sum of Z/d_i generated by the classes of the
-    columns of U; the generator of the order-d_i factor acts on the chart
-    coordinates by the d_i-th roots of unity with exponents given by column i
-    of V^{-1} (mod d_i).  The invariant-monomial cross-check in the test
-    suite pins this convention down.
+    With (columns A_j, p) the cone's inverse and n = |p| = |Gamma|, the class
+    of the lattice point e_k has generator coordinates A_j[k] / p, so it acts
+    on chart coordinate j by the n-th roots of unity with exponent A_j[k]·sign(p)
+    mod n; these m rows generate Gamma, and the action is faithful.  Gamma
+    is cyclic iff its exponent is n, that is, iff n is prime to every entry
+    of the inverse.  Then an element of order n generates it, and the chart
+    is reported as 1/n(w) with w the lexicographically least unit multiple
+    of that element's row, 1/n(1, a_2, ...) whenever the first weight is
+    prime to n (on every isolated chart), so the weights depend only on the
+    cone and its ray order, not on the lattice basis.  A non-cyclic Gamma
+    comes from the Smith normal form of the generator matrix.
     """
     order = cone_index(cone)
+    m = cone.ambient_dim
+    if order == 1:
+        return GroupPresentation.trivial(m)
+    columns, p = cone.inverse
+    sign = 1 if p > 0 else -1
+    rows = [tuple(x * sign % order for x in row) for row in zip(*columns)]
+    if gcd(order, *(x for row in rows for x in row)) != 1:
+        return _smith_quotient(cone, order)
+    return GroupPresentation(
+        m=m, orders=(order,), weights=(_least_unit_multiple(_generator(rows, order), order),)
+    )
+
+
+def _element_order(w: IntVector, n: int) -> int:
+    return n // gcd(n, *w)
+
+
+def _generator(rows: list[IntVector], n: int) -> IntVector:
+    """An element of order n of the cyclic group of order n that the rows
+    generate in (Z/n)^m: the first row of order n, or else the rows combined
+    one by one, g + t·r with the least t >= 0 that gives order lcm(ord g,
+    ord r).  In a cyclic group such a t exists for every prime of n (a t
+    fails for at most one residue mod the prime), so the search is short."""
+    orders = [_element_order(r, n) for r in rows]
+    if n in orders:
+        return rows[orders.index(n)]
+    g, order_g = rows[0], orders[0]
+    for r, order_r in zip(rows[1:], orders[1:]):
+        want = lcm(order_g, order_r)
+        for t in range(n):
+            h = tuple((x + t * y) % n for x, y in zip(g, r))
+            if _element_order(h, n) == want:
+                g, order_g = h, want
+                break
+    if order_g != n:
+        raise RuntimeError("the rows of a cyclic group have no element of its order (bug)")
+    return g
+
+
+def _least_unit_multiple(g: IntVector, n: int) -> IntVector:
+    """The lexicographically least u·g mod n over the units u mod n: the
+    one with first weight 1 when g[0] is prime to n."""
+    if gcd(g[0], n) == 1:
+        u = pow(g[0], -1, n)
+        return tuple(u * x % n for x in g)
+    return min(tuple(u * x % n for x in g) for u in range(1, n) if gcd(u, n) == 1)
+
+
+def _smith_quotient(cone: Cone, order: int) -> GroupPresentation:
+    """Gamma from the Smith normal form G = U·D·V of the generator-column
+    matrix G: Z^m/G(Z^m) is the direct sum of Z/d_i generated by the classes
+    of the columns of U, and the generator of the order-d_i factor acts on
+    the chart coordinates by the d_i-th roots of unity with exponents given
+    by column i of V^{-1} (mod d_i).  The invariant-monomial cross-check in
+    the test suite pins this convention down.
+    """
     m = cone.ambient_dim
     snf = smith_normal_form(cone.generator_matrix())
     v_inv = snf.v_inv

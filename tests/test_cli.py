@@ -406,6 +406,24 @@ class TestReport:
         assert main(["report", str(corpus / "p2-z3.orb"), "--format", "text"]) == 0
         out = capsys.readouterr().out
         assert "feasible: yes" in out
+        # an orbifold report ends with its weight intervals
+        assert out.endswith(
+            "\n\nbase-orbifold weight interval: (0, 1)\nnonlinear weight interval: (0, 1)\n"
+        )
+
+    def test_text_format_ends_with_spectral_groups(self, corpus, capsys):
+        assert main(["report", str(corpus / "x4.fan"), "--format", "text"]) == 0
+        block = capsys.readouterr().out.split("\n\n")[-1].splitlines()
+        assert block[0].split(None, 1)[0] == "factors"
+        # one row per subgroup: orders, weights 1/5(1, a2, a3), invariant
+        # linear dimension, first invariant index and its eigenvalue
+        assert [r.split() for r in block[2:-2]] == [
+            ["5", w, "0", "2", "-12"] for w in ("1,1,3", "1,2,2", "1,2,3", "1,3,2", "1,4,2", "1,4,3")
+        ]
+        assert block[-2:] == [
+            "base-orbifold weight interval: (-2, 0)",
+            "nonlinear weight interval: (-2, -1)",
+        ]
 
     def test_batch_runs_and_is_deterministic(self, corpus, tmp_path, capsys):
         out1 = tmp_path / "r1"

@@ -5,7 +5,8 @@ the digest recorded here, so a refactor of the pipeline that changes one
 byte of any report fails.  The inputs cover the bundled examples, two fans
 whose polytopes have fractional vertices (a sheared 3-d product fan with
 charts of order 3, and a 2-d cyclic fan with a nonzero barycenter), a fan
-whose charts are not cyclic (Z/2 + Z/2, the Smith normal form path), each
+whose charts are not cyclic (Z/2 + Z/2, the Smith normal form path), x4
+under a unimodular shear (the same charts, so the same classification), each
 balancing outcome of both regimes (the three that fail, one per kind of
 certificate, are read from ``tests/fixtures``), point labels outside ASCII (escaped as
 ``\\u`` sequences, an astral one as a surrogate pair), and reports that
@@ -41,7 +42,8 @@ CUBE4_RAYS = "dim 4\nk 1\n" + "".join(
 FIXTURES = Path(__file__).parent / "fixtures"
 INPUTS = {ex.filename: ex.text for ex in embedded_examples()}
 # The three orbifold files whose verdict is not feasible, one per way to
-# fail, a fan whose cone labels repeat and a fan whose charts are Z/2 + Z/2.
+# fail, a fan whose cone labels repeat, a fan whose charts are Z/2 + Z/2 and
+# x4.fan in another lattice basis.
 INPUTS.update(
     (name, (FIXTURES / name).read_text())
     for name in (
@@ -50,6 +52,7 @@ INPUTS.update(
         "einstein-no-witness.orb",
         "duplicate-labels.fan",
         "z2xz2-product.fan",
+        "x4-sheared.fan",
     )
 )
 INPUTS.update(
@@ -146,11 +149,11 @@ cone [5, 6]
 )
 
 DIGESTS = {
-    "duplicate-labels.fan": "2b0d167a43d079665eedcec3e41b078d3186b8f522785c9c829cc737b048365c",
+    "duplicate-labels.fan": "4d29ae1e41fbde6567736965e60ced1c656b0e2e9bd05757fbe132dd34df08c3",
     "alternating-hexagon.fan": "f2b0a405b9c315d2431db9af75aa17d0e63d61337cfb3d1d51644d072e561c03",
     "alternating-octants.fan": "b808ed4cee2bfc26d14e13cba23244f4292c1ed5d902128fc5069517e39f3722",
     "p1-4-missing-alternate.fan": "b29cdac2998911c4a361ef1665d40477369ea33ef5f847ca5adc45567877f9c2",
-    "cyclic-r7.fan": "c1c95eeb202806ec2858585a3dd7925708dc1d9b4fa74d8e970327ab9fe081d6",
+    "cyclic-r7.fan": "f55c4cfdb5048b3ca133d7b9f1b1595e6f29c7f83b07b968556373945f3b65c7",
     "einstein-no-witness.orb": "86a1ce11bc5158e3a1eee21ea33ce5cd2373838df19bf57b801e07f7313ee2fa",
     "incomplete-p2.fan": "8a29b514dbbb45d64539be417da0e6962da14530f3733ffcbadacb857d114536",
     "f3-not-nef.fan": "cdf154f5620213c7ed4bcf88f7cd9a1e41b2e3d4bb8cab840f50929c6891092f",
@@ -164,10 +167,11 @@ DIGESTS = {
     "p2-z3.orb": "00ea455d1335478c175303e805648af688704c8787a00f4aa5615e721ff1d534",
     "scalar-flat-no-witness.orb": "7477bf84f58dd9b3f2829d012493c59b1eff783e5cf08fa368d1a7fe4328bdfc",
     "scalar-flat-rank-deficient.orb": "4a0f3941151ab31a517586c173ed0ae54ef05c962d72975882d668888298ae50",
-    "sheared-product-r3.fan": "402c68b7046244038748e3c4db112de59e925126c36e389cc537b36abbd7c344",
+    "sheared-product-r3.fan": "51f6d03838f7d6ae00c946adcb7b97b76c34cf45c4b1cb587bb407462397b66c",
     "three-generator-cone.fan": "b35df61ecaa78603c98c52c3bd94205d7e388889384e90bf8cf3d7bcb012c4f6",
-    "x1.fan": "53b04df3d49a33cd87084900c35552beedfc7722643c913d250ed91aa5ff89aa",
-    "x4.fan": "586aa15c424e7ca873037509c8be830261c3dbb095d1b66ad4491884e22e9f8e",
+    "x1.fan": "c086d662652589383b5864f137337616ddd1608c7b5e1dda35cf06ac986511b5",
+    "x4.fan": "c4703f52caac8084be5e7c227bc8dbf29eab783dd8409abdac657d48a802921f",
+    "x4-sheared.fan": "f96ac6d7eae4ab64e7c3de5f565ab51b12cdba90d5077b06a593f676e90353f7",
     "z2xz2-product.fan": "92f9a2bde71c1f10a7301dd526ed7d95511acf7becead06a68a710f2eb136060",
 }
 

@@ -1,8 +1,10 @@
 import random
+from itertools import combinations
 from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     det_cofactor,
@@ -13,7 +15,7 @@ from conftest import (
 )
 from kcscglue import exact_linalg
 from kcscglue.examples import example_by_name
-from kcscglue.exact_linalg import integer_determinant, integer_solve
+from kcscglue.exact_linalg import integer_determinant, integer_solve, smith_normal_form
 from kcscglue.formats import parse_fan
 from kcscglue.polytope import (
     anticanonical_polytope,
@@ -22,12 +24,14 @@ from kcscglue.polytope import (
     polytope_barycenter,
     vertex_for_cone,
 )
+from kcscglue.report import build_report
 from kcscglue.toric_lattice import (
     SMOOTH,
     SU,
     U_NON_SU,
     Cone,
     Fan,
+    GroupPresentation,
     classify,
     classify_fan,
     cone_index,
@@ -36,6 +40,7 @@ from kcscglue.toric_lattice import (
     quotient_action,
     validate_fan,
 )
+from test_report_bytes import INPUTS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 X1 = parse_fan(example_by_name("x1").text).to_fan()
@@ -408,3 +413,144 @@ class TestSharedSolve:
         assert faces(p, 2)
         assert all(group is not None for _, group in classified)
         assert calls == [fan.dim] * len(fan.max_cones)
+
+
+def snf_presentation(cone: Cone) -> GroupPresentation:
+    """Gamma as the Smith normal form G = U·D·V of the generator-column
+    matrix presents it: the diagonal entries above 1, each with its column
+    of V^{-1}."""
+    snf = smith_normal_form(cone.generator_matrix())
+    factors = [(d, tuple(row[i] for row in snf.v_inv)) for i, d in enumerate(snf.diagonal()) if d > 1]
+    return GroupPresentation(
+        m=cone.ambient_dim,
+        orders=tuple(d for d, _ in factors),
+        weights=tuple(w for _, w in factors),
+    )
+
+
+def unit_multiples(w, n: int) -> set:
+    return {tuple(u * x % n for x in w) for u in range(1, n) if gcd(u, n) == 1}
+
+
+@st.composite
+def nonsingular_cones(draw):
+    m = draw(st.integers(2, 5))
+    entry = st.integers(-3, 3) if m < 4 else st.integers(-2, 2)
+    rows = [tuple(draw(entry) for _ in range(m)) for _ in range(m)]
+    assume(integer_determinant(rows) != 0)
+    return Cone(tuple(rows))
+
+
+@st.composite
+def unimodular(draw, m: int):
+    """A product of elementary row operations, as a matrix."""
+    s = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(draw(st.integers(1, 6))):
+        i, j = draw(st.sampled_from([(i, j) for i in range(m) for j in range(m) if i != j]))
+        c = draw(st.sampled_from((-2, -1, 1, 2)))
+        s[i] = [a + c * b for a, b in zip(s[i], s[j])]
+    return s
+
+
+def sheared(text: str, s) -> str:
+    """A fan file with every ray v replaced by S v."""
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("ray "):
+            v = [int(x) for x in line[4:].strip("[] ").split(",")]
+            line = "ray [" + ", ".join(str(sum(a * x for a, x in zip(row, v))) for row in s) + "]"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def classification_section(text: str) -> list:
+    return build_report("fan", text, parse_fan(text), until="classification")["report"][
+        "classification"
+    ]
+
+
+class TestClosedForm:
+    """quotient_action reads a cyclic Gamma off the cone's inverse, with the
+    lexicographically least unit multiple of a generator's weights, and
+    falls back to the Smith normal form only for a non-cyclic Gamma."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(nonsingular_cones())
+    def test_matches_smith_normal_form(self, cone):
+        group = quotient_action(cone)
+        snf = snf_presentation(cone)
+        assert group.orders == snf.orders
+        if len(snf.orders) == 1:
+            (n,) = snf.orders
+            multiples = unit_multiples(snf.weights[0], n)
+            assert group.weights[0] in multiples
+            assert group.weights[0] == min(multiples)
+            if group.isolated:
+                assert group.weights[0][0] == 1
+        else:
+            assert group == snf
+
+    def test_non_cyclic_chart_is_the_snf_presentation(self):
+        fan = parse_fan((FIXTURES / "z2xz2-product.fan").read_text()).to_fan()
+        for _, cone in fan.cones():
+            group = quotient_action(cone)
+            assert group.orders == (2, 2)
+            assert group == snf_presentation(cone)
+            assert group.classification == SU and not group.isolated
+
+    def test_lowest_order_rows_are_combined(self):
+        # Gamma = Z/6, where e_1 and e_2 act by 1/6(3, 0) and 1/6(0, 2), of
+        # orders 2 and 3 only; their sum generates, and 1/6(3, 2) is the
+        # least of its unit multiples (3, 2) and (3, 4)
+        cone = Cone.from_rows([(2, 0), (0, 3)])
+        assert quotient_action(cone) == GroupPresentation(m=2, orders=(6,), weights=((3, 2),))
+
+    def test_non_isolated_chart_enumerates_units(self):
+        # 1/6(2, 1, 3): no weight multiple has first entry 1
+        cone = Cone.from_rows([(1, 0, 0), (0, 1, 0), (2, 1, 6)])
+        group = quotient_action(cone)
+        assert group.orders == (6,) and not group.isolated
+        assert group.weights == (min(unit_multiples(snf_presentation(cone).weights[0], 6)),)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.sampled_from(["x1.fan", "x4.fan", "sheared-product-r3.fan"]), unimodular(3))
+    def test_classification_does_not_depend_on_the_basis(self, name, s):
+        text = INPUTS[name]
+        assert classification_section(sheared(text, s)) == classification_section(text)
+
+    def test_x4_sheared_fixture(self):
+        text = (FIXTURES / "x4-sheared.fan").read_text()
+        assert classification_section(text) == classification_section(INPUTS["x4.fan"])
+
+    def test_x4_spectral_lists_each_subgroup_once(self):
+        text = INPUTS["x4.fan"]
+        groups = build_report("x4.fan", text, parse_fan(text))["report"]["spectral"]["groups"]
+        assert len(groups) == 6
+        for g, h in combinations(groups, 2):
+            assert g["orders"] == h["orders"] == [5]
+            assert tuple(h["weights"][0]) not in unit_multiples(g["weights"][0], 5)
+
+    def test_no_smith_normal_form_on_cyclic_bench_inputs(self, monkeypatch):
+        """The seed-1 toric-scan and cyclic-spectral inputs have cyclic
+        charts only, so their reports run no Smith normal form; the Z/2 + Z/2
+        fixture runs one per cone."""
+        from kcscglue import toric_lattice
+
+        monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+        import workloads
+
+        calls = []
+
+        def counted(a, snf=toric_lattice.smith_normal_form):
+            calls.append(a)
+            return snf(a)
+
+        monkeypatch.setattr(toric_lattice, "smith_normal_form", counted)
+        cases = workloads.build("toric-scan", 1) + workloads.build("cyclic-spectral", 1)
+        for case in cases:
+            body = build_report(case.name, case.text, parse_fan(case.text))["report"]
+            assert body["validation"]["valid"]
+        assert calls == []
+        text = (FIXTURES / "z2xz2-product.fan").read_text()
+        build_report("z2xz2-product.fan", text, parse_fan(text))
+        assert len(calls) == 8
