@@ -354,12 +354,22 @@ def _generator(rows: list[IntVector], n: int) -> IntVector:
 
 
 def _least_unit_multiple(g: IntVector, n: int) -> IntVector:
-    """The lexicographically least u·g mod n over the units u mod n: the
-    one with first weight 1 when g[0] is prime to n."""
-    if gcd(g[0], n) == 1:
-        u = pow(g[0], -1, n)
-        return tuple(u * x % n for x in g)
-    return min(tuple(u * x % n for x in g) for u in range(1, n) if gcd(u, n) == 1)
+    """The lexicographically least u·g mod n over the units u mod n.
+
+    With x = e·x' the first nonzero weight and e = gcd(x, n), u·x mod n is e
+    times u·x' mod n/e, which runs over the units mod n/e, so the least first
+    nonzero weight is e, reached by the units u = x'^{-1} mod n/e; the least
+    of those e candidates wins.  When x = g[0] is prime to n (on every
+    isolated chart) the one candidate gives 1/n(1, a_2, ...).
+    """
+    x = next(x for x in g if x)
+    e = gcd(x, n)
+    step = n // e
+    return min(
+        tuple(u * y % n for y in g)
+        for u in range(pow(x // e, -1, step), n, step)
+        if gcd(u, n) == 1
+    )
 
 
 def _smith_quotient(cone: Cone, order: int) -> GroupPresentation:

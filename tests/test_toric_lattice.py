@@ -505,12 +505,17 @@ class TestClosedForm:
         cone = Cone.from_rows([(2, 0), (0, 3)])
         assert quotient_action(cone) == GroupPresentation(m=2, orders=(6,), weights=((3, 2),))
 
-    def test_non_isolated_chart_enumerates_units(self):
-        # 1/6(2, 1, 3): no weight multiple has first entry 1
+    def test_non_isolated_charts(self):
+        # no unit multiple of the weights has first entry 1
         cone = Cone.from_rows([(1, 0, 0), (0, 1, 0), (2, 1, 6)])
         group = quotient_action(cone)
         assert group.orders == (6,) and not group.isolated
         assert group.weights == (min(unit_multiples(snf_presentation(cone).weights[0], 6)),)
+        # order 10^6: the least first weight is gcd(2, n) = 2, reached by
+        # u = 1 and u = 1 + n/2 only, and u = 1 has the lesser second weight
+        n = 10**6
+        group = quotient_action(Cone.from_rows([(1, 0, 0), (0, 1, 0), (2, 3, n)]))
+        assert group == GroupPresentation(m=3, orders=(n,), weights=((2, 3, n - 1),))
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(st.sampled_from(["x1.fan", "x4.fan", "sheared-product-r3.fan"]), unimodular(3))
