@@ -7,10 +7,10 @@ each -k times the cone's cached height-one solve; they are deduplicated as
 integer vectors over one denominator, and the polytope keeps the index of
 each cone's vertex as the moment correspondence.  The barycenter (by the
 Brion-Lawrence formula) and, when the cone vertices are pairwise distinct,
-the faces are read off the cones' cached integer inverses p·V^{-1}.  Otherwise faces come from a
-face lattice, by facet incidence on the scaled-integer vertices (D, D *
-vertices), D the lcm of the vertex denominators.  Only the output is
-Fractions.
+the faces are read off the cones' cached integer inverses p·V^{-1}.
+Otherwise faces come from a face lattice, by facet incidence on the
+scaled-integer vertices (D, D * vertices), D the lcm of the vertex
+denominators.  Only the output is Fractions.
 """
 
 from __future__ import annotations

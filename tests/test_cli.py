@@ -417,9 +417,8 @@ class TestReport:
         assert block[0].split(None, 1)[0] == "factors"
         # one row per subgroup: orders, weights 1/5(1, a2, a3), invariant
         # linear dimension, first invariant index and its eigenvalue
-        assert [r.split() for r in block[2:-2]] == [
-            ["5", w, "0", "2", "-12"] for w in ("1,1,3", "1,2,2", "1,2,3", "1,3,2", "1,4,2", "1,4,3")
-        ]
+        weights = ("1,1,3", "1,2,2", "1,2,3", "1,3,2", "1,4,2", "1,4,3")
+        assert [r.split() for r in block[2:-2]] == [["5", w, "0", "2", "-12"] for w in weights]
         assert block[-2:] == [
             "base-orbifold weight interval: (-2, 0)",
             "nonlinear weight interval: (-2, -1)",

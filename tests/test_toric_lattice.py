@@ -420,7 +420,9 @@ def snf_presentation(cone: Cone) -> GroupPresentation:
     matrix presents it: the diagonal entries above 1, each with its column
     of V^{-1}."""
     snf = smith_normal_form(cone.generator_matrix())
-    factors = [(d, tuple(row[i] for row in snf.v_inv)) for i, d in enumerate(snf.diagonal()) if d > 1]
+    factors = [
+        (d, tuple(row[i] for row in snf.v_inv)) for i, d in enumerate(snf.diagonal()) if d > 1
+    ]
     return GroupPresentation(
         m=cone.ambient_dim,
         orders=tuple(d for d, _ in factors),
