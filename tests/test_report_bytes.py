@@ -8,7 +8,9 @@ charts of order 3, and a 2-d cyclic fan with a nonzero barycenter), a fan
 whose charts are not cyclic (Z/2 + Z/2, the Smith normal form path), x4
 under a unimodular shear (the same charts, so the same classification), each
 balancing outcome of both regimes (the three that fail, one per kind of
-certificate, are read from ``tests/fixtures``), point labels outside ASCII (escaped as
+certificate, are read from ``tests/fixtures``), the gluing constants at
+m = 4 (Ricci-flat model constants B_j and C_j, scalar-flat leading
+coefficients, also read from there), point labels outside ASCII (escaped as
 ``\\u`` sequences, an astral one as a surrogate pair), and reports that
 stop early: fans whose polytope stage records an error (no k, -K not nef)
 and invalid fans, one of them a fan whose cone labels repeat.  Among the invalid fans are cone lists that are not fans
@@ -42,8 +44,9 @@ CUBE4_RAYS = "dim 4\nk 1\n" + "".join(
 FIXTURES = Path(__file__).parent / "fixtures"
 INPUTS = {ex.filename: ex.text for ex in embedded_examples()}
 # The three orbifold files whose verdict is not feasible, one per way to
-# fail, a fan whose cone labels repeat, a fan whose charts are Z/2 + Z/2 and
-# x4.fan in another lattice basis.
+# fail, a fan whose cone labels repeat, a fan whose charts are Z/2 + Z/2,
+# x4.fan in another lattice basis, and two m = 4 files whose gluing
+# constants take the m >= 3 branches (model constants, scalar-flat leading).
 INPUTS.update(
     (name, (FIXTURES / name).read_text())
     for name in (
@@ -53,6 +56,8 @@ INPUTS.update(
         "duplicate-labels.fan",
         "z2xz2-product.fan",
         "x4-sheared.fan",
+        "m4-ricci-flat-constants.orb",
+        "m4-scalar-flat-leading.orb",
     )
 )
 INPUTS.update(
@@ -155,6 +160,8 @@ DIGESTS = {
     "p1-4-missing-alternate.fan": "b29cdac2998911c4a361ef1665d40477369ea33ef5f847ca5adc45567877f9c2",
     "cyclic-r7.fan": "f55c4cfdb5048b3ca133d7b9f1b1595e6f29c7f83b07b968556373945f3b65c7",
     "einstein-no-witness.orb": "86a1ce11bc5158e3a1eee21ea33ce5cd2373838df19bf57b801e07f7313ee2fa",
+    "m4-ricci-flat-constants.orb": "3f78e16343a89d1ecc2e56162bceec4dc9f5a27af187433e99bc08436d39c851",
+    "m4-scalar-flat-leading.orb": "9f57230143221461d195490b8091d165d5cfc4d26585850569b907b0243d43fe",
     "incomplete-p2.fan": "8a29b514dbbb45d64539be417da0e6962da14530f3733ffcbadacb857d114536",
     "f3-not-nef.fan": "cdf154f5620213c7ed4bcf88f7cd9a1e41b2e3d4bb8cab840f50929c6891092f",
     "explicit-laplacian.orb": "917d8e38ceb6e53907ba75bcd401871db1d76b84825dca3cb164bdb18b8cb812",
