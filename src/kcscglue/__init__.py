@@ -51,7 +51,6 @@ from .balancing import (
     model_constants,
     solve_ricci_flat_balancing,
     solve_scalar_flat_balancing,
-    sphere_volume,
 )
 from .spectral import (
     eigenvalue,

@@ -1,13 +1,16 @@
 """Balancing conditions and gluing constants.
 
-Assembles the balancing matrices for the two gluing regimes (only
-scalar-flat models contribute balancing conditions; in the all-Ricci-flat
-regime the weights are tuned so the conditions reduce to a positive-kernel
-search) and decides both with one routine: a positive kernel vector by
-exact LP, and the rank by one elimination.  Each verdict carries a
-certificate that an integer checker, independent of the solver, verifies
-before the verdict is returned.  Every closed-form constant is evaluated
-with pi-powers kept symbolic.
+Assembles the balancing matrices for the two gluing regimes at unit
+weights, the matrices the certificates are stated on (only scalar-flat
+models contribute balancing conditions; in the all-Ricci-flat regime the
+weights are tuned so the conditions reduce to a positive-kernel search),
+and decides both with one routine.  It scales the matrix to integers once
+(M_int) and hands M_int to both solvers: a positive kernel vector by exact
+LP, and the rank by one elimination.  Each verdict carries a certificate
+that an integer checker, independent of the solver and with its own row
+scaling, verifies before the verdict is returned.  The gluing constants
+are closed forms in |Gamma|, the weights and |S^{2m-1}| = 2 pi^m/(m-1)!,
+with the pi power kept as a tag.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence, Union
 
-from .exact_linalg import RationalMatrix, frac, phase_one, rank_certificate
+from .exact_linalg import RationalMatrix, frac, integer_rows, phase_one, rank_certificate
 
 RICCI_FLAT = "ricci_flat"
 SCALAR_FLAT = "scalar_flat"
@@ -48,25 +51,6 @@ class PiRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Union["PiRational", int, Fraction]) -> "PiRational":
-        if isinstance(other, PiRational):
-            if other.coeff == 0:
-                raise ZeroDivisionError
-            return PiRational(self.coeff / other.coeff, self.pi_power - other.pi_power)
-        return PiRational(self.coeff / frac(other), self.pi_power)
-
-    def __add__(self, other: "PiRational") -> "PiRational":
-        if self.coeff == 0:
-            return other
-        if other.coeff == 0:
-            return self
-        if self.pi_power != other.pi_power:
-            raise ArithmeticError("cannot add different pi powers exactly")
-        return PiRational(self.coeff + other.coeff, self.pi_power)
-
-    def __sub__(self, other: "PiRational") -> "PiRational":
-        return self + PiRational(-other.coeff, other.pi_power)
-
     def as_fraction(self) -> Fraction:
         if self.pi_power != 0:
             raise ArithmeticError("value carries a pi power")
@@ -76,13 +60,6 @@ class PiRational:
         if self.pi_power == 0:
             return str(self.coeff)
         return f"{self.coeff}*pi^{self.pi_power}"
-
-
-def sphere_volume(m: int) -> PiRational:
-    """|S^{2m-1}| = 2 pi^m / (m-1)!."""
-    if m < 1:
-        raise ValueError("m >= 1")
-    return PiRational(Fraction(2, math.factorial(m - 1)), m)
 
 
 @dataclass(frozen=True)
@@ -231,58 +208,39 @@ def _matrix(d: int, n: int, entries: list[Fraction]) -> RationalMatrix:
     return RationalMatrix(d, n if d else 0, tuple(entries))
 
 
-def build_xi(
-    points_q: Sequence[SingularPointRecord], a: Sequence
-) -> RationalMatrix:
-    """Sign-weighted balancing matrix for scalar-flat points:
-    entry (i, l) = a_l * sign(e_l) * phi_i(q_l) / |Gamma_l|, made as one
-    Fraction from the products of numerators and of denominators."""
-    if len(a) != len(points_q):
-        raise ValueError("one weight per point")
-    weights = [frac(x) for x in a]
+def build_xi(points_q: Sequence[SingularPointRecord]) -> ScaledMatrix:
+    """Sign-weighted balancing matrix for scalar-flat points at unit weights:
+    entry (i, l) = sign(e_l) * phi_i(q_l) / |Gamma_l|, made as one Fraction
+    from a numerator and a denominator."""
     if not points_q:
         raise ValueError("no scalar-flat points")
     d = len(points_q[0].phi_values)
     for p in points_q:
         if p.kind != SCALAR_FLAT:
             raise ValueError(f"{p.label} is not a scalar-flat point")
-        if p.e_sign is None:
-            raise ValueError(f"{p.label} is missing e_sign")
         if len(p.phi_values) != d:
             raise ValueError("inconsistent kernel dimension")
-    columns = [
-        (w.numerator * p.e_sign, w.denominator * p.group_order, p.phi_values)
-        for w, p in zip(weights, points_q)
+    entries = [
+        Fraction(p.e_sign * x.numerator, p.group_order * x.denominator)
+        for row in zip(*(p.phi_values for p in points_q))
+        for p, x in zip(points_q, row)
     ]
-    return _matrix(
-        d,
-        len(points_q),
-        [
-            Fraction(num * phi[i].numerator, den * phi[i].denominator)
-            for i in range(d)
-            for num, den, phi in columns
-        ],
-    )
+    return ScaledMatrix(_matrix(d, len(points_q), entries))
 
 
 def build_theta(
-    points_p: Sequence[SingularPointRecord],
-    b: Sequence,
-    s: ScalarCurvature = None,
-    m: int = 2,
+    points_p: Sequence[SingularPointRecord], s: ScalarCurvature, m: int
 ) -> ScaledMatrix:
-    """Balancing matrix for Ricci-flat points under the tuning c_j = s b_j:
-    entry (i, j) = b_j (Lap(phi_i) + s phi_i)(p_j).
+    """Balancing matrix for Ricci-flat points at unit weights under the
+    tuning c_j = s b_j: entry (i, j) = (Lap(phi_i) + s phi_i)(p_j), the
+    weight b_j scaling column j.
 
     Under the Einstein flag Lap phi_i = -(s/m) phi_i, so the entry is
-    ((m-1) s / m) b_j phi_i(p_j), and since only positivity of s matters for
+    ((m-1) s / m) phi_i(p_j), and since only positivity of s matters for
     rank and kernels, the factor (m-1) s / m is stripped into the scale.
     """
-    if len(b) != len(points_p):
-        raise ValueError("one weight per point")
     if not points_p:
         raise ValueError("no Ricci-flat points")
-    bs = [frac(x) for x in b]
     d = len(points_p[0].phi_values)
     for p in points_p:
         if p.kind != RICCI_FLAT:
@@ -292,18 +250,7 @@ def build_theta(
 
     n = len(points_p)
     if all(p.laplacian_phi_values is None for p in points_p):
-        if all(w == 1 for w in bs):
-            entries = [p.phi_values[i] for i in range(d) for p in points_p]
-        else:
-            entries = [
-                Fraction(
-                    w.numerator * p.phi_values[i].numerator,
-                    w.denominator * p.phi_values[i].denominator,
-                )
-                for i in range(d)
-                for w, p in zip(bs, points_p)
-            ]
-        matrix = _matrix(d, n, entries)
+        matrix = _matrix(d, n, [p.phi_values[i] for i in range(d) for p in points_p])
         if s is None:
             return ScaledMatrix(matrix, Fraction(m - 1, m), ("s_omega",))
         if s <= 0:
@@ -315,9 +262,7 @@ def build_theta(
     if any(p.laplacian_phi_values is None for p in points_p):
         raise ValueError("mixed Einstein/explicit laplacian data")
     entries = [
-        w * (p.laplacian_phi_values[i] + s * p.phi_values[i])
-        for i in range(d)
-        for w, p in zip(bs, points_p)
+        p.laplacian_phi_values[i] + s * p.phi_values[i] for i in range(d) for p in points_p
     ]
     return ScaledMatrix(_matrix(d, n, entries))
 
@@ -390,14 +335,16 @@ def _decide(
     """The balancing decision shared by both regimes, on the regime's matrix
     at unit weights.
 
-    The simplex looks for a positive kernel vector, its duals giving a
-    Gordan certificate when there is none, and one elimination gives the
-    rank with a full-rank or rank-deficient certificate.  check_certificate
-    verifies the verdict.  The reported matrix is the unit-weight one, on
-    which the certificate is stated and whose columns the witness weights.
+    The matrix is scaled to M_int once, and both solvers take it: the
+    simplex looks for a positive kernel vector, its duals giving a Gordan
+    certificate when there is none, and one elimination gives the rank with
+    a full-rank or rank-deficient certificate.  check_certificate verifies
+    the verdict.  The reported matrix is the unit-weight one, on which the
+    certificate is stated and whose columns the witness weights.
     """
-    witness, gordan = phase_one(unit.matrix)
-    pivots, det, y = rank_certificate(unit.matrix)
+    rows, scales = integer_rows(unit.matrix)
+    witness, gordan = phase_one(rows, scales, unit.matrix.cols)
+    pivots, det, y = rank_certificate(rows, unit.matrix.cols)
     d = unit.matrix.rows
     r = len(pivots)
     if witness is None:
@@ -423,8 +370,8 @@ def _decide(
     if r < d:
         notes.append(_RANK_NOTES[regime].format(r=r, d=d))
     coefficients = tuple(
-        _point_coefficients(p, w, m, s, None if s is None else s * w)
-        for p, w in zip(points, witness)
+        _point_coefficients(p, w, m, s, c_j)
+        for p, w, c_j in zip(points, witness, witness_c or (None,) * len(witness))
     )
     return BalancingReport(
         regime=regime,
@@ -459,7 +406,7 @@ def solve_ricci_flat_balancing(
         )
     else:
         note = "tuned system: sum_j b_j (Lap phi_i + s phi_i)(p_j) = 0"
-    unit = build_theta(points_p, [1] * len(points_p), s, m)
+    unit = build_theta(points_p, s, m)
     return _decide(RICCI_FLAT, points_p, unit, [note], m, s)
 
 
@@ -477,7 +424,7 @@ def solve_scalar_flat_balancing(
         "ricci-flat points impose no balancing condition in this regime",
         "weights act by sign only; with |e| known, rescale to witness/|e|",
     ]
-    unit = ScaledMatrix(build_xi(points_q, [1] * len(points_q)))
+    unit = build_xi(points_q)
     return _decide(SCALAR_FLAT, points_q, unit, notes, m)
 
 
@@ -491,14 +438,15 @@ def leading_coefficients(
     """Leading value of the gluing coefficient (a_l^{2m-2} or b_j^{2m}).
 
     Ricci-flat: |Gamma| b / (2(m-1)).  Scalar-flat: |Gamma| a / (4 |S^3| |e|)
-    at m = 2 and |Gamma| a / (8(m-2)(m-1) |S^{2m-1}| |e|) at m >= 3; the two
-    branches are disjoint in m and must not be cross-applied.
+    = |Gamma| a / (8 |e|) pi^-2 at m = 2, and |Gamma| a / (8(m-2)(m-1)
+    |S^{2m-1}| |e|) = |Gamma| a (m-2)! / (16 (m-2) |e|) pi^-m at m >= 3; the
+    two branches are disjoint in m and must not be cross-applied.
     """
     if m < 2:
         raise ValueError("m >= 2")
     w = frac(weight)
     if kind == RICCI_FLAT:
-        return PiRational(Fraction(order) * w / (2 * (m - 1)))
+        return PiRational(order * w / (2 * (m - 1)))
     if kind != SCALAR_FLAT:
         raise ValueError(f"unknown kind {kind!r}")
     if e_magnitude is None:
@@ -507,10 +455,8 @@ def leading_coefficients(
     if mag <= 0:
         raise ValueError("|e| must be positive")
     if m == 2:
-        return PiRational(Fraction(order) * w / (4 * mag)) / sphere_volume(2)
-    return PiRational(
-        Fraction(order) * w / (8 * (m - 2) * (m - 1) * mag)
-    ) / sphere_volume(m)
+        return PiRational(order * w / (8 * mag), -2)
+    return PiRational(order * w * math.factorial(m - 2) / (16 * (m - 2) * mag), -m)
 
 
 def model_constants(
@@ -524,10 +470,13 @@ def model_constants(
     """The model rescaling root B_j and the pole-matching constant C_j.
 
     B_j is returned as (radicand, exponent) with radicand
-    b |Gamma| / (2 c(Gamma) (m-1) |S^{2m-1}|) and exponent 1/(2m) -- no
-    floating root is taken.  C_j (m >= 3 only) evaluates the bracket
-    2 c(Gamma) B^{2m} (m-1) |S^{2m-1}| s (1 + (m-1)^2/(m+1)) / (m |Gamma|)
-    - c_j times |Gamma| / (8 (m-2)(m-1)); the pi powers cancel exactly.
+    B^{2m} = b |Gamma| / (2 c(Gamma) (m-1) |S^{2m-1}|)
+    = b |Gamma| (m-2)! / (4 c(Gamma)) pi^-m and exponent 1/(2m) -- no
+    floating root is taken.  C_j (m >= 3 only) is |Gamma| / (8 (m-2)(m-1))
+    times the bracket
+    2 c(Gamma) B^{2m} (m-1) |S^{2m-1}| s (1 + (m-1)^2/(m+1)) / (m |Gamma|) - c_j,
+    in which B^{2m} cancels c(Gamma), |S^{2m-1}| and |Gamma|, leaving
+    b s (1 + (m-1)^2/(m+1)) / m - c_j.
     """
     if m < 3:
         raise ValueError("model constants need m >= 3 (C_j carries 1/(m-2))")
@@ -535,19 +484,10 @@ def model_constants(
     cg = frac(c_gamma)
     if cg <= 0:
         raise ValueError("c(Gamma) must be positive")
-    sphere = sphere_volume(m)
-    radicand = PiRational(b * order) / (2 * cg * (m - 1) * sphere)
-    exponent = Fraction(1, 2 * m)
-    sv = frac(s)
-    cj = frac(c_j)
-    bracket = (
-        2 * cg * radicand * (m - 1) * sphere * sv * (1 + Fraction((m - 1) ** 2, m + 1))
-        / (m * order)
-    )
-    c_value = (
-        Fraction(order, 8 * (m - 2) * (m - 1)) * (bracket - PiRational(cj)).as_fraction()
-    )
-    return (radicand, exponent), c_value
+    radicand = PiRational(b * order * math.factorial(m - 2) / (4 * cg), -m)
+    bracket = b * frac(s) * (1 + Fraction((m - 1) ** 2, m + 1)) / m - frac(c_j)
+    c_value = Fraction(order, 8 * (m - 2) * (m - 1)) * bracket
+    return (radicand, Fraction(1, 2 * m)), c_value
 
 
 def _point_coefficients(
@@ -560,7 +500,7 @@ def _point_coefficients(
     if point.kind == RICCI_FLAT:
         leading = leading_coefficients(RICCI_FLAT, m, point.group_order, weight)
         b_rad = b_exp = c_const = None
-        if point.c_gamma is not None and m >= 3 and s is not None and c_j is not None:
+        if point.c_gamma is not None and m >= 3 and c_j is not None:
             (b_rad, b_exp), c_const = model_constants(
                 m, weight, point.group_order, point.c_gamma, s, c_j
             )

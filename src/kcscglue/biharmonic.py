@@ -60,7 +60,6 @@ def outer_extension(
     h,
     k,
     no_invariant_linear: bool = False,
-    allow_log: bool = True,
 ) -> tuple[RadialTerm, ...]:
     """Biharmonic extension to the exterior with H = h, (Lap H) = k on the
     unit sphere, decaying at infinity (log slot at m = 2, gamma = 0)."""
@@ -68,8 +67,6 @@ def outer_extension(
     h = frac(h)
     k = frac(k)
     if m == 2 and gamma == 0:
-        if not allow_log:
-            raise ValueError("m = 2, gamma = 0 requires the logarithmic mode")
         return _normalize(
             [
                 RadialTerm(h, -2, 0),

@@ -4,22 +4,24 @@ Everything here is computed over Q (``fractions.Fraction``) or Z (Python
 ints); no floating point anywhere.  Rank, determinants, square solves,
 nullspaces and inverses all run on one fraction-free integer elimination
 kernel (Bareiss).  The toric layer calls its integer_inverse once per cone,
-and the polytope layer reads every cone datum off that inverse; the
-balancing layer takes a rank with its certificate (rank_certificate) from
-one elimination of [M | I].  None of the Fraction wrappers is on the report
-path.  Besides the kernel there are a Smith normal form with unimodular
-transforms and a phase-one simplex for strictly positive kernel vectors,
-whose tableau rows are integer vectors with implicit positive scales, so no
-pivot touches a Fraction; when there is no such vector its duals give a
-Gordan certificate.
+and the polytope layer reads every cone datum off that inverse.  The
+balancing layer scales its matrix to integers once (integer_rows: M_int,
+each row times the lcm of its denominators, and those row scales) and hands
+M_int to both of its solvers: rank_certificate, a rank with its
+certificate from one elimination of [M_int | I], and phase_one, a
+phase-one simplex for strictly positive kernel vectors whose tableau rows
+are integer vectors with implicit positive scales, so no pivot touches a
+Fraction; when there is no such vector its duals give a Gordan
+certificate.  None of the Fraction wrappers is on the report path.  Besides
+these there is a Smith normal form with unimodular transforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from math import gcd, lcm, prod
+from typing import Optional, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
 
@@ -84,16 +86,11 @@ def _integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
     return [e.numerator * (mult // e.denominator) for e in row], mult
 
 
-def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Scale each row by the lcm of its denominators (rank-preserving);
-    returns the integer rows and the product of the scales."""
-    out: list[list[int]] = []
-    scale = 1
-    for row in rows:
-        ints, mult = _integer_row(row)
-        out.append(ints)
-        scale *= mult
-    return out, scale
+def integer_rows(m: RationalMatrix) -> tuple[list[list[int]], list[int]]:
+    """M_int and its row scales: each row of M times the lcm of its
+    denominators (rank- and kernel-preserving), and those lcms."""
+    rows = [_integer_row(m.row(i)) for i in range(m.rows)]
+    return [ints for ints, _ in rows], [mult for _, mult in rows]
 
 
 def _echelon(a: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
@@ -132,7 +129,7 @@ def _echelon(a: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
 
 def rank(m: RationalMatrix) -> int:
     """Exact rank over Q (empty matrix has rank 0)."""
-    return integer_rank(_integer_rows(m.to_rows())[0])
+    return integer_rank(integer_rows(m)[0])
 
 
 def integer_rank(a: IntMatrix) -> int:
@@ -179,34 +176,34 @@ def integer_inverse(a: IntMatrix) -> tuple[list[list[int]], int]:
 def rational_determinant(m: RationalMatrix) -> Fraction:
     if m.rows != m.cols:
         raise ValueError("matrix is not square")
-    rows, scale = _integer_rows(m.to_rows())
+    rows, scales = integer_rows(m)
     pivots, p, sign = _echelon(rows, m.cols)
-    return Fraction(sign * p, scale) if len(pivots) == m.cols else Fraction(0)
+    return Fraction(sign * p, prod(scales)) if len(pivots) == m.cols else Fraction(0)
 
 
 def solve_square(m: RationalMatrix, b: Sequence[Scalar]) -> tuple[Fraction, ...]:
     """Solve M x = b exactly; raises ValueError on a singular system."""
     if m.rows != m.cols or len(b) != m.rows:
         raise ValueError("system is not square")
-    aug, _ = _integer_rows(m.row(i) + (frac(b[i]),) for i in range(m.rows))
+    aug, _ = integer_rows(RationalMatrix.from_rows([m.row(i) + (b[i],) for i in range(m.rows)]))
     num, p = integer_solve([row[:-1] for row in aug], [row[-1] for row in aug])
     return tuple(Fraction(x, p) for x in num)
 
 
 def rank_certificate(
-    m: RationalMatrix,
+    rows: IntMatrix, ncols: int
 ) -> tuple[list[int], int, Optional[tuple[int, ...]]]:
-    """The rank of M with a certificate, from one elimination of [M_int | I].
+    """The rank of the integer matrix M_int (its ``rows``, each ``ncols``
+    long) with a certificate, from one elimination of [M_int | I].
 
-    M_int is M with each row scaled by the lcm of its denominators.  Returns
-    ``(pivot columns, det, y)``.  At full row rank the pivot columns are a
+    Returns ``(pivot columns, det, y)``.  At full row rank the pivot columns are a
     nonsingular column subset, det is M_int's determinant on them and y is
     None.  Below it det is 0 and y != 0 is an integer vector with
     yᵀ·M_int = 0: the identity block of the first row that the elimination
     zeroed, since every row of the result is (its identity block)ᵀ·[M_int | I].
     """
-    d, n = m.rows, m.cols
-    aug = [_integer_row(m.row(i))[0] + [int(i == j) for j in range(d)] for i in range(d)]
+    d, n = len(rows), ncols
+    aug = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(rows)]
     pivots, p, sign = _echelon(aug, n)
     if len(pivots) == d:
         return pivots, sign * p, None
@@ -217,7 +214,7 @@ def rank_certificate(
 
 def nullspace_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of ker(M), one vector per free column, ordered by free-column index."""
-    rows, _ = _integer_rows(m.to_rows())
+    rows, _ = integer_rows(m)
     pivots, p, _ = _echelon(rows, m.cols)
     basis = []
     for f in (c for c in range(m.cols) if c not in pivots):
@@ -375,16 +372,19 @@ def positive_kernel_witness(
     m: RationalMatrix,
 ) -> Optional[tuple[Fraction, ...]]:
     """Find x with M·x = 0 and every component >= 1, or None (see phase_one)."""
-    return phase_one(m)[0]
+    return phase_one(*integer_rows(m), m.cols)[0]
 
 
 def phase_one(
-    m: RationalMatrix,
+    rows: IntMatrix, scales: Sequence[int], ncols: int
 ) -> tuple[Optional[tuple[Fraction, ...]], Optional[tuple[int, ...]]]:
-    """``(x, None)`` with M·x = 0 and every component of x >= 1, or
+    """``(x, None)`` with M_int·x = 0 and every component of x >= 1, or
     ``(None, y)`` with y an integer vector such that yᵀ·M_int >= 0 and
-    yᵀ·M_int·1 > 0, M_int being M with each row scaled by the lcm of its
-    denominators.  The second is Gordan's alternative to the first.
+    yᵀ·M_int·1 > 0.  The second is Gordan's alternative to the first.
+    M_int is given by its integer ``rows`` (each ``ncols`` long) and M by
+    its positive row ``scales``: row i of M is row i of M_int over
+    scales[i] (see integer_rows).  Both have the same kernel; the scales
+    enter only the phase-one objective, which sums M's artificials.
 
     Kernel scale-invariance makes ``x >= 1`` equivalent to strict positivity.
     Substituting z = x - 1 >= 0 turns the search into LP feasibility
@@ -394,15 +394,15 @@ def phase_one(
     The tableau is kept in Python ints.  Row i is an integer vector R_i
     standing for the rational row R_i / s_i with an implicit scale s_i > 0;
     since the basic column of a row holds 1, s_i is that column's entry.  A
-    row starts as M's row times the lcm of its denominators, with that lcm
-    as its artificial entry, and negated (sigma_i = -1) where that makes its
-    right-hand side nonnegative.  A pivot on (r, c) with p = R_r[c] > 0
-    replaces every other row with R_i[c] = f != 0 by p·R_i - f·R_r divided
-    by its content gcd and leaves R_r as it is.  The objective row is
+    row starts as M_int's row, with its scale as its artificial entry, and
+    negated (sigma_i = -1) where that makes its right-hand side nonnegative.
+    A pivot on (r, c) with p = R_r[c] > 0 replaces every other row with
+    R_i[c] = f != 0 by p·R_i - f·R_r divided by its content gcd and leaves
+    R_r as it is.  The objective row is
     updated the same way, its scale L becoming p·L/g with g the gcd of the
     new row and p·L.  Signs and ratios of the rational tableau are read off
     the integers (ratios by cross-multiplication), so every pivot is the one
-    the rational simplex would take.
+    the rational simplex on M would take.
 
     When the optimum is positive, the reduced cost of artificial k is
     1 - pi_k with pi the phase-one duals: pi_k = 1 - obj[artificial k] / L.
@@ -410,8 +410,7 @@ def phase_one(
     y_k = -sigma_k·pi_k on the rows of M satisfies yᵀ·M >= 0 and
     yᵀ·M·1 > 0 (Farkas); it is returned rescaled to M_int's rows.
     """
-    ncols = m.cols
-    nrows = m.rows
+    nrows = len(rows)
     if ncols == 0:
         return (), None
     if nrows == 0:
@@ -419,14 +418,10 @@ def phase_one(
 
     # Tableau rows: [A | artificial block | rhs], artificials start basic.
     width = ncols + nrows
-    a_rows: list[list[int]] = []
-    scales: list[int] = []
     signs: list[int] = []
     tab: list[list[int]] = []
-    for i in range(nrows):
-        row, scale = _integer_row(m.row(i))
-        a_rows.append(row)
-        scales.append(scale)
+    for i, (row, scale) in enumerate(zip(rows, scales)):
+        row = list(row)
         rhs = -sum(row)
         signs.append(-1 if rhs < 0 else 1)
         if rhs < 0:
@@ -503,6 +498,6 @@ def phase_one(
             num[bv], den[bv] = tab[i][width] // g, tab[i][bv] // g
     d = lcm(*den)
     x = [d + n * (d // q) for n, q in zip(num, den)]
-    if min(x) < d or any(sum(a * v for a, v in zip(row, x)) for row in a_rows):
+    if min(x) < d or any(sum(a * v for a, v in zip(row, x)) for row in rows):
         raise RuntimeError("simplex witness fails M x = 0, x >= 1 (bug)")
     return tuple(Fraction(v, d) for v in x), None

@@ -318,34 +318,28 @@ def orbifold_shaped_matrix(rng: random.Random, klass: str, d: int, n: int) -> Ra
     return RationalMatrix.from_rows([[c[i] for c in cols] for i in range(d)])
 
 
-def build_xi_fraction(points_q, a) -> RationalMatrix:
-    """The scalar-flat balancing matrix by its formula, entry by entry:
-    (i, l) = a_l * sign(e_l) * phi_i(q_l) / |Gamma_l|."""
+def build_xi_fraction(points_q) -> ScaledMatrix:
+    """The scalar-flat balancing matrix at unit weights by its formula, entry
+    by entry: (i, l) = sign(e_l) * phi_i(q_l) / |Gamma_l|."""
     d = len(points_q[0].phi_values)
-    rows = [
-        [frac(w) * p.e_sign * p.phi_values[i] / p.group_order for w, p in zip(a, points_q)]
-        for i in range(d)
-    ]
-    return RationalMatrix.from_rows(rows)
+    rows = [[p.e_sign * p.phi_values[i] / p.group_order for p in points_q] for i in range(d)]
+    return ScaledMatrix(RationalMatrix.from_rows(rows))
 
 
-def build_theta_fraction(points_p, b, s, m: int) -> ScaledMatrix:
-    """The Ricci-flat balancing matrix by its formula, entry by entry:
-    b_j phi_i(p_j) with the stripped scale (m-1) s / m under the Einstein
-    flag, b_j (Lap phi_i + s phi_i)(p_j) otherwise."""
+def build_theta_fraction(points_p, s, m: int) -> ScaledMatrix:
+    """The Ricci-flat balancing matrix at unit weights by its formula, entry
+    by entry: phi_i(p_j) with the stripped scale (m-1) s / m under the
+    Einstein flag, (Lap phi_i + s phi_i)(p_j) otherwise."""
     d = len(points_p[0].phi_values)
     if all(p.laplacian_phi_values is None for p in points_p):
         matrix = RationalMatrix.from_rows(
-            [[frac(w) * p.phi_values[i] for w, p in zip(b, points_p)] for i in range(d)]
+            [[p.phi_values[i] for p in points_p] for i in range(d)]
         )
         if s is None:
             return ScaledMatrix(matrix, Fraction(m - 1, m), ("s_omega",))
         return ScaledMatrix(matrix, Fraction(m - 1, m) * s)
     rows = [
-        [
-            frac(w) * (p.laplacian_phi_values[i] + s * p.phi_values[i])
-            for w, p in zip(b, points_p)
-        ]
+        [p.laplacian_phi_values[i] + s * p.phi_values[i] for p in points_p]
         for i in range(d)
     ]
     return ScaledMatrix(RationalMatrix.from_rows(rows))

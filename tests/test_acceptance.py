@@ -177,7 +177,7 @@ def test_criterion_4_surface_examples():
     with _Timer("criterion 4: surface quotient examples", 1.0):
         # first surface: family (a, b, b, a)
         orb = parse_orbifold(example_by_name("p1xp1-z2").text)
-        theta = build_theta(orb.points, [1] * 4, s=None, m=2)
+        theta = build_theta(orb.points, s=None, m=2)
         reference = RationalMatrix.from_rows([[-1, -1, 1, 1], [-1, 1, -1, 1]])
         assert rank(theta.matrix) == 2
         assert theta.scale > 0
@@ -192,7 +192,7 @@ def test_criterion_4_surface_examples():
             assert all(v == 0 for v in mul_vector(theta.matrix, member))
         # second surface: family (a, a, a)
         orb2 = parse_orbifold(example_by_name("p2-z3").text)
-        theta2 = build_theta(orb2.points, [1] * 3, s=None, m=2)
+        theta2 = build_theta(orb2.points, s=None, m=2)
         assert rank(theta2.matrix) == 2
         assert _kernel_span_equal(
             nullspace_basis(theta2.matrix), [(1, 1, 1)], 3

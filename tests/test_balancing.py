@@ -4,6 +4,7 @@ import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from kcscglue.balancing import (
     SCALAR_FLAT,
     Certificate,
     PiRational,
+    ScaledMatrix,
     SingularPointRecord,
     build_theta,
     build_xi,
@@ -37,11 +39,12 @@ from kcscglue.balancing import (
     model_constants,
     solve_ricci_flat_balancing,
     solve_scalar_flat_balancing,
-    sphere_volume,
 )
+from kcscglue import exact_linalg
 from kcscglue.exact_linalg import RationalMatrix, nullspace_basis, rank
 from kcscglue.examples import example_by_name
 from kcscglue.formats import parse_orbifold
+from kcscglue.report import build_report
 
 P1XP1 = parse_orbifold(example_by_name("p1xp1-z2").text)
 P2Z3 = parse_orbifold(example_by_name("p2-z3").text)
@@ -68,14 +71,19 @@ def p_point(label, phi, order=2):
 
 
 class TestSphereVolume:
+    """The test oracle for |S^{2m-1}|, against which the closed-form gluing
+    constants are checked (TestClosedForms)."""
+
     @pytest.mark.parametrize("m,coeff,power", [(1, 2, 1), (2, 2, 2), (3, 1, 3)])
     def test_known_values(self, m, coeff, power):
-        v = sphere_volume(m)
+        v = sphere_volume_oracle(m)
         assert (v.coeff, v.pi_power) == (coeff, power)
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_recursive_oracle(self, m):
-        assert sphere_volume(m) == sphere_volume_oracle(m)
+        # the recursion agrees with 2 pi^m / (m-1)!, the form the constants use
+        expected = PiRational(Fraction(2, math.factorial(m - 1)), m)
+        assert sphere_volume_oracle(m) == expected
 
 
 class TestGluingScales:
@@ -101,13 +109,13 @@ class TestGluingScales:
 
 class TestBuildXi:
     def test_zero_phi_gives_zero_column(self):
-        xi = build_xi([q_point("q", (0, 0))], [5])
-        assert is_zero(xi)
+        xi = build_xi([q_point("q", (0, 0))])
+        assert is_zero(xi.matrix)
 
     def test_antipodal_pair_balances(self):
         points = [q_point("q1", (1, 2)), q_point("q2", (-1, -2))]
-        xi = build_xi(points, [1, 1])
-        assert mul_vector(xi, [1, 1]) == (0, 0)
+        xi = build_xi(points)
+        assert mul_vector(xi.matrix, [1, 1]) == (0, 0)
 
     def test_surface_data_as_scalar_flat(self):
         points = [
@@ -116,12 +124,12 @@ class TestBuildXi:
             q_point("q3", (1, -1)),
             q_point("q4", (1, 1)),
         ]
-        xi = build_xi(points, [1, 1, 1, 1])
-        # direct substitution: a * sign * phi / |Gamma| with |Gamma| = 2
+        xi = build_xi(points)
+        # direct substitution: sign * phi / |Gamma| with |Gamma| = 2
         expected = RationalMatrix.from_rows(
             [["-1/2", "-1/2", "1/2", "1/2"], ["-1/2", "1/2", "-1/2", "1/2"]]
         )
-        assert xi == expected
+        assert xi == ScaledMatrix(expected)
 
     def test_missing_sign_rejected(self):
         with pytest.raises(ValueError):
@@ -132,7 +140,7 @@ class TestBuildXi:
 
 class TestBuildTheta:
     def test_einstein_tuned_strips_positive_factor(self):
-        theta = build_theta(P1XP1.points, [1, 1, 1, 1], s=None, m=2)
+        theta = build_theta(P1XP1.points, s=None, m=2)
         assert theta.scale == Fraction(1, 2)
         assert theta.scale_symbols == ("s_omega",)
         assert theta.matrix.to_rows() == [
@@ -141,14 +149,10 @@ class TestBuildTheta:
         ]
 
     def test_einstein_tuned_numeric_s(self):
-        theta = build_theta(P2Z3.points, [1, 1, 1], s=Fraction(6), m=2)
+        theta = build_theta(P2Z3.points, s=Fraction(6), m=2)
         assert theta.scale == Fraction(3)  # (m-1)/m * s = 6/2
         assert theta.scale_symbols == ()
         assert theta.matrix.to_rows() == [[1, -1, 0], [0, -1, 1]]
-
-    def test_zero_weights(self):
-        theta = build_theta(P1XP1.points, [0, 0, 0, 0], s=Fraction(1), m=2)
-        assert is_zero(theta.matrix)
 
     def test_explicit_laplacian_matches_einstein_reduction(self):
         # with Lap(phi) = -(s/m) phi supplied explicitly, entries agree with
@@ -164,23 +168,20 @@ class TestBuildTheta:
             )
             for p in P1XP1.points
         ]
-        t1 = build_theta(explicit, [1, 1, 1, 1], s=s, m=m)
-        t2 = build_theta(P1XP1.points, [1, 1, 1, 1], s=s, m=m)
+        t1 = build_theta(explicit, s=s, m=m)
+        t2 = build_theta(P1XP1.points, s=s, m=m)
         lhs = scaled(t1.matrix, t1.scale)
         rhs = scaled(t2.matrix, t2.scale)
         assert lhs == rhs
 
 
 RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=7)
-WEIGHTS = st.one_of(
-    st.integers(-3, 5), st.fractions(min_value=-4, max_value=4, max_denominator=9)
-)
 
 
 @st.composite
 def point_sets(draw, kind):
-    """Points of one kind with a common d (0 to 3), phi values that are
-    negative, zero or positive, and one weight per point."""
+    """Points of one kind with a common d (0 to 3) and phi values that are
+    negative, zero or positive."""
     d = draw(st.integers(0, 3))
     n = draw(st.integers(1, 6))
     explicit = kind == RICCI_FLAT and draw(st.booleans())
@@ -197,19 +198,17 @@ def point_sets(draw, kind):
         )
         for j in range(n)
     ]
-    unit = draw(st.booleans())
-    weights = [1] * n if unit else [draw(WEIGHTS) for _ in range(n)]
-    return points, weights
+    return points
 
 
 class TestMatricesAgainstFormulas:
-    """build_xi and build_theta equal their chained-Fraction formulas."""
+    """build_xi and build_theta equal their chained-Fraction formulas at
+    unit weights."""
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(point_sets(SCALAR_FLAT))
-    def test_xi(self, drawn):
-        points, a = drawn
-        assert build_xi(points, a) == build_xi_fraction(points, a)
+    def test_xi(self, points):
+        assert build_xi(points) == build_xi_fraction(points)
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(
@@ -217,11 +216,10 @@ class TestMatricesAgainstFormulas:
         st.one_of(st.none(), st.fractions(min_value=0, max_denominator=5).filter(bool)),
         st.integers(2, 5),
     )
-    def test_theta(self, drawn, s, m):
-        points, b = drawn
+    def test_theta(self, points, s, m):
         if points[0].laplacian_phi_values is not None and s is None:
             s = Fraction(3, 2)
-        assert build_theta(points, b, s, m) == build_theta_fraction(points, b, s, m)
+        assert build_theta(points, s, m) == build_theta_fraction(points, s, m)
 
     @staticmethod
     def fraction_calls(build, *args):
@@ -241,19 +239,17 @@ class TestMatricesAgainstFormulas:
         return result, seen
 
     def test_no_fraction_arithmetic(self):
-        # Each entry is one Fraction(numerator, denominator); no Fraction
-        # operator runs, only comparisons of weights and scale.
+        # Each xi entry is one Fraction(numerator, denominator) and each
+        # theta entry a phi value as it is; no Fraction operator runs, only
+        # the comparison of the stripped scale with 0.
         q = [q_point("q1", (1, Fraction(-2, 3))), q_point("q2", (0, 5), -1, 3)]
         p = [p_point("p1", (1, Fraction(-2, 3))), p_point("p2", (0, 5))]
-        w = [Fraction(3, 4), 2]
-        xi, seen_xi = self.fraction_calls(build_xi, q, w)
-        theta, seen_theta = self.fraction_calls(build_theta, p, w, None, 3)
-        assert xi == build_xi_fraction(q, w)
-        assert theta == build_theta_fraction(p, w, None, 3)
-        assert seen_xi <= {"__new__", "numerator", "denominator"}
-        assert seen_theta <= {
-            "__new__", "numerator", "denominator", "__eq__", "__le__", "_richcmp"
-        }
+        xi, seen_xi = self.fraction_calls(build_xi, q)
+        theta, seen_theta = self.fraction_calls(build_theta, p, None, 3)
+        assert xi == build_xi_fraction(q)
+        assert theta == build_theta_fraction(p, None, 3)
+        allowed = {"__new__", "numerator", "denominator", "__le__", "_richcmp"}
+        assert seen_xi <= allowed and seen_theta <= allowed
 
 
 class TestRicciFlatBalancing:
@@ -482,6 +478,57 @@ class TestModelConstants:
             model_constants(m=2, b_j=1, order=2, c_gamma=1, s=1, c_j=0)
 
 
+POSITIVE = st.fractions(min_value=0, max_value=20, max_denominator=12).filter(bool)
+
+
+class TestClosedForms:
+    """leading_coefficients and model_constants equal the paper's formulas,
+    evaluated in Fractions with |S^{2m-1}| from sphere_volume_oracle."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(2, 8), st.integers(1, 60), POSITIVE, POSITIVE)
+    def test_leading_coefficients(self, m, order, weight, mag):
+        sphere = sphere_volume_oracle(m)
+        ricci_flat = Fraction(order) * weight / (2 * (m - 1))
+        assert leading_coefficients(RICCI_FLAT, m, order, weight) == PiRational(ricci_flat)
+        # |Gamma| a / (4 |S^3| |e|) at m = 2, else / (8 (m-2)(m-1) |S^{2m-1}| |e|)
+        factor = 4 if m == 2 else 8 * (m - 2) * (m - 1)
+        scalar_flat = PiRational(order * weight / (factor * mag * sphere.coeff), -sphere.pi_power)
+        assert leading_coefficients(SCALAR_FLAT, m, order, weight, mag) == scalar_flat
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(3, 8), st.integers(1, 60), POSITIVE, POSITIVE, RATIONALS, RATIONALS)
+    def test_model_constants(self, m, order, b, c_gamma, s, c_j):
+        sphere = sphere_volume_oracle(m)
+        # B^{2m} = b |Gamma| / (2 c(Gamma) (m-1) |S^{2m-1}|)
+        radicand = PiRational(
+            b * order / (2 * c_gamma * (m - 1) * sphere.coeff), -sphere.pi_power
+        )
+        # C = |Gamma| / (8 (m-2)(m-1)) * (2 c(Gamma) B^{2m} (m-1) |S^{2m-1}|
+        #     s (1 + (m-1)^2/(m+1)) / (m |Gamma|) - c_j)
+        tail = s * (1 + Fraction((m - 1) ** 2, m + 1)) / (m * order)
+        bracket = (radicand * sphere * (2 * c_gamma * (m - 1)) * tail).as_fraction() - c_j
+        c_value = Fraction(order, 8 * (m - 2) * (m - 1)) * bracket
+        got = model_constants(m=m, b_j=b, order=order, c_gamma=c_gamma, s=s, c_j=c_j)
+        assert got == ((radicand, Fraction(1, 2 * m)), c_value)
+
+
+def test_one_integer_scaling_per_verdict(monkeypatch):
+    # _decide scales each of the d = 2 rows once; both solvers share M_int.
+    calls = []
+    original = exact_linalg._integer_row
+
+    def counted(row):
+        calls.append(row)
+        return original(row)
+
+    monkeypatch.setattr(exact_linalg, "_integer_row", counted)
+    name = "m4-ricci-flat-constants.orb"
+    text = (Path(__file__).parent / "fixtures" / name).read_text()
+    build_report(name, text, parse_orbifold(text))
+    assert len(calls) == 2
+
+
 class TestScaleInvariance:
     @pytest.mark.parametrize("orb", [P1XP1, P2Z3])
     def test_feasibility_invariant_under_s(self, orb):
@@ -494,13 +541,16 @@ class TestScaleInvariance:
 
     @pytest.mark.parametrize("orb", [P1XP1, P2Z3])
     def test_rank_invariant_under_positive_witness(self, orb):
+        # weights b_j scale the columns of the unit-weight matrix
         rng = random.Random(3)
-        d = orb.d
         base = solve_ricci_flat_balancing(orb.points, s=None, m=2)
+        unit = build_theta(orb.points, s=None, m=2).matrix
         for _ in range(10):
             b = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in orb.points]
-            theta = build_theta(orb.points, b, s=None, m=2)
-            assert rank(theta.matrix) == base.rank
+            weighted = RationalMatrix.from_rows(
+                [[x * w for x, w in zip(row, b)] for row in unit.to_rows()]
+            )
+            assert rank(weighted) == base.rank
 
 
 def test_einstein_verdict_matches_bruteforce_oracle():

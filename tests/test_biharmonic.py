@@ -36,10 +36,6 @@ class TestOuterExtension:
         terms = outer_extension(2, 0, 0, 2)
         assert terms_as_set(terms) == {(Fraction(1), 0, True)}
 
-    def test_log_slot_disabled(self):
-        with pytest.raises(ValueError):
-            outer_extension(2, 0, 1, 1, allow_log=False)
-
     def test_mode_one_rejected_for_nontrivial_group(self):
         with pytest.raises(ValueError):
             outer_extension(3, 1, 1, 0, no_invariant_linear=True)
