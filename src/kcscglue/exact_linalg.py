@@ -196,18 +196,19 @@ def rank_certificate(
     """The rank of the integer matrix M_int (its ``rows``, each ``ncols``
     long) with a certificate, from one elimination of [M_int | I].
 
-    Returns ``(pivot columns, det, y)``.  At full row rank the pivot columns are a
-    nonsingular column subset, det is M_int's determinant on them and y is
-    None.  Below it det is 0 and y != 0 is an integer vector with
-    yᵀ·M_int = 0: the identity block of the first row that the elimination
-    zeroed, since every row of the result is (its identity block)ᵀ·[M_int | I].
+    Returns ``(pivot columns, det, y)``.  At full row rank the pivot
+    columns are a nonsingular column subset, det is M_int's determinant on
+    them and y is None.  Below it det is 0 and y != 0 is an integer vector
+    with yᵀ·M_int = 0: the identity block of the first row that the
+    elimination zeroed, since every row of the result is (its identity
+    block)ᵀ·[M_int | I].
     """
-    d, n = len(rows), ncols
+    d = len(rows)
     aug = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(rows)]
-    pivots, p, sign = _echelon(aug, n)
+    pivots, p, sign = _echelon(aug, ncols)
     if len(pivots) == d:
         return pivots, sign * p, None
-    y = aug[len(pivots)][n:]
+    y = aug[len(pivots)][ncols:]
     g = gcd(*y) or 1
     return pivots, 0, tuple(x // g for x in y)
 
