@@ -40,13 +40,11 @@ from .polytope import (
 from .balancing import (
     BalancingReport,
     Certificate,
-    EpsPower,
     PiRational,
     SingularPointRecord,
     build_theta,
     build_xi,
     check_certificate,
-    gluing_scales,
     leading_coefficients,
     model_constants,
     solve_ricci_flat_balancing,
@@ -55,20 +53,15 @@ from .balancing import (
 from .spectral import (
     eigenvalue,
     first_invariant_index,
-    harmonic_dimension,
-    indicial_roots,
     invariant_harmonic_dimension,
-    is_admissible_weight,
 )
 from .biharmonic import (
     ModeMatrix,
     RadialTerm,
     dtn_inverse,
     dtn_mode_matrix,
-    evaluate,
     inner_extension,
     outer_extension,
-    radial_bilaplacian,
 )
 from .formats import FanFile, OrbifoldFile, ParseError, parse_fan, parse_orbifold
 from .examples import EmbeddedExample, embedded_examples

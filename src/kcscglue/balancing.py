@@ -63,31 +63,6 @@ class PiRational:
 
 
 @dataclass(frozen=True)
-class EpsPower:
-    """The exact power eps^exponent (0 < eps < 1)."""
-
-    eps: Fraction
-    exponent: Fraction
-
-    def __str__(self) -> str:
-        return f"({self.eps})^({self.exponent})"
-
-
-def gluing_scales(eps, m: int) -> tuple[EpsPower, EpsPower]:
-    """Neck radii (r_eps, R_eps) = (eps^{(2m-1)/(2m+1)}, eps^{-2/(2m+1)}),
-    so that r_eps = eps * R_eps identically."""
-    e = frac(eps)
-    if not 0 < e < 1:
-        raise ValueError("need 0 < eps < 1")
-    if m < 2:
-        raise ValueError("m >= 2")
-    return (
-        EpsPower(e, Fraction(2 * m - 1, 2 * m + 1)),
-        EpsPower(e, Fraction(-2, 2 * m + 1)),
-    )
-
-
-@dataclass(frozen=True)
 class SingularPointRecord:
     """One singular point's model data.
 

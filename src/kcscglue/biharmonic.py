@@ -123,26 +123,6 @@ def radial_laplacian(terms: Sequence[RadialTerm], m: int) -> tuple[RadialTerm, .
     return _normalize(out)
 
 
-def radial_bilaplacian(terms: Sequence[RadialTerm], m: int) -> tuple[RadialTerm, ...]:
-    """Two applications; empty output means the profile is biharmonic."""
-    return radial_laplacian(radial_laplacian(terms, m), m)
-
-
-def evaluate(terms: Sequence[RadialTerm], r) -> Fraction:
-    """Exact value at rational r > 0; log terms only contribute (zero) at r = 1."""
-    rv = frac(r)
-    if rv <= 0:
-        raise ValueError("r > 0 required")
-    total = Fraction(0)
-    for t in terms:
-        if t.log_flag:
-            if rv != 1:
-                raise ValueError("log term evaluated away from r = 1 is not rational")
-            continue
-        total += t.coefficient * rv**t.exponent
-    return total
-
-
 def radial_derivative_at_one(terms: Sequence[RadialTerm]) -> Fraction:
     """d/dr at r = 1: r^a -> a, r^a log r -> 1 (per unit coefficient)."""
     total = Fraction(0)

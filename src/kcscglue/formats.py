@@ -1,4 +1,4 @@
-"""Input file parsing and serialization.
+"""Input file parsing.
 
 Both formats are line-oriented `key value` records with exact integer and
 p/q rational literals; every integer and every rational is read by one
@@ -8,8 +8,8 @@ construction and on every interpreter.  Fan files carry rays and maximal
 cones (1-based ray indices, optional labels); orbifold files carry the
 kernel dimension, scalar curvature (exact or `positive`), the Einstein flag
 and one `point` record per singular point.  Nothing is dropped silently: a
-scalar key given twice, an unknown or repeated point attribute and text
-between point attributes are errors.
+scalar key given twice, a point label given twice, an unknown or repeated
+point attribute and text between point attributes are errors.
 """
 
 from __future__ import annotations
@@ -210,19 +210,6 @@ def parse_fan(text: str) -> FanFile:
     )
 
 
-def serialize_fan(f: FanFile) -> str:
-    lines = [f"dim {f.dim}"]
-    if f.k is not None:
-        lines.append(f"k {f.k}")
-    for ray in f.rays:
-        lines.append(f"ray [{', '.join(str(x) for x in ray)}]")
-    for idx, label in zip(f.max_cones, f.labels):
-        lines.append(
-            f"cone [{', '.join(str(i + 1) for i in idx)}] {label}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 _SIGNS = {"+": 1, "+1": 1, "-": -1, "-1": -1}
 _POINT_ATTRIBUTES = frozenset(("order", "phi", "dphi", "e_sign", "e_mag", "c_gamma"))
 
@@ -297,12 +284,20 @@ def parse_orbifold(text: str) -> OrbifoldFile:
         raise ParseError(errors)
 
     points: list[SingularPointRecord] = []
+    label_lines: dict[str, int] = {}
     for lineno, rest in point_lines:
         head = rest.split(None, 2)
         if len(head) < 3:
             errors.append(f"line {lineno}: point needs LABEL KIND key=value...")
             continue
         label, kind, attr_text = head[0], head[1], head[2]
+        # Labels name the points of a report and its balancing rows.
+        first = label_lines.setdefault(label, lineno)
+        if first != lineno:
+            errors.append(
+                f"line {lineno}: point label {label} given twice (first on line {first})"
+            )
+            continue
         if kind not in (RICCI_FLAT, SCALAR_FLAT):
             errors.append(f"line {lineno}: unknown point kind {kind!r}")
             continue
@@ -375,29 +370,6 @@ def parse_orbifold(text: str) -> OrbifoldFile:
     if errors:
         raise ParseError(errors)
     return OrbifoldFile(m=m, d=d, s=s, einstein=einstein, points=tuple(points))
-
-
-def serialize_orbifold(o: OrbifoldFile) -> str:
-    lines = [f"m {o.m}", f"d {o.d}"]
-    lines.append(f"s {'positive' if o.s is None else o.s}")
-    lines.append(f"einstein {'yes' if o.einstein else 'no'}")
-    for p in o.points:
-        parts = [
-            f"point {p.label} {p.kind} order={p.group_order}",
-            f"phi=[{', '.join(str(x) for x in p.phi_values)}]",
-        ]
-        if p.laplacian_phi_values is not None:
-            parts.append(
-                f"dphi=[{', '.join(str(x) for x in p.laplacian_phi_values)}]"
-            )
-        if p.e_sign is not None:
-            parts.append(f"e_sign={'+1' if p.e_sign > 0 else '-1'}")
-        if p.e_magnitude is not None:
-            parts.append(f"e_mag={p.e_magnitude}")
-        if p.c_gamma is not None:
-            parts.append(f"c_gamma={p.c_gamma}")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
 
 
 def sniff_kind(text: str) -> str:

@@ -380,39 +380,35 @@ def build_report(
     }
 
 
-def _write_json(value: Any, indent: str, out: list[str]) -> None:
+# The exact types of report values; any other value is placed by isinstance.
+_REPORT_TYPES = frozenset((str, int, bool, type(None), list, tuple, dict))
+
+
+def _write_json(value: Any, indent: str, out: list[str], memo: dict) -> None:
     """Append ``value`` to ``out`` as ``json.dumps(value, sort_keys=True,
     indent=2)`` writes it, ``indent`` (a newline and two spaces per level)
     going before its closing bracket.  Only str, int, bool, None, lists,
     tuples and dicts with str keys are written; anything else, a float
-    included, is a TypeError."""
-    if isinstance(value, str):
+    included, is a TypeError.  ``memo`` holds the text of each list of
+    strings already written in this rendering, by identity and indent: the
+    report shares such lists (a polytope vertex appears in every face and
+    cone assignment that holds it)."""
+    kind = type(value)
+    if kind not in _REPORT_TYPES:
+        kind = next((t for t in (str, int, list, tuple, dict) if isinstance(value, t)), None)
+        if kind is None:
+            raise TypeError(f"{type(value).__name__} is not a report value")
+    if kind is str:
         out.append(_json_str(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is bool:
+        out.append("true" if value else "false")
     elif value is None:
         out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, (list, tuple, dict)) and not value:
-        out.append("{}" if isinstance(value, dict) else "[]")
-    elif isinstance(value, (list, tuple)):
-        inner = indent + "  "
-        sep = "," + inner
-        try:  # most report lists hold only strings
-            out.append(f"[{inner}{sep.join(map(_json_str, value))}{indent}]")
-            return
-        except TypeError:
-            pass
-        lead = "[" + inner
-        for item in value:
-            out.append(lead)
-            _write_json(item, inner, out)
-            lead = sep
-        out.append(indent + "]")
-    elif isinstance(value, dict):
+    elif not value:
+        out.append("{}" if kind is dict else "[]")
+    elif kind is dict:
         if not all(isinstance(key, str) for key in value):
             raise TypeError("report keys must be str")
         inner = indent + "  "
@@ -420,11 +416,28 @@ def _write_json(value: Any, indent: str, out: list[str]) -> None:
         lead = "{" + inner
         for key in sorted(value):
             out.append(f"{lead}{_json_str(key)}: ")
-            _write_json(value[key], inner, out)
+            _write_json(value[key], inner, out, memo)
             lead = sep
         out.append(indent + "}")
     else:
-        raise TypeError(f"{type(value).__name__} is not a report value")
+        inner = indent + "  "
+        sep = "," + inner
+        key = id(value), indent
+        text = memo.get(key)
+        if text is None:
+            try:  # most report lists hold only strings
+                text = memo[key] = f"[{inner}{sep.join(map(_json_str, value))}{indent}]"
+            except TypeError:
+                pass
+        if text is not None:
+            out.append(text)
+            return
+        lead = "[" + inner
+        for item in value:
+            out.append(lead)
+            _write_json(item, inner, out, memo)
+            lead = sep
+        out.append(indent + "]")
 
 
 def render_json(report: dict[str, Any]) -> str:
@@ -432,7 +445,7 @@ def render_json(report: dict[str, Any]) -> str:
     newline: the bytes of ``json.dumps(report, sort_keys=True, indent=2)``,
     written directly rather than by json's pure-Python indenting encoder."""
     out: list[str] = []
-    _write_json(report, "\n", out)
+    _write_json(report, "\n", out, {})
     out.append("\n")
     return "".join(out)
 

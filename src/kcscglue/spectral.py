@@ -1,22 +1,20 @@
 """Sphere-Laplacian bookkeeping and invariant harmonic dimensions.
 
-Eigenvalues on S^{2m-1}, dimensions of harmonic eigenspaces, the dimensions
-of their Gamma-invariant subspaces by counting invariant monomials (the
-diagonal case of Molien's formula), the first invariant index in closed
-form, indicial-root sets and weighted-space admissibility.
+Eigenvalues on S^{2m-1}, the dimensions of the Gamma-invariant harmonic
+eigenspaces by counting invariant monomials (the diagonal case of Molien's
+formula), the first invariant index in closed form and the open weight
+intervals of the weighted spaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .toric_lattice import GroupPresentation
 
 BASE_ORBIFOLD_M3 = "base_orbifold_m3"
 BASE_ORBIFOLD_M2 = "base_orbifold_m2"
-ALE = "ale"
 NONLINEAR = "nonlinear"
 
 
@@ -25,15 +23,6 @@ def eigenvalue(j: int, m: int) -> int:
     if j < 0 or m < 2:
         raise ValueError("need j >= 0 and m >= 2")
     return -j * (2 * m - 2 + j)
-
-
-def harmonic_dimension(j: int, m: int) -> int:
-    """Dimension of the degree-j harmonic eigenspace on S^{2m-1}."""
-    if j < 0 or m < 1:
-        raise ValueError("need j >= 0 and m >= 1")
-    n = 2 * m
-    second = comb(n + j - 3, j - 2) if j >= 2 else 0
-    return comb(n + j - 1, j) - second
 
 
 def invariant_harmonic_dimension(g: GroupPresentation, j: int, m: int) -> int:
@@ -82,30 +71,6 @@ def first_invariant_index(g: GroupPresentation, m: int) -> int:
 
 
 @dataclass(frozen=True)
-class IndicialRoots:
-    """All integers minus a contiguous excluded band."""
-
-    m: int
-    excluded: tuple[int, ...]
-
-    def contains(self, value: int) -> bool:
-        return value not in self.excluded
-
-
-def indicial_roots(m: int, operator_context: str = "base") -> IndicialRoots:
-    """Indicial roots of the Laplacian at a cone point / at infinity.
-
-    Both the orbifold-point and ALE-infinity contexts share the same set:
-    all integers except 5-2m..-1 (empty band for m = 2).
-    """
-    if m < 2:
-        raise ValueError("m >= 2")
-    if operator_context not in ("base", "ale"):
-        raise ValueError(f"unknown operator context {operator_context!r}")
-    return IndicialRoots(m=m, excluded=tuple(range(5 - 2 * m, 0)))
-
-
-@dataclass(frozen=True)
 class WeightInterval:
     context: str
     lower: Fraction
@@ -124,21 +89,3 @@ def weight_interval(context: str, m: int) -> WeightInterval:
     if context == NONLINEAR:
         return WeightInterval(context, Fraction(4 - 2 * m), Fraction(5 - 2 * m))
     raise ValueError(f"no open interval for context {context!r}")
-
-
-def is_admissible_weight(delta, m: int, context: str) -> bool:
-    """Whether the weight avoids the context's Fredholm obstructions."""
-    if m < 2:
-        raise ValueError("m >= 2")
-    d = delta if isinstance(delta, Fraction) else Fraction(delta)
-    if context in (BASE_ORBIFOLD_M3, BASE_ORBIFOLD_M2, NONLINEAR):
-        iv = weight_interval(context, m)
-        return iv.lower < d < iv.upper
-    if context == ALE:
-        # Excluded: l + m and 4 - m - l for l in N, i.e. integers >= m
-        # and integers <= 4 - m.
-        if d.denominator != 1:
-            return True
-        z = int(d)
-        return not (z >= m or z <= 4 - m)
-    raise ValueError(f"unknown weight context {context!r}")

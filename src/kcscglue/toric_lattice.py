@@ -6,14 +6,16 @@ abelian-group type of the package: cyclic orders plus diagonal action
 weights.  Its order, classification (smooth, SU(m) -- Gorenstein,
 crepant-resolvable candidates -- or U(m)-non-SU) and isolation are derived
 from the presentation by closed forms, never by enumerating Gamma.  A fan
-builds each cone once, and each cone inverts its generator matrix once, as
-p·V^{-1} in integers; that one elimination gives the cone's validity, its
-order |det|, its Gorenstein covector, its moment vertices, its side of each
-wall, which the fan check reads to decide that the cones form a complete
-fan, and its group: a cyclic Gamma is read off the inverse as 1/n(w), w the
-lexicographically least unit multiple of a generator's weights (1/n(1, a_2,
-...) on isolated charts), and only a non-cyclic Gamma takes a Smith normal
-form.
+builds each cone once, with its integer inverse p·V^{-1} (|p| = |det V|,
+the sign of p not canonical): one elimination for the first cone of each
+connected component of the fan's wall table, and one exchange pivot from a
+neighbour's inverse for every further cone.  The inverse gives the cone's
+validity, its order |det|, its Gorenstein covector, its moment vertices,
+its side of each wall, which the fan check reads to decide that the cones
+form a complete fan, and its group: a cyclic Gamma is read off the inverse
+as 1/n(w), w the lexicographically least unit multiple of a generator's
+weights (1/n(1, a_2, ...) on isolated charts), and only a non-cyclic Gamma
+takes a Smith normal form.
 """
 
 from __future__ import annotations
@@ -58,8 +60,10 @@ class Cone:
     @cached_property
     def inverse(self) -> Optional[tuple[tuple[IntVector, ...], int]]:
         """(columns A_j of p·V^{-1}, p), V the generators as rows and |p| =
-        |det V|, from one elimination; None if V is singular or not square.
-        <v_i, A_j> = p [i = j]: <q, A_j> / p is q's j-th generator coordinate."""
+        |det V|, the sign of p not canonical; None if V is singular or not
+        square.  <v_i, A_j> = p [i = j]: <q, A_j> / p is q's j-th generator
+        coordinate.  A cone of a fan usually has it set by the fan's walk,
+        one exchange pivot from a neighbour's; else it is one elimination."""
         try:
             rows, p = integer_inverse(self.generators)
         except ValueError:
@@ -92,7 +96,6 @@ class Fan:
             )
         if len(self.labels) != len(self.max_cones):
             raise ValueError("one label per maximal cone required")
-        object.__setattr__(self, "_cones", {})
 
     def cone(self, index: int) -> Cone:
         """The index-th maximal cone, built once per fan, so that what a cone
@@ -103,6 +106,58 @@ class Fan:
                 tuple(self.rays[i] for i in self.max_cones[index])
             )
         return cone
+
+    @cached_property
+    def walls(self) -> dict[tuple[int, ...], list[tuple[int, int]]]:
+        """Each wall, a sorted (dim-1)-subset of the ray indices of a cone
+        with dim of them, with its sides (cone, j): the cones it lies in, j
+        the position in the cone of the ray the cone adds to the wall."""
+        walls: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for c, idx in enumerate(self.max_cones):
+            if len(idx) == self.dim:
+                for j in range(len(idx)):
+                    walls.setdefault(_wall(idx, j), []).append((c, j))
+        return walls
+
+    @cached_property
+    def _cones(self) -> dict[int, Cone]:
+        """The cones on dim distinct in-range rays of length dim, with every
+        inverse the walk reaches set: across each wall a cone is one exchange
+        pivot from its neighbour's, so only the first cone of each connected
+        component takes an elimination.  Other cones are built, and invert
+        themselves, when asked for."""
+        n = len(self.rays)
+        cones = {
+            c: Cone(tuple(self.rays[i] for i in idx))
+            for c, idx in enumerate(self.max_cones)
+            if len(set(idx)) == len(idx) == self.dim
+            and all(0 <= i < n and len(self.rays[i]) == self.dim for i in idx)
+        }
+        for root, cone in cones.items():
+            if "inverse" in cone.__dict__ or cone.inverse is None:
+                continue
+            stack = [root]
+            while stack:
+                c = stack.pop()
+                columns, p = cones[c].inverse
+                idx = self.max_cones[c]
+                for j in range(self.dim):
+                    for c2, j2 in self.walls[_wall(idx, j)]:
+                        target = cones.get(c2)
+                        if target is None or "inverse" in target.__dict__:
+                            continue
+                        idx2 = self.max_cones[c2]
+                        inverse = _exchange(columns, p, j, self.rays[idx2[j2]])
+                        if inverse is not None:
+                            # columns from this cone's ray order to idx2's
+                            at = {r: k for k, r in enumerate(idx)}
+                            at[idx2[j2]] = j
+                            inverse = tuple(inverse[0][at[r]] for r in idx2), inverse[1]
+                            stack.append(c2)
+                        # the cached_property's slot: the value the cone
+                        # would otherwise compute for itself
+                        target.__dict__["inverse"] = inverse
+        return cones
 
     def cones(self) -> Iterator[tuple[str, Cone]]:
         for i in range(len(self.max_cones)):
@@ -123,6 +178,34 @@ class Fan:
             alphas = tuple(tuple(sum(map(mul, c, a)) for a in cols) for cols in columns)
             if all(map(all, alphas)):
                 return c, alphas
+
+
+def _wall(idx: Sequence[int], j: int) -> tuple[int, ...]:
+    """The wall of the cone on ray indices idx opposite its j-th ray."""
+    return tuple(sorted(idx[:j] + idx[j + 1 :]))
+
+
+def _exchange(
+    columns: tuple[IntVector, ...], p: int, j: int, ray: IntVector
+) -> Optional[tuple[tuple[IntVector, ...], int]]:
+    """The inverse (columns, p') of the cone whose generator j is replaced
+    by ``ray``, from the inverse (columns A_k, p) of the cone: with a_k =
+    <ray, A_k>, p' = a_j, A'_j = A_j and A'_k = (a_j·A_k - a_k·A_j) / p,
+    which gives <v_i, A'_k> = p' [i = k] on the new generators.  The
+    division is exact, as p'·V'^{-1} is ± the adjugate of V'; a_j = 0 means
+    the new cone is singular (None)."""
+    a = [sum(map(mul, ray, col)) for col in columns]
+    q = a[j]
+    if q == 0:
+        return None
+    pivot = columns[j]
+    return (
+        tuple(
+            pivot if k == j else tuple((q * x - a_k * y) // p for x, y in zip(col, pivot))
+            for k, (col, a_k) in enumerate(zip(columns, a))
+        ),
+        q,
+    )
 
 
 @dataclass(frozen=True)
@@ -169,7 +252,7 @@ class GroupPresentation:
     def is_trivial(self) -> bool:
         return not self.orders
 
-    @property
+    @cached_property
     def classification(self) -> str:
         """Smooth, SU (every generator has determinant one) or U-non-SU."""
         if self.is_trivial():
@@ -269,11 +352,7 @@ def _fan_violations(fan: Fan) -> list[str]:
     one cone (c is in a cone iff every alpha_j p > 0)."""
     used = set().union(*fan.max_cones)
     out = [f"ray {i + 1} {list(r)} is in no cone" for i, r in enumerate(fan.rays) if i not in used]
-    walls: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for c, idx in enumerate(fan.max_cones):
-        for j in range(len(idx)):
-            walls.setdefault(tuple(sorted(idx[:j] + idx[j + 1 :])), []).append((c, j))
-    for wall, sides in walls.items():
+    for wall, sides in fan.walls.items():
         name = f"wall {[i + 1 for i in wall]}"
         if len(sides) != 2:
             out.append(f"{name} lies in {len(sides)} of the cones, expected 2")

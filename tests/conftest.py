@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -37,6 +38,7 @@ import pytest
 
 from kcscglue import toric_lattice
 from kcscglue.balancing import BalancingReport, PiRational, ScaledMatrix
+from kcscglue.biharmonic import RadialTerm, radial_laplacian
 from kcscglue.exact_linalg import (
     RationalMatrix,
     Scalar,
@@ -719,6 +721,56 @@ def sphere_volume_oracle(m: int) -> PiRational:
         return PiRational(Fraction(2), 1)
     prev = sphere_volume_oracle(m - 1)
     return prev * PiRational(Fraction(2, n - 1), 1)
+
+
+# ---------------------------------------------------------------------------
+# Closed forms of the gluing construction that no report prints
+# ---------------------------------------------------------------------------
+
+
+def radial_bilaplacian(terms: Sequence[RadialTerm], m: int) -> tuple[RadialTerm, ...]:
+    """Two applications; empty output means the profile is biharmonic."""
+    return radial_laplacian(radial_laplacian(terms, m), m)
+
+
+def evaluate(terms: Sequence[RadialTerm], r) -> Fraction:
+    """Exact value at rational r > 0; log terms only contribute (zero) at r = 1."""
+    rv = frac(r)
+    if rv <= 0:
+        raise ValueError("r > 0 required")
+    total = Fraction(0)
+    for t in terms:
+        if t.log_flag:
+            if rv != 1:
+                raise ValueError("log term evaluated away from r = 1 is not rational")
+            continue
+        total += t.coefficient * rv**t.exponent
+    return total
+
+
+@dataclass(frozen=True)
+class EpsPower:
+    """The exact power eps^exponent (0 < eps < 1)."""
+
+    eps: Fraction
+    exponent: Fraction
+
+    def __str__(self) -> str:
+        return f"({self.eps})^({self.exponent})"
+
+
+def gluing_scales(eps, m: int) -> tuple[EpsPower, EpsPower]:
+    """Neck radii (r_eps, R_eps) = (eps^{(2m-1)/(2m+1)}, eps^{-2/(2m+1)}),
+    so that r_eps = eps * R_eps identically."""
+    e = frac(eps)
+    if not 0 < e < 1:
+        raise ValueError("need 0 < eps < 1")
+    if m < 2:
+        raise ValueError("m >= 2")
+    return (
+        EpsPower(e, Fraction(2 * m - 1, 2 * m + 1)),
+        EpsPower(e, Fraction(-2, 2 * m + 1)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ import pytest
 
 from conftest import (
     det_cofactor,
+    evaluate,
+    gluing_scales,
     invariant_dimension_bruteforce,
     invariant_dimension_characters,
     invariant_monomial_count_lattice,
@@ -22,6 +24,7 @@ from conftest import (
     isolated_by_enumeration,
     mul_vector,
     positive_kernel_witness_bruteforce,
+    radial_bilaplacian,
     rank_bruteforce,
     sphere_eigenvalue_oracle,
 )
@@ -31,7 +34,6 @@ from kcscglue.balancing import (
     PiRational,
     SingularPointRecord,
     build_theta,
-    gluing_scales,
     leading_coefficients,
     model_constants,
     solve_ricci_flat_balancing,
@@ -39,10 +41,8 @@ from kcscglue.balancing import (
 from kcscglue.biharmonic import (
     dtn_inverse,
     dtn_mode_matrix,
-    evaluate,
     inner_extension,
     outer_extension,
-    radial_bilaplacian,
     radial_laplacian,
 )
 from kcscglue.cli import main

@@ -13,6 +13,7 @@ from conftest import (
     build_theta_fraction,
     build_xi_fraction,
     det_cofactor,
+    gluing_scales,
     is_zero,
     mul_vector,
     orbifold_shaped_matrix,
@@ -34,7 +35,6 @@ from kcscglue.balancing import (
     build_theta,
     build_xi,
     check_certificate,
-    gluing_scales,
     leading_coefficients,
     model_constants,
     solve_ricci_flat_balancing,

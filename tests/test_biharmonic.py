@@ -3,15 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import evaluate, radial_bilaplacian
 from kcscglue.biharmonic import (
     ModeMatrix,
     RadialTerm,
     dtn_inverse,
     dtn_mode_matrix,
-    evaluate,
     inner_extension,
     outer_extension,
-    radial_bilaplacian,
     radial_laplacian,
 )
 

@@ -305,6 +305,13 @@ class TestPolytopeStageErrors:
             "error: line 5: s must be an exact rational or 'positive'\n"
         )
 
+    def test_checked_in_repeated_point_label_fixture(self, capsys):
+        for command in ("report", "balance", "coeffs"):
+            assert main([command, str(FIXTURES / "repeated-point-label.orb")]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "error: line 8: point label P1 given twice (first on line 7)\n"
+            assert captured.out == ""
+
     def test_polytope_on_invalid_fan(self, tmp_path, capsys):
         p = tmp_path / "one-ray-cone.fan"
         p.write_text(P2_FAN + "cone [1]\n")

@@ -12,10 +12,42 @@ from kcscglue.formats import (
     ParseError,
     parse_fan,
     parse_orbifold,
-    serialize_fan,
-    serialize_orbifold,
     sniff_kind,
 )
+
+
+def serialize_fan(f: FanFile) -> str:
+    """A fan file that parses back to ``f``."""
+    lines = [f"dim {f.dim}"]
+    if f.k is not None:
+        lines.append(f"k {f.k}")
+    for ray in f.rays:
+        lines.append(f"ray [{', '.join(str(x) for x in ray)}]")
+    for idx, label in zip(f.max_cones, f.labels):
+        lines.append(f"cone [{', '.join(str(i + 1) for i in idx)}] {label}")
+    return "\n".join(lines) + "\n"
+
+
+def serialize_orbifold(o: OrbifoldFile) -> str:
+    """An orbifold file that parses back to ``o``."""
+    lines = [f"m {o.m}", f"d {o.d}"]
+    lines.append(f"s {'positive' if o.s is None else o.s}")
+    lines.append(f"einstein {'yes' if o.einstein else 'no'}")
+    for p in o.points:
+        parts = [
+            f"point {p.label} {p.kind} order={p.group_order}",
+            f"phi=[{', '.join(str(x) for x in p.phi_values)}]",
+        ]
+        if p.laplacian_phi_values is not None:
+            parts.append(f"dphi=[{', '.join(str(x) for x in p.laplacian_phi_values)}]")
+        if p.e_sign is not None:
+            parts.append(f"e_sign={'+1' if p.e_sign > 0 else '-1'}")
+        if p.e_magnitude is not None:
+            parts.append(f"e_mag={p.e_magnitude}")
+        if p.c_gamma is not None:
+            parts.append(f"c_gamma={p.c_gamma}")
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
 
 
 class TestParseFan:
@@ -156,6 +188,11 @@ DROPPED = {
         parse_orbifold,
         P2_Z3.replace(P1_LINE, P1_LINE + " junk"),
         "line 7: unexpected text 'junk' in point attributes",
+    ),
+    "repeated point label": (
+        parse_orbifold,
+        P2_Z3 + "point P1 ricci_flat order=3 phi=[-1, 0]\n",
+        "line 10: point label P1 given twice (first on line 7)",
     ),
     "stray text between attributes": (
         parse_orbifold,
@@ -388,7 +425,8 @@ def orbifold_files(draw) -> OrbifoldFile:
     d = draw(st.integers(1, 3))
     einstein = draw(st.booleans())
     points = []
-    for _ in range(draw(st.integers(1, 5))):
+    # Point labels are distinct: a repeated one is a parse error.
+    for label in draw(st.lists(LABELS, min_size=1, max_size=5, unique=True)):
         kind = draw(st.sampled_from([RICCI_FLAT, SCALAR_FLAT]))
         dphi = None
         if not einstein and (kind == RICCI_FLAT or draw(st.booleans())):
@@ -396,7 +434,7 @@ def orbifold_files(draw) -> OrbifoldFile:
         sign = draw(st.sampled_from([1, -1]))
         points.append(
             SingularPointRecord(
-                label=draw(LABELS),
+                label=label,
                 kind=kind,
                 group_order=draw(st.integers(1, 24)),
                 phi_values=tuple(draw(RATIONALS) for _ in range(d)),

@@ -8,6 +8,7 @@ pinned input, the bundled examples included.  A value that is not a report
 value (a float, a set, a non-str key) is a TypeError.
 """
 
+import enum
 import json
 
 import pytest
@@ -84,6 +85,28 @@ def test_non_ascii_label_is_escaped():
     assert rendered.isascii()
     assert '"point Q\\u00e9 scalar_flat' in rendered
     assert '"label": "P\\ud835\\udd3d"' in rendered
+
+
+def test_shared_string_lists():
+    """A list of strings the report holds in several places, at several
+    depths, is written at each place's indent."""
+    vertex = ["-5", "1/2", "\u00e9"]
+    face = [vertex, ["0", "1"], vertex]
+    value = {"vertices": [vertex], "faces": [face, face], "assignment": {"C1": vertex}}
+    assert render_json(value) == dumps(value)
+
+
+class Label(str):
+    pass
+
+
+class Index(enum.IntEnum):
+    ONE = 1
+
+
+def test_subclasses_of_report_types():
+    value = {Label("a"): [Label("x"), Index.ONE], "b": (Index.ONE,), "c": type("D", (dict,), {})()}
+    assert render_json(value) == dumps(value)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd, prod
@@ -16,18 +17,71 @@ from kcscglue.exact_linalg import RationalMatrix, rank
 from kcscglue.examples import example_by_name
 from kcscglue.formats import parse_fan
 from kcscglue.spectral import (
-    ALE,
     BASE_ORBIFOLD_M2,
     BASE_ORBIFOLD_M3,
     NONLINEAR,
     eigenvalue,
     first_invariant_index,
-    harmonic_dimension,
-    indicial_roots,
     invariant_harmonic_dimension,
-    is_admissible_weight,
+    weight_interval,
 )
 from kcscglue.toric_lattice import GroupPresentation, classify_fan
+
+# Closed forms of the linear theory that no report prints; the tests pin
+# them against the library's counts and intervals.
+
+ALE = "ale"
+
+
+def harmonic_dimension(j: int, m: int) -> int:
+    """Dimension of the degree-j harmonic eigenspace on S^{2m-1}."""
+    if j < 0 or m < 1:
+        raise ValueError("need j >= 0 and m >= 1")
+    n = 2 * m
+    second = comb(n + j - 3, j - 2) if j >= 2 else 0
+    return comb(n + j - 1, j) - second
+
+
+@dataclass(frozen=True)
+class IndicialRoots:
+    """All integers minus a contiguous excluded band."""
+
+    m: int
+    excluded: tuple[int, ...]
+
+    def contains(self, value: int) -> bool:
+        return value not in self.excluded
+
+
+def indicial_roots(m: int, operator_context: str = "base") -> IndicialRoots:
+    """Indicial roots of the Laplacian at a cone point / at infinity.
+
+    Both the orbifold-point and ALE-infinity contexts share the same set:
+    all integers except 5-2m..-1 (empty band for m = 2).
+    """
+    if m < 2:
+        raise ValueError("m >= 2")
+    if operator_context not in ("base", "ale"):
+        raise ValueError(f"unknown operator context {operator_context!r}")
+    return IndicialRoots(m=m, excluded=tuple(range(5 - 2 * m, 0)))
+
+
+def is_admissible_weight(delta, m: int, context: str) -> bool:
+    """Whether the weight avoids the context's Fredholm obstructions."""
+    if m < 2:
+        raise ValueError("m >= 2")
+    d = delta if isinstance(delta, Fraction) else Fraction(delta)
+    if context in (BASE_ORBIFOLD_M3, BASE_ORBIFOLD_M2, NONLINEAR):
+        iv = weight_interval(context, m)
+        return iv.lower < d < iv.upper
+    if context == ALE:
+        # Excluded: l + m and 4 - m - l for l in N, i.e. integers >= m
+        # and integers <= 4 - m.
+        if d.denominator != 1:
+            return True
+        z = int(d)
+        return not (z >= m or z <= 4 - m)
+    raise ValueError(f"unknown weight context {context!r}")
 
 Z2_MINUS_ID = GroupPresentation(m=2, orders=(2,), weights=((1, 1),))
 Z3_12 = GroupPresentation(m=2, orders=(3,), weights=((1, 2),))

@@ -1,4 +1,7 @@
+import importlib
 import random
+import sys
+from dataclasses import replace
 from itertools import combinations
 from math import gcd
 from pathlib import Path
@@ -15,8 +18,13 @@ from conftest import (
 )
 from kcscglue import exact_linalg
 from kcscglue.examples import example_by_name
-from kcscglue.exact_linalg import integer_determinant, integer_solve, smith_normal_form
-from kcscglue.formats import parse_fan
+from kcscglue.exact_linalg import (
+    integer_determinant,
+    integer_inverse,
+    integer_solve,
+    smith_normal_form,
+)
+from kcscglue.formats import FanFile, parse_fan
 from kcscglue.polytope import (
     anticanonical_polytope,
     faces,
@@ -394,6 +402,9 @@ class TestSharedSolve:
 
     @pytest.mark.parametrize("name", ["x1", "x4"])
     def test_one_elimination_per_cone(self, name, monkeypatch):
+        """At most one: x1 and x4 are connected across their walls, so the
+        first cone is the fan's one elimination and every further cone is
+        an exchange pivot."""
         text = example_by_name(name).text
         fan = parse_fan(text).to_fan()
         k = parse_fan(text).k
@@ -412,7 +423,7 @@ class TestSharedSolve:
         assert polytope_barycenter(p) == (0, 0, 0)
         assert faces(p, 2)
         assert all(group is not None for _, group in classified)
-        assert calls == [fan.dim] * len(fan.max_cones)
+        assert calls == [fan.dim]
 
 
 def snf_presentation(cone: Cone) -> GroupPresentation:
@@ -561,3 +572,155 @@ class TestClosedForm:
         text = (FIXTURES / "z2xz2-product.fan").read_text()
         build_report("z2xz2-product.fan", text, parse_fan(text))
         assert len(calls) == 8
+
+
+BENCH = Path(__file__).parent.parent / "bench"
+
+
+def bench_module(name: str):
+    """A module of the benchmark, imported with bench/ on the path only
+    while it loads (its workloads import its oracle)."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+# Every pinned fan, the invalid ones included.
+PINNED_FANS = st.sampled_from(sorted(name for name in INPUTS if name.endswith(".fan"))).map(
+    lambda name: parse_fan(INPUTS[name])
+)
+
+
+@st.composite
+def product_fans(draw) -> FanFile:
+    """A seeded product fan of the toric-scan workload, m = 2..5."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    m = draw(st.integers(2, 5))
+    case = bench_module("workloads").product_case(rng, m, draw(st.integers(2, 7)))
+    return parse_fan(case.text)
+
+
+@st.composite
+def sheared_fans(draw) -> FanFile:
+    """x1, x4 or the sheared product fan under a unimodular shear."""
+    text = INPUTS[draw(st.sampled_from(["x1.fan", "x4.fan", "sheared-product-r3.fan"]))]
+    return parse_fan(sheared(text, draw(unimodular(3))))
+
+
+VALID_FANS = st.one_of(product_fans(), sheared_fans())
+
+
+def eliminated_inverse(cone: Cone):
+    """The cone's inverse from its own elimination, as before the walk."""
+    try:
+        rows, p = integer_inverse(cone.generators)
+    except ValueError:
+        return None
+    return tuple(zip(*rows)), p
+
+
+class TestWalk:
+    """A fan eliminates the first cone of each connected component of its
+    wall table and reaches every further cone by one exchange pivot; the
+    inverse it sets is the cone's own elimination up to the sign of p."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.one_of(VALID_FANS, PINNED_FANS))
+    def test_walked_inverse_is_the_elimination_up_to_sign(self, parsed):
+        fan = parsed.to_fan()
+        for i, idx in enumerate(fan.max_cones):
+            if not all(0 <= r < len(fan.rays) for r in idx):
+                continue
+            cone = fan.cone(i)
+            expected = eliminated_inverse(cone)
+            if expected is None:
+                assert cone.inverse is None
+                continue
+            columns, p = cone.inverse
+            sign = 1 if p == expected[1] else -1
+            assert p == sign * expected[1]
+            assert columns == tuple(tuple(sign * x for x in col) for col in expected[0])
+
+    def test_walls_sides(self):
+        # each wall of a complete fan lies in two cones, and each side's
+        # dropped ray completes the wall to that cone
+        for wall, sides in X4.walls.items():
+            assert len(sides) == 2
+            for c, j in sides:
+                idx = X4.max_cones[c]
+                assert tuple(sorted(idx[:j] + idx[j + 1 :])) == wall
+        assert len(X4.walls) == 3 * len(X4.max_cones) // 2
+
+    def test_one_elimination_per_component(self, monkeypatch):
+        from kcscglue import toric_lattice
+
+        calls = []
+
+        def counted(a, inverse=toric_lattice.integer_inverse):
+            calls.append(a)
+            return inverse(a)
+
+        monkeypatch.setattr(toric_lattice, "integer_inverse", counted)
+        # two copies of P^2 on disjoint rays: two components
+        fan = Fan(
+            dim=2,
+            rays=((1, 0), (0, 1), (-1, -1), (2, 1), (1, 1), (-3, -2)),
+            max_cones=((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)),
+        )
+        assert all(fan.cone(i).inverse for i in range(6))
+        assert calls == [fan.rays[:2], fan.rays[3:5]]
+
+    def test_cones_the_walk_cannot_reach_invert_themselves(self):
+        # a repeated ray, a non-simplicial cone and a singular cone beside
+        # P^2's cones: each keeps its own elimination's verdict
+        fan = Fan(
+            dim=2,
+            rays=((1, 0), (0, 1), (-1, -1), (2, 0)),
+            max_cones=((0, 1), (1, 2), (2, 0), (0, 0), (0, 1, 2), (0, 3)),
+        )
+        assert fan.cone(5).__dict__["inverse"] is None  # walked into: a_j = 0
+        assert "inverse" not in fan.cone(3).__dict__ and "inverse" not in fan.cone(4).__dict__
+        assert [fan.cone(i).inverse is None for i in range(6)] == [False] * 3 + [True] * 3
+
+    def test_integer_inverse_once_per_toric_scan_fan(self, monkeypatch):
+        """34 calls over a seed-1 toric-scan cycle: each of its fans is one
+        component, where each cone once took an elimination (1044)."""
+        from kcscglue import toric_lattice
+
+        calls = []
+
+        def counted(a, inverse=toric_lattice.integer_inverse):
+            calls.append(a)
+            return inverse(a)
+
+        monkeypatch.setattr(toric_lattice, "integer_inverse", counted)
+        cases = bench_module("workloads").build("toric-scan", 1)
+        cones = 0
+        for case in cases:
+            parsed = parse_fan(case.text)
+            body = build_report(case.name, case.text, parsed)["report"]
+            assert body["validation"]["valid"]
+            cones += len(parsed.max_cones)
+        assert len(calls) == len(cases) == 34
+        assert cones == 1044
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(VALID_FANS, st.randoms(use_true_random=False))
+    def test_cone_order_changes_no_chart(self, parsed, rng):
+        """The walk's root and its pivots follow the cone order; no row,
+        validation or polytope section does."""
+        order = list(range(len(parsed.max_cones)))
+        rng.shuffle(order)
+        permuted = replace(
+            parsed,
+            max_cones=tuple(parsed.max_cones[i] for i in order),
+            labels=tuple(parsed.labels[i] for i in order),
+        )
+        body = build_report("fan", "", parsed)["report"]
+        again = build_report("fan", "", permuted)["report"]
+        rows = {row["label"]: row for row in body["classification"]}
+        assert again["classification"] == [rows[row["label"]] for row in again["classification"]]
+        assert again["validation"] == body["validation"]
+        assert again["polytope"] == body["polytope"]
