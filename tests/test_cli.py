@@ -172,7 +172,9 @@ class TestClassify:
 
 
 SECTION_INPUTS = {ex.filename: ex.text for ex in embedded_examples()}
-SECTION_INPUTS.update((p.name, p.read_text()) for p in FIXTURES.iterdir())
+SECTION_INPUTS.update(
+    (p.name, p.read_text()) for p in FIXTURES.iterdir() if p.suffix in (".fan", ".orb")
+)
 
 
 @pytest.mark.parametrize("name", sorted(SECTION_INPUTS))
@@ -395,6 +397,30 @@ class TestSpectralAndDtn:
     def test_dtn_gamma_one_gate(self, capsys):
         assert main(["dtn", "--m", "3", "--gamma", "1", "--nontrivial-group"]) == 2
         assert "no invariant linear function" in capsys.readouterr().err
+
+    def test_dtn_matches_recorded_transcript(self, capsys):
+        """Every dtn invocation of tests/fixtures/dtn-modes.txt prints the
+        recorded stdout and stderr and exits with the recorded code."""
+        cases = [
+            ["--m", str(m), "--gamma", str(g), *flag]
+            for m in (2, 3, 4, 5)
+            for g in (0, 1, 2, 3, 7)
+            for flag in ([], ["--nontrivial-group"])
+        ]
+        cases += [
+            ["--m", "1", "--gamma", "0"],
+            ["--m", "2", "--gamma", "-1"],
+            ["--m", "2", "--gamma", "1", "--nontrivial-group"],
+        ]
+        transcript = []
+        for args in cases:
+            code = main(["dtn", *args])
+            captured = capsys.readouterr()
+            transcript.append(
+                f"$ dtn {' '.join(args)}\n[stdout]\n{captured.out}"
+                f"[stderr]\n{captured.err}[exit {code}]\n"
+            )
+        assert "".join(transcript) == (FIXTURES / "dtn-modes.txt").read_text()
 
 
 class TestReport:
