@@ -55,13 +55,6 @@ from .spectral import (
     first_invariant_index,
     invariant_harmonic_dimension,
 )
-from .biharmonic import (
-    ModeMatrix,
-    RadialTerm,
-    dtn_inverse,
-    dtn_mode_matrix,
-    inner_extension,
-    outer_extension,
-)
+from .biharmonic import ModeMatrix, dtn_inverse, dtn_mode_matrix
 from .formats import FanFile, OrbifoldFile, ParseError, parse_fan, parse_orbifold
 from .examples import EmbeddedExample, embedded_examples

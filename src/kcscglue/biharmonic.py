@@ -1,45 +1,32 @@
-"""Mode-wise biharmonic extensions on the ball and its exterior, and the
-Dirichlet-to-Neumann matching map.
+"""The Dirichlet-to-Neumann matching map, one spherical mode at a time.
 
-A mode is a spherical eigenfunction index gamma; radial profiles are finite
-sums of c * r^a (plus c * r^a * log r in the one slot where m = 2 forces a
-logarithm).  All coefficients stay exact rationals, the bilaplacian acts by
-the radial eigenvalue rule, and the 2x2 mode matrix of the matching map is
-inverted exactly.
+Boundary data (H, Lap H) = (h, k) * Phi_gamma on the unit sphere of
+C^m = R^(2m), with Phi_gamma a spherical harmonic of degree gamma, extend
+biharmonically to the ball and to its exterior:
+
+  inside   H = (h - c) r^gamma + c r^(gamma + 2),            c = k / (4(m + gamma))
+  outside  H = (h + c') r^(2-2m-gamma) - c' r^(4-2m-gamma),  c' = k / (4(m + gamma - 2))
+
+The outer extension decays at infinity; in the one slot m = 2, gamma = 0
+where c' has no denominator it is h r^-2 + (k/2) log r instead.  Lap H is
+harmonic with value k on the sphere, so it is k r^gamma inside and
+k r^(2-2m-gamma) outside (k r^-2 in the log slot too).
+
+The matching map sends (h, k) to the jumps, outer minus inner, of d/dr H
+and d/dr Lap H at r = 1.  Differentiating the profiles above gives the mode
+matrix [[a, b], [0, a]] with
+
+  a = 2 - 2m - 2 gamma,   b = -1/(2(m + gamma - 2)) - 1/(2(m + gamma)),
+
+and b = 1/2 - 1/4 = 1/4 in the log slot.  Its determinant a^2 >= 4 never
+vanishes, and its inverse is [[1/a, -b/a^2], [0, 1/a]].  All entries are
+exact rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-from .exact_linalg import frac
-from .spectral import eigenvalue
-
-
-@dataclass(frozen=True)
-class RadialTerm:
-    """coefficient * r^exponent (* log r) at spherical mode gamma."""
-
-    coefficient: Fraction
-    exponent: int
-    mode: int
-    log_flag: bool = False
-
-
-def _normalize(terms: Sequence[RadialTerm]) -> tuple[RadialTerm, ...]:
-    """Merge equal (exponent, mode, log) keys and drop zero coefficients."""
-    acc: dict[tuple[int, int, bool], Fraction] = {}
-    for t in terms:
-        key = (t.exponent, t.mode, t.log_flag)
-        acc[key] = acc.get(key, Fraction(0)) + t.coefficient
-    out = [
-        RadialTerm(c, e, g, log)
-        for (e, g, log), c in sorted(acc.items())
-        if c != 0
-    ]
-    return tuple(out)
 
 
 def _check_mode(m: int, gamma: int, no_invariant_linear: bool) -> None:
@@ -52,83 +39,6 @@ def _check_mode(m: int, gamma: int, no_invariant_linear: bool) -> None:
             "gamma = 1 carries no invariant function: the group has no "
             "invariant linear function (--nontrivial-group)"
         )
-
-
-def outer_extension(
-    m: int,
-    gamma: int,
-    h,
-    k,
-    no_invariant_linear: bool = False,
-) -> tuple[RadialTerm, ...]:
-    """Biharmonic extension to the exterior with H = h, (Lap H) = k on the
-    unit sphere, decaying at infinity (log slot at m = 2, gamma = 0)."""
-    _check_mode(m, gamma, no_invariant_linear)
-    h = frac(h)
-    k = frac(k)
-    if m == 2 and gamma == 0:
-        return _normalize(
-            [
-                RadialTerm(h, -2, 0),
-                RadialTerm(k / 2, 0, 0, log_flag=True),
-            ]
-        )
-    c = k / (4 * (m + gamma - 2))
-    return _normalize(
-        [
-            RadialTerm(h + c, 2 - 2 * m - gamma, gamma),
-            RadialTerm(-c, 4 - 2 * m - gamma, gamma),
-        ]
-    )
-
-
-def inner_extension(
-    m: int,
-    gamma: int,
-    h,
-    k,
-    no_invariant_linear: bool = False,
-) -> tuple[RadialTerm, ...]:
-    """Biharmonic extension to the unit ball with the same boundary data."""
-    _check_mode(m, gamma, no_invariant_linear)
-    h = frac(h)
-    k = frac(k)
-    c = k / (4 * (m + gamma))
-    return _normalize(
-        [
-            RadialTerm(h - c, gamma, gamma),
-            RadialTerm(c, gamma + 2, gamma),
-        ]
-    )
-
-
-def radial_laplacian(terms: Sequence[RadialTerm], m: int) -> tuple[RadialTerm, ...]:
-    """One application of the Laplacian in the radial-mode calculus.
-
-    Lap(r^a Phi_g) = (a(a + 2m - 2) + Lambda_g) r^{a-2} Phi_g; the log
-    variant adds the cross term and is only supported in the m = 2,
-    gamma = 0 slot the construction actually uses.
-    """
-    out: list[RadialTerm] = []
-    for t in terms:
-        a = t.exponent
-        radial = a * (a + 2 * m - 2) + eigenvalue(t.mode, m)
-        if t.log_flag:
-            if m != 2 or t.mode != 0:
-                raise ValueError("log terms are only handled at m = 2, gamma = 0")
-            out.append(RadialTerm(t.coefficient * radial, a - 2, t.mode, log_flag=True))
-            out.append(RadialTerm(t.coefficient * (2 * a + 2 * m - 2), a - 2, t.mode))
-        else:
-            out.append(RadialTerm(t.coefficient * radial, a - 2, t.mode))
-    return _normalize(out)
-
-
-def radial_derivative_at_one(terms: Sequence[RadialTerm]) -> Fraction:
-    """d/dr at r = 1: r^a -> a, r^a log r -> 1 (per unit coefficient)."""
-    total = Fraction(0)
-    for t in terms:
-        total += t.coefficient * (1 if t.log_flag else t.exponent)
-    return total
 
 
 @dataclass(frozen=True)
@@ -144,70 +54,20 @@ class ModeMatrix:
         e = self.entries
         return e[0][0] * e[1][1] - e[0][1] * e[1][0]
 
-    def apply(self, h, k) -> tuple[Fraction, Fraction]:
-        hv, kv = frac(h), frac(k)
-        e = self.entries
-        return (e[0][0] * hv + e[0][1] * kv, e[1][0] * hv + e[1][1] * kv)
-
-    def compose(self, other: "ModeMatrix") -> "ModeMatrix":
-        a, b = self.entries, other.entries
-        return ModeMatrix(
-            self.m,
-            self.gamma,
-            (
-                (
-                    a[0][0] * b[0][0] + a[0][1] * b[1][0],
-                    a[0][0] * b[0][1] + a[0][1] * b[1][1],
-                ),
-                (
-                    a[1][0] * b[0][0] + a[1][1] * b[1][0],
-                    a[1][0] * b[0][1] + a[1][1] * b[1][1],
-                ),
-            ),
-        )
-
-
-def _dtn_image(
-    m: int, gamma: int, h, k, no_invariant_linear: bool
-) -> tuple[Fraction, Fraction]:
-    outer = outer_extension(m, gamma, h, k, no_invariant_linear)
-    inner = inner_extension(m, gamma, h, k, no_invariant_linear)
-    first = radial_derivative_at_one(outer) - radial_derivative_at_one(inner)
-    second = radial_derivative_at_one(
-        radial_laplacian(outer, m)
-    ) - radial_derivative_at_one(radial_laplacian(inner, m))
-    return first, second
-
 
 def dtn_mode_matrix(m: int, gamma: int, no_invariant_linear: bool = False) -> ModeMatrix:
     """Mode component of the matching map (h, k) -> jump of the normal
-    derivatives of the outer minus inner extension at the unit sphere.
-
-    Assembled by exact differentiation of the mode terms; a zero determinant
-    would contradict invertibility of the matching map and raises.
-    """
-    col_h = _dtn_image(m, gamma, 1, 0, no_invariant_linear)
-    col_k = _dtn_image(m, gamma, 0, 1, no_invariant_linear)
-    matrix = ModeMatrix(
-        m, gamma, ((col_h[0], col_k[0]), (col_h[1], col_k[1]))
-    )
-    if matrix.determinant == 0:
-        raise ArithmeticError(
-            f"singular mode matrix at m={m}, gamma={gamma}: convention bug"
-        )
-    return matrix
+    derivatives of H and Lap H, outer minus inner, at the unit sphere."""
+    _check_mode(m, gamma, no_invariant_linear)
+    a = Fraction(2 - 2 * m - 2 * gamma)
+    if m == 2 and gamma == 0:  # the log slot
+        b = Fraction(1, 4)
+    else:
+        b = -Fraction(1, 2 * (m + gamma - 2)) - Fraction(1, 2 * (m + gamma))
+    return ModeMatrix(m, gamma, ((a, b), (Fraction(0), a)))
 
 
 def dtn_inverse(m: int, gamma: int, no_invariant_linear: bool = False) -> ModeMatrix:
-    """Exact 2x2 inverse of the mode matrix."""
-    p = dtn_mode_matrix(m, gamma, no_invariant_linear)
-    det = p.determinant
-    e = p.entries
-    return ModeMatrix(
-        m,
-        gamma,
-        (
-            (e[1][1] / det, -e[0][1] / det),
-            (-e[1][0] / det, e[0][0] / det),
-        ),
-    )
+    """Exact 2x2 inverse of the mode matrix: [[1/a, -b/a^2], [0, 1/a]]."""
+    (a, b), _ = dtn_mode_matrix(m, gamma, no_invariant_linear).entries
+    return ModeMatrix(m, gamma, ((1 / a, -b / (a * a)), (Fraction(0), 1 / a)))

@@ -174,8 +174,9 @@ VERDICTS = ("feasible", "infeasible", "error")
 def _batch_report(args) -> int:
     """One report per input file plus a summary table, deterministic order.
 
-    A file that does not parse gets an error row and no report; the run's
-    exit code is the largest of its files'.
+    A file that does not parse, or whose stem an earlier file has taken,
+    gets an error row and no report; the run's exit code is the largest of
+    its files'.
     """
     directory = Path(args.batch)
     if not directory.is_dir():
@@ -189,8 +190,12 @@ def _batch_report(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = []
     worst = EXIT_OK
+    stems: dict[str, str] = {}
     for path in files:
+        first = stems.setdefault(path.stem, path.name)
         try:
+            if first != path.name:
+                raise ParseError([f"{path.stem}.report.json is taken by {first}"])
             text, parsed = _load(str(path))
         except ParseError as exc:
             code, detail = EXIT_INPUT_ERROR, "; ".join(exc.errors)

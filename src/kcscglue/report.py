@@ -424,8 +424,8 @@ def _write_json(value: Any, indent: str, out: list[str], memo: dict) -> None:
         sep = "," + inner
         key = id(value), indent
         text = memo.get(key)
-        if text is None:
-            try:  # most report lists hold only strings
+        if text is None and type(value[0]) is str:
+            try:  # most report lists hold only strings; a mixed one falls through
                 text = memo[key] = f"[{inner}{sep.join(map(_json_str, value))}{indent}]"
             except TypeError:
                 pass

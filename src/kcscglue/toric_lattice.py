@@ -133,6 +133,7 @@ class Fan:
             if len(set(idx)) == len(idx) == self.dim
             and all(0 <= i < n and len(self.rays[i]) == self.dim for i in idx)
         }
+        sides = {side: others for others in self.walls.values() for side in others}
         for root, cone in cones.items():
             if "inverse" in cone.__dict__ or cone.inverse is None:
                 continue
@@ -142,7 +143,7 @@ class Fan:
                 columns, p = cones[c].inverse
                 idx = self.max_cones[c]
                 for j in range(self.dim):
-                    for c2, j2 in self.walls[_wall(idx, j)]:
+                    for c2, j2 in sides[c, j]:
                         target = cones.get(c2)
                         if target is None or "inverse" in target.__dict__:
                             continue

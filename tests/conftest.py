@@ -15,7 +15,9 @@ report and the faithfulness of every quotient action the test built, by
 nullspace_basis and by a Smith normal form, monomial counts for the
 quotient weights of a cone, an explicit symbolic Laplacian on
 integer-coefficient polynomials, a recursive surface-area formula for
-sphere volumes, face smoothness by maximal minors for isolated cones, and,
+sphere volumes, the biharmonic extensions of one spherical mode as sums of
+c·r^a (·log r) terms, differentiated at r = 1 into the Dirichlet-to-Neumann
+mode matrix, face smoothness by maximal minors for isolated cones, and,
 for a finite abelian group, enumeration of its elements, character
 averaging in cyclotomic integers and a monomial-basis count.  Small
 RationalMatrix helpers (identity, scaling, M·x, zero test) that the
@@ -38,7 +40,7 @@ import pytest
 
 from kcscglue import toric_lattice
 from kcscglue.balancing import BalancingReport, PiRational, ScaledMatrix
-from kcscglue.biharmonic import RadialTerm, radial_laplacian
+from kcscglue.biharmonic import ModeMatrix
 from kcscglue.exact_linalg import (
     RationalMatrix,
     Scalar,
@@ -49,6 +51,7 @@ from kcscglue.exact_linalg import (
     smith_normal_form,
 )
 from kcscglue.polytope import LatticePolytope, faces, polytope_barycenter
+from kcscglue.spectral import eigenvalue
 from kcscglue.toric_lattice import Fan, GroupPresentation
 
 
@@ -726,6 +729,124 @@ def sphere_volume_oracle(m: int) -> PiRational:
 # ---------------------------------------------------------------------------
 # Closed forms of the gluing construction that no report prints
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RadialTerm:
+    """coefficient * r^exponent (* log r) at spherical mode gamma."""
+
+    coefficient: Fraction
+    exponent: int
+    mode: int
+    log_flag: bool = False
+
+
+def _normalize(terms: Sequence[RadialTerm]) -> tuple[RadialTerm, ...]:
+    """Merge equal (exponent, mode, log) keys and drop zero coefficients."""
+    acc: dict[tuple[int, int, bool], Fraction] = {}
+    for t in terms:
+        key = (t.exponent, t.mode, t.log_flag)
+        acc[key] = acc.get(key, Fraction(0)) + t.coefficient
+    return tuple(
+        RadialTerm(c, e, g, log) for (e, g, log), c in sorted(acc.items()) if c != 0
+    )
+
+
+def _check_mode_oracle(m: int, gamma: int, no_invariant_linear: bool) -> None:
+    if m < 2 or gamma < 0 or (gamma == 1 and no_invariant_linear):
+        raise ValueError(f"no invariant mode gamma = {gamma} at m = {m}")
+
+
+def outer_extension(
+    m: int, gamma: int, h, k, no_invariant_linear: bool = False
+) -> tuple[RadialTerm, ...]:
+    """Biharmonic extension to the exterior with H = h, (Lap H) = k on the
+    unit sphere, decaying at infinity (log slot at m = 2, gamma = 0)."""
+    _check_mode_oracle(m, gamma, no_invariant_linear)
+    h = frac(h)
+    k = frac(k)
+    if m == 2 and gamma == 0:
+        return _normalize([RadialTerm(h, -2, 0), RadialTerm(k / 2, 0, 0, log_flag=True)])
+    c = k / (4 * (m + gamma - 2))
+    return _normalize(
+        [
+            RadialTerm(h + c, 2 - 2 * m - gamma, gamma),
+            RadialTerm(-c, 4 - 2 * m - gamma, gamma),
+        ]
+    )
+
+
+def inner_extension(
+    m: int, gamma: int, h, k, no_invariant_linear: bool = False
+) -> tuple[RadialTerm, ...]:
+    """Biharmonic extension to the unit ball with the same boundary data."""
+    _check_mode_oracle(m, gamma, no_invariant_linear)
+    h = frac(h)
+    k = frac(k)
+    c = k / (4 * (m + gamma))
+    return _normalize([RadialTerm(h - c, gamma, gamma), RadialTerm(c, gamma + 2, gamma)])
+
+
+def radial_laplacian(terms: Sequence[RadialTerm], m: int) -> tuple[RadialTerm, ...]:
+    """One application of the Laplacian in the radial-mode calculus.
+
+    Lap(r^a Phi_g) = (a(a + 2m - 2) + Lambda_g) r^{a-2} Phi_g; the log
+    variant adds the cross term and is only supported in the m = 2,
+    gamma = 0 slot the construction actually uses.
+    """
+    out: list[RadialTerm] = []
+    for t in terms:
+        a = t.exponent
+        radial = a * (a + 2 * m - 2) + eigenvalue(t.mode, m)
+        if t.log_flag:
+            if m != 2 or t.mode != 0:
+                raise ValueError("log terms are only handled at m = 2, gamma = 0")
+            out.append(RadialTerm(t.coefficient * radial, a - 2, t.mode, log_flag=True))
+            out.append(RadialTerm(t.coefficient * (2 * a + 2 * m - 2), a - 2, t.mode))
+        else:
+            out.append(RadialTerm(t.coefficient * radial, a - 2, t.mode))
+    return _normalize(out)
+
+
+def radial_derivative_at_one(terms: Sequence[RadialTerm]) -> Fraction:
+    """d/dr at r = 1: r^a -> a, r^a log r -> 1 (per unit coefficient)."""
+    return sum(
+        (t.coefficient * (1 if t.log_flag else t.exponent) for t in terms), Fraction(0)
+    )
+
+
+def dtn_image_by_calculus(
+    m: int, gamma: int, h, k, no_invariant_linear: bool = False
+) -> tuple[Fraction, Fraction]:
+    """Jumps, outer minus inner, of d/dr H and d/dr Lap H at r = 1."""
+    outer = outer_extension(m, gamma, h, k, no_invariant_linear)
+    inner = inner_extension(m, gamma, h, k, no_invariant_linear)
+    first = radial_derivative_at_one(outer) - radial_derivative_at_one(inner)
+    second = radial_derivative_at_one(radial_laplacian(outer, m)) - radial_derivative_at_one(
+        radial_laplacian(inner, m)
+    )
+    return first, second
+
+
+def dtn_entries_by_calculus(m: int, gamma: int, no_invariant_linear: bool = False):
+    """The mode matrix, column by column, from the images of (1, 0) and (0, 1)."""
+    col_h = dtn_image_by_calculus(m, gamma, 1, 0, no_invariant_linear)
+    col_k = dtn_image_by_calculus(m, gamma, 0, 1, no_invariant_linear)
+    return ((col_h[0], col_k[0]), (col_h[1], col_k[1]))
+
+
+def apply_mode_matrix(mat: ModeMatrix, h, k) -> tuple[Fraction, Fraction]:
+    e = mat.entries
+    hv, kv = frac(h), frac(k)
+    return (e[0][0] * hv + e[0][1] * kv, e[1][0] * hv + e[1][1] * kv)
+
+
+def compose_mode_matrices(p: ModeMatrix, q: ModeMatrix):
+    """Entries of the product p·q."""
+    a, b = p.entries, q.entries
+    return tuple(
+        tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)) for i in range(2)
+    )
 
 
 def radial_bilaplacian(terms: Sequence[RadialTerm], m: int) -> tuple[RadialTerm, ...]:

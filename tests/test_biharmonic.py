@@ -3,16 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import evaluate, radial_bilaplacian
-from kcscglue.biharmonic import (
-    ModeMatrix,
+from conftest import (
     RadialTerm,
-    dtn_inverse,
-    dtn_mode_matrix,
+    apply_mode_matrix,
+    compose_mode_matrices,
+    dtn_entries_by_calculus,
+    evaluate,
     inner_extension,
     outer_extension,
+    radial_bilaplacian,
     radial_laplacian,
 )
+from kcscglue.biharmonic import dtn_inverse, dtn_mode_matrix
 
 MODES = [0, 2, 3, 4, 5, 6]
 DIMS = [2, 3, 4]
@@ -120,11 +122,11 @@ def test_boundary_conditions_and_biharmonicity(m, gamma):
 class TestModeMatrix:
     def test_m3_mode_zero_h_column(self):
         mat = dtn_mode_matrix(3, 0)
-        h_col = mat.apply(1, 0)
+        h_col = apply_mode_matrix(mat, 1, 0)
         assert h_col == (-4, 0)
 
     def test_zero_data(self):
-        assert dtn_mode_matrix(4, 2).apply(0, 0) == (0, 0)
+        assert apply_mode_matrix(dtn_mode_matrix(4, 2), 0, 0) == (0, 0)
 
     def test_log_mode_first_slot(self):
         # d/dr of (k/2) log r contributes k/2 at r = 1; the inner extension
@@ -158,8 +160,8 @@ class TestInverse:
                 continue
             p = dtn_mode_matrix(m, gamma, no_invariant_linear=True)
             q = dtn_inverse(m, gamma, no_invariant_linear=True)
-            assert p.compose(q).entries == ((1, 0), (0, 1))
-            assert q.compose(p).entries == ((1, 0), (0, 1))
+            assert compose_mode_matrices(p, q) == ((1, 0), (0, 1))
+            assert compose_mode_matrices(q, p) == ((1, 0), (0, 1))
 
     def test_m3_mode_zero(self):
         q = dtn_inverse(3, 0)
@@ -183,5 +185,27 @@ def test_matching_recovers_boundary_data():
             p = dtn_mode_matrix(m, gamma)
             q = dtn_inverse(m, gamma)
             for h, k in _rational_samples(5, seed=m * 10 + gamma):
-                jump = p.apply(h, k)
-                assert q.apply(*jump) == (h, k)
+                jump = apply_mode_matrix(p, h, k)
+                assert apply_mode_matrix(q, *jump) == (h, k)
+
+
+@pytest.mark.parametrize("no_invariant_linear", [False, True])
+def test_closed_form_matches_radial_calculus(no_invariant_linear):
+    """The closed-form mode matrix and its inverse are what differentiating
+    the biharmonic extensions at r = 1 gives, on every mode of m = 2..12,
+    gamma = 0..40; a mode the calculus rejects, the closed form rejects."""
+    for m in range(2, 13):
+        for gamma in range(41):
+            try:
+                want = dtn_entries_by_calculus(m, gamma, no_invariant_linear)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    dtn_mode_matrix(m, gamma, no_invariant_linear)
+                with pytest.raises(ValueError):
+                    dtn_inverse(m, gamma, no_invariant_linear)
+                continue
+            mat = dtn_mode_matrix(m, gamma, no_invariant_linear)
+            inv = dtn_inverse(m, gamma, no_invariant_linear)
+            assert mat.entries == want
+            assert compose_mode_matrices(mat, inv) == ((1, 0), (0, 1))
+            assert inv.determinant * mat.determinant == 1

@@ -515,6 +515,32 @@ class TestReport:
         assert [r.split()[:2] for r in rows] == [["a.fan", "error"], ["b.orb", "feasible"]]
         assert "cannot read" in rows[0]
 
+    def test_batch_stem_taken_by_an_earlier_file(self, tmp_path, capsys):
+        # x1.fan and x1.orb would both write x1.report.json: the second in
+        # sorted order gets an error row naming the first, and no report
+        d = tmp_path / "shared-stem"
+        d.mkdir()
+        (d / "a.orb").write_text(example_by_name("p2-z3").text)
+        (d / "x1.fan").write_text(example_by_name("x1").text)
+        (d / "x1.orb").write_text(example_by_name("p2-z3").text)
+        (d / "z.orb").write_text(example_by_name("p2-z3").text)
+        assert main(["report", "--batch", str(d), "--out", str(tmp_path / "out")]) == 2
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [r.split()[:2] for r in rows] == [
+            ["a.orb", "feasible"],
+            ["x1.fan", "feasible"],
+            ["x1.orb", "error"],
+            ["z.orb", "feasible"],
+        ]
+        assert "x1.report.json is taken by x1.fan" in rows[2]
+        report = json.loads((tmp_path / "out" / "x1.report.json").read_text())
+        assert report["input"]["name"] == "x1.fan"
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "a.report.json",
+            "x1.report.json",
+            "z.report.json",
+        ]
+
 
 class TestExamples:
     def test_listing(self, capsys):

@@ -706,6 +706,25 @@ class TestWalk:
         assert len(calls) == len(cases) == 34
         assert cones == 1044
 
+    def test_wall_keys_once_per_cone_and_position(self, monkeypatch):
+        """The walk reads each cone's walls off the table Fan.walls built, so
+        a seed-1 toric-scan cycle computes each (cone, j) key once: 5,180."""
+        from kcscglue import toric_lattice
+
+        calls = []
+
+        def counted(idx, j, wall=toric_lattice._wall):
+            calls.append((idx, j))
+            return wall(idx, j)
+
+        monkeypatch.setattr(toric_lattice, "_wall", counted)
+        positions = 0
+        for case in bench_module("workloads").build("toric-scan", 1):
+            parsed = parse_fan(case.text)
+            assert build_report(case.name, case.text, parsed)["report"]["validation"]["valid"]
+            positions += parsed.dim * len(parsed.max_cones)
+        assert len(calls) == positions == 5180
+
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(VALID_FANS, st.randoms(use_true_random=False))
     def test_cone_order_changes_no_chart(self, parsed, rng):
