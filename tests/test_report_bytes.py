@@ -6,7 +6,9 @@ byte of any report fails.  The inputs cover the bundled examples, two fans
 whose polytopes have fractional vertices (a sheared 3-d product fan with
 charts of order 3, and a 2-d cyclic fan with a nonzero barycenter), a fan
 whose charts are not cyclic (Z/2 + Z/2, the Smith normal form path), x4
-under a unimodular shear (the same charts, so the same classification), each
+under a unimodular shear (the same charts, so the same classification),
+two fans whose -K is nef but not ample (F_2 and F_2 x P^1, whose cones
+share vertices), each
 balancing outcome of both regimes (the three that fail, one per kind of
 certificate, are read from ``tests/fixtures``), the gluing constants at
 m = 4 (Ricci-flat model constants B_j and C_j, scalar-flat leading
@@ -46,7 +48,8 @@ INPUTS = {ex.filename: ex.text for ex in embedded_examples()}
 # The three orbifold files whose verdict is not feasible, one per way to
 # fail, a fan whose cone labels repeat, a fan whose charts are Z/2 + Z/2,
 # x4.fan in another lattice basis, and two m = 4 files whose gluing
-# constants take the m >= 3 branches (model constants, scalar-flat leading).
+# constants take the m >= 3 branches (model constants, scalar-flat leading),
+# and two fans whose -K is nef but not ample.
 INPUTS.update(
     (name, (FIXTURES / name).read_text())
     for name in (
@@ -58,6 +61,8 @@ INPUTS.update(
         "x4-sheared.fan",
         "m4-ricci-flat-constants.orb",
         "m4-scalar-flat-leading.orb",
+        "f2-nef.fan",
+        "f2xp1-nef.fan",
     )
 )
 INPUTS.update(
@@ -163,6 +168,8 @@ DIGESTS = {
     "m4-ricci-flat-constants.orb": "3f78e16343a89d1ecc2e56162bceec4dc9f5a27af187433e99bc08436d39c851",
     "m4-scalar-flat-leading.orb": "9f57230143221461d195490b8091d165d5cfc4d26585850569b907b0243d43fe",
     "incomplete-p2.fan": "8a29b514dbbb45d64539be417da0e6962da14530f3733ffcbadacb857d114536",
+    "f2-nef.fan": "f8023d70d3ed491cda9310535423daf744bf74c4de75b1bedf4abf9ad6ab3930",
+    "f2xp1-nef.fan": "d951fb4fdde17d72fcdf687a792fa353f842ce288c4eb957b284068aa274005b",
     "f3-not-nef.fan": "cdf154f5620213c7ed4bcf88f7cd9a1e41b2e3d4bb8cab840f50929c6891092f",
     "explicit-laplacian.orb": "917d8e38ceb6e53907ba75bcd401871db1d76b84825dca3cb164bdb18b8cb812",
     "non-ascii-label.orb": "c7b42218741c367467509b605d92059b087085e2e1c83aa6f9329f790f29baf0",
