@@ -31,9 +31,9 @@ from fractions import Fraction
 
 def _check_mode(m: int, gamma: int, no_invariant_linear: bool) -> None:
     if m < 2:
-        raise ValueError("m >= 2")
+        raise ValueError(f"m must be >= 2, got {m}")
     if gamma < 0:
-        raise ValueError("gamma >= 0")
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
     if gamma == 1 and no_invariant_linear:
         raise ValueError(
             "gamma = 1 carries no invariant function: the group has no "

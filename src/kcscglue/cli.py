@@ -176,7 +176,8 @@ def _batch_report(args) -> int:
 
     A file that does not parse, or whose stem an earlier file has taken,
     gets an error row and no report; the run's exit code is the largest of
-    its files'.
+    its files'.  The detail column holds a report's input errors, else the
+    first 12 hex digits of its input's sha256, and an error row's error.
     """
     directory = Path(args.batch)
     if not directory.is_dir():
@@ -207,7 +208,7 @@ def _batch_report(args) -> int:
             detail = detail or report["input"]["sha256"][:12]
         summary.append([path.name, VERDICTS[code], detail])
         worst = max(worst, code)
-    print(render_table(summary, ["input", "verdict", "sha256"]))
+    print(render_table(summary, ["input", "verdict", "detail"]))
     return worst
 
 

@@ -5,21 +5,22 @@ validate_fan) is the region <u, v_rho> >= -k over all rays.  Vertices come
 one per maximal cone (the moment image of the chart's torus-fixed point),
 each -k times the cone's cached height-one solve; they are deduplicated as
 integer vectors over one denominator, and the polytope keeps the index of
-each cone's vertex as the moment correspondence.  The barycenter (by the
-Brion-Lawrence formula) and, when the cone vertices are pairwise distinct,
-the faces are read off the cones' cached integer inverses p·V^{-1}.
-Otherwise faces come from a face lattice, by facet incidence on the
-scaled-integer vertices (D, D * vertices), D the lcm of the vertex
-denominators.  Only the output is Fractions.
+each cone's vertex as the moment correspondence.  -K is nef iff its support
+function is convex across every wall of the fan's wall table, so each wall
+is one pairing: one side's vertex against the other side's extra ray
+(Cox-Little-Schenck 2011, 6.1).  The barycenter (by the Brion-Lawrence
+formula) and the faces are read off the cones: the faces by one rule on the
+vertex sets of the cones through each cone tau, which is exact whether or
+not the cone vertices are distinct.  Only the output is Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from math import lcm, prod
+from operator import mul
 from typing import Optional, Sequence
 
 from .exact_linalg import frac
@@ -56,105 +57,52 @@ class LatticePolytope:
             (label, self.vertices[i]) for label, i in zip(self.fan.labels, self.cone_vertex_index)
         )
 
-    @cached_property
-    def integer_vertices(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(D, D * vertices) with D the lcm of every vertex denominator."""
-        d = lcm(1, *(x.denominator for v in self.vertices for x in v))
-        return d, tuple(
-            tuple(x.numerator * (d // x.denominator) for x in v) for v in self.vertices
-        )
 
-    @cached_property
-    def face_lattice(self) -> dict[frozenset[int], int]:
-        """All faces as vertex-index sets (via facet-intersection closure),
-        mapped to their affine dimension.  Includes the polytope itself.
-        Facet i holds the vertices with <normal_i, D v> = D offset_i.
-
-        A facet set H not containing a face F misses a vertex of F, which
-        lies off H's hyperplane, so dim(F & H) < dim F.  When the vertex
-        list is every vertex of the polytope, each face is the intersection
-        of the facets containing it and each facet of F is some F & H
-        (Ziegler, Lectures on Polytopes, 2.2), so dim F = 1 + max dim(F & H)
-        with dim(empty) = -1.
-        """
-        d, scaled = self.integer_vertices
-        if not scaled:
-            return {frozenset(): -1}
-        facets = {
-            sum(
-                1 << i
-                for i, v in enumerate(scaled)
-                if sum(a * b for a, b in zip(n, v)) * o.denominator == o.numerator * d
-            )
-            for n, o in zip(self.facet_normals, self.facet_offsets)
-        }
-        facets.discard(0)
-        found = {(1 << len(scaled)) - 1} | facets
-        frontier = facets
-        while frontier:
-            frontier = {f & g for f in frontier for g in facets if f & g} - found
-            found |= frontier
-        dims = {0: -1}
-        for f in sorted(found, key=int.bit_count):
-            dims[f] = 1 + max([dims[f & h] for h in facets if f & h != f], default=-1)
-        del dims[0]
-        return {frozenset(_bits(f)): dim for f, dim in dims.items()}
-
-
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _cone_vertex(fan: Fan, k: int, cone: Cone) -> tuple[list[int], int]:
-    """The cone's vertex u = num / p, <u, v_i> = -k over its generators, as
-    (num, p): -k times the cone's height-one solve.  A vertex that violates
-    a facet inequality raises ValueError."""
+def vertex_for_cone(fan: Fan, k: int, cone: Cone) -> QVector:
+    """The unique u with <u, v_i> = -k over the cone's generators: -k times
+    the cone's height-one solve.  This is the moment image of the
+    torus-fixed point of the cone's chart; whether it satisfies every facet
+    inequality of the fan's polytope is anticanonical_polytope's test."""
     if cone.height_one is None:
         raise ValueError("degenerate cone: singular vertex system")
     unit, p = cone.height_one
-    num = [-k * x for x in unit]
-    for ray in fan.rays:
-        # <ray, u> + k = (<ray, num> + k p) / p, negative iff a violation
-        if (sum(r * x for r, x in zip(ray, num)) + k * p) * p < 0:
-            point = ", ".join(str(Fraction(x, p)) for x in num)
-            raise ValueError(f"cone vertex ({point}) violates facet of ray {ray}")
-    return num, p
-
-
-def vertex_for_cone(fan: Fan, k: int, cone: Cone) -> QVector:
-    """The unique u with <u, v_i> = -k over the cone's generators.
-
-    This is the moment image of the torus-fixed point of the cone's chart;
-    it must satisfy every facet inequality of the k-anticanonical polytope.
-    """
-    num, p = _cone_vertex(fan, k, cone)
-    return tuple(Fraction(x, p) for x in num)
+    return tuple(Fraction(-k * x, p) for x in unit)
 
 
 def moment_assignment(fan: Fan, k: int) -> list[tuple[str, QVector]]:
     """Cone label -> polytope vertex correspondence, in fan order."""
-    return [(label, vertex_for_cone(fan, k, cone)) for label, cone in fan.cones()]
+    return list(anticanonical_polytope(fan, k).cone_vertices)
 
 
 def anticanonical_polytope(fan: Fan, k: int) -> LatticePolytope:
     """Vertices of {<u, v_rho> >= -k} via the one-vertex-per-cone shortcut,
-    for a fan that passes validate_fan (ValueError otherwise); a cone vertex
-    that violates a facet (-K not nef) raises ValueError.  The cone vertices
-    are deduplicated and sorted as integer vectors over one common
-    denominator, which orders them as the rationals they stand for, and
-    each distinct one becomes Fractions once.  The moment correspondence is
-    kept as ``cone_vertex_index``, and the fan with it."""
+    for a fan that passes validate_fan (ValueError otherwise).
+
+    -K is nef iff across each wall, cone c's vertex num / p satisfies the
+    facet of the other cone's extra ray v', (<v', num> + k p) p >= 0; else
+    ValueError names that vertex and ray, at the first such wall of
+    Fan.walls.  One side per wall suffices: the two cones' vertices differ
+    by a multiple of the wall's normal, and v' and c's own extra ray lie on
+    opposite sides of the wall, so the sign is the same from either side.
+    The cone vertices are deduplicated and sorted as integer vectors over
+    one common denominator, which orders them as the rationals they stand
+    for, and each distinct one becomes Fractions once.  The moment
+    correspondence is kept as ``cone_vertex_index``, and the fan with it."""
     if k < 1:
         raise ValueError("anticanonical multiple k must be >= 1")
     if not fan.validation.valid:
         raise ValueError("invalid fan: " + "; ".join(fan.validation.violations))
-    solved = [_cone_vertex(fan, k, cone) for _, cone in fan.cones()]
+    solved = []
+    for _, cone in fan.cones():
+        unit, p = cone.height_one
+        solved.append(([-k * x for x in unit], p))
+    for (c, _), (c2, j2) in fan.walls.values():
+        num, p = solved[c]
+        ray = fan.rays[fan.max_cones[c2][j2]]
+        # <ray, u> + k = (<ray, num> + k p) / p, negative iff a violation
+        if (sum(map(mul, ray, num)) + k * p) * p < 0:
+            point = ", ".join(str(Fraction(x, p)) for x in num)
+            raise ValueError(f"cone vertex ({point}) violates facet of ray {ray}")
     d = lcm(*(abs(p) for _, p in solved))
     scaled = [tuple(x * (d // p) for x in num) for num, p in solved]
     distinct = sorted(set(scaled))
@@ -171,25 +119,48 @@ def anticanonical_polytope(fan: Fan, k: int) -> LatticePolytope:
 
 
 def faces(p: LatticePolytope, d: int, items: Optional[Sequence] = None) -> list[tuple]:
-    """Faces of dimension d as sorted vertex tuples, deterministically ordered;
-    with ``items`` (one per vertex) each vertex i is given as items[i].
+    """Faces of dimension d of a fan's polytope as sorted vertex tuples,
+    deterministically ordered; with ``items`` (one per vertex) each vertex
+    i is given as items[i].
 
-    When a fan's cone vertices are pairwise distinct, -K is ample and the
-    fan is the normal fan of p, so the d-faces are the vertex sets of the
-    cones through each (dim - d)-subset of a cone (Cox-Little-Schenck 2011,
-    2.3); otherwise they come from the face lattice.
+    For a cone tau of the fan, F_tau = {u : <u, v_i> = -k, i in tau} is a
+    face whose vertices are those of the cones through tau.  Its normal cone
+    N(F_tau) is a union of cones of the fan and contains tau, and dim F_tau
+    = m - dim N(F_tau).  The d-faces are the F_tau with |tau| = m - d and
+    dim N(F_tau) = |tau|, each arising from some such tau.  When dim N(F_tau)
+    > |tau|, the cones of the fan in N(F_tau) form a pure fan, so some cone
+    tau + {ray} through tau lies in N(F_tau) and has the same face; and a
+    cone tau + {ray} with the same face puts that ray in N(F_tau).  So F_tau
+    is a d-face unless a cone tau + {ray} has the same vertex set.  When the
+    cone vertices are pairwise distinct, -K is ample, the fan is the normal
+    fan of p and distinct cones give distinct faces, so every F_tau is a d-face
+    (Cox-Little-Schenck 2011, 2.3).
     """
     fan = p.fan
-    if fan is None or len(p.vertices) < len(fan.max_cones) or d > p.dim:
-        found = [f for f, fd in p.face_lattice.items() if fd == d]
-    else:
-        through: dict[tuple[int, ...], list[int]] = {}
+    if fan is None:
+        raise ValueError("the faces are read off the cones of a fan")
+    if not 0 <= d <= p.dim:
+        return []
+
+    def through(size: int) -> dict[tuple[int, ...], set[int]]:
+        """The vertex set of the cones through each size-subset of a cone."""
+        out: dict[tuple[int, ...], set[int]] = {}
         for idx, i in zip(fan.max_cones, p.cone_vertex_index):
-            for tau in combinations(sorted(idx), p.dim - d):
-                through.setdefault(tau, []).append(i)
-        found = list(through.values())
+            for tau in combinations(sorted(idx), size):
+                out.setdefault(tau, set()).add(i)
+        return out
+
+    found = through(p.dim - d)
+    if len(p.vertices) < len(fan.max_cones):
+        shared = {
+            tau
+            for wider, vertices in through(p.dim - d + 1).items()
+            for tau in combinations(wider, len(wider) - 1)
+            if found[tau] == vertices
+        }
+        found = {tau: f for tau, f in found.items() if tau not in shared}
     items = p.vertices if items is None else items
-    return [tuple(items[i] for i in f) for f in sorted(tuple(sorted(f)) for f in found)]
+    return [tuple(items[i] for i in f) for f in sorted({tuple(sorted(f)) for f in found.values()})]
 
 
 def polytope_barycenter(p: LatticePolytope) -> QVector:

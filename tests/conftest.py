@@ -9,12 +9,13 @@ matrices entry by entry in chained Fraction arithmetic, Fraction arithmetic for
 facet incidence, face dimensions and barycenters over a pulling
 triangulation, the face lattice with one edge-rank elimination per face,
 boundedness as positive spanning by the Fraction simplex (after every test
-these are checked against each face lattice, each fan-built polytope and
-each valid fan the test built), the kernel dimension of every balancing
-report and the faithfulness of every quotient action the test built, by
-nullspace_basis and by a Smith normal form, monomial counts for the
-quotient weights of a cone, an explicit symbolic Laplacian on
-integer-coefficient polynomials, a recursive surface-area formula for
+these are checked against each fan-built polytope and each valid fan the
+test built), -K nef by checking every cone vertex against every ray, the
+kernel dimension of every balancing report and the faithfulness of every
+quotient action the test built, by nullspace_basis and by a Smith normal
+form, monomial counts for the quotient weights of a cone, an explicit
+symbolic Laplacian on integer-coefficient polynomials, a recursive
+surface-area formula for
 sphere volumes, the biharmonic extensions of one spherical mode as sums of
 c·r^a (·log r) terms, differentiated at r = 1 into the Dirichlet-to-Neumann
 mode matrix, face smoothness by maximal minors for isolated cones, and,
@@ -375,10 +376,28 @@ def polytope_from_h_rep(normals, offsets) -> LatticePolytope:
     )
 
 
+def nef_violation_by_all_rays(fan: Fan, k: int) -> Optional[tuple[tuple[Fraction, ...], tuple]]:
+    """The first (cone vertex, ray), cones in fan order and rays in ray
+    order, with <ray, u> < -k, each cone's vertex u solved by Cramer's rule;
+    None when every vertex satisfies every facet (-K nef)."""
+    for idx in fan.max_cones:
+        u = solve_cramer([fan.rays[i] for i in idx], [-k] * len(idx))
+        if u is None:
+            continue
+        for ray in fan.rays:
+            if sum(r * x for r, x in zip(ray, u)) < -k:
+                return u, ray
+    return None
+
+
 def face_lattice_by_edge_rank(p: LatticePolytope) -> dict[frozenset[int], int]:
-    """Faces by facet-intersection closure, each mapped to the integer rank of
-    its edge rows: one elimination per face, with no bound from the lattice."""
-    d, scaled = p.integer_vertices
+    """All faces as vertex-index sets, the polytope itself included, by
+    facet-intersection closure on the scaled-integer vertices (D, D *
+    vertices), D the lcm of the vertex denominators: facet i holds the
+    vertices with <normal_i, D v> = D offset_i.  Each face is mapped to the
+    integer rank of its edge rows, one elimination per face."""
+    d = lcm(1, *(x.denominator for v in p.vertices for x in v))
+    scaled = [tuple(x.numerator * (d // x.denominator) for x in v) for v in p.vertices]
     facets = {
         frozenset(
             i
@@ -399,24 +418,6 @@ def face_lattice_by_edge_rank(p: LatticePolytope) -> dict[frozenset[int], int]:
         else -1
         for f in found
     }
-
-
-@pytest.fixture(autouse=True)
-def face_lattices_match_edge_rank(monkeypatch):
-    """Every face lattice a test builds equals face_lattice_by_edge_rank.
-    It is compared after the test, so timed regions see the library alone."""
-    prop = LatticePolytope.__dict__["face_lattice"]
-    built = []
-
-    def recorded(p, build=prop.func):
-        lattice = build(p)
-        built.append((p, lattice))
-        return lattice
-
-    monkeypatch.setattr(prop, "func", recorded)
-    yield
-    for p, lattice in built:
-        assert lattice == face_lattice_by_edge_rank(p)
 
 
 def check_bounded(dim: int, normals: Sequence[tuple[int, ...]]) -> bool:
@@ -539,12 +540,12 @@ def affine_dim_fraction(points) -> int:
 
 
 def face_dims_by_tight_facets(p: LatticePolytope) -> dict[frozenset[int], int]:
-    """Each face of p.face_lattice mapped to m - rank of the normals of the
-    facets tight on every vertex of the face (its equality set in the
-    H-representation), tightness decided in Fractions."""
+    """Each face of face_lattice_by_edge_rank(p) mapped to m - rank of the
+    normals of the facets tight on every vertex of the face (its equality
+    set in the H-representation), tightness decided in Fractions."""
     incidence = [frozenset(fv) for fv in facet_incidence_fraction(p)]
     dims = {}
-    for face in p.face_lattice:
+    for face in face_lattice_by_edge_rank(p):
         tight = [
             [Fraction(x) for x in n]
             for n, fv in zip(p.facet_normals, incidence)

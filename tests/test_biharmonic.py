@@ -151,6 +151,12 @@ class TestModeMatrix:
             dtn_mode_matrix(3, 1, no_invariant_linear=True)
         assert dtn_mode_matrix(3, 1).determinant != 0
 
+    def test_out_of_range_mode_named_with_its_value(self):
+        with pytest.raises(ValueError, match=r"^m must be >= 2, got 1$"):
+            dtn_mode_matrix(1, 0)
+        with pytest.raises(ValueError, match=r"^gamma must be >= 0, got -1$"):
+            dtn_inverse(2, -1)
+
 
 class TestInverse:
     @pytest.mark.parametrize("m", DIMS + [2])

@@ -505,6 +505,21 @@ class TestReport:
             "c.report.json",
         ]
 
+    def test_batch_summary_detail_column(self, tmp_path, capsys):
+        # the third column holds an error row's error and a report row's
+        # input digest, so its header names neither
+        d = tmp_path / "one-bad"
+        d.mkdir()
+        (d / "a.orb").write_text("m oops\n")
+        (d / "b.orb").write_text(example_by_name("p2-z3").text)
+        assert main(["report", "--batch", str(d)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["input", "verdict", "detail"]
+        bad, good = lines[2:]
+        assert bad.split()[:2] == ["a.orb", "error"] and "sha256" not in bad
+        digest = json.loads((d / "b.report.json").read_text())["input"]["sha256"]
+        assert good.split() == ["b.orb", "feasible", digest[:12]]
+
     def test_batch_continues_past_an_undecodable_file(self, tmp_path, capsys):
         d = tmp_path / "undecodable"
         d.mkdir()

@@ -1,6 +1,7 @@
 import random
+import re
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm
 
 import pytest
@@ -12,6 +13,7 @@ from conftest import (
     face_dims_by_tight_facets,
     face_lattice_by_edge_rank,
     facet_incidence_fraction,
+    nef_violation_by_all_rays,
     polytope_from_h_rep,
     solve_cramer,
 )
@@ -76,9 +78,10 @@ class TestAnticanonicalPolytope:
         )
         with pytest.raises(ValueError, match=r"^invalid fan: wall \[1\] lies in 3 of"):
             anticanonical_polytope(fan, 1)
-        # the facet check on its own still sees the overlap
-        with pytest.raises(ValueError, match="violates facet of ray"):
+        with pytest.raises(ValueError, match=r"^invalid fan: wall \[1\] lies in 3 of"):
             moment_assignment(fan, 1)
+        # the all-rays facet check on its own still sees the overlap
+        assert nef_violation_by_all_rays(fan, 1) is not None
 
     def test_every_vertex_satisfies_every_facet(self):
         for fan, k in ((X1, 3), (X4, 5), (P2_FAN, 1)):
@@ -173,7 +176,7 @@ class TestBarycenter:
         assert ivert(p) == {
             (a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)
         }
-        assert barycenter_fraction(p, p.face_lattice) == (
+        assert barycenter_fraction(p, face_lattice_by_edge_rank(p)) == (
             Fraction(1, 2), Fraction(1, 2), Fraction(1, 2),
         )
         with pytest.raises(ValueError, match="cones of a fan"):
@@ -189,7 +192,7 @@ class TestBarycenter:
         offsets = [0, -1, 0, 0]
         p = polytope_from_h_rep(normals, offsets)
         with pytest.raises(ValueError, match="not full-dimensional"):
-            barycenter_fraction(p, p.face_lattice)
+            barycenter_fraction(p, face_lattice_by_edge_rank(p))
         with pytest.raises(ValueError, match="cones of a fan"):
             polytope_barycenter(p)
 
@@ -312,10 +315,7 @@ def _random_h_rep(rng, m):
 
 
 def _assert_matches_fraction_oracles(p):
-    d, scaled = p.integer_vertices
-    assert d == lcm(1, *(x.denominator for v in p.vertices for x in v))
-    assert scaled == tuple(tuple(d * x for x in v) for v in p.vertices)
-    lattice = p.face_lattice
+    lattice = face_lattice_by_edge_rank(p)
     top = frozenset(range(len(p.vertices)))
     facets = [frozenset(fv) for fv in facet_incidence_fraction(p)]
     assert {f for f in facets if f} <= set(lattice)
@@ -325,20 +325,24 @@ def _assert_matches_fraction_oracles(p):
         assert face == top.intersection(*(f for f in facets if face <= f))
         assert dim == oracle_dims[face]
         assert dim == affine_dim_fraction([p.vertices[i] for i in sorted(face)])
+    if p.fan is None:
+        with pytest.raises(ValueError, match="cones of a fan"):
+            faces(p, 0)
+        if lattice[top] < p.dim:
+            with pytest.raises(ValueError, match="not full-dimensional"):
+                barycenter_fraction(p, lattice)
+        return
     for dim in range(p.dim + 1):
         assert faces(p, dim) == sorted(
             tuple(sorted(p.vertices[i] for i in f))
             for f, fd in oracle_dims.items()
             if fd == dim
         )
-    if p.fan is not None:
-        assert polytope_barycenter(p) == barycenter_fraction(p, oracle_dims)
-    elif lattice[top] == p.dim:
-        # no cones: the two lattices' triangulations must agree
-        assert barycenter_fraction(p, lattice) == barycenter_fraction(p, oracle_dims)
-    else:
-        with pytest.raises(ValueError, match="not full-dimensional"):
-            barycenter_fraction(p, lattice)
+    assert polytope_barycenter(p) == barycenter_fraction(p, oracle_dims)
+
+
+def _denominator(p):
+    return lcm(1, *(x.denominator for v in p.vertices for x in v))
 
 
 def test_integer_polytope_layer_matches_fraction_oracles():
@@ -357,7 +361,7 @@ def test_integer_polytope_layer_matches_fraction_oracles():
                     (label, tuple(k * x for x in unit[label])) for label in fan.labels
                 )
                 _assert_matches_fraction_oracles(p)
-                denominators.add(p.integer_vertices[0])
+                denominators.add(_denominator(p))
     h_rep = [_random_h_rep(rng, m) for m in (2, 2, 3, 3, 3)]
     # the unit cube and a segment posing as a 2-d polytope
     h_rep.append(polytope_from_h_rep(
@@ -367,7 +371,7 @@ def test_integer_polytope_layer_matches_fraction_oracles():
     h_rep.append(polytope_from_h_rep([(1, 0), (-1, 0), (0, 1), (0, -1)], [0, -1, 0, 0]))
     for p in h_rep:
         _assert_matches_fraction_oracles(p)
-        denominators.add(p.integer_vertices[0])
+        denominators.add(_denominator(p))
     # guards against a vacuous run: some polytopes have fractional vertices
     assert max(denominators) > 1
 
@@ -379,11 +383,11 @@ def test_integer_polytope_layer_checks_still_fire():
         rays=((1, 0), (0, 1), (-1, -1), (-4, 3)),
         max_cones=((0, 3), (0, 1), (1, 2), (2, 0)),
     )
-    with pytest.raises(ValueError) as exc:
-        moment_assignment(overlapping, 1)
-    assert str(exc.value) == "cone vertex (-1, -5/3) violates facet of ray (0, 1)"
-    with pytest.raises(ValueError, match="^invalid fan: "):
-        anticanonical_polytope(overlapping, 1)
+    # the all-rays facet check on its own sees the overlap at the first cone
+    assert nef_violation_by_all_rays(overlapping, 1) == ((-1, Fraction(-5, 3)), (0, 1))
+    for build in (anticanonical_polytope, moment_assignment):
+        with pytest.raises(ValueError, match="^invalid fan: "):
+            build(overlapping, 1)
     with pytest.raises(ValueError, match="singular vertex system"):
         vertex_for_cone(P2_FAN, 1, Cone.from_rows([(1, 0), (2, 0)]))
     incomplete = Fan(dim=2, rays=P2_FAN.rays, max_cones=P2_FAN.max_cones[:2])
@@ -401,6 +405,63 @@ def _hirzebruch(a):
     )
 
 
+F2_FAN = _hirzebruch(2)
+
+
+def _product(f, g):
+    """The product fan: rays (r, 0) and (0, s), one cone per pair of cones."""
+    rays = tuple(r + (0,) * g.dim for r in f.rays) + tuple((0,) * f.dim + s for s in g.rays)
+    n = len(f.rays)
+    cones = tuple(a + tuple(n + j for j in b) for a in f.max_cones for b in g.max_cones)
+    return Fan(dim=f.dim + g.dim, rays=rays, max_cones=cones)
+
+
+def _bundle_over_p2(a):
+    """P(O + O(a)) over P^2: -K is ample for a <= 2, nef but not ample for
+    a = 3 and not nef for a >= 4."""
+    base = ((0, 1), (1, 2), (2, 0))
+    return Fan(
+        dim=3,
+        rays=((1, 0, 0), (0, 1, 0), (-1, -1, a), (0, 0, 1), (0, 0, -1)),
+        max_cones=tuple(c + (t,) for t in (3, 4) for c in base),
+    )
+
+
+def _wall_test_fans():
+    for a in range(6):
+        yield f"F_{a}", _hirzebruch(a)
+        yield f"P(O+O({a})) over P^2", _bundle_over_p2(a)
+        yield f"F_{a} x P^1", _product(_hirzebruch(a), P1_FAN)
+        yield f"P^2 x F_{a}", _product(P2_FAN, _hirzebruch(a))
+
+
+_VIOLATION = re.compile(r"cone vertex \((.*)\) violates facet of ray \((.*)\)")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_wall_test_matches_all_rays_oracle(k):
+    """One pairing per wall raises exactly when some cone vertex violates
+    some facet, and the vertex and ray it names are such a violation."""
+    verdicts = set()
+    for name, fan in _wall_test_fans():
+        assert validate_fan(fan).valid, name
+        oracle = nef_violation_by_all_rays(fan, k)
+        verdicts.add(oracle is None)
+        if oracle is None:
+            anticanonical_polytope(fan, k)
+            continue
+        with pytest.raises(ValueError) as exc:
+            anticanonical_polytope(fan, k)
+        point, ray = _VIOLATION.fullmatch(str(exc.value)).groups()
+        vertex = tuple(Fraction(x) for x in point.split(", "))
+        ray = tuple(int(x) for x in ray.split(", "))
+        assert vertex in {vertex_for_cone(fan, k, cone) for _, cone in fan.cones()}, name
+        assert ray in fan.rays, name
+        assert sum(r * x for r, x in zip(ray, vertex)) < -k, name
+    # guards against a vacuous run: both verdicts occur
+    assert verdicts == {True, False}
+
+
 def test_facet_check_rejects_a_complete_fan_without_nef_minus_k():
     fan = _hirzebruch(3)
     assert validate_fan(fan).valid
@@ -411,25 +472,48 @@ def test_facet_check_rejects_a_complete_fan_without_nef_minus_k():
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_f2_cones_share_a_vertex(k):
-    """F_2 is nef but not ample: 4 cones, 3 vertices, so faces come from the
-    face lattice, while the barycenter is still read off the 4 cones."""
+    """F_2 is nef but not ample: 4 cones, 3 vertices.  The two cones through
+    the ray (0, 1) share the vertex (-k, -k), so that ray gives a vertex,
+    not an edge, and the triangle has 3 edges for 4 rays; the barycenter is
+    still read off the 4 cones."""
     p = anticanonical_polytope(_hirzebruch(2), k)
     assert len(p.cone_vertices) == 4
     assert p.vertices == ((-k, -k), (-k, k), (3 * k, k))
     assert faces(p, 1) == [
         ((-k, -k), (-k, k)), ((-k, -k), (3 * k, k)), ((-k, k), (3 * k, k)),
     ]
-    assert "face_lattice" in p.__dict__
+    assert faces(p, 0) == [(v,) for v in p.vertices]
+    assert faces(p, 2) == [p.vertices]
     assert polytope_barycenter(p) == (Fraction(k, 3), Fraction(k, 3))
 
 
-def test_faces_of_distinct_vertices_take_no_face_lattice():
+def test_faces_of_distinct_vertices_are_one_per_cone():
+    """-K ample: the fan is the normal fan, so the d-faces are as many as
+    the (dim - d)-cones of the fan."""
     for fan, k in ((X1, 3), (X4, 5), (P2_FAN, 1), (F1_FAN, 1)):
         p = anticanonical_polytope(fan, k)
         assert len(p.vertices) == len(fan.max_cones)
         for d in range(fan.dim + 1):
-            faces(p, d)
-        assert "face_lattice" not in p.__dict__
+            taus = {tau for idx in fan.max_cones for tau in combinations(sorted(idx), fan.dim - d)}
+            assert len(faces(p, d)) == len(taus)
+
+
+@pytest.mark.parametrize(
+    "fan, two_faces",
+    [
+        (_product(F2_FAN, P1_FAN), 5),
+        (_product(F2_FAN, F2_FAN), 15),
+        (_bundle_over_p2(3), 4),
+    ],
+    ids=["F_2 x P^1", "F_2 x F_2", "P(O+O(3)) over P^2"],
+)
+@pytest.mark.parametrize("k", [1, 2])
+def test_nef_faces_in_dims_3_and_4(fan, two_faces, k):
+    """-K nef but not ample in dimensions 3 and 4: cones share vertices, and
+    the faces of every dimension equal the oracle's (the autouse check)."""
+    p = anticanonical_polytope(fan, k)
+    assert len(p.vertices) < len(fan.max_cones)
+    assert len(faces(p, 2)) == two_faces
 
 
 def _cube_fan(m, keep=lambda signs: True):
@@ -472,32 +556,36 @@ def _counting_eliminations(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(NON_FANS))
-def test_face_lattice_of_non_fans(name, monkeypatch):
-    """A non-fan is rejected before any polytope or face lattice is built;
-    the region its rays bound, with every vertex listed, has its face
-    lattice without a rank."""
+def test_face_lattice_of_non_fans(name):
+    """A non-fan is rejected before any polytope is built; the region its
+    rays bound has a vertex that none of its cones gives, and its face
+    lattice is the oracle's alone: the faces are read off a fan's cones."""
     fan = NON_FANS[name]
     violations = validate_fan(fan).violations
     assert violations and all(" of the cones, expected " in v for v in violations)
     with pytest.raises(ValueError, match="^invalid fan: wall "):
         anticanonical_polytope(fan, 1)
     region = polytope_from_h_rep(fan.rays, [-1] * len(fan.rays))
-    calls = _counting_eliminations(monkeypatch)
-    lattice = region.face_lattice
-    assert calls == []
-    assert lattice == face_lattice_by_edge_rank(region)
+    given = {vertex_for_cone(fan, 1, cone) for _, cone in fan.cones()}
+    assert given < set(region.vertices)
+    assert face_lattice_by_edge_rank(region)[frozenset(range(len(region.vertices)))] == fan.dim
+    with pytest.raises(ValueError, match="cones of a fan"):
+        faces(region, 0)
 
 
 def test_face_lattice_takes_no_rank_on_fans(monkeypatch):
+    """The faces of every dimension come from the cones and their vertex
+    indices alone, with no elimination."""
     rng = random.Random(3)
     fans = [(X1, 3), (X4, 5), (P2_FAN, 1), (F1_FAN, 1), (_cube_fan(4), 1)]
-    fans += [(_hirzebruch(2), 1), (_hirzebruch(2), 2)]
+    fans += [(_hirzebruch(2), 1), (_hirzebruch(2), 2), (_product(F2_FAN, P1_FAN), 1)]
     fans += [(_sheared_product_fan(rng, m, r), 1) for m in (3, 5) for r in (2, 3, 5)]
     polytopes = [anticanonical_polytope(fan, k) for fan, k in fans]
     calls = _counting_eliminations(monkeypatch)
     for p in polytopes:
-        lattice = p.face_lattice
-        assert lattice[frozenset(range(len(p.vertices)))] == p.dim
+        lattice = [faces(p, d) for d in range(p.dim + 1)]
+        assert lattice[p.dim] == [p.vertices]
+        assert lattice[0] == [(v,) for v in p.vertices]
     assert calls == []
 
 
@@ -519,11 +607,8 @@ def h_rep_polytopes(draw):
 @settings(max_examples=60, deadline=None)
 @given(h_rep_polytopes())
 def test_face_lattice_matches_edge_rank_on_h_rep_polytopes(p):
-    """Every vertex of the region is listed, so the bounds meet on each face
-    of a full-dimensional polytope and no face takes a rank."""
-    with pytest.MonkeyPatch.context() as mp:
-        calls = _counting_eliminations(mp)
-        lattice = p.face_lattice
-    assert lattice == face_lattice_by_edge_rank(p)
+    """The face oracles agree: on each face of a full-dimensional polytope,
+    the rank of the tight facets' normals gives the edge rank's dimension."""
+    lattice = face_lattice_by_edge_rank(p)
+    assert lattice == face_dims_by_tight_facets(p)
     assert lattice[frozenset(range(len(p.vertices)))] == p.dim
-    assert calls == []
