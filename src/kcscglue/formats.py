@@ -5,9 +5,10 @@ p/q rational literals; every integer and every rational is read by one
 ASCII grammar each, and every list by one list grammar, so decimals,
 underscores, non-ASCII digits and empty list entries are rejected by
 construction and on every interpreter.  Fan files carry rays and maximal
-cones (1-based ray indices, optional labels); orbifold files carry the
-kernel dimension, scalar curvature (exact or `positive`), the Einstein flag
-and one `point` record per singular point.  Nothing is dropped silently: a
+cones (1-based ray indices, optional labels); a fan parse error is about one
+line, and how the records relate is for ``validate_fan`` to judge.  Orbifold
+files carry the kernel dimension, scalar curvature (exact or `positive`), the
+Einstein flag and one `point` record per singular point.  Nothing is dropped silently: a
 scalar key given twice, a point label given twice, an unknown or repeated
 point attribute and text between point attributes are errors.
 """
@@ -32,17 +33,10 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class FanFile:
-    dim: int
-    rays: tuple[tuple[int, ...], ...]
-    max_cones: tuple[tuple[int, ...], ...]  # 0-based
-    k: Optional[int] = None
-    labels: tuple[str, ...] = ()
+class FanFile(Fan):
+    """A fan file: the fan and the anticanonical multiple k, if given."""
 
-    def to_fan(self) -> Fan:
-        return Fan(
-            dim=self.dim, rays=self.rays, max_cones=self.max_cones, labels=self.labels
-        )
+    k: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -52,6 +46,18 @@ class OrbifoldFile:
     s: Optional[Fraction]  # None = positive, known by sign only
     einstein: bool
     points: tuple[SingularPointRecord, ...]
+
+    def __post_init__(self) -> None:
+        # The parser's rules, for a file built through the library; a parsed
+        # file meets them, its line-numbered errors coming first.
+        if self.m < 2 or self.d < 1:
+            raise ValueError(f"m must be >= 2 and d >= 1, got m={self.m} and d={self.d}")
+        for p in self.points:  # a record's dphi has as many entries as its phi
+            if len(p.phi_values) != self.d:
+                raise ValueError(f"point {p.label}: phi needs d={self.d} entries")
+        labels = [p.label for p in self.points]
+        if len(set(labels)) != len(labels):
+            raise ValueError("point labels must be distinct")
 
 
 _LIST_RE = re.compile(r"^\[(.*)\]$", re.DOTALL)
@@ -143,7 +149,7 @@ def parse_fan(text: str) -> FanFile:
     k: Optional[int] = None
     rays: list[tuple[int, ...]] = []
     cones: list[tuple[int, ...]] = []
-    labels: list[Optional[str]] = []
+    labels: list[str] = []
     for lineno, key, rest in _records(text, ("dim", "k"), errors):
         if key == "dim":
             value = _field(_integer, rest, errors, lineno, "dim")
@@ -183,7 +189,7 @@ def parse_fan(text: str) -> FanFile:
                 errors.append(f"line {lineno}: cone indices are 1-based (got {idx})")
                 continue
             cones.append(tuple(i - 1 for i in idx))
-            labels.append(label)
+            labels.append(label or f"C{len(cones)}")
         else:
             errors.append(f"line {lineno}: unknown key {key!r}")
     if dim is None:
@@ -192,22 +198,9 @@ def parse_fan(text: str) -> FanFile:
         errors.append("line 0: no rays")
     if not cones:
         errors.append("line 0: no cones")
-    if not errors:
-        for i, ray in enumerate(rays):
-            if len(ray) != dim:
-                errors.append(f"ray {i + 1}: dimension mismatch ({len(ray)} != {dim})")
-        for ci, idx in enumerate(cones):
-            for j in idx:
-                if j >= len(rays):
-                    errors.append(f"cone {ci + 1}: ray index {j + 1} out of range")
     if errors:
         raise ParseError(errors)
-    final_labels = tuple(
-        lab if lab is not None else f"C{i + 1}" for i, lab in enumerate(labels)
-    )
-    return FanFile(
-        dim=dim, rays=tuple(rays), max_cones=tuple(cones), k=k, labels=final_labels
-    )
+    return FanFile(dim=dim, rays=tuple(rays), max_cones=tuple(cones), k=k, labels=tuple(labels))
 
 
 _SIGNS = {"+": 1, "+1": 1, "-": -1, "-1": -1}

@@ -185,8 +185,10 @@ def _classification(run: SimpleNamespace) -> list[dict[str, Any]]:
 
 
 def _validation(run: SimpleNamespace) -> dict[str, Any]:
-    validation = validate_fan(run.fan)
-    return {"valid": validation.valid, "violations": list(validation.violations)}
+    # A chart is C^m / Gamma, m >= 2: a lower-dimensional fan (P^1) is no input.
+    low = [f"dim is {run.fan.dim}, expected >= 2"] if run.fan.dim < 2 else []
+    violations = low + list(validate_fan(run.fan).violations)
+    return {"valid": not violations, "violations": violations}
 
 
 def _polytope(run: SimpleNamespace) -> dict[str, Any]:
@@ -351,9 +353,8 @@ def build_report(
     error (such an error, or an invalid fan) no further stage runs.
     """
     if isinstance(parsed, FanFile):
-        fan = parsed.to_fan()
-        run = SimpleNamespace(fan=fan, k=parsed.k if k is None else k)
-        body, stages = {"kind": "fan", "dim": fan.dim}, FAN_STAGES
+        run = SimpleNamespace(fan=parsed, k=parsed.k if k is None else k)
+        body, stages = {"kind": "fan", "dim": parsed.dim}, FAN_STAGES
     elif isinstance(parsed, OrbifoldFile):
         run, stages = SimpleNamespace(orb=parsed), ORBIFOLD_STAGES
         s = "positive" if parsed.s is None else str(parsed.s)

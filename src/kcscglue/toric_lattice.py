@@ -6,7 +6,8 @@ abelian-group type of the package: cyclic orders plus diagonal action
 weights.  Its order, classification (smooth, SU(m) -- Gorenstein,
 crepant-resolvable candidates -- or U(m)-non-SU) and isolation are derived
 from the presentation by closed forms, never by enumerating Gamma.  A fan
-builds each cone once, with its integer inverse p·V^{-1} (|p| = |det V|,
+builds each chart, a cone on dim distinct rays of length dim
+(``_cone_defect``), once, with its integer inverse p·V^{-1} (|p| = |det V|,
 the sign of p not canonical): one elimination for the first cone of each
 connected component of the fan's wall table, and one exchange pivot from a
 neighbour's inverse for every further cone.  The inverse gives the cone's
@@ -98,42 +99,37 @@ class Fan:
             raise ValueError("one label per maximal cone required")
 
     def cone(self, index: int) -> Cone:
-        """The index-th maximal cone, built once per fan, so that what a cone
-        caches is shared by every stage of a report; ValueError if it names
-        a ray index outside 0..len(rays)-1."""
+        """The index-th maximal cone, built once per fan by ``_cones``, so
+        that what a cone caches is shared by every stage of a report;
+        ValueError naming the defect (``_cone_defect``) if it is no chart."""
         cone = self._cones.get(index)
         if cone is None:
-            idx = self.max_cones[index]
-            if not all(0 <= i < len(self.rays) for i in idx):
-                raise ValueError("ray index out of range")
-            cone = self._cones[index] = Cone(tuple(self.rays[i] for i in idx))
+            raise ValueError(_cone_defect(self, self.max_cones[index]))
         return cone
 
     @cached_property
     def walls(self) -> dict[tuple[int, ...], list[tuple[int, int]]]:
-        """Each wall, a sorted (dim-1)-subset of the ray indices of a cone
-        with dim of them, with its sides (cone, j): the cones it lies in, j
-        the position in the cone of the ray the cone adds to the wall."""
+        """Each wall, the sorted ray indices of a cone but one, with its sides
+        (cone, j): the cones it lies in, j the position in the cone of the
+        ray the cone adds to the wall.  The walk reads the sides of charts
+        only; the fan check and the polytope read the table of a fan whose
+        cones are all charts, where the walls are the (dim-1)-faces."""
         walls: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for c, idx in enumerate(self.max_cones):
-            if len(idx) == self.dim:
-                for j in range(len(idx)):
-                    walls.setdefault(_wall(idx, j), []).append((c, j))
+            for j in range(len(idx)):
+                walls.setdefault(_wall(idx, j), []).append((c, j))
         return walls
 
     @cached_property
     def _cones(self) -> dict[int, Cone]:
-        """The cones on dim distinct in-range rays of length dim, with every
-        inverse the walk reaches set: across each wall a cone is one exchange
-        pivot from its neighbour's, so only the first cone of each connected
-        component takes an elimination.  Other cones are built, and invert
-        themselves, when asked for."""
-        n = len(self.rays)
+        """The charts, the cones ``_cone_defect`` accepts, each with its
+        inverse set: across each wall a cone is one exchange pivot from its
+        neighbour's, so only the first cone of each connected component takes
+        an elimination."""
         cones = {
             c: Cone(tuple(self.rays[i] for i in idx))
             for c, idx in enumerate(self.max_cones)
-            if len(set(idx)) == len(idx) == self.dim
-            and all(0 <= i < n and len(self.rays[i]) == self.dim for i in idx)
+            if _cone_defect(self, idx) is None
         }
         sides = {side: others for others in self.walls.values() for side in others}
         for root, cone in cones.items():
@@ -181,6 +177,21 @@ class Fan:
             alphas = tuple(tuple(sum(map(mul, c, a)) for a in cols) for cols in columns)
             if all(map(all, alphas)):
                 return c, alphas
+
+
+def _cone_defect(fan: Fan, idx: Sequence[int]) -> Optional[str]:
+    """Why the cone on ray indices idx is not a chart, or None if it is one:
+    a chart has dim distinct in-range rays, each of length dim."""
+    if not all(0 <= i < len(fan.rays) for i in idx):
+        return "ray index out of range"
+    if len(set(idx)) != len(idx):
+        return "repeated ray"
+    if len(idx) != fan.dim:
+        return f"{len(idx)} generators, expected {fan.dim} (not full-dimensional simplicial)"
+    for i in idx:
+        if len(fan.rays[i]) != fan.dim:
+            return f"ray {i + 1} has length {len(fan.rays[i])}, expected {fan.dim}"
+    return None
 
 
 def _wall(idx: Sequence[int], j: int) -> tuple[int, ...]:
@@ -294,9 +305,10 @@ def _is_primitive(v: IntVector) -> bool:
 
 
 def validate_fan(fan: Fan) -> FanValidation:
-    """Check primitivity, simpliciality, full-dimensionality and
-    distinctness of max cones and of their labels, then that the cones form
-    a complete fan.
+    """Check that the rays have length dim and are nonzero, primitive and
+    distinct, that the labels are distinct, that each cone is a chart
+    (``_cone_defect``) on a ray set no earlier cone has and is nonsingular,
+    then that the cones form a complete fan.
 
     Violations are reported, not raised: non-simplicial cones fall outside
     the isolated-singularity setting but should not abort a database scan.
@@ -322,24 +334,16 @@ def _validate(fan: Fan) -> FanValidation:
     seen: dict[frozenset[int], int] = {}
     for i, idx in enumerate(fan.max_cones):
         label = fan.labels[i]
-        if any(j < 0 or j >= len(fan.rays) for j in idx):
-            violations.append(f"cone {label}: ray index out of range")
-            continue
-        if len(set(idx)) != len(idx):
-            violations.append(f"cone {label}: repeated ray")
+        try:
+            cone = fan.cone(i)
+        except ValueError as exc:
+            violations.append(f"cone {label}: {exc}")
             continue
         first = seen.setdefault(frozenset(idx), i)
         if first != i:
             # The same chart listed twice would enter balancing twice.
             violations.append(f"cone {label}: same rays as cone {fan.labels[first]}")
-            continue
-        if len(idx) != fan.dim:
-            violations.append(
-                f"cone {label}: {len(idx)} generators, expected {fan.dim} "
-                "(not full-dimensional simplicial)"
-            )
-            continue
-        if fan.cone(i).inverse is None:
+        elif cone.inverse is None:
             violations.append(f"cone {label}: generators are linearly dependent")
     if not violations:
         violations = _fan_violations(fan)
@@ -528,9 +532,9 @@ def classify(cone: Cone) -> str:
 def classify_fan(fan: Fan) -> list[tuple[str, Optional[GroupPresentation]]]:
     """Classify every maximal cone once; results in input order.
 
-    Cones outside the isolated-singularity setting (non-simplicial,
-    degenerate, or naming a ray the fan lacks) yield None -- consumers present them as unsupported rather
-    than aborting a database scan.
+    Cones outside the isolated-singularity setting (no chart by
+    ``_cone_defect``, or singular) yield None -- consumers present them as
+    unsupported rather than aborting a database scan.
     """
     out: list[tuple[str, Optional[GroupPresentation]]] = []
     for i, label in enumerate(fan.labels):

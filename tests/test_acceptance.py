@@ -110,7 +110,7 @@ def _kernel_span_equal(basis_a, basis_b, ncols):
 
 def test_criterion_1_x1_classification():
     with _Timer("criterion 1: X1 classification", 1.0):
-        fan = parse_fan(example_by_name("x1").text).to_fan()
+        fan = parse_fan(example_by_name("x1").text)
         classified = classify_fan(fan)
         su = [lab for lab, qd in classified if qd.classification == SU]
         non_su = [lab for lab, qd in classified if qd.classification == U_NON_SU]
@@ -123,7 +123,7 @@ def test_criterion_1_x1_classification():
 def test_criterion_2_x1_polytope():
     with _Timer("criterion 2: X1 polytope", 1.0):
         ann = example_by_name("x1").annotations
-        fan = parse_fan(example_by_name("x1").text).to_fan()
+        fan = parse_fan(example_by_name("x1").text)
         p = anticanonical_polytope(fan, 3)
         assert {tuple(int(x) for x in v) for v in p.vertices} == set(ann["vertices"])
         assert len(p.vertices) == 12
@@ -142,7 +142,7 @@ def test_criterion_2_x1_polytope():
 def test_criterion_3_x4():
     with _Timer("criterion 3: X4 classification/polytope/balancing", 1.0):
         ann = example_by_name("x4").annotations
-        fan = parse_fan(example_by_name("x4").text).to_fan()
+        fan = parse_fan(example_by_name("x4").text)
         classified = classify_fan(fan)
         su = [lab for lab, qd in classified if qd.classification == SU]
         assert su == ["C1", "C4", "C7", "C8"]
@@ -206,7 +206,7 @@ def test_criterion_5_spectral():
                 assert eigenvalue(j, m) == sphere_eigenvalue_oracle(j, m)
         # no invariant linear functions for groups extracted from the fans
         for name in ("x1", "x4"):
-            fan = parse_fan(example_by_name(name).text).to_fan()
+            fan = parse_fan(example_by_name(name).text)
             for _, g in classify_fan(fan):
                 if g.order == 1:
                     continue

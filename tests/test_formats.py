@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from kcscglue.formats import (
     parse_orbifold,
     sniff_kind,
 )
+from kcscglue.toric_lattice import validate_fan
 
 
 def serialize_fan(f: FanFile) -> str:
@@ -69,17 +71,15 @@ class TestParseFan:
         with pytest.raises(ParseError):
             parse_fan("")
 
+    # How records relate is no line's to decide: such a file parses, and
+    # validation names the violation.
     def test_index_out_of_range(self):
-        text = "dim 2\nray [1, 0]\nray [0, 1]\ncone [1, 3]\n"
-        with pytest.raises(ParseError) as err:
-            parse_fan(text)
-        assert any("out of range" in e for e in err.value.errors)
+        f = parse_fan("dim 2\nray [1, 0]\nray [0, 1]\ncone [1, 3]\n")
+        assert "cone C1: ray index out of range" in validate_fan(f).violations
 
     def test_dimension_mismatch(self):
-        text = "dim 3\nray [1, 0]\ncone [1]\n"
-        with pytest.raises(ParseError) as err:
-            parse_fan(text)
-        assert any("dimension mismatch" in e for e in err.value.errors)
+        f = parse_fan("dim 3\nray [1, 0]\ncone [1]\n")
+        assert "ray 1 has length 2, expected 3" in validate_fan(f).violations
 
     def test_error_lines_are_precise(self):
         text = "dim 2\nray [1, 0]\nray [x, 1]\ncone [1, 2]\n"
@@ -266,6 +266,39 @@ def _rational_cases(literals):
         for x in literals
         if not (field in ("e_mag", "c_gamma") and (" " in x or x.startswith("-")))
     ]
+
+
+def _point(label: str, phi: tuple) -> SingularPointRecord:
+    return SingularPointRecord(label=label, kind=RICCI_FLAT, group_order=3, phi_values=phi)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"m": 0}, "m must be >= 2 and d >= 1, got m=0 and d=2"),
+        ({"m": 1}, "m must be >= 2 and d >= 1, got m=1 and d=2"),
+        ({"d": 0}, "m must be >= 2 and d >= 1, got m=2 and d=0"),
+        ({"d": 3}, "point P1: phi needs d=3 entries"),
+        (
+            {"points": (_point("P1", (1, 0)), _point("P1", (0, 1)))},
+            "point labels must be distinct",
+        ),
+    ],
+    ids=["m 0", "m 1", "d 0", "phi shorter than d", "repeated label"],
+)
+def test_library_built_orbifold_file_is_held_to_the_parser_rules(fields, message):
+    """What the parser refuses with a line number, a file built through the
+    library is refused with a ValueError, before any report reads it."""
+    base = {
+        "m": 2,
+        "d": 2,
+        "s": None,
+        "einstein": True,
+        "points": (_point("P1", (1, 0)), _point("P2", (0, 1))),
+    }
+    OrbifoldFile(**base)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        OrbifoldFile(**{**base, **fields})
 
 
 class TestRationalGrammar:

@@ -32,8 +32,8 @@ from kcscglue.polytope import (
 )
 from kcscglue.toric_lattice import Fan, validate_fan
 
-X1 = parse_fan(example_by_name("x1").text).to_fan()
-X4 = parse_fan(example_by_name("x4").text).to_fan()
+X1 = parse_fan(example_by_name("x1").text)
+X4 = parse_fan(example_by_name("x4").text)
 X1_ANN = example_by_name("x1").annotations
 X4_ANN = example_by_name("x4").annotations
 

@@ -15,8 +15,9 @@ m = 4 (Ricci-flat model constants B_j and C_j, scalar-flat leading
 coefficients, also read from there), point labels outside ASCII (escaped as
 ``\\u`` sequences, an astral one as a surrogate pair), and reports that
 stop early: fans whose polytope stage records an error (no k, -K not nef)
-and invalid fans, one of them a fan whose cone labels repeat.  Among the invalid fans are cone lists that are not fans
--- incomplete and overlapping P^2, P^2 with a ray in no cone, alternate
+and invalid fans, one of them a fan whose cone labels repeat and one a fan
+with a ray of the wrong length, whose cones on it are no charts.  Among the
+invalid fans are cone lists that are not fans -- incomplete and overlapping P^2, P^2 with a ray in no cone, alternate
 octants of (P^1)^3, alternate cones of the hexagon fan, and (P^1)^4 without
 alternate vertices of one facet -- which pin the fan check's violations.
 Only a deliberate change to a report's content may update a digest.
@@ -49,7 +50,8 @@ INPUTS = {ex.filename: ex.text for ex in embedded_examples()}
 # fail, a fan whose cone labels repeat, a fan whose charts are Z/2 + Z/2,
 # x4.fan in another lattice basis, and two m = 4 files whose gluing
 # constants take the m >= 3 branches (model constants, scalar-flat leading),
-# and two fans whose -K is nef but not ample.
+# two fans whose -K is nef but not ample, and a fan with a ray of the wrong
+# length.
 INPUTS.update(
     (name, (FIXTURES / name).read_text())
     for name in (
@@ -63,6 +65,7 @@ INPUTS.update(
         "m4-scalar-flat-leading.orb",
         "f2-nef.fan",
         "f2xp1-nef.fan",
+        "ray-wrong-length.fan",
     )
 )
 INPUTS.update(
@@ -179,6 +182,7 @@ DIGESTS = {
     "p2-no-k.fan": "a318b6734f521e9932c3cf02435fad59f9910fd25b2914efdadcd96e496c4e71",
     "p2-unused-ray.fan": "778a2cb90e29b677a12088e112c7217631357b4bc624e78755d01b9f29110b30",
     "p2-z3.orb": "00ea455d1335478c175303e805648af688704c8787a00f4aa5615e721ff1d534",
+    "ray-wrong-length.fan": "c740bf95d745f8b4737d537383962ba6fe748f6ad1d5c091402398db50b42d25",
     "scalar-flat-no-witness.orb": "7477bf84f58dd9b3f2829d012493c59b1eff783e5cf08fa368d1a7fe4328bdfc",
     "scalar-flat-rank-deficient.orb": "4a0f3941151ab31a517586c173ed0ae54ef05c962d72975882d668888298ae50",
     "sheared-product-r3.fan": "51f6d03838f7d6ae00c946adcb7b97b76c34cf45c4b1cb587bb407462397b66c",

@@ -8,11 +8,16 @@ curvature) either fail to parse or give a report.  ``kcscglue report`` on
 the file exits with ``exit_code`` of that report, and a report that records
 a stage error exits 2.  A fan with a dropped cone is invalid, a fan that
 passes validation never records an error that only a non-fan could cause,
-and every Fano polygon reaches the balancing and spectral stages.
+and every Fano polygon reaches the balancing and spectral stages.  Fans
+built through the library with one cone defect injected (an empty cone, a
+wrong ray count, a ray of the wrong length, a missing ray index, a repeated
+ray or a duplicated cone) give a report and exit 2, and every cone a
+violation names as no chart has an unsupported row.
 """
 
 import io
 import math
+import re
 import tempfile
 from contextlib import redirect_stderr
 from math import gcd
@@ -21,8 +26,8 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from kcscglue.cli import main
-from kcscglue.formats import ParseError, parse_fan, parse_orbifold
-from kcscglue.report import build_report, exit_code
+from kcscglue.formats import FanFile, ParseError, parse_fan, parse_orbifold
+from kcscglue.report import build_report, exit_code, render_json, render_text
 
 PRIMITIVE = [
     (a, b) for a in range(-3, 4) for b in range(-3, 4) if gcd(a, b) == 1
@@ -50,6 +55,53 @@ def fan_texts(draw) -> tuple[str, bool]:
     dropped = draw(st.one_of(st.none(), st.integers(0, len(rays) - 1)))
     k = draw(st.one_of(st.none(), st.integers(-1, 3)))
     return _polygon_fan_text(rays, k, dropped), dropped is not None
+
+
+DEFECTS = ("empty", "count", "length", "missing", "repeated", "duplicate")
+
+
+@st.composite
+def malformed_fans(draw) -> FanFile:
+    """A complete 2-d fan over angle-sorted primitive rays with one cone
+    defect injected into a drawn cone (or, for a duplicate, appended)."""
+    rays = draw(st.lists(st.sampled_from(PRIMITIVE), min_size=3, max_size=6, unique=True))
+    rays = sorted(rays, key=lambda v: math.atan2(v[1], v[0]))
+    n = len(rays)
+    cones = [(i, (i + 1) % n) for i in range(n)]
+    c = draw(st.integers(0, n - 1))
+    i, j = cones[c]
+    defect = draw(st.sampled_from(DEFECTS))
+    if defect == "empty":
+        cones[c] = ()
+    elif defect == "count":
+        cones[c] = draw(st.sampled_from([(i,), (i, j, (j + 1) % n)]))
+    elif defect == "length":
+        rays.append(draw(st.sampled_from([(1,), (1, 1, 1)])))
+        cones[c] = (i, n)
+    elif defect == "missing":
+        cones[c] = (i, draw(st.sampled_from([n, n + 3, -1])))
+    elif defect == "repeated":
+        cones[c] = (i, i)
+    else:
+        cones.append(draw(st.sampled_from([(i, j), (j, i)])))
+    return FanFile(dim=2, rays=tuple(rays), max_cones=tuple(cones), k=1)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(malformed_fans())
+def test_malformed_fans_are_reported(fan):
+    report = build_report("malformed.fan", "", fan)
+    render_json(report)
+    render_text(report)
+    body = report["report"]
+    assert exit_code(body) == 2
+    rows = {row["label"]: row["classification"] for row in body["classification"]}
+    named = [re.fullmatch(r"cone (\S+): (.*)", v) for v in body["validation"]["violations"]]
+    assert any(named)
+    for label, reason in (m.groups() for m in named if m):
+        duplicate = re.fullmatch(r"same rays as cone (\S+)", reason)
+        # a duplicated chart is still a chart, classified as its first copy
+        assert rows[label] == (rows[duplicate[1]] if duplicate else "unsupported")
 
 
 def _cross(o, a, b) -> int:

@@ -318,7 +318,7 @@ class TestFirstInvariantIndex:
         # every nontrivial isolated chart group has no invariant linear
         # functions, so the first invariant index is at least 2
         for name in ("x1", "x4"):
-            fan = parse_fan(example_by_name(name).text).to_fan()
+            fan = parse_fan(example_by_name(name).text)
             for _, g in classify_fan(fan):
                 if g.order == 1:
                     continue

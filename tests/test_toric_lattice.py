@@ -1,5 +1,6 @@
 import importlib
 import random
+import re
 import sys
 from dataclasses import replace
 from itertools import combinations
@@ -31,7 +32,7 @@ from kcscglue.polytope import (
     moment_assignment,
     polytope_barycenter,
 )
-from kcscglue.report import build_report
+from kcscglue.report import build_report, exit_code
 from kcscglue.toric_lattice import (
     SMOOTH,
     SU,
@@ -50,8 +51,8 @@ from kcscglue.toric_lattice import (
 from test_report_bytes import INPUTS
 
 FIXTURES = Path(__file__).parent / "fixtures"
-X1 = parse_fan(example_by_name("x1").text).to_fan()
-X4 = parse_fan(example_by_name("x4").text).to_fan()
+X1 = parse_fan(example_by_name("x1").text)
+X4 = parse_fan(example_by_name("x4").text)
 
 C1_X1 = Cone.from_rows([(-1, 0, -1), (-1, -3, 1), (-1, 0, 0)])
 C2_X1 = Cone.from_rows([(1, 3, -1), (-1, 0, -1), (-1, 0, 0)])
@@ -85,7 +86,7 @@ class TestValidateFan:
     def test_repeated_labels(self):
         # A complete fan whose labels would key two charts each: rejected
         # before the fan check, whatever the cones are.
-        fan = parse_fan((FIXTURES / "duplicate-labels.fan").read_text()).to_fan()
+        fan = parse_fan((FIXTURES / "duplicate-labels.fan").read_text())
         report = validate_fan(fan)
         assert report.violations == ("cone label A names 2 cones", "cone label B names 2 cones")
         labels = ("A1", "B1", "A2", "B2")
@@ -351,18 +352,61 @@ def test_unsupported_cones_degrade_gracefully():
 def test_cone_naming_a_missing_ray_is_unsupported(cone):
     """A cone index outside 0..len(rays)-1 names no ray, also when it would
     wrap: Fan.cone raises ValueError, the report classifies the cone as
-    unsupported and validation names it.  The fan parser rejects such a
-    file, so the fan is built through the library."""
-    parsed = FanFile(
+    unsupported and validation names it."""
+    fan = FanFile(
         dim=2, rays=P2_RAYS, max_cones=((0, 1), (1, 2), cone), k=1, labels=("A", "B", "C")
     )
-    fan = parsed.to_fan()
     with pytest.raises(ValueError, match="^ray index out of range$"):
         fan.cone(2)
     assert classify_fan(fan)[2] == ("C", None)
-    body = build_report("missing-ray", "", parsed)["report"]
+    body = build_report("missing-ray", "", fan)["report"]
     assert body["classification"][2] == {"classification": "unsupported", "label": "C"}
     assert body["validation"]["violations"] == ["cone C: ray index out of range"]
+
+
+@pytest.mark.parametrize(
+    "rays, cone, defect",
+    [
+        (P2_RAYS, (), "0 generators, expected 2 (not full-dimensional simplicial)"),
+        (P2_RAYS + ((1, 1, 0),), (0, 3), "ray 4 has length 3, expected 2"),
+        (
+            P2_RAYS + ((1, 0, 1), (0, 1, 1), (1, 1, 1)),
+            (3, 4, 5),
+            "3 generators, expected 2 (not full-dimensional simplicial)",
+        ),
+    ],
+    ids=["empty", "ray of length 3", "three rays of length 3"],
+)
+def test_a_cone_that_is_no_chart_is_unsupported(rays, cone, defect):
+    """One rule decides which cones are charts: a cone it refuses gets an
+    unsupported row and a violation naming its defect, never a chart row."""
+    parsed = FanFile(dim=2, rays=rays, max_cones=P2_CONES + (cone,), k=1)
+    body = build_report("no-chart", "", parsed)["report"]
+    assert body["classification"][3] == {"classification": "unsupported", "label": "C4"}
+    assert f"cone C4: {defect}" in body["validation"]["violations"]
+    assert exit_code(body) == 2
+    with pytest.raises(ValueError, match=f"^{re.escape(defect)}$"):
+        parsed.cone(3)
+
+
+def test_a_cone_is_judged_as_a_chart_before_its_ray_set():
+    # C5 has C4's rays, but neither is a chart: each is reported by its count
+    fan = Fan(dim=2, rays=P2_RAYS, max_cones=P2_CONES + ((0, 1, 2), (2, 1, 0)))
+    assert validate_fan(fan).violations[-2:] == tuple(
+        f"cone {label}: 3 generators, expected 2 (not full-dimensional simplicial)"
+        for label in ("C4", "C5")
+    )
+
+
+def test_a_fan_below_dimension_two_stops_at_validation():
+    """P^1 is a complete fan, but a chart C^m / Gamma needs m >= 2: the
+    report stops at its validation section, before any polytope."""
+    parsed = FanFile(dim=1, rays=((1,), (-1,)), max_cones=((0,), (1,)), k=1)
+    body = build_report("p1", "", parsed)["report"]
+    assert body["validation"] == {"valid": False, "violations": ["dim is 1, expected >= 2"]}
+    assert "polytope" not in body
+    assert exit_code(body) == 2
+    assert validate_fan(parsed).valid
 
 
 def test_isolated_weights_have_no_zero_component():
@@ -411,7 +455,7 @@ class TestSharedSolve:
             cone_index(Cone.from_rows([(1, 0), (2, 0)]))
 
     def test_fan_builds_each_cone_once(self):
-        fan = parse_fan(example_by_name("x4").text).to_fan()
+        fan = parse_fan(example_by_name("x4").text)
         assert all(fan.cone(i) is fan.cone(i) for i in range(len(fan.max_cones)))
         assert [c for _, c in fan.cones()] == [fan.cone(i) for i in range(len(fan.max_cones))]
 
@@ -421,7 +465,7 @@ class TestSharedSolve:
         first cone is the fan's one elimination and every further cone is
         an exchange pivot."""
         text = example_by_name(name).text
-        fan = parse_fan(text).to_fan()
+        fan = parse_fan(text)
         k = parse_fan(text).k
         calls = []
 
@@ -519,7 +563,7 @@ class TestClosedForm:
             assert group == snf
 
     def test_non_cyclic_chart_is_the_snf_presentation(self):
-        fan = parse_fan((FIXTURES / "z2xz2-product.fan").read_text()).to_fan()
+        fan = parse_fan((FIXTURES / "z2xz2-product.fan").read_text())
         for _, cone in fan.cones():
             group = quotient_action(cone)
             assert group.orders == (2, 2)
@@ -643,12 +687,12 @@ class TestWalk:
 
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(st.one_of(VALID_FANS, PINNED_FANS))
-    def test_walked_inverse_is_the_elimination_up_to_sign(self, parsed):
-        fan = parsed.to_fan()
-        for i, idx in enumerate(fan.max_cones):
-            if not all(0 <= r < len(fan.rays) for r in idx):
+    def test_walked_inverse_is_the_elimination_up_to_sign(self, fan):
+        for i in range(len(fan.max_cones)):
+            try:
+                cone = fan.cone(i)
+            except ValueError:  # no chart: nothing was built or walked
                 continue
-            cone = fan.cone(i)
             expected = eliminated_inverse(cone)
             if expected is None:
                 assert cone.inverse is None
@@ -687,17 +731,21 @@ class TestWalk:
         assert all(fan.cone(i).inverse for i in range(6))
         assert calls == [fan.rays[:2], fan.rays[3:5]]
 
-    def test_cones_the_walk_cannot_reach_invert_themselves(self):
+    def test_only_charts_are_built(self):
         # a repeated ray, a non-simplicial cone and a singular cone beside
-        # P^2's cones: each keeps its own elimination's verdict
+        # P^2's cones: the singular chart is walked into, and the two cones
+        # that are no charts are not built and name their defect
         fan = Fan(
             dim=2,
             rays=((1, 0), (0, 1), (-1, -1), (2, 0)),
             max_cones=((0, 1), (1, 2), (2, 0), (0, 0), (0, 1, 2), (0, 3)),
         )
         assert fan.cone(5).__dict__["inverse"] is None  # walked into: a_j = 0
-        assert "inverse" not in fan.cone(3).__dict__ and "inverse" not in fan.cone(4).__dict__
-        assert [fan.cone(i).inverse is None for i in range(6)] == [False] * 3 + [True] * 3
+        assert [fan.cone(i).inverse is None for i in (0, 1, 2)] == [False] * 3
+        with pytest.raises(ValueError, match="^repeated ray$"):
+            fan.cone(3)
+        with pytest.raises(ValueError, match="^3 generators, expected 2 "):
+            fan.cone(4)
 
     def test_integer_inverse_once_per_toric_scan_fan(self, monkeypatch):
         """34 calls over a seed-1 toric-scan cycle: each of its fans is one
