@@ -4,24 +4,28 @@ Assembles the balancing matrices for the two gluing regimes at unit
 weights, the matrices the certificates are stated on (only scalar-flat
 models contribute balancing conditions; in the all-Ricci-flat regime the
 weights are tuned so the conditions reduce to a positive-kernel search),
-and decides both with one routine.  It scales the matrix to integers once
-(M_int) and hands M_int to both solvers: a positive kernel vector by exact
-LP, and the rank by one elimination.  Each verdict carries a certificate
-that an integer checker, independent of the solver and with its own row
-scaling, verifies before the verdict is returned.  The gluing constants
-are closed forms in |Gamma|, the weights and |S^{2m-1}| = 2 pi^m/(m-1)!,
-with the pi power kept as a tag.
+and decides both with one routine.  A point's phi and dphi values are
+integer rows over one denominator (IntegerRow), and the builders form each
+matrix row from them as an IntegerRow too: M_int's row over its row scale,
+the lcm of the row's reduced denominators, with no Fraction made.  Both
+solvers take M_int: a positive kernel vector by exact LP (a revised
+simplex), and the rank by one elimination.  Each verdict carries a
+certificate that an integer checker, independent of the solver and with
+its own row scaling of the matrix's printed entries, verifies before the
+verdict is returned.  The gluing constants are closed forms in |Gamma|, the
+weights and |S^{2m-1}| = 2 pi^m/(m-1)!, with the pi power kept as a tag.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence, Union
 
-from .exact_linalg import RationalMatrix, frac, integer_rows, phase_one, rank_certificate
+from .exact_linalg import IntegerRow, RationalMatrix, frac, phase_one, rank_certificate
 
 RICCI_FLAT = "ricci_flat"
 SCALAR_FLAT = "scalar_flat"
@@ -40,8 +44,9 @@ class PiRational:
     pi_power: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeff", frac(self.coeff))
-        if self.coeff == 0 and self.pi_power != 0:
+        if not isinstance(self.coeff, Fraction):
+            object.__setattr__(self, "coeff", frac(self.coeff))
+        if self.pi_power != 0 and self.coeff == 0:
             object.__setattr__(self, "pi_power", 0)
 
     def __mul__(self, other: Union["PiRational", int, Fraction]) -> "PiRational":
@@ -66,17 +71,19 @@ class PiRational:
 class SingularPointRecord:
     """One singular point's model data.
 
-    laplacian_phi_values None means the Einstein simplification applies
-    (Lap phi_i = -(s/m) phi_i), so only phi values are needed.  e_sign is
-    required for scalar-flat models (feasibility needs the sign only);
-    e_magnitude and c_gamma gate the optional coefficient outputs.
+    phi holds the values phi_i at the point and dphi those of Lap phi_i, each
+    an IntegerRow (any sequence of rationals is converted to one).  dphi
+    None means the Einstein simplification applies (Lap phi_i = -(s/m)
+    phi_i), so only phi values are needed.  e_sign is required for
+    scalar-flat models (feasibility needs the sign only); e_magnitude and
+    c_gamma gate the optional coefficient outputs.
     """
 
     label: str
     kind: str
     group_order: int
-    phi_values: tuple[Fraction, ...]
-    laplacian_phi_values: Optional[tuple[Fraction, ...]] = None
+    phi: IntegerRow
+    dphi: Optional[IntegerRow] = None
     e_sign: Optional[int] = None
     e_magnitude: Optional[Fraction] = None
     c_gamma: Optional[Fraction] = None
@@ -86,12 +93,13 @@ class SingularPointRecord:
             raise ValueError(f"unknown point kind {self.kind!r}")
         if self.group_order < 1:
             raise ValueError("group order >= 1")
-        object.__setattr__(self, "phi_values", tuple(frac(x) for x in self.phi_values))
-        if self.laplacian_phi_values is not None:
-            lap = tuple(frac(x) for x in self.laplacian_phi_values)
-            if len(lap) != len(self.phi_values):
+        if not isinstance(self.phi, IntegerRow):
+            object.__setattr__(self, "phi", IntegerRow.of(self.phi))
+        if self.dphi is not None:
+            if not isinstance(self.dphi, IntegerRow):
+                object.__setattr__(self, "dphi", IntegerRow.of(self.dphi))
+            if len(self.dphi.nums) != len(self.phi.nums):
                 raise ValueError("laplacian values must match phi length")
-            object.__setattr__(self, "laplacian_phi_values", lap)
         if self.kind == SCALAR_FLAT:
             if self.e_sign not in (1, -1):
                 raise ValueError("scalar-flat points need e_sign in {+1, -1}")
@@ -106,23 +114,47 @@ class SingularPointRecord:
                 raise ValueError("c(Gamma) must be positive")
             object.__setattr__(self, "c_gamma", cg)
 
+    @property
+    def phi_values(self) -> tuple[Fraction, ...]:
+        return self.phi.values()
+
+    @property
+    def laplacian_phi_values(self) -> Optional[tuple[Fraction, ...]]:
+        return None if self.dphi is None else self.dphi.values()
+
 
 @dataclass(frozen=True)
 class ScaledMatrix:
     """A rational matrix with a stripped positive scalar prefactor.
 
-    Rank and positive-kernel questions are invariant under the prefactor,
-    so it is recorded instead of multiplied in; symbols name positive
-    quantities known only by sign (e.g. the scalar curvature).
+    The matrix is held as its ``rows``, each an IntegerRow, so their nums
+    are the rows of M_int and their dens its row scales; ``cols`` is the
+    column count.  Rank and positive-kernel questions are invariant under
+    the prefactor, so it is recorded instead of multiplied in; symbols name
+    positive quantities known only by sign (e.g. the scalar curvature).
     """
 
-    matrix: RationalMatrix
+    rows: tuple[IntegerRow, ...]
+    cols: int
     scale: Fraction = Fraction(1)
     scale_symbols: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
             raise ValueError("stripped scale must be positive")
+
+    @cached_property
+    def entries(self) -> tuple[list[tuple[int, int]], ...]:
+        """Each row's entries as reduced (numerator, denominator) pairs, the
+        entries a report prints."""
+        return tuple(row.pairs() for row in self.rows)
+
+    @property
+    def matrix(self) -> RationalMatrix:
+        """The matrix in Fractions, for callers that want one; the report
+        path never builds it."""
+        entries = tuple(x for row in self.rows for x in row.values())
+        return RationalMatrix(len(self.rows), self.cols, entries)
 
 
 FULL_RANK, RANK_DEFICIENT, GORDAN = "full_rank", "rank_deficient", "gordan"
@@ -161,7 +193,7 @@ class BalancingReport:
 
     @property
     def kernel_dim(self) -> int:
-        return self.matrix.matrix.cols - self.rank
+        return self.matrix.cols - self.rank
 
 
 @dataclass(frozen=True)
@@ -177,30 +209,35 @@ class PointCoefficients:
     c_constant: Optional[Fraction] = None
 
 
-def _matrix(d: int, n: int, entries: list[Fraction]) -> RationalMatrix:
-    """The d x n matrix of row-major Fraction entries, shaped as from_rows
-    shapes a list of d rows (no rows, no columns)."""
-    return RationalMatrix(d, n if d else 0, tuple(entries))
+def _matrix(
+    columns: Sequence[Sequence[int]], dens: Sequence[int], scale=Fraction(1), symbols=()
+) -> ScaledMatrix:
+    """The matrix whose column j is columns[j] over dens[j] > 0, one
+    IntegerRow per row (no rows, no columns when the columns are empty)."""
+    rows = tuple(IntegerRow.over(row, dens) for row in zip(*columns))
+    return ScaledMatrix(rows, len(columns) if rows else 0, scale, symbols)
+
+
+def _check_points(points: Sequence[SingularPointRecord], kind: str, noun: str) -> None:
+    """ValueError for a point of another kind, or with another phi length
+    than the first point."""
+    d = len(points[0].phi.nums)
+    for p in points:
+        if p.kind != kind:
+            raise ValueError(f"{p.label} is not a {noun} point")
+        if len(p.phi.nums) != d:
+            raise ValueError("inconsistent kernel dimension")
 
 
 def build_xi(points_q: Sequence[SingularPointRecord]) -> ScaledMatrix:
     """Sign-weighted balancing matrix for scalar-flat points at unit weights:
-    entry (i, l) = sign(e_l) * phi_i(q_l) / |Gamma_l|, made as one Fraction
-    from a numerator and a denominator."""
+    entry (i, l) = sign(e_l) * phi_i(q_l) / |Gamma_l|, column l being
+    e_l·phi(q_l)'s integer row over |Gamma_l| times its denominator."""
     if not points_q:
         raise ValueError("no scalar-flat points")
-    d = len(points_q[0].phi_values)
-    for p in points_q:
-        if p.kind != SCALAR_FLAT:
-            raise ValueError(f"{p.label} is not a scalar-flat point")
-        if len(p.phi_values) != d:
-            raise ValueError("inconsistent kernel dimension")
-    entries = [
-        Fraction(p.e_sign * x.numerator, p.group_order * x.denominator)
-        for row in zip(*(p.phi_values for p in points_q))
-        for p, x in zip(points_q, row)
-    ]
-    return ScaledMatrix(_matrix(d, len(points_q), entries))
+    _check_points(points_q, SCALAR_FLAT, "scalar-flat")
+    columns = [[p.e_sign * x for x in p.phi.nums] for p in points_q]
+    return _matrix(columns, [p.group_order * p.phi.den for p in points_q])
 
 
 def build_theta(
@@ -212,34 +249,31 @@ def build_theta(
 
     Under the Einstein flag Lap phi_i = -(s/m) phi_i, so the entry is
     ((m-1) s / m) phi_i(p_j), and since only positivity of s matters for
-    rank and kernels, the factor (m-1) s / m is stripped into the scale.
+    rank and kernels, the factor (m-1) s / m is stripped into the scale;
+    column j is then phi(p_j)'s integer row.  With explicit data, column j
+    is dphi/D' + (a/c)·phi/D = (dphi·c·D + a·phi·D') / (D'·c·D).
     """
     if not points_p:
         raise ValueError("no Ricci-flat points")
-    d = len(points_p[0].phi_values)
-    for p in points_p:
-        if p.kind != RICCI_FLAT:
-            raise ValueError(f"{p.label} is not a Ricci-flat point")
-        if len(p.phi_values) != d:
-            raise ValueError("inconsistent kernel dimension")
-
-    n = len(points_p)
-    if all(p.laplacian_phi_values is None for p in points_p):
-        matrix = _matrix(d, n, [p.phi_values[i] for i in range(d) for p in points_p])
+    _check_points(points_p, RICCI_FLAT, "Ricci-flat")
+    if all(p.dphi is None for p in points_p):
+        columns, dens = [p.phi.nums for p in points_p], [p.phi.den for p in points_p]
         if s is None:
-            return ScaledMatrix(matrix, Fraction(m - 1, m), ("s_omega",))
+            return _matrix(columns, dens, Fraction(m - 1, m), ("s_omega",))
         if s <= 0:
             raise ValueError("scalar curvature must be positive here")
-        return ScaledMatrix(matrix, Fraction(m - 1, m) * s)
+        return _matrix(columns, dens, Fraction(m - 1, m) * s)
 
     if s is None:
         raise ValueError("explicit laplacian data needs a numeric scalar curvature")
-    if any(p.laplacian_phi_values is None for p in points_p):
+    if any(p.dphi is None for p in points_p):
         raise ValueError("mixed Einstein/explicit laplacian data")
-    entries = [
-        p.laplacian_phi_values[i] + s * p.phi_values[i] for i in range(d) for p in points_p
+    a, c = s.numerator, s.denominator
+    columns = [
+        [x * c * p.phi.den + a * y * p.dphi.den for x, y in zip(p.dphi.nums, p.phi.nums)]
+        for p in points_p
     ]
-    return ScaledMatrix(_matrix(d, n, entries))
+    return _matrix(columns, [p.dphi.den * c * p.phi.den for p in points_p])
 
 
 def _determinant(a: list[list[int]]) -> int:
@@ -259,17 +293,19 @@ def _determinant(a: list[list[int]]) -> int:
 
 
 def check_certificate(
-    matrix: RationalMatrix, witness: Optional[Sequence[Fraction]], cert: Certificate
+    matrix: ScaledMatrix, witness: Optional[Sequence[Fraction]], cert: Certificate
 ) -> None:
     """Verify a verdict in Python ints, apart from the solver: the witness
     has entries >= 1 and M·w = 0, and the certificate holds on M_int (see
-    Certificate), rebuilt here from the matrix at unit weights.  A full_rank
-    or rank_deficient certificate goes with a witness, a gordan one without.
-    Raises RuntimeError if anything fails."""
+    Certificate), rebuilt here from the matrix's entries as the report
+    prints them (ScaledMatrix.entries), each row times the lcm of its
+    denominators.  A
+    full_rank or rank_deficient certificate goes with a witness, a gordan
+    one without.  Raises RuntimeError if anything fails."""
     rows = []
-    for i in range(matrix.rows):
-        scale = math.lcm(*(e.denominator for e in matrix.row(i)))
-        rows.append([e.numerator * (scale // e.denominator) for e in matrix.row(i)])
+    for pairs in matrix.entries:
+        scale = math.lcm(*(q for _, q in pairs))
+        rows.append([n * (scale // q) for n, q in pairs])
     ok = (witness is None) == (cert.kind == GORDAN)
     if witness is not None:
         den = math.lcm(*(w.denominator for w in witness))
@@ -278,10 +314,10 @@ def check_certificate(
         ok = ok and not any(sum(map(mul, row, w)) for row in rows)
     if cert.kind == FULL_RANK:
         cols = cert.columns
-        ok = ok and len(cols) == matrix.rows and list(cols) == sorted(set(cols))
+        ok = ok and len(cols) == len(rows) and list(cols) == sorted(set(cols))
         ok = ok and all(0 <= j < matrix.cols for j in cols) and cert.determinant != 0
         ok = ok and _determinant([[row[j] for j in cols] for row in rows]) == cert.determinant
-    elif cert.kind in (RANK_DEFICIENT, GORDAN) and len(cert.y) == matrix.rows:
+    elif cert.kind in (RANK_DEFICIENT, GORDAN) and len(cert.y) == len(rows):
         y_m = [sum(map(mul, cert.y, col)) for col in zip(*rows)]
         if cert.kind == RANK_DEFICIENT:
             ok = ok and any(cert.y) and not any(y_m)
@@ -310,17 +346,18 @@ def _decide(
     """The balancing decision shared by both regimes, on the regime's matrix
     at unit weights.
 
-    The matrix is scaled to M_int once, and both solvers take it: the
-    simplex looks for a positive kernel vector, its duals giving a Gordan
-    certificate when there is none, and one elimination gives the rank with
-    a full-rank or rank-deficient certificate.  check_certificate verifies
+    The matrix's rows are already M_int over its row scales, and both
+    solvers take them: the simplex looks for a positive kernel vector, its
+    duals giving a Gordan certificate when there is none, and one
+    elimination gives the rank with a full-rank or rank-deficient
+    certificate.  check_certificate verifies
     the verdict.  The reported matrix is the unit-weight one, on which the
     certificate is stated and whose columns the witness weights.
     """
-    rows, scales = integer_rows(unit.matrix)
-    witness, gordan = phase_one(rows, scales, unit.matrix.cols)
-    pivots, det, y = rank_certificate(rows, unit.matrix.cols)
-    d = unit.matrix.rows
+    rows = [row.nums for row in unit.rows]
+    witness, gordan = phase_one(rows, [row.den for row in unit.rows], unit.cols)
+    pivots, det, y = rank_certificate(rows, unit.cols)
+    d = len(rows)
     r = len(pivots)
     if witness is None:
         cert = Certificate(GORDAN, y=gordan)
@@ -328,7 +365,7 @@ def _decide(
         cert = Certificate(FULL_RANK, columns=tuple(pivots), determinant=det)
     else:
         cert = Certificate(RANK_DEFICIENT, y=y)
-    check_certificate(unit.matrix, witness, cert)
+    check_certificate(unit, witness, cert)
     if witness is None:
         return BalancingReport(
             regime=regime,
@@ -374,7 +411,7 @@ def solve_ricci_flat_balancing(
     = 0, needing a numeric s.  The feasibility verdict and the rank are
     invariant under the stripped positive factors.
     """
-    if all(p.laplacian_phi_values is None for p in points_p):
+    if all(p.dphi is None for p in points_p):
         note = (
             "einstein reduction: tuned system is ((m-1)s/m) sum_j b_j phi_i(p_j); "
             "positive factor (m-1)s/m stripped"
@@ -415,13 +452,15 @@ def leading_coefficients(
     Ricci-flat: |Gamma| b / (2(m-1)).  Scalar-flat: |Gamma| a / (4 |S^3| |e|)
     = |Gamma| a / (8 |e|) pi^-2 at m = 2, and |Gamma| a / (8(m-2)(m-1)
     |S^{2m-1}| |e|) = |Gamma| a (m-2)! / (16 (m-2) |e|) pi^-m at m >= 3; the
-    two branches are disjoint in m and must not be cross-applied.
+    two branches are disjoint in m and must not be cross-applied.  Each is
+    one Fraction of a numerator and a denominator.
     """
     if m < 2:
         raise ValueError("m >= 2")
     w = frac(weight)
+    num = order * w.numerator
     if kind == RICCI_FLAT:
-        return PiRational(order * w / (2 * (m - 1)))
+        return PiRational(Fraction(num, 2 * (m - 1) * w.denominator))
     if kind != SCALAR_FLAT:
         raise ValueError(f"unknown kind {kind!r}")
     if e_magnitude is None:
@@ -429,9 +468,10 @@ def leading_coefficients(
     mag = frac(e_magnitude)
     if mag <= 0:
         raise ValueError("|e| must be positive")
+    num, den = num * mag.denominator, w.denominator * mag.numerator
     if m == 2:
-        return PiRational(order * w / (8 * mag), -2)
-    return PiRational(order * w * math.factorial(m - 2) / (16 * (m - 2) * mag), -m)
+        return PiRational(Fraction(num, 8 * den), -2)
+    return PiRational(Fraction(num * math.factorial(m - 2), 16 * (m - 2) * den), -m)
 
 
 def model_constants(
@@ -474,11 +514,11 @@ def _point_coefficients(
 ) -> PointCoefficients:
     if point.kind == RICCI_FLAT:
         leading = leading_coefficients(RICCI_FLAT, m, point.group_order, weight)
-        b_rad = b_exp = c_const = None
-        if point.c_gamma is not None and m >= 3 and c_j is not None:
-            (b_rad, b_exp), c_const = model_constants(
-                m, weight, point.group_order, point.c_gamma, s, c_j
-            )
+        if point.c_gamma is None or m < 3 or c_j is None:
+            return PointCoefficients(label=point.label, kind=point.kind, leading=leading)
+        (b_rad, b_exp), c_const = model_constants(
+            m, weight, point.group_order, point.c_gamma, s, c_j
+        )
         return PointCoefficients(
             label=point.label,
             kind=point.kind,
@@ -497,6 +537,6 @@ def _point_coefficients(
         kind=point.kind,
         leading=None,
         leading_note="pending |e(Gamma)|: leading value is "
-        f"{Fraction(point.group_order) * weight}/"
+        f"{Fraction(point.group_order * weight.numerator, weight.denominator)}/"
         f"({4 if m == 2 else 8 * (m - 2) * (m - 1)}*|S^{2*m-1}|*|e|)",
     )

@@ -4,16 +4,29 @@ Everything here is computed over Q (``fractions.Fraction``) or Z (Python
 ints); no floating point anywhere.  Rank, determinants, square solves,
 nullspaces and inverses all run on one fraction-free integer elimination
 kernel (Bareiss).  The toric layer calls its integer_inverse once per cone,
-and the polytope layer reads every cone datum off that inverse.  The
-balancing layer scales its matrix to integers once (integer_rows: M_int,
-each row times the lcm of its denominators, and those row scales) and hands
-M_int to both of its solvers: rank_certificate, a rank with its
-certificate from one elimination of [M_int | I], and phase_one, a
-phase-one simplex for strictly positive kernel vectors whose tableau rows
-are integer vectors with implicit positive scales, so no pivot touches a
-Fraction; when there is no such vector its duals give a Gordan
-certificate.  None of the Fraction wrappers is on the report path.  Besides
-these there is a Smith normal form with unimodular transforms.
+and the polytope layer reads every cone datum off that inverse.
+
+A rational vector can be held as an IntegerRow: integers over one positive
+denominator, in lowest terms, so that the row of a matrix held this way is
+its row of M_int (the row times the lcm of its denominators) over that row
+scale.  The balancing layer holds its matrix so and hands M_int and the
+row scales to both of its solvers, neither of which touches a Fraction:
+
+- rank_certificate, a rank with its certificate from one elimination of
+  [M_int | I].  Every row of that elimination is its identity block T
+  times [M_int | I], so only T is kept; a column of the left part is formed
+  as T·M_c when the pivot search reaches it, and the search stops at full
+  row rank.
+- phase_one, a phase-one simplex for strictly positive kernel vectors,
+  revised: it keeps the integer adjugate N = D·B⁻¹ of the basis and
+  D = det B, prices columns in Bland order up to the first negative reduced
+  cost and forms only the entering column.  Every sign and ratio Bland's
+  rule reads is the rational tableau's, so its pivots, witness and Gordan
+  certificate (from its duals, when there is no positive kernel vector)
+  are the tableau simplex's.
+
+None of the Fraction wrappers is on the report path.  Besides these there
+is a Smith normal form with unimodular transforms.
 """
 
 from __future__ import annotations
@@ -21,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Optional, Sequence, Union
+from operator import mul
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
 
@@ -78,6 +92,56 @@ class RationalMatrix:
 
 
 IntMatrix = Sequence[Sequence[int]]
+
+
+class IntegerRow(NamedTuple):
+    """A vector of rationals as integers over one positive denominator, in
+    lowest terms: entry i is nums[i] / den and gcd(den, *nums) = 1.  Equal
+    vectors have equal rows, and den is the lcm of the entries' reduced
+    denominators, so a matrix row held this way is its row of M_int over
+    its row scale (see integer_rows)."""
+
+    nums: tuple[int, ...]
+    den: int = 1
+
+    @staticmethod
+    def over(nums: Sequence[int], dens: Sequence[int]) -> "IntegerRow":
+        """The row of the rationals nums[i] / dens[i], each dens[i] > 0."""
+        den = lcm(*dens)
+        scaled = [n * (den // q) for n, q in zip(nums, dens)]
+        g = gcd(den, *scaled)
+        if g == 1:
+            return IntegerRow(tuple(scaled), den)
+        return IntegerRow(tuple(n // g for n in scaled), den // g)
+
+    @staticmethod
+    def of(values: Iterable[Scalar]) -> "IntegerRow":
+        values = [frac(x) for x in values]
+        return IntegerRow.over([q.numerator for q in values], [q.denominator for q in values])
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """Each entry as its reduced (numerator, denominator)."""
+        den = self.den
+        return [(n // g, den // g) for n in self.nums for g in (gcd(n, den),)]
+
+    def strings(self) -> list[str]:
+        """Each entry as str(Fraction) writes it."""
+        den = self.den
+        if den == 1:
+            return list(map(str, self.nums))
+        return [
+            str(n // g) if g == den else f"{n // g}/{den // g}"
+            for n in self.nums
+            for g in (gcd(n, den),)
+        ]
+
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+
+def pair_strings(pairs: Iterable[tuple[int, int]]) -> list[str]:
+    """Reduced (numerator, denominator) pairs as str(Fraction) writes them."""
+    return [f"{n}/{q}" if q != 1 else str(n) for n, q in pairs]
 
 
 def _integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -200,15 +264,38 @@ def rank_certificate(
     columns are a nonsingular column subset, det is M_int's determinant on
     them and y is None.  Below it det is 0 and y != 0 is an integer vector
     with yᵀ·M_int = 0: the identity block of the first row that the
-    elimination zeroed, since every row of the result is (its identity
-    block)ᵀ·[M_int | I].
+    elimination zeroed.
+
+    Every row of the elimination is (its identity block)ᵀ·[M_int | I], so
+    only that block T is kept: column c of the left part is T·M_c, formed
+    when the pivot search reaches c, and the search stops at full row rank,
+    where no later column can hold a pivot.  The pivots, det and y are
+    those of _echelon on [M_int | I].
     """
     d = len(rows)
-    aug = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(rows)]
-    pivots, p, sign = _echelon(aug, ncols)
+    t = [[int(i == j) for j in range(d)] for i in range(d)]
+    pivots: list[int] = []
+    prev = sign = 1
+    for col, m_c in enumerate(zip(*rows)):
+        r = len(pivots)
+        if r == d:
+            break
+        v = [sum(map(mul, row, m_c)) for row in t]
+        piv = next((i for i in range(r, d) if v[i]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            t[r], t[piv], v[r], v[piv] = t[piv], t[r], v[piv], v[r]
+            sign = -sign
+        top, p = t[r], v[r]
+        for i, f in enumerate(v):
+            if i != r:
+                t[i] = [(p * x - f * y) // prev for x, y in zip(t[i], top)]
+        prev = p
+        pivots.append(col)
     if len(pivots) == d:
-        return pivots, sign * p, None
-    y = aug[len(pivots)][ncols:]
+        return pivots, sign * prev, None
+    y = t[len(pivots)]
     g = gcd(*y) or 1
     return pivots, 0, tuple(x // g for x in y)
 
@@ -392,24 +479,27 @@ def phase_one(
     (M z = -M·1), decided by a phase-one simplex run with Bland's pivoting
     rule so the returned witness is deterministic.
 
-    The tableau is kept in Python ints.  Row i is an integer vector R_i
-    standing for the rational row R_i / s_i with an implicit scale s_i > 0;
-    since the basic column of a row holds 1, s_i is that column's entry.  A
-    row starts as M_int's row, with its scale as its artificial entry, and
-    negated (sigma_i = -1) where that makes its right-hand side nonnegative.
-    A pivot on (r, c) with p = R_r[c] > 0 replaces every other row with
-    R_i[c] = f != 0 by p·R_i - f·R_r divided by its content gcd and leaves
-    R_r as it is.  The objective row is
-    updated the same way, its scale L becoming p·L/g with g the gcd of the
-    new row and p·L.  Signs and ratios of the rational tableau are read off
-    the integers (ratios by cross-multiplication), so every pivot is the one
-    the rational simplex on M would take.
+    The simplex is revised and kept in Python ints.  Row i of the
+    constraints is M_int's row times sigma_i = ±1, chosen so that its
+    right-hand side b_i is >= 0, with the artificial column scales[i]·e_i:
+    M's row times the positive scales[i], which changes no pivot, reduced
+    cost or dual.  Only the adjugate N = D·B⁻¹ of the basis B is kept, with
+    D = det B and β = N·b.  A column's reduced cost is c_j - π·A_j/D with
+    π = c_B·N, priced in Bland order up to the first negative one; only the
+    entering column u = N·A_e is formed.  The ratio test compares
+    β_i/u_i by cross-multiplication over the rows with u_i/D > 0, ties going
+    to the smaller basic index.  Pivoting on row r makes det B' = u_r and
+    N'_i = (u_r·N_i - u_i·N_r)/D for i != r (N'_r = N_r), exactly, since
+    both are minors of the constraint matrix; β is updated the same way.
+    Every value the rule reads is a sign or a ratio of the rational tableau,
+    so the pivots, the witness and the Gordan vector are those of the
+    tableau simplex on M.
 
-    When the optimum is positive, the reduced cost of artificial k is
-    1 - pi_k with pi the phase-one duals: pi_k = 1 - obj[artificial k] / L.
-    Every reduced cost is >= 0 and the optimum is pi·rhs > 0, so
-    y_k = -sigma_k·pi_k on the rows of M satisfies yᵀ·M >= 0 and
-    yᵀ·M·1 > 0 (Farkas); it is returned rescaled to M_int's rows.
+    When the optimum is positive, the dual of artificial k is
+    pi_k = π_k·scales[k]/D, every reduced cost is >= 0 and the optimum is
+    pi·b > 0, so y_k = -sigma_k·pi_k on the rows of M satisfies yᵀ·M >= 0
+    and yᵀ·M·1 > 0 (Farkas); over M_int's rows it is -sigma_k·π_k/D,
+    returned as a primitive integer vector.
     """
     nrows = len(rows)
     if ncols == 0:
@@ -417,88 +507,82 @@ def phase_one(
     if nrows == 0:
         return (Fraction(1),) * ncols, None
 
-    # Tableau rows: [A | artificial block | rhs], artificials start basic.
-    width = ncols + nrows
-    signs: list[int] = []
-    tab: list[list[int]] = []
-    for i, (row, scale) in enumerate(zip(rows, scales)):
-        row = list(row)
-        rhs = -sum(row)
-        signs.append(-1 if rhs < 0 else 1)
-        if rhs < 0:
-            row, rhs = [-x for x in row], -rhs
-        art = [0] * nrows
-        art[i] = scale
-        tab.append(row + art + [rhs])
+    # Row i of A is sigma_i times M_int's row, so π·A_j = (π∘sigma)·M_c.
+    sums = [sum(row) for row in rows]
+    signs = [-1 if total > 0 else 1 for total in sums]
+    columns = list(zip(*rows))
     basis = [ncols + i for i in range(nrows)]
-
-    # Objective: minimize the sum of artificials.  Reduced-cost row after
-    # pricing out the basic artificials, on the common denominator L of
-    # the row scales.
-    common = lcm(*scales)
-    big_l = common
-    weights = [common // s for s in scales]
-    obj = [-sum(w * row[j] for w, row in zip(weights, tab)) for j in range(width + 1)]
-    for j in range(ncols, width):
-        obj[j] += big_l
-
-    def reduce(p: int, row: list[int], f: int, top: list[int]) -> list[int]:
-        new = [p * x - f * y for x, y in zip(row, top)]
-        g = gcd(*new)
-        return [x // g for x in new] if g > 1 else new
+    det = prod(scales)
+    adj = [[det // s if i == k else 0 for k in range(nrows)] for i, s in enumerate(scales)]
+    beta = [-sign * total * (det // s) for sign, total, s in zip(signs, sums, scales)]
 
     while True:
-        entering = next((j for j in range(width) if obj[j] < 0), None)
+        basic = set(basis)
+        pi = [sum(col) for col in zip(*(adj[i] for i, bv in enumerate(basis) if bv >= ncols))]
+        if not pi:
+            pi = [0] * nrows
+        signed_pi = list(map(mul, pi, signs))
+        # D times the reduced cost is -π·A_j for a structural column and
+        # D - π_k·scales[k] for artificial k; the cost is negative when that
+        # is nonzero and of the other sign than D.
+        neg = det < 0
+        entering = None
+        for j, col in enumerate(columns):
+            if j not in basic:
+                v = sum(map(mul, signed_pi, col))
+                if v and (v < 0) == neg:
+                    entering = j
+                    break
+        else:
+            for k, scale in enumerate(scales):
+                v = det - pi[k] * scale
+                if v and (v < 0) != neg and ncols + k not in basic:
+                    entering = ncols + k
+                    break
         if entering is None:
             break
+        if entering < ncols:
+            a_e = list(map(mul, signs, columns[entering]))
+            u = [sum(map(mul, row, a_e)) for row in adj]
+        else:
+            k = entering - ncols
+            u = [row[k] * scales[k] for row in adj]
         leaving = None
-        for i in range(nrows):
-            coeff = tab[i][entering]
-            if coeff > 0:
+        for i, coeff in enumerate(u):
+            if coeff and (coeff < 0) == neg:
                 if leaving is None:
                     leaving = i
                     continue
-                # rhs_i / coeff  vs  rhs_l / coeff_l, both denominators > 0.
-                lhs = tab[i][width] * tab[leaving][entering]
-                rhs = tab[leaving][width] * coeff
+                # beta_i / u_i  vs  beta_l / u_l, with u_i·u_l > 0.
+                lhs = beta[i] * u[leaving]
+                rhs = beta[leaving] * coeff
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):  # Bland tie-break
                     leaving = i
         if leaving is None:
             # Phase-one objective is bounded below by 0, so an unbounded
             # pivot column cannot occur on a well-formed tableau.
             raise RuntimeError("phase-one simplex lost boundedness (bug)")
-        top = tab[leaving]
-        p = top[entering]
-        for i in range(nrows):
-            f = tab[i][entering]
-            if i != leaving and f:
-                tab[i] = reduce(p, tab[i], f, top)
-        f = obj[entering]
-        new = [p * x - f * y for x, y in zip(obj, top)]
-        g = gcd(*new, p * big_l)
-        obj, big_l = [x // g for x in new], p * big_l // g
+        p, top, b_top = u[leaving], adj[leaving], beta[leaving]
+        for i, f in enumerate(u):
+            if i != leaving:
+                adj[i] = [(p * x - f * y) // det for x, y in zip(adj[i], top)]
+                beta[i] = (p * beta[i] - f * b_top) // det
+        det = p
         basis[leaving] = entering
 
-    if obj[width] != 0:
-        # L·pi_k = L - obj[ncols + k], and row k of M is row k of M_int
-        # over scales[k]: over M_int's rows y is -sigma_k·L·pi_k/scales[k],
-        # here times the common multiple of the scales.
-        y = [
-            -sign * (big_l - obj[ncols + k]) * (common // scale)
-            for k, (sign, scale) in enumerate(zip(signs, scales))
-        ]
+    if any(b for b, bv in zip(beta, basis) if bv >= ncols):
+        # Over M_int's rows y is -sigma_k·π_k/D, here times |D|.
+        flip = -1 if det > 0 else 1
+        y = [flip * sign * v for sign, v in zip(signs, pi)]
         g = gcd(*y) or 1
         return None, tuple(v // g for v in y)
 
-    # x = X / D with X integral: z[bv] = rhs / (basic entry) and x = z + 1.
-    num = [0] * ncols
-    den = [1] * ncols
-    for i, bv in enumerate(basis):
+    # x = z + 1 with z_B = β/D, over the denominator |D|.
+    d = abs(det)
+    x = [d] * ncols
+    for b, bv in zip(beta, basis):
         if bv < ncols:
-            g = gcd(tab[i][width], tab[i][bv])
-            num[bv], den[bv] = tab[i][width] // g, tab[i][bv] // g
-    d = lcm(*den)
-    x = [d + n * (d // q) for n, q in zip(num, den)]
-    if min(x) < d or any(sum(a * v for a, v in zip(row, x)) for row in rows):
+            x[bv] = d + (b if det > 0 else -b)
+    if min(x) < d or any(sum(map(mul, row, x)) for row in rows):
         raise RuntimeError("simplex witness fails M x = 0, x >= 1 (bug)")
     return tuple(Fraction(v, d) for v in x), None

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .balancing import RICCI_FLAT, SCALAR_FLAT, SingularPointRecord
+from .exact_linalg import IntegerRow
 from .toric_lattice import Fan
 
 
@@ -53,7 +54,7 @@ class OrbifoldFile:
         if self.m < 2 or self.d < 1:
             raise ValueError(f"m must be >= 2 and d >= 1, got m={self.m} and d={self.d}")
         for p in self.points:  # a record's dphi has as many entries as its phi
-            if len(p.phi_values) != self.d:
+            if len(p.phi.nums) != self.d:
                 raise ValueError(f"point {p.label}: phi needs d={self.d} entries")
         labels = [p.label for p in self.points]
         if len(set(labels)) != len(labels):
@@ -69,6 +70,12 @@ _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 # Fraction(str) would also take decimals, exponents, underscores, spaces
 # around the slash and non-ASCII digits, some only on newer interpreters.
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# A bracketed list of rational literals, the entries grouped: no entry or
+# comma-separated entries, each a rational literal with a nonzero
+# denominator between whitespace.  \s is exactly str.isspace, which
+# str.strip strips.
+_ROW_ENTRY = r"\s*[+-]?[0-9]+(?:/0*[1-9][0-9]*)?\s*"
+_ROW_RE = re.compile(rf"\[(?:({_ROW_ENTRY}(?:,{_ROW_ENTRY})*)|\s*)\]")
 
 
 def _strip_comment(line: str) -> str:
@@ -124,6 +131,39 @@ def _parse_list(literal, text: str, errors: list, lineno: int, what: str) -> Opt
             return None
         out.append(x)
     return out
+
+
+def _rational_row(text: str) -> Optional[IntegerRow]:
+    """The bracketed list of rational literals ``text`` names as one
+    IntegerRow, or None if it is not such a list: one regex match decides
+    it, in the grammar of _parse_list with _rational, and the entries it
+    groups are then split at their commas and read as ints."""
+    m = _ROW_RE.fullmatch(text.strip())
+    if m is None:
+        return None
+    inner = m.group(1)
+    if inner is None:
+        return IntegerRow(())
+    fields = inner.split(",")
+    if "/" not in inner:
+        return IntegerRow(tuple(map(int, map(str.strip, fields))))
+    nums, dens = [], []
+    for field in fields:
+        num, _, den = field.strip().partition("/")
+        nums.append(int(num))
+        dens.append(int(den) if den else 1)
+    return IntegerRow.over(nums, dens)
+
+
+def _row_field(text: str, errors: list, lineno: int, what: str) -> Optional[IntegerRow]:
+    """A phi or dphi list as one IntegerRow, or None with an error; a list
+    the one-pass reader refuses goes through _parse_list, which names what
+    is wrong."""
+    row = _rational_row(text)
+    if row is None and _parse_list(_rational, text, errors, lineno, what) is not None:
+        # The two readers share one grammar; if they ever part, refuse.
+        errors.append(f"line {lineno}: {what} must be a list of exact rationals")
+    return row
 
 
 def _records(text: str, scalar_keys: tuple[str, ...], errors: list):
@@ -303,11 +343,11 @@ def parse_orbifold(text: str) -> OrbifoldFile:
         order = _field(_integer, attrs["order"], errors, lineno, "order")
         if order is None:
             continue
-        phi = _parse_list(_rational, attrs["phi"], errors, lineno, "phi")
+        phi = _row_field(attrs["phi"], errors, lineno, "phi")
         if phi is None:
             continue
-        if len(phi) != d:
-            errors.append(f"line {lineno}: phi has {len(phi)} entries, expected d={d}")
+        if len(phi.nums) != d:
+            errors.append(f"line {lineno}: phi has {len(phi.nums)} entries, expected d={d}")
             continue
         dphi = None
         if "dphi" in attrs:
@@ -316,10 +356,10 @@ def parse_orbifold(text: str) -> OrbifoldFile:
                     f"line {lineno}: explicit dphi conflicts with the einstein flag"
                 )
                 continue
-            dphi = _parse_list(_rational, attrs["dphi"], errors, lineno, "dphi")
+            dphi = _row_field(attrs["dphi"], errors, lineno, "dphi")
             if dphi is None:
                 continue
-            if len(dphi) != d:
+            if len(dphi.nums) != d:
                 errors.append(f"line {lineno}: dphi length must equal d={d}")
                 continue
         elif kind == RICCI_FLAT and not einstein:
@@ -351,8 +391,8 @@ def parse_orbifold(text: str) -> OrbifoldFile:
                     label=label,
                     kind=kind,
                     group_order=order,
-                    phi_values=tuple(phi),
-                    laplacian_phi_values=tuple(dphi) if dphi is not None else None,
+                    phi=phi,
+                    dphi=dphi,
                     e_sign=e_sign,
                     e_magnitude=e_mag,
                     c_gamma=c_gamma,

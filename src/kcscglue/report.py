@@ -41,6 +41,7 @@ from .balancing import (
     solve_ricci_flat_balancing,
     solve_scalar_flat_balancing,
 )
+from .exact_linalg import pair_strings
 from .formats import FanFile, OrbifoldFile
 from .polytope import (
     anticanonical_polytope,
@@ -82,7 +83,7 @@ def _scaled_matrix(sm: Optional[ScaledMatrix]) -> Optional[dict[str, Any]]:
     return {
         "scale": str(sm.scale),
         "scale_symbols": list(sm.scale_symbols),
-        "rows": [_qvec(sm.matrix.row(i)) for i in range(sm.matrix.rows)],
+        "rows": [pair_strings(pairs) for pairs in sm.entries],
     }
 
 
@@ -226,7 +227,7 @@ def _fan_balancing(run: SimpleNamespace) -> dict[str, Any]:
             label=label,
             kind=RICCI_FLAT,
             group_order=qd.order,
-            phi_values=tuple(vert[label]),
+            phi=vert[label],
         )
         for label, qd in su
     ]
@@ -271,7 +272,7 @@ def _points(run: SimpleNamespace) -> list[dict[str, Any]]:
             "kind": p.kind,
             "classification": SU if p.kind == RICCI_FLAT else U_NON_SU,
             "order": p.group_order,
-            "phi": _qvec(p.phi_values),
+            "phi": p.phi.strings(),
         }
         for p in run.orb.points
     ]
@@ -381,8 +382,13 @@ def build_report(
     }
 
 
-# The exact types of report values; any other value is placed by isinstance.
-_REPORT_TYPES = frozenset((str, int, bool, type(None), list, tuple, dict))
+# The text of a scalar report value, by its exact type.
+_SCALARS = {
+    str: _json_str,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
 
 
 def _write_json(value: Any, indent: str, out: list[str], memo: dict) -> None:
@@ -390,34 +396,35 @@ def _write_json(value: Any, indent: str, out: list[str], memo: dict) -> None:
     indent=2)`` writes it, ``indent`` (a newline and two spaces per level)
     going before its closing bracket.  Only str, int, bool, None, lists,
     tuples and dicts with str keys are written; anything else, a float
-    included, is a TypeError.  ``memo`` holds the text of each list of
-    strings already written in this rendering, by identity and indent: the
-    report shares such lists (a polytope vertex appears in every face and
-    cone assignment that holds it)."""
+    included, is a TypeError.  A value of any other type is placed by
+    isinstance, and a scalar dict value is written with its key.  ``memo``
+    holds the text of each list of strings already written in this
+    rendering, by identity and indent: the report shares such lists (a
+    polytope vertex appears in every face and cone assignment that holds
+    it)."""
     kind = type(value)
-    if kind not in _REPORT_TYPES:
+    if kind not in _SCALARS and kind not in (list, tuple, dict):
         kind = next((t for t in (str, int, list, tuple, dict) if isinstance(value, t)), None)
         if kind is None:
             raise TypeError(f"{type(value).__name__} is not a report value")
-    if kind is str:
-        out.append(_json_str(value))
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif kind is bool:
-        out.append("true" if value else "false")
-    elif value is None:
-        out.append("null")
+    write = _SCALARS.get(kind)
+    if write is not None:
+        out.append(write(value))
     elif not value:
         out.append("{}" if kind is dict else "[]")
     elif kind is dict:
-        if not all(isinstance(key, str) for key in value):
-            raise TypeError("report keys must be str")
         inner = indent + "  "
         sep = "," + inner
         lead = "{" + inner
+        # _json_str refuses a key that is not a str.
         for key in sorted(value):
-            out.append(f"{lead}{_json_str(key)}: ")
-            _write_json(value[key], inner, out, memo)
+            item = value[key]
+            write = _SCALARS.get(type(item))
+            if write is None:
+                out.append(f"{lead}{_json_str(key)}: ")
+                _write_json(item, inner, out, memo)
+            else:
+                out.append(f"{lead}{_json_str(key)}: {write(item)}")
             lead = sep
         out.append(indent + "}")
     else:

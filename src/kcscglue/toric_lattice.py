@@ -181,13 +181,16 @@ class Fan:
 
 def _cone_defect(fan: Fan, idx: Sequence[int]) -> Optional[str]:
     """Why the cone on ray indices idx is not a chart, or None if it is one:
-    a chart has dim distinct in-range rays, each of length dim."""
+    a chart has dim distinct in-range rays, each of length dim, and at least
+    one ray (the empty cone of a dim 0 fan is no chart either)."""
     if not all(0 <= i < len(fan.rays) for i in idx):
         return "ray index out of range"
     if len(set(idx)) != len(idx):
         return "repeated ray"
     if len(idx) != fan.dim:
         return f"{len(idx)} generators, expected {fan.dim} (not full-dimensional simplicial)"
+    if not idx:
+        return "no rays (a chart has at least one)"
     for i in idx:
         if len(fan.rays[i]) != fan.dim:
             return f"ray {i + 1} has length {len(fan.rays[i])}, expected {fan.dim}"

@@ -29,6 +29,7 @@ balancing-shaped matrices in each of the three verdict classes.
 from __future__ import annotations
 
 import random
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +44,9 @@ from kcscglue import toric_lattice
 from kcscglue.balancing import BalancingReport, PiRational, ScaledMatrix
 from kcscglue.biharmonic import ModeMatrix
 from kcscglue.exact_linalg import (
+    IntegerRow,
     RationalMatrix,
+    _echelon,
     Scalar,
     frac,
     integer_rank,
@@ -324,31 +327,176 @@ def orbifold_shaped_matrix(rng: random.Random, klass: str, d: int, n: int) -> Ra
     return RationalMatrix.from_rows([[c[i] for c in cols] for i in range(d)])
 
 
+def rational_list_entrywise(text: str, what: str = "phi") -> tuple[Optional[list], list[str]]:
+    """The entrywise reader of a bracketed list of rational literals that
+    formats read phi and dphi with before its one-pass reader, as an oracle:
+    ``(Fractions, [])``, or ``(None, [error])`` with the error as line 1's.
+    The list must be bracketed after stripping; a blank inside is empty, and
+    otherwise each comma-separated entry, stripped, must be one rational
+    literal with a nonzero denominator."""
+    m = re.match(r"^\[(.*)\]$", text.strip(), re.DOTALL)
+    if not m:
+        return None, [f"line 1: {what} must be a bracketed list, got {text!r}"]
+    if not m.group(1).strip():
+        return [], []
+    values = []
+    for t in map(str.strip, m.group(1).split(",")):
+        literal = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", t)
+        if not literal or literal.group(2) is not None and int(literal.group(2)) == 0:
+            return None, [f"line 1: {what} entry {t!r} is not an exact rational"]
+        values.append(Fraction(int(literal.group(1)), int(literal.group(2) or 1)))
+    return values, []
+
+
+def scaled_matrix(matrix: RationalMatrix, scale=Fraction(1), symbols=()) -> ScaledMatrix:
+    """A ScaledMatrix holding ``matrix``, each row made an IntegerRow from
+    its Fractions."""
+    rows = tuple(IntegerRow.of(matrix.row(i)) for i in range(matrix.rows))
+    return ScaledMatrix(rows, matrix.cols, scale, symbols)
+
+
 def build_xi_fraction(points_q) -> ScaledMatrix:
     """The scalar-flat balancing matrix at unit weights by its formula, entry
-    by entry: (i, l) = sign(e_l) * phi_i(q_l) / |Gamma_l|."""
+    by entry in Fractions: (i, l) = sign(e_l) * phi_i(q_l) / |Gamma_l|."""
     d = len(points_q[0].phi_values)
     rows = [[p.e_sign * p.phi_values[i] / p.group_order for p in points_q] for i in range(d)]
-    return ScaledMatrix(RationalMatrix.from_rows(rows))
+    return scaled_matrix(RationalMatrix.from_rows(rows))
 
 
 def build_theta_fraction(points_p, s, m: int) -> ScaledMatrix:
     """The Ricci-flat balancing matrix at unit weights by its formula, entry
-    by entry: phi_i(p_j) with the stripped scale (m-1) s / m under the
-    Einstein flag, (Lap phi_i + s phi_i)(p_j) otherwise."""
+    by entry in Fractions: phi_i(p_j) with the stripped scale (m-1) s / m
+    under the Einstein flag, (Lap phi_i + s phi_i)(p_j) otherwise."""
     d = len(points_p[0].phi_values)
     if all(p.laplacian_phi_values is None for p in points_p):
         matrix = RationalMatrix.from_rows(
             [[p.phi_values[i] for p in points_p] for i in range(d)]
         )
         if s is None:
-            return ScaledMatrix(matrix, Fraction(m - 1, m), ("s_omega",))
-        return ScaledMatrix(matrix, Fraction(m - 1, m) * s)
+            return scaled_matrix(matrix, Fraction(m - 1, m), ("s_omega",))
+        return scaled_matrix(matrix, Fraction(m - 1, m) * s)
     rows = [
         [p.laplacian_phi_values[i] + s * p.phi_values[i] for p in points_p]
         for i in range(d)
     ]
-    return ScaledMatrix(RationalMatrix.from_rows(rows))
+    return scaled_matrix(RationalMatrix.from_rows(rows))
+
+
+def phase_one_tableau(
+    rows, scales, ncols: int
+) -> tuple[Optional[tuple[Fraction, ...]], Optional[tuple[int, ...]]]:
+    """The integer tableau simplex that exact_linalg.phase_one replaced, as
+    an oracle: same contract, same Bland rule.
+
+    Row i of the tableau is an integer vector R_i standing for the rational
+    row R_i / s_i with an implicit scale s_i > 0; since the basic column of
+    a row holds 1, s_i is that column's entry.  A row starts as M_int's
+    row, with its scale as its artificial entry, and negated (sigma_i = -1)
+    where that makes its right-hand side nonnegative.  A pivot on (r, c)
+    with p = R_r[c] > 0 replaces every other row with R_i[c] = f != 0 by
+    p·R_i - f·R_r divided by its content gcd and leaves R_r as it is.  The
+    objective row is updated the same way, its scale L becoming p·L/g with
+    g the gcd of the new row and p·L.  At a positive optimum the duals are
+    pi_k = 1 - obj[artificial k] / L, and y_k = -sigma_k·pi_k on M's rows is
+    the Gordan vector, returned rescaled to M_int's rows.
+    """
+    nrows = len(rows)
+    if ncols == 0:
+        return (), None
+    if nrows == 0:
+        return (Fraction(1),) * ncols, None
+
+    # Tableau rows: [A | artificial block | rhs], artificials start basic.
+    width = ncols + nrows
+    signs: list[int] = []
+    tab: list[list[int]] = []
+    for i, (row, scale) in enumerate(zip(rows, scales)):
+        row = list(row)
+        rhs = -sum(row)
+        signs.append(-1 if rhs < 0 else 1)
+        if rhs < 0:
+            row, rhs = [-x for x in row], -rhs
+        art = [0] * nrows
+        art[i] = scale
+        tab.append(row + art + [rhs])
+    basis = [ncols + i for i in range(nrows)]
+
+    # Objective: minimize the sum of artificials, on the common denominator
+    # L of the row scales.
+    common = lcm(*scales)
+    big_l = common
+    weights = [common // s for s in scales]
+    obj = [-sum(w * row[j] for w, row in zip(weights, tab)) for j in range(width + 1)]
+    for j in range(ncols, width):
+        obj[j] += big_l
+
+    def reduce(p: int, row: list[int], f: int, top: list[int]) -> list[int]:
+        new = [p * x - f * y for x, y in zip(row, top)]
+        g = gcd(*new)
+        return [x // g for x in new] if g > 1 else new
+
+    while True:
+        entering = next((j for j in range(width) if obj[j] < 0), None)
+        if entering is None:
+            break
+        leaving = None
+        for i in range(nrows):
+            coeff = tab[i][entering]
+            if coeff > 0:
+                if leaving is None:
+                    leaving = i
+                    continue
+                lhs = tab[i][width] * tab[leaving][entering]
+                rhs = tab[leaving][width] * coeff
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):  # Bland tie-break
+                    leaving = i
+        if leaving is None:
+            raise RuntimeError("phase-one simplex lost boundedness (bug)")
+        top = tab[leaving]
+        p = top[entering]
+        for i in range(nrows):
+            f = tab[i][entering]
+            if i != leaving and f:
+                tab[i] = reduce(p, tab[i], f, top)
+        f = obj[entering]
+        new = [p * x - f * y for x, y in zip(obj, top)]
+        g = gcd(*new, p * big_l)
+        obj, big_l = [x // g for x in new], p * big_l // g
+        basis[leaving] = entering
+
+    if obj[width] != 0:
+        y = [
+            -sign * (big_l - obj[ncols + k]) * (common // scale)
+            for k, (sign, scale) in enumerate(zip(signs, scales))
+        ]
+        g = gcd(*y) or 1
+        return None, tuple(v // g for v in y)
+
+    num = [0] * ncols
+    den = [1] * ncols
+    for i, bv in enumerate(basis):
+        if bv < ncols:
+            g = gcd(tab[i][width], tab[i][bv])
+            num[bv], den[bv] = tab[i][width] // g, tab[i][bv] // g
+    d = lcm(*den)
+    x = [d + n * (d // q) for n, q in zip(num, den)]
+    if min(x) < d or any(sum(a * v for a, v in zip(row, x)) for row in rows):
+        raise RuntimeError("simplex witness fails M x = 0, x >= 1 (bug)")
+    return tuple(Fraction(v, d) for v in x), None
+
+
+def rank_certificate_full(rows, ncols: int) -> tuple[list[int], int, Optional[tuple[int, ...]]]:
+    """The full-width rank certificate that exact_linalg.rank_certificate
+    replaced, as an oracle: one _echelon of [M_int | I] over every column;
+    y is the identity block of the first row the elimination zeroed."""
+    d = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(rows)]
+    pivots, p, sign = _echelon(aug, ncols)
+    if len(pivots) == d:
+        return pivots, sign * p, None
+    y = aug[len(pivots)][ncols:]
+    g = gcd(*y) or 1
+    return pivots, 0, tuple(x // g for x in y)
 
 
 @dataclass(frozen=True)

@@ -162,7 +162,7 @@ def test_criterion_3_x4():
                 label=lab,
                 kind=RICCI_FLAT,
                 group_order=orders[lab],
-                phi_values=tuple(assignment[lab]),
+                phi=tuple(assignment[lab]),
             )
             for lab in su
         ]

@@ -20,6 +20,7 @@ from conftest import (
     positive_kernel_witness_bruteforce,
     rank_bruteforce,
     scaled,
+    scaled_matrix,
     sphere_volume_oracle,
 )
 from kcscglue.balancing import (
@@ -30,7 +31,6 @@ from kcscglue.balancing import (
     SCALAR_FLAT,
     Certificate,
     PiRational,
-    ScaledMatrix,
     SingularPointRecord,
     build_theta,
     build_xi,
@@ -40,8 +40,7 @@ from kcscglue.balancing import (
     solve_ricci_flat_balancing,
     solve_scalar_flat_balancing,
 )
-from kcscglue import exact_linalg
-from kcscglue.exact_linalg import RationalMatrix, nullspace_basis, rank
+from kcscglue.exact_linalg import IntegerRow, RationalMatrix, nullspace_basis, rank
 from kcscglue.examples import example_by_name
 from kcscglue.formats import parse_orbifold
 from kcscglue.report import build_report
@@ -55,7 +54,7 @@ def q_point(label, phi, sign=1, order=2, mag=None):
         label=label,
         kind=SCALAR_FLAT,
         group_order=order,
-        phi_values=tuple(Fraction(x) for x in phi),
+        phi=tuple(Fraction(x) for x in phi),
         e_sign=sign,
         e_magnitude=mag,
     )
@@ -66,7 +65,7 @@ def p_point(label, phi, order=2):
         label=label,
         kind=RICCI_FLAT,
         group_order=order,
-        phi_values=tuple(Fraction(x) for x in phi),
+        phi=tuple(Fraction(x) for x in phi),
     )
 
 
@@ -129,12 +128,12 @@ class TestBuildXi:
         expected = RationalMatrix.from_rows(
             [["-1/2", "-1/2", "1/2", "1/2"], ["-1/2", "1/2", "-1/2", "1/2"]]
         )
-        assert xi == ScaledMatrix(expected)
+        assert xi == scaled_matrix(expected)
 
     def test_missing_sign_rejected(self):
         with pytest.raises(ValueError):
             SingularPointRecord(
-                label="q", kind=SCALAR_FLAT, group_order=2, phi_values=(1,)
+                label="q", kind=SCALAR_FLAT, group_order=2, phi=(1,)
             )
 
 
@@ -163,8 +162,8 @@ class TestBuildTheta:
                 label=p.label,
                 kind=RICCI_FLAT,
                 group_order=p.group_order,
-                phi_values=p.phi_values,
-                laplacian_phi_values=tuple(-(s / m) * x for x in p.phi_values),
+                phi=p.phi_values,
+                dphi=tuple(-(s / m) * x for x in p.phi_values),
             )
             for p in P1XP1.points
         ]
@@ -190,8 +189,8 @@ def point_sets(draw, kind):
             label=f"p{j}",
             kind=kind,
             group_order=draw(st.integers(1, 12)),
-            phi_values=tuple(draw(RATIONALS) for _ in range(d)),
-            laplacian_phi_values=(
+            phi=tuple(draw(RATIONALS) for _ in range(d)),
+            dphi=(
                 tuple(draw(RATIONALS) for _ in range(d)) if explicit else None
             ),
             e_sign=draw(st.sampled_from([1, -1])) if kind == SCALAR_FLAT else None,
@@ -377,7 +376,7 @@ class TestCertificates:
         rep = self.decide(m)
         cert = rep.certificate
         assert cert.kind == VERDICTS[klass]
-        check_certificate(m, rep.witness, cert)
+        check_certificate(rep.matrix, rep.witness, cert)
         rows = integer_rows(m)
         if cert.kind == FULL_RANK:
             assert det_cofactor([[row[j] for j in cert.columns] for row in rows]) == cert.determinant
@@ -387,18 +386,18 @@ class TestCertificates:
         assert rep.kernel_dim == m.cols - rank(m)
         for bad in corrupted(cert, m):
             with pytest.raises(RuntimeError, match="certificate fails its check"):
-                check_certificate(m, rep.witness, bad)
+                check_certificate(rep.matrix, rep.witness, bad)
 
     def test_verdict_and_certificate_kind_must_agree(self):
         m = RationalMatrix.from_rows([[1, -1]])
         rep = self.decide(m)
         assert rep.certificate == Certificate(FULL_RANK, columns=(0,), determinant=1)
         with pytest.raises(RuntimeError, match="gordan"):
-            check_certificate(m, rep.witness, Certificate(GORDAN, y=(1,)))
+            check_certificate(rep.matrix, rep.witness, Certificate(GORDAN, y=(1,)))
         with pytest.raises(RuntimeError, match="full_rank"):
-            check_certificate(m, None, rep.certificate)
+            check_certificate(rep.matrix, None, rep.certificate)
         with pytest.raises(RuntimeError, match="full_rank"):
-            check_certificate(m, (Fraction(1), Fraction(2)), rep.certificate)
+            check_certificate(rep.matrix, (Fraction(1), Fraction(2)), rep.certificate)
 
     def test_pinned_verdicts(self):
         one_sided = RationalMatrix.from_rows([[1, 1], [0, 1]])
@@ -514,18 +513,20 @@ class TestClosedForms:
 
 
 def test_one_integer_scaling_per_verdict(monkeypatch):
-    # _decide scales each of the d = 2 rows once; both solvers share M_int.
+    # build_theta scales each of the d = 2 rows once, as an IntegerRow; both
+    # solvers share M_int.
     calls = []
-    original = exact_linalg._integer_row
+    original = IntegerRow.over
 
-    def counted(row):
-        calls.append(row)
-        return original(row)
+    def counted(nums, dens):
+        calls.append(nums)
+        return original(nums, dens)
 
-    monkeypatch.setattr(exact_linalg, "_integer_row", counted)
     name = "m4-ricci-flat-constants.orb"
     text = (Path(__file__).parent / "fixtures" / name).read_text()
-    build_report(name, text, parse_orbifold(text))
+    parsed = parse_orbifold(text)
+    monkeypatch.setattr(IntegerRow, "over", staticmethod(counted))
+    build_report(name, text, parsed)
     assert len(calls) == 2
 
 
@@ -627,8 +628,8 @@ def test_explicit_laplacian_verdict_matches_bruteforce_oracle():
                 label=f"p{j}",
                 kind=RICCI_FLAT,
                 group_order=rng.randint(1, 4),
-                phi_values=tuple(Fraction(rng.randint(-2, 2)) for _ in range(d)),
-                laplacian_phi_values=tuple(Fraction(rng.randint(-2, 2)) for _ in range(d)),
+                phi=tuple(Fraction(rng.randint(-2, 2)) for _ in range(d)),
+                dphi=tuple(Fraction(rng.randint(-2, 2)) for _ in range(d)),
             )
             for j in range(n)
         ]

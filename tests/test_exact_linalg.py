@@ -13,9 +13,11 @@ from conftest import (
     mul_vector,
     nullspace_by_rref,
     orbifold_shaped_matrix,
+    phase_one_tableau,
     positive_kernel_witness_bruteforce,
     positive_kernel_witness_fraction,
     rank_bruteforce,
+    rank_certificate_full,
     scaled,
     solve_cramer,
 )
@@ -24,10 +26,13 @@ from kcscglue.exact_linalg import (
     integer_determinant,
     integer_rank,
     integer_inverse,
+    integer_rows,
     integer_solve,
     nullspace_basis,
+    phase_one,
     positive_kernel_witness,
     rank,
+    rank_certificate,
     rational_determinant,
     smith_normal_form,
     solve_square,
@@ -35,6 +40,16 @@ from kcscglue.exact_linalg import (
 )
 
 THETA_ROWS = [[-1, -1, 1, 1], [-1, 1, -1, 1]]
+
+SIMPLEX_CASES = [
+    [[1, 1], [1, -1]],  # rhs -2 (row flipped) and 0
+    [[-1, -2], [1, -1]],  # rhs 3 and 0
+    [[1, Fraction(1, 2), -2], [Fraction(-1, 3), 1, Fraction(-2, 3)]],
+    [[0, 0, 0], [Fraction(1, 6), Fraction(-1, 4), Fraction(1, 12)]],
+    # ratio-test ties where Bland's tie-break decides the witness
+    [[-2, 1, 1, 2, -2], [-4, -1, 1, -2, 2], [1, 0, 2, -1, -2]],
+    [[2, -2, 0, -2, 2], [1, 1, 2, 0, -4], [2, -1, -2, -1, 0]],
+]
 
 
 def mat(rows):
@@ -162,18 +177,7 @@ class TestPositiveKernelWitness:
         assert positive_kernel_witness(RationalMatrix(2, 0, ())) == ()
         assert positive_kernel_witness(RationalMatrix(0, 0, ())) == ()
 
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            [[1, 1], [1, -1]],  # rhs -2 (row flipped) and 0
-            [[-1, -2], [1, -1]],  # rhs 3 and 0
-            [[1, Fraction(1, 2), -2], [Fraction(-1, 3), 1, Fraction(-2, 3)]],
-            [[0, 0, 0], [Fraction(1, 6), Fraction(-1, 4), Fraction(1, 12)]],
-            # ratio-test ties where Bland's tie-break decides the witness
-            [[-2, 1, 1, 2, -2], [-4, -1, 1, -2, 2], [1, 0, 2, -1, -2]],
-            [[2, -2, 0, -2, 2], [1, 1, 2, 0, -4], [2, -1, -2, -1, 0]],
-        ],
-    )
+    @pytest.mark.parametrize("rows", SIMPLEX_CASES)
     def test_witness_equals_fraction_simplex(self, rows):
         m = mat(rows)
         assert positive_kernel_witness(m) == positive_kernel_witness_fraction(m)
@@ -395,3 +399,45 @@ def test_integer_solve_rejects_non_square():
         integer_solve([[1, 2]], [1])
     with pytest.raises(ValueError, match="not square"):
         integer_solve([[1, 0], [0, 1]], [1])
+
+
+def assert_solvers_equal_their_oracles(m: RationalMatrix) -> None:
+    """The revised simplex returns the tableau simplex's (witness, gordan)
+    and the column-lazy certificate the full-width one's (pivots, det, y)."""
+    rows, scales = integer_rows(m)
+    assert phase_one(rows, scales, m.cols) == phase_one_tableau(rows, scales, m.cols)
+    assert rank_certificate(rows, m.cols) == rank_certificate_full(rows, m.cols)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(simplex_matrix())
+def test_solvers_equal_their_oracles(m):
+    assert_solvers_equal_their_oracles(m)
+
+
+@pytest.mark.parametrize("rows", SIMPLEX_CASES)
+def test_solvers_equal_their_oracles_on_bland_ties(rows):
+    assert_solvers_equal_their_oracles(mat(rows))
+
+
+@st.composite
+def orbifold_matrices(draw):
+    """A balancing-shaped matrix of each class at the benchmark's sizes,
+    with a row or a column zeroed in some draws."""
+    klass = draw(st.sampled_from(["balanced", "halfspace", "hyperplane"]))
+    d, n = draw(st.integers(3, 6)), draw(st.integers(32, 96))
+    rows = orbifold_shaped_matrix(random.Random(draw(st.integers(0, 2**32))), klass, d, n).to_rows()
+    zeroed = draw(st.sampled_from(["nothing", "row", "column"]))
+    if zeroed == "row":
+        rows[draw(st.integers(0, d - 1))] = [Fraction(0)] * n
+    elif zeroed == "column":
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = Fraction(0)
+    return mat(rows)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(orbifold_matrices())
+def test_solvers_equal_their_oracles_on_orbifold_shaped_matrices(m):
+    assert_solvers_equal_their_oracles(m)

@@ -1,13 +1,19 @@
+import fractions
+import math
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import rational_list_entrywise
 from kcscglue.balancing import RICCI_FLAT, SCALAR_FLAT, SingularPointRecord
 from kcscglue.examples import embedded_examples, example_by_name
 from kcscglue.formats import (
+    _rational_row,
+    _row_field,
     FanFile,
     OrbifoldFile,
     ParseError,
@@ -269,7 +275,7 @@ def _rational_cases(literals):
 
 
 def _point(label: str, phi: tuple) -> SingularPointRecord:
-    return SingularPointRecord(label=label, kind=RICCI_FLAT, group_order=3, phi_values=phi)
+    return SingularPointRecord(label=label, kind=RICCI_FLAT, group_order=3, phi=phi)
 
 
 @pytest.mark.parametrize(
@@ -354,6 +360,98 @@ INTEGER_FIELDS = {
 NOT_INTEGER = (
     "1_0", "\u0661", "\u0662", "\u0663", "\uff11", "1.0", "1e3", "0x1", "+-1", "1/1",
 )
+
+
+# The pieces of the lists the one-pass reader is checked on: whitespace
+# that str.strip strips (ASCII, \x1c and Unicode spaces), signs, ASCII
+# digits, and entries that are no rational literal.
+LIST_SPACE = st.sampled_from(["", " ", "\t", "\x1c", "  ", "\xa0", "\u3000"])
+LIST_DIGITS = st.text(st.sampled_from("0123456789"), min_size=1, max_size=3)
+NOT_AN_ENTRY = st.sampled_from(
+    ["", "1.5", ".5", "1_0", "\u0663", "\uff11", "1e3", "1/", "/2", "1/0", "3/00", "+", "-+1",
+     "1 / 2", "1//2", "0x1", "\u00bd", "[1]", "1]"]
+)
+
+
+@st.composite
+def list_entries(draw):
+    if draw(st.integers(0, 4)) == 0:
+        core = draw(NOT_AN_ENTRY)
+    else:
+        core = draw(st.sampled_from(["", "+", "-"])) + draw(LIST_DIGITS)
+        if draw(st.booleans()):
+            core += "/" + draw(LIST_DIGITS)  # "0" and "00" are zero denominators
+    return draw(LIST_SPACE) + core + draw(LIST_SPACE)
+
+
+@st.composite
+def rational_lists(draw):
+    shape = draw(st.sampled_from(["list", "list", "list", "empty", "blank", "bare", "open"]))
+    if shape == "empty":
+        return "[]"
+    if shape == "blank":
+        return "[" + draw(LIST_SPACE) + "]"
+    inner = ",".join(draw(st.lists(list_entries(), min_size=1, max_size=5)))
+    if shape == "bare":
+        return inner
+    if shape == "open":
+        return "[" + inner
+    return draw(LIST_SPACE) + "[" + inner + "]" + draw(LIST_SPACE)
+
+
+class TestOnePassListReader:
+    """phi and dphi lists are read in one regex pass into one IntegerRow.
+    The entrywise reader they were read with before stays as the oracle:
+    both accept the same lists with the same values, and a refused list gets
+    the entrywise reader's error text."""
+
+    @staticmethod
+    def check(text):
+        want, want_errors = rational_list_entrywise(text)
+        row = _rational_row(text)
+        assert (row is None) == (want is None)
+        if row is not None:
+            assert row.values() == tuple(want)
+            assert row.den > 0 and math.gcd(row.den, *row.nums) == 1
+        errors = []
+        assert _row_field(text, errors, 1, "phi") == row
+        assert errors == want_errors
+
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(rational_lists())
+    def test_same_grammar_values_and_errors(self, text):
+        self.check(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[]", "[ ]", "[\x1c]", " [1] ", "[1,,2]", "[,]", "[1,]", "[1/0]", "[1.5]", "[1_0]",
+         "[\u0663]", "[-3/6, 4/2]", "[\t+1/3\x1c,\x1c-0/7 ]", "1", "[1", "[1]]", "[[1]"],
+    )
+    def test_named_lists(self, text):
+        self.check(text)
+
+    def test_parse_orbifold_constructs_no_fraction(self):
+        text = (
+            "m 3\nd 3\ns positive\neinstein no\n"
+            "point Q1 scalar_flat order=4 phi=[-8, 10/3, 1/2] e_sign=+1\n"
+            "point Q2 scalar_flat order=2 phi=[ 11/2 , 2, -4/6] e_sign=-1\n"
+            "point P1 ricci_flat order=3 phi=[1, 2/5, 0] dphi=[3/7, -1, 2]\n"
+        )
+        made = []
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename == fractions.__file__:
+                made.append(code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            orb = parse_orbifold(text)
+        finally:
+            sys.setprofile(None)
+        assert made == []
+        assert orb.points[1].phi_values == (Fraction(11, 2), 2, Fraction(-2, 3))
+        assert orb.points[2].laplacian_phi_values == (Fraction(3, 7), -1, 2)
 
 
 def _integer_text(field, literal):
@@ -470,8 +568,8 @@ def orbifold_files(draw) -> OrbifoldFile:
                 label=label,
                 kind=kind,
                 group_order=draw(st.integers(1, 24)),
-                phi_values=tuple(draw(RATIONALS) for _ in range(d)),
-                laplacian_phi_values=dphi,
+                phi=tuple(draw(RATIONALS) for _ in range(d)),
+                dphi=dphi,
                 e_sign=sign if kind == SCALAR_FLAT or draw(st.booleans()) else None,
                 e_magnitude=draw(st.one_of(st.none(), POSITIVE)),
                 c_gamma=draw(st.one_of(st.none(), POSITIVE)),

@@ -389,6 +389,18 @@ def test_a_cone_that_is_no_chart_is_unsupported(rays, cone, defect):
         parsed.cone(3)
 
 
+def test_the_empty_cone_of_a_dimension_zero_fan_is_no_chart():
+    """In dim 0 the empty cone has dim rays, but a chart has at least one:
+    it gets an unsupported row and a violation, not a smooth row of order 1."""
+    parsed = FanFile(dim=0, rays=((),), max_cones=((),), k=1)
+    body = build_report("dim-0", "", parsed)["report"]
+    assert body["classification"] == [{"classification": "unsupported", "label": "C1"}]
+    assert "cone C1: no rays (a chart has at least one)" in body["validation"]["violations"]
+    assert exit_code(body) == 2
+    with pytest.raises(ValueError, match=r"^no rays \(a chart has at least one\)$"):
+        parsed.cone(0)
+
+
 def test_a_cone_is_judged_as_a_chart_before_its_ray_set():
     # C5 has C4's rays, but neither is a chart: each is reported by its count
     fan = Fan(dim=2, rays=P2_RAYS, max_cones=P2_CONES + ((0, 1, 2), (2, 1, 0)))
