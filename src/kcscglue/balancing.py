@@ -250,8 +250,9 @@ def build_theta(
     Under the Einstein flag Lap phi_i = -(s/m) phi_i, so the entry is
     ((m-1) s / m) phi_i(p_j), and since only positivity of s matters for
     rank and kernels, the factor (m-1) s / m is stripped into the scale;
-    column j is then phi(p_j)'s integer row.  With explicit data, column j
-    is dphi/D' + (a/c)·phi/D = (dphi·c·D + a·phi·D') / (D'·c·D).
+    column j is then phi(p_j)'s integer row.  With explicit data, s = a/c,
+    phi(p_j) = x/D and Lap phi(p_j) = lap/D', column j is
+    (lap·c·D + a·x·D') / (D'·c·D).
     """
     if not points_p:
         raise ValueError("no Ricci-flat points")
@@ -270,7 +271,7 @@ def build_theta(
         raise ValueError("mixed Einstein/explicit laplacian data")
     a, c = s.numerator, s.denominator
     columns = [
-        [x * c * p.phi.den + a * y * p.dphi.den for x, y in zip(p.dphi.nums, p.phi.nums)]
+        [lap * c * p.phi.den + a * x * p.dphi.den for lap, x in zip(p.dphi.nums, p.phi.nums)]
         for p in points_p
     ]
     return _matrix(columns, [p.dphi.den * c * p.phi.den for p in points_p])
@@ -299,16 +300,16 @@ def check_certificate(
     has entries >= 1 and M·w = 0, and the certificate holds on M_int (see
     Certificate), rebuilt here from the matrix's entries as the report
     prints them (ScaledMatrix.entries), each row times the lcm of its
-    denominators.  A
-    full_rank or rank_deficient certificate goes with a witness, a gordan
-    one without.  Raises RuntimeError if anything fails."""
+    denominators, and not taken from the solvers' M_int.  A full_rank or
+    rank_deficient certificate goes with a witness, a gordan one without.
+    Raises RuntimeError if anything fails."""
     rows = []
     for pairs in matrix.entries:
-        scale = math.lcm(*(q for _, q in pairs))
+        scale = math.lcm(*[q for _, q in pairs])
         rows.append([n * (scale // q) for n, q in pairs])
     ok = (witness is None) == (cert.kind == GORDAN)
     if witness is not None:
-        den = math.lcm(*(w.denominator for w in witness))
+        den = math.lcm(*[w.denominator for w in witness])
         w = [x.numerator * (den // x.denominator) for x in witness]
         ok = ok and len(w) == matrix.cols and min(w, default=den) >= den
         ok = ok and not any(sum(map(mul, row, w)) for row in rows)
@@ -350,9 +351,9 @@ def _decide(
     solvers take them: the simplex looks for a positive kernel vector, its
     duals giving a Gordan certificate when there is none, and one
     elimination gives the rank with a full-rank or rank-deficient
-    certificate.  check_certificate verifies
-    the verdict.  The reported matrix is the unit-weight one, on which the
-    certificate is stated and whose columns the witness weights.
+    certificate.  check_certificate verifies the verdict.  The reported
+    matrix is the unit-weight one, on which the certificate is stated and
+    whose columns the witness weights.
     """
     rows = [row.nums for row in unit.rows]
     witness, gordan = phase_one(rows, [row.den for row in unit.rows], unit.cols)

@@ -110,9 +110,9 @@ class IntegerRow(NamedTuple):
         den = lcm(*dens)
         scaled = [n * (den // q) for n, q in zip(nums, dens)]
         g = gcd(den, *scaled)
-        if g == 1:
-            return IntegerRow(tuple(scaled), den)
-        return IntegerRow(tuple(n // g for n in scaled), den // g)
+        if g > 1:
+            scaled, den = [n // g for n in scaled], den // g
+        return IntegerRow(tuple(scaled), den)
 
     @staticmethod
     def of(values: Iterable[Scalar]) -> "IntegerRow":
@@ -126,14 +126,7 @@ class IntegerRow(NamedTuple):
 
     def strings(self) -> list[str]:
         """Each entry as str(Fraction) writes it."""
-        den = self.den
-        if den == 1:
-            return list(map(str, self.nums))
-        return [
-            str(n // g) if g == den else f"{n // g}/{den // g}"
-            for n in self.nums
-            for g in (gcd(n, den),)
-        ]
+        return list(map(str, self.nums)) if self.den == 1 else pair_strings(self.pairs())
 
     def values(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self.den) for n in self.nums)
@@ -144,17 +137,11 @@ def pair_strings(pairs: Iterable[tuple[int, int]]) -> list[str]:
     return [f"{n}/{q}" if q != 1 else str(n) for n, q in pairs]
 
 
-def _integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The row times the lcm of its denominators, and that lcm."""
-    mult = lcm(*(e.denominator for e in row))
-    return [e.numerator * (mult // e.denominator) for e in row], mult
-
-
 def integer_rows(m: RationalMatrix) -> tuple[list[list[int]], list[int]]:
     """M_int and its row scales: each row of M times the lcm of its
     denominators (rank- and kernel-preserving), and those lcms."""
-    rows = [_integer_row(m.row(i)) for i in range(m.rows)]
-    return [ints for ints, _ in rows], [mult for _, mult in rows]
+    rows = [IntegerRow.of(m.row(i)) for i in range(m.rows)]
+    return [list(row.nums) for row in rows], [row.den for row in rows]
 
 
 def _echelon(a: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
@@ -280,10 +267,11 @@ def rank_certificate(
         r = len(pivots)
         if r == d:
             break
-        v = [sum(map(mul, row, m_c)) for row in t]
-        piv = next((i for i in range(r, d) if v[i]), None)
+        # Only rows r.. can hold the pivot; the others are needed once it is found.
+        piv = next((i for i in range(r, d) if sum(map(mul, t[i], m_c))), None)
         if piv is None:
             continue
+        v = [sum(map(mul, row, m_c)) for row in t]
         if piv != r:
             t[r], t[piv], v[r], v[piv] = t[piv], t[r], v[piv], v[r]
             sign = -sign

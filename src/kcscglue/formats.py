@@ -4,11 +4,15 @@ Both formats are line-oriented `key value` records with exact integer and
 p/q rational literals; every integer and every rational is read by one
 ASCII grammar each, and every list by one list grammar, so decimals,
 underscores, non-ASCII digits and empty list entries are rejected by
-construction and on every interpreter.  Fan files carry rays and maximal
-cones (1-based ray indices, optional labels); a fan parse error is about one
-line, and how the records relate is for ``validate_fan`` to judge.  Orbifold
-files carry the kernel dimension, scalar curvature (exact or `positive`), the
-Einstein flag and one `point` record per singular point.  Nothing is dropped silently: a
+construction and on every interpreter.  An orbifold point's phi and dphi
+lists are each read by one regex match, in that grammar, into one integer
+row over one positive denominator (an IntegerRow), so reading them makes no
+Fraction; a list the match refuses goes through the entrywise reader, which
+names the error.  Fan files carry rays and maximal cones (1-based ray
+indices, optional labels); a fan parse error is about one line, and how the
+records relate is for ``validate_fan`` to judge.  Orbifold files carry the
+kernel dimension, scalar curvature (exact or `positive`), the Einstein flag
+and one `point` record per singular point.  Nothing is dropped silently: a
 scalar key given twice, a point label given twice, an unknown or repeated
 point attribute and text between point attributes are errors.
 """

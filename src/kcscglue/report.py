@@ -395,9 +395,9 @@ def _write_json(value: Any, indent: str, out: list[str], memo: dict) -> None:
     """Append ``value`` to ``out`` as ``json.dumps(value, sort_keys=True,
     indent=2)`` writes it, ``indent`` (a newline and two spaces per level)
     going before its closing bracket.  Only str, int, bool, None, lists,
-    tuples and dicts with str keys are written; anything else, a float
-    included, is a TypeError.  A value of any other type is placed by
-    isinstance, and a scalar dict value is written with its key.  ``memo``
+    tuples and dicts with str keys are written, a subclass as its base
+    type; anything else, a float included, is a TypeError.  A scalar dict
+    value is written with its key, without a call.  ``memo``
     holds the text of each list of strings already written in this
     rendering, by identity and indent: the report shares such lists (a
     polytope vertex appears in every face and cone assignment that holds
