@@ -25,7 +25,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence, Union
 
-from .exact_linalg import IntegerRow, RationalMatrix, frac, phase_one, rank_certificate
+from .exact_linalg import IntegerRow, frac, phase_one, rank_certificate
 
 RICCI_FLAT = "ricci_flat"
 SCALAR_FLAT = "scalar_flat"
@@ -114,14 +114,6 @@ class SingularPointRecord:
                 raise ValueError("c(Gamma) must be positive")
             object.__setattr__(self, "c_gamma", cg)
 
-    @property
-    def phi_values(self) -> tuple[Fraction, ...]:
-        return self.phi.values()
-
-    @property
-    def laplacian_phi_values(self) -> Optional[tuple[Fraction, ...]]:
-        return None if self.dphi is None else self.dphi.values()
-
 
 @dataclass(frozen=True)
 class ScaledMatrix:
@@ -148,13 +140,6 @@ class ScaledMatrix:
         """Each row's entries as reduced (numerator, denominator) pairs, the
         entries a report prints."""
         return tuple(row.pairs() for row in self.rows)
-
-    @property
-    def matrix(self) -> RationalMatrix:
-        """The matrix in Fractions, for callers that want one; the report
-        path never builds it."""
-        entries = tuple(x for row in self.rows for x in row.values())
-        return RationalMatrix(len(self.rows), self.cols, entries)
 
 
 FULL_RANK, RANK_DEFICIENT, GORDAN = "full_rank", "rank_deficient", "gordan"

@@ -4,29 +4,18 @@ Everything here is computed over Q (``fractions.Fraction``) or Z (Python
 ints); no floating point anywhere.  Rank, determinants, square solves,
 nullspaces and inverses all run on one fraction-free integer elimination
 kernel (Bareiss).  The toric layer calls its integer_inverse once per cone,
-and the polytope layer reads every cone datum off that inverse.
-
-A rational vector can be held as an IntegerRow: integers over one positive
-denominator, in lowest terms, so that the row of a matrix held this way is
-its row of M_int (the row times the lcm of its denominators) over that row
-scale.  The balancing layer holds its matrix so and hands M_int and the
-row scales to both of its solvers, neither of which touches a Fraction:
-
-- rank_certificate, a rank with its certificate from one elimination of
-  [M_int | I].  Every row of that elimination is its identity block T
-  times [M_int | I], so only T is kept; a column of the left part is formed
-  as T·M_c when the pivot search reaches it, and the search stops at full
-  row rank.
-- phase_one, a phase-one simplex for strictly positive kernel vectors,
-  revised: it keeps the integer adjugate N = D·B⁻¹ of the basis and
-  D = det B, prices columns in Bland order up to the first negative reduced
-  cost and forms only the entering column.  Every sign and ratio Bland's
-  rule reads is the rational tableau's, so its pivots, witness and Gordan
-  certificate (from its duals, when there is no positive kernel vector)
-  are the tableau simplex's.
-
-None of the Fraction wrappers is on the report path.  Besides these there
-is a Smith normal form with unimodular transforms.
+and the polytope layer reads every cone datum off that inverse.  The
+balancing layer holds each matrix row as an IntegerRow, integers over one
+positive denominator in lowest terms, which is the row of M_int (the row
+times the lcm of its denominators) over that row scale, and hands M_int to
+both of its solvers, neither of which touches a Fraction: rank_certificate,
+a rank with its certificate from one elimination of [M_int | I] that keeps
+only the identity block and forms each column when the pivot search
+reaches it, and phase_one, a revised phase-one simplex for strictly
+positive kernel vectors on the integer adjugate of its basis, whose pivots,
+witness and Gordan certificate are the tableau simplex's.  None of the
+Fraction wrappers is on the report path.  Besides these there is a Smith
+normal form with unimodular transforms.
 """
 
 from __future__ import annotations
@@ -510,9 +499,9 @@ def phase_one(
         if not pi:
             pi = [0] * nrows
         signed_pi = list(map(mul, pi, signs))
-        # D times the reduced cost is -π·A_j for a structural column and
-        # D - π_k·scales[k] for artificial k; the cost is negative when that
-        # is nonzero and of the other sign than D.
+        # A structural column's reduced cost is -v/D with v = π·A_j, and
+        # artificial k's is v/D with v = D - π_k·scales[k]: negative when v
+        # is nonzero and of D's sign, or of the other sign, respectively.
         neg = det < 0
         entering = None
         for j, col in enumerate(columns):
@@ -548,7 +537,7 @@ def phase_one(
                     leaving = i
         if leaving is None:
             # Phase-one objective is bounded below by 0, so an unbounded
-            # pivot column cannot occur on a well-formed tableau.
+            # pivot column cannot occur on a well-formed problem.
             raise RuntimeError("phase-one simplex lost boundedness (bug)")
         p, top, b_top = u[leaving], adj[leaving], beta[leaving]
         for i, f in enumerate(u):

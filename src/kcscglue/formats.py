@@ -137,13 +137,17 @@ def _parse_list(literal, text: str, errors: list, lineno: int, what: str) -> Opt
     return out
 
 
-def _rational_row(text: str) -> Optional[IntegerRow]:
-    """The bracketed list of rational literals ``text`` names as one
-    IntegerRow, or None if it is not such a list: one regex match decides
-    it, in the grammar of _parse_list with _rational, and the entries it
-    groups are then split at their commas and read as ints."""
+def _rational_row(text: str, errors: list, lineno: int, what: str) -> Optional[IntegerRow]:
+    """A phi or dphi list as one IntegerRow, or None with an error.  One
+    regex match decides the list, in the grammar of _parse_list with
+    _rational, and the entries it groups are split at their commas and read
+    as ints; a list it refuses goes through _parse_list, which names what is
+    wrong."""
     m = _ROW_RE.fullmatch(text.strip())
     if m is None:
+        if _parse_list(_rational, text, errors, lineno, what) is not None:
+            # The two readers share one grammar; if they ever part, refuse.
+            errors.append(f"line {lineno}: {what} must be a list of exact rationals")
         return None
     inner = m.group(1)
     if inner is None:
@@ -157,17 +161,6 @@ def _rational_row(text: str) -> Optional[IntegerRow]:
         nums.append(int(num))
         dens.append(int(den) if den else 1)
     return IntegerRow.over(nums, dens)
-
-
-def _row_field(text: str, errors: list, lineno: int, what: str) -> Optional[IntegerRow]:
-    """A phi or dphi list as one IntegerRow, or None with an error; a list
-    the one-pass reader refuses goes through _parse_list, which names what
-    is wrong."""
-    row = _rational_row(text)
-    if row is None and _parse_list(_rational, text, errors, lineno, what) is not None:
-        # The two readers share one grammar; if they ever part, refuse.
-        errors.append(f"line {lineno}: {what} must be a list of exact rationals")
-    return row
 
 
 def _records(text: str, scalar_keys: tuple[str, ...], errors: list):
@@ -347,7 +340,7 @@ def parse_orbifold(text: str) -> OrbifoldFile:
         order = _field(_integer, attrs["order"], errors, lineno, "order")
         if order is None:
             continue
-        phi = _row_field(attrs["phi"], errors, lineno, "phi")
+        phi = _rational_row(attrs["phi"], errors, lineno, "phi")
         if phi is None:
             continue
         if len(phi.nums) != d:
@@ -360,7 +353,7 @@ def parse_orbifold(text: str) -> OrbifoldFile:
                     f"line {lineno}: explicit dphi conflicts with the einstein flag"
                 )
                 continue
-            dphi = _row_field(attrs["dphi"], errors, lineno, "dphi")
+            dphi = _rational_row(attrs["dphi"], errors, lineno, "dphi")
             if dphi is None:
                 continue
             if len(dphi.nums) != d:

@@ -355,11 +355,17 @@ def scaled_matrix(matrix: RationalMatrix, scale=Fraction(1), symbols=()) -> Scal
     return ScaledMatrix(rows, matrix.cols, scale, symbols)
 
 
+def fraction_matrix(sm: ScaledMatrix) -> RationalMatrix:
+    """A ScaledMatrix's matrix in Fractions."""
+    entries = tuple(x for row in sm.rows for x in row.values())
+    return RationalMatrix(len(sm.rows), sm.cols, entries)
+
+
 def build_xi_fraction(points_q) -> ScaledMatrix:
     """The scalar-flat balancing matrix at unit weights by its formula, entry
     by entry in Fractions: (i, l) = sign(e_l) * phi_i(q_l) / |Gamma_l|."""
-    d = len(points_q[0].phi_values)
-    rows = [[p.e_sign * p.phi_values[i] / p.group_order for p in points_q] for i in range(d)]
+    d = len(points_q[0].phi.values())
+    rows = [[p.e_sign * p.phi.values()[i] / p.group_order for p in points_q] for i in range(d)]
     return scaled_matrix(RationalMatrix.from_rows(rows))
 
 
@@ -367,16 +373,16 @@ def build_theta_fraction(points_p, s, m: int) -> ScaledMatrix:
     """The Ricci-flat balancing matrix at unit weights by its formula, entry
     by entry in Fractions: phi_i(p_j) with the stripped scale (m-1) s / m
     under the Einstein flag, (Lap phi_i + s phi_i)(p_j) otherwise."""
-    d = len(points_p[0].phi_values)
-    if all(p.laplacian_phi_values is None for p in points_p):
+    d = len(points_p[0].phi.values())
+    if all(p.dphi is None for p in points_p):
         matrix = RationalMatrix.from_rows(
-            [[p.phi_values[i] for p in points_p] for i in range(d)]
+            [[p.phi.values()[i] for p in points_p] for i in range(d)]
         )
         if s is None:
             return scaled_matrix(matrix, Fraction(m - 1, m), ("s_omega",))
         return scaled_matrix(matrix, Fraction(m - 1, m) * s)
     rows = [
-        [p.laplacian_phi_values[i] + s * p.phi_values[i] for p in points_p]
+        [p.dphi.values()[i] + s * p.phi.values()[i] for p in points_p]
         for i in range(d)
     ]
     return scaled_matrix(RationalMatrix.from_rows(rows))
@@ -648,7 +654,7 @@ def balancing_kernel_dims_match_nullspace(monkeypatch):
     yield
     for rep in reports:
         if rep.matrix is not None:
-            assert rep.kernel_dim == len(nullspace_basis(rep.matrix.matrix))
+            assert rep.kernel_dim == len(nullspace_basis(fraction_matrix(rep.matrix)))
 
 
 def acts_faithfully(group: GroupPresentation) -> bool:

@@ -13,6 +13,7 @@ from conftest import (
     build_theta_fraction,
     build_xi_fraction,
     det_cofactor,
+    fraction_matrix,
     gluing_scales,
     is_zero,
     mul_vector,
@@ -109,12 +110,12 @@ class TestGluingScales:
 class TestBuildXi:
     def test_zero_phi_gives_zero_column(self):
         xi = build_xi([q_point("q", (0, 0))])
-        assert is_zero(xi.matrix)
+        assert is_zero(fraction_matrix(xi))
 
     def test_antipodal_pair_balances(self):
         points = [q_point("q1", (1, 2)), q_point("q2", (-1, -2))]
         xi = build_xi(points)
-        assert mul_vector(xi.matrix, [1, 1]) == (0, 0)
+        assert mul_vector(fraction_matrix(xi), [1, 1]) == (0, 0)
 
     def test_surface_data_as_scalar_flat(self):
         points = [
@@ -142,7 +143,7 @@ class TestBuildTheta:
         theta = build_theta(P1XP1.points, s=None, m=2)
         assert theta.scale == Fraction(1, 2)
         assert theta.scale_symbols == ("s_omega",)
-        assert theta.matrix.to_rows() == [
+        assert fraction_matrix(theta).to_rows() == [
             [-1, -1, 1, 1],
             [-1, 1, -1, 1],
         ]
@@ -151,7 +152,7 @@ class TestBuildTheta:
         theta = build_theta(P2Z3.points, s=Fraction(6), m=2)
         assert theta.scale == Fraction(3)  # (m-1)/m * s = 6/2
         assert theta.scale_symbols == ()
-        assert theta.matrix.to_rows() == [[1, -1, 0], [0, -1, 1]]
+        assert fraction_matrix(theta).to_rows() == [[1, -1, 0], [0, -1, 1]]
 
     def test_explicit_laplacian_matches_einstein_reduction(self):
         # with Lap(phi) = -(s/m) phi supplied explicitly, entries agree with
@@ -162,15 +163,15 @@ class TestBuildTheta:
                 label=p.label,
                 kind=RICCI_FLAT,
                 group_order=p.group_order,
-                phi=p.phi_values,
-                dphi=tuple(-(s / m) * x for x in p.phi_values),
+                phi=p.phi.values(),
+                dphi=tuple(-(s / m) * x for x in p.phi.values()),
             )
             for p in P1XP1.points
         ]
         t1 = build_theta(explicit, s=s, m=m)
         t2 = build_theta(P1XP1.points, s=s, m=m)
-        lhs = scaled(t1.matrix, t1.scale)
-        rhs = scaled(t2.matrix, t2.scale)
+        lhs = scaled(fraction_matrix(t1), t1.scale)
+        rhs = scaled(fraction_matrix(t2), t2.scale)
         assert lhs == rhs
 
 
@@ -216,7 +217,7 @@ class TestMatricesAgainstFormulas:
         st.integers(2, 5),
     )
     def test_theta(self, points, s, m):
-        if points[0].laplacian_phi_values is not None and s is None:
+        if points[0].dphi is not None and s is None:
             s = Fraction(3, 2)
         assert build_theta(points, s, m) == build_theta_fraction(points, s, m)
 
@@ -258,7 +259,7 @@ class TestRicciFlatBalancing:
         assert rep.witness == (1, 1, 1, 1)
         assert rep.rank == 2
         assert rep.kernel_dim == 2
-        kernel = set(nullspace_basis(rep.matrix.matrix))
+        kernel = set(nullspace_basis(fraction_matrix(rep.matrix)))
         assert kernel == {(0, 1, 1, 0), (1, 0, 0, 1)}  # the (a, b, b, a) family
 
     def test_three_point_surface(self):
@@ -267,7 +268,7 @@ class TestRicciFlatBalancing:
         assert rep.witness == (1, 1, 1)
         assert rep.rank == 2
         assert rep.kernel_dim == 1
-        assert nullspace_basis(rep.matrix.matrix) == [(1, 1, 1)]
+        assert nullspace_basis(fraction_matrix(rep.matrix)) == [(1, 1, 1)]
 
     def test_threefold_su_vertices(self):
         su = example_by_name("x1").annotations["correspondences"]
@@ -291,7 +292,7 @@ class TestRicciFlatBalancing:
     def test_witness_reverifies(self):
         rep = solve_ricci_flat_balancing(P1XP1.points, s=None, m=2)
         phi = RationalMatrix.from_rows(
-            [[p.phi_values[i] for p in P1XP1.points] for i in range(2)]
+            [[p.phi.values()[i] for p in P1XP1.points] for i in range(2)]
         )
         assert all(v == 0 for v in mul_vector(phi, rep.witness))
         assert min(rep.witness) >= 1
@@ -545,7 +546,7 @@ class TestScaleInvariance:
         # weights b_j scale the columns of the unit-weight matrix
         rng = random.Random(3)
         base = solve_ricci_flat_balancing(orb.points, s=None, m=2)
-        unit = build_theta(orb.points, s=None, m=2).matrix
+        unit = fraction_matrix(build_theta(orb.points, s=None, m=2))
         for _ in range(10):
             b = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in orb.points]
             weighted = RationalMatrix.from_rows(
@@ -568,7 +569,7 @@ def test_einstein_verdict_matches_bruteforce_oracle():
         ]
         rep = solve_ricci_flat_balancing(points, s=None, m=2)
         phi = RationalMatrix.from_rows(
-            [[p.phi_values[i] for p in points] for i in range(d)]
+            [[p.phi.values()[i] for p in points] for i in range(d)]
         )
         oracle_witness = positive_kernel_witness_bruteforce(phi)
         oracle_feasible = oracle_witness is not None and rank(phi) == d
@@ -589,7 +590,7 @@ def _outcome(rep, m, d):
     oracle_witness = positive_kernel_witness_bruteforce(m)
     assert (rep.witness is None) == (oracle_witness is None)
     assert rep.feasible == (oracle_witness is not None and rank_bruteforce(m) == d)
-    assert rep.rank == rank_bruteforce(rep.matrix.matrix)
+    assert rep.rank == rank_bruteforce(fraction_matrix(rep.matrix))
     return oracle_witness is not None, rep.rank == d
 
 
@@ -610,7 +611,7 @@ def test_scalar_flat_verdict_matches_bruteforce_oracle():
         ]
         rep = solve_scalar_flat_balancing(points, 2)
         xi = RationalMatrix.from_rows(
-            [[q.e_sign * q.phi_values[i] / q.group_order for q in points] for i in range(d)]
+            [[q.e_sign * q.phi.values()[i] / q.group_order for q in points] for i in range(d)]
         )
         outcomes.add(_outcome(rep, xi, d))
     assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
@@ -636,7 +637,7 @@ def test_explicit_laplacian_verdict_matches_bruteforce_oracle():
         rep = solve_ricci_flat_balancing(points, s=s, m=3)
         tuned = RationalMatrix.from_rows(
             [
-                [p.laplacian_phi_values[i] + s * p.phi_values[i] for p in points]
+                [p.dphi.values()[i] + s * p.phi.values()[i] for p in points]
                 for i in range(d)
             ]
         )

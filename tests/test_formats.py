@@ -13,7 +13,6 @@ from kcscglue.balancing import RICCI_FLAT, SCALAR_FLAT, SingularPointRecord
 from kcscglue.examples import embedded_examples, example_by_name
 from kcscglue.formats import (
     _rational_row,
-    _row_field,
     FanFile,
     OrbifoldFile,
     ParseError,
@@ -44,10 +43,10 @@ def serialize_orbifold(o: OrbifoldFile) -> str:
     for p in o.points:
         parts = [
             f"point {p.label} {p.kind} order={p.group_order}",
-            f"phi=[{', '.join(str(x) for x in p.phi_values)}]",
+            f"phi=[{', '.join(str(x) for x in p.phi.values())}]",
         ]
-        if p.laplacian_phi_values is not None:
-            parts.append(f"dphi=[{', '.join(str(x) for x in p.laplacian_phi_values)}]")
+        if p.dphi is not None:
+            parts.append(f"dphi=[{', '.join(str(x) for x in p.dphi.values())}]")
         if p.e_sign is not None:
             parts.append(f"e_sign={'+1' if p.e_sign > 0 else '-1'}")
         if p.e_magnitude is not None:
@@ -109,7 +108,7 @@ class TestParseOrbifold:
         o = parse_orbifold(example_by_name("p1xp1-z2").text)
         assert (o.m, o.d, o.s, o.einstein) == (2, 2, None, True)
         assert len(o.points) == 4
-        assert o.points[0].phi_values == (-1, -1)
+        assert o.points[0].phi.values() == (-1, -1)
         assert o.points[0].group_order == 2
 
     def test_rational_values(self):
@@ -119,7 +118,7 @@ class TestParseOrbifold:
         )
         o = parse_orbifold(text)
         assert o.s == Fraction(4, 3)
-        assert o.points[0].phi_values == (Fraction(-1, 2),)
+        assert o.points[0].phi.values() == (Fraction(-1, 2),)
 
     def test_float_rejected(self):
         text = "m 2\nd 1\ns 1\neinstein yes\npoint P ricci_flat order=2 phi=[0.5]\n"
@@ -333,8 +332,8 @@ class TestRationalGrammar:
         point = o.points[0]
         value = {
             "s": o.s,
-            "phi": point.phi_values[0],
-            "dphi": (point.laplacian_phi_values or (None,))[0],
+            "phi": point.phi.values()[0],
+            "dphi": (point.dphi.values() if point.dphi else (None,))[0],
             "e_mag": point.e_magnitude,
             "c_gamma": point.c_gamma,
         }[field]
@@ -408,13 +407,12 @@ class TestOnePassListReader:
     @staticmethod
     def check(text):
         want, want_errors = rational_list_entrywise(text)
-        row = _rational_row(text)
+        errors = []
+        row = _rational_row(text, errors, 1, "phi")
         assert (row is None) == (want is None)
         if row is not None:
             assert row.values() == tuple(want)
             assert row.den > 0 and math.gcd(row.den, *row.nums) == 1
-        errors = []
-        assert _row_field(text, errors, 1, "phi") == row
         assert errors == want_errors
 
     @settings(max_examples=600, derandomize=True, deadline=None)
@@ -450,8 +448,8 @@ class TestOnePassListReader:
         finally:
             sys.setprofile(None)
         assert made == []
-        assert orb.points[1].phi_values == (Fraction(11, 2), 2, Fraction(-2, 3))
-        assert orb.points[2].laplacian_phi_values == (Fraction(3, 7), -1, 2)
+        assert orb.points[1].phi.values() == (Fraction(11, 2), 2, Fraction(-2, 3))
+        assert orb.points[2].dphi.values() == (Fraction(3, 7), -1, 2)
 
 
 def _integer_text(field, literal):
