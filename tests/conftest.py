@@ -4,8 +4,12 @@ These deliberately avoid the library's own code paths: cofactor expansion
 for determinants, ranks (by minors) and square solves (Cramer's rule), a
 Fraction Gauss-Jordan reduction for kernels, subset enumeration for
 positive kernel vectors and polytope vertices, the Fraction phase-one
-simplex whose witnesses the integer simplex must reproduce, the balancing
-matrices entry by entry in chained Fraction arithmetic, Fraction arithmetic for
+simplex whose witnesses the integer simplex must reproduce, the integer
+tableau simplex and the full-width rank certificate that the revised
+simplex and the column-lazy certificate replaced (their outputs must be
+equal), the entrywise reader of phi/dphi lists that the one-pass reader
+replaced, the balancing matrices entry by entry in chained Fraction
+arithmetic, Fraction arithmetic for
 facet incidence, face dimensions and barycenters over a pulling
 triangulation, the face lattice with one edge-rank elimination per face,
 boundedness as positive spanning by the Fraction simplex (after every test
@@ -22,7 +26,8 @@ mode matrix, face smoothness by maximal minors for isolated cones, and,
 for a finite abelian group, enumeration of its elements, character
 averaging in cyclotomic integers and a monomial-basis count.  Small
 RationalMatrix helpers (identity, scaling, M·x, zero test) that the
-library itself never needs live here too, as does a generator of
+library itself never needs live here too, with conversions between a
+ScaledMatrix and a RationalMatrix, as does a generator of
 balancing-shaped matrices in each of the three verdict classes.
 """
 
