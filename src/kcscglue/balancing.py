@@ -9,11 +9,13 @@ integer rows over one denominator (IntegerRow), and the builders form each
 matrix row from them as an IntegerRow too: M_int's row over its row scale,
 the lcm of the row's reduced denominators, with no Fraction made.  Both
 solvers take M_int: a positive kernel vector by exact LP (a revised
-simplex), and the rank by one elimination.  Each verdict carries a
-certificate that an integer checker, independent of the solver and with
-its own row scaling of the matrix's printed entries, verifies before the
-verdict is returned.  The gluing constants are closed forms in |Gamma|, the
-weights and |S^{2m-1}| = 2 pi^m/(m-1)!, with the pi power kept as a tag.
+simplex), and the rank by one elimination.  The witness, and its multiple
+by a numeric scalar curvature, are IntegerRows as well.  Each verdict
+carries a certificate that an integer checker, independent of the solver
+and with its own row scaling of the matrix's printed entries, verifies
+before the verdict is returned.  Fractions are made only for the gluing
+constants, closed forms in |Gamma|, the weights and |S^{2m-1}| =
+2 pi^m/(m-1)!, with the pi power kept as a tag.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .exact_linalg import IntegerRow, frac, phase_one, rank_certificate
 
@@ -48,23 +50,6 @@ class PiRational:
             object.__setattr__(self, "coeff", frac(self.coeff))
         if self.pi_power != 0 and self.coeff == 0:
             object.__setattr__(self, "pi_power", 0)
-
-    def __mul__(self, other: Union["PiRational", int, Fraction]) -> "PiRational":
-        if isinstance(other, PiRational):
-            return PiRational(self.coeff * other.coeff, self.pi_power + other.pi_power)
-        return PiRational(self.coeff * frac(other), self.pi_power)
-
-    __rmul__ = __mul__
-
-    def as_fraction(self) -> Fraction:
-        if self.pi_power != 0:
-            raise ArithmeticError("value carries a pi power")
-        return self.coeff
-
-    def __str__(self) -> str:
-        if self.pi_power == 0:
-            return str(self.coeff)
-        return f"{self.coeff}*pi^{self.pi_power}"
 
 
 @dataclass(frozen=True)
@@ -170,8 +155,8 @@ class BalancingReport:
     feasible: bool
     matrix: Optional[ScaledMatrix] = None
     rank: Optional[int] = None
-    witness: Optional[tuple[Fraction, ...]] = None
-    witness_c: Optional[tuple[Fraction, ...]] = None
+    witness: Optional[IntegerRow] = None
+    witness_c: Optional[IntegerRow] = None
     certificate: Optional[Certificate] = None
     coefficients: tuple["PointCoefficients", ...] = ()
     notes: tuple[str, ...] = ()
@@ -279,7 +264,7 @@ def _determinant(a: list[list[int]]) -> int:
 
 
 def check_certificate(
-    matrix: ScaledMatrix, witness: Optional[Sequence[Fraction]], cert: Certificate
+    matrix: ScaledMatrix, witness: Optional[IntegerRow], cert: Certificate
 ) -> None:
     """Verify a verdict in Python ints, apart from the solver: the witness
     has entries >= 1 and M·w = 0, and the certificate holds on M_int (see
@@ -294,8 +279,7 @@ def check_certificate(
         rows.append([n * (scale // q) for n, q in pairs])
     ok = (witness is None) == (cert.kind == GORDAN)
     if witness is not None:
-        den = math.lcm(*[w.denominator for w in witness])
-        w = [x.numerator * (den // x.denominator) for x in witness]
+        w, den = witness
         ok = ok and len(w) == matrix.cols and min(w, default=den) >= den
         ok = ok and not any(sum(map(mul, row, w)) for row in rows)
     if cert.kind == FULL_RANK:
@@ -362,15 +346,16 @@ def _decide(
             certificate=cert,
             notes=tuple(notes + ["no positive kernel vector exists"]),
         )
-    witness_c = None if s is None else tuple(s * w for w in witness)
+    nums, den = witness
+    witness_c = None  # or s·w, over the one denominator s.denominator·den
+    if s is not None:
+        scaled = [s.numerator * x for x in nums]
+        witness_c = IntegerRow.over(scaled, [s.denominator * den] * len(nums))
     if regime == RICCI_FLAT and s is None:
         notes.append("tuning c_j = s_omega b_j recorded symbolically (s known by sign)")
     if r < d:
         notes.append(_RANK_NOTES[regime].format(r=r, d=d))
-    coefficients = tuple(
-        _point_coefficients(p, w, m, s, c_j)
-        for p, w, c_j in zip(points, witness, witness_c or (None,) * len(witness))
-    )
+    coefficients = tuple(_point_coefficients(p, w, m, s) for p, w in zip(points, witness.pairs()))
     return BalancingReport(
         regime=regime,
         d=d,
@@ -492,19 +477,18 @@ def model_constants(
 
 
 def _point_coefficients(
-    point: SingularPointRecord,
-    weight: Fraction,
-    m: int,
-    s: ScalarCurvature,
-    c_j: Optional[Fraction],
+    point: SingularPointRecord, weight: tuple[int, int], m: int, s: ScalarCurvature
 ) -> PointCoefficients:
+    """One point's coefficients at its witness weight, a reduced (numerator,
+    denominator) pair made a Fraction only where a printed value needs it;
+    with a numeric s, c_j is s times the weight."""
+    num, den = weight
     if point.kind == RICCI_FLAT:
-        leading = leading_coefficients(RICCI_FLAT, m, point.group_order, weight)
-        if point.c_gamma is None or m < 3 or c_j is None:
+        b = Fraction(num, den)
+        leading = leading_coefficients(RICCI_FLAT, m, point.group_order, b)
+        if point.c_gamma is None or m < 3 or s is None:
             return PointCoefficients(label=point.label, kind=point.kind, leading=leading)
-        (b_rad, b_exp), c_const = model_constants(
-            m, weight, point.group_order, point.c_gamma, s, c_j
-        )
+        (b_rad, b_exp), c_const = model_constants(m, b, point.group_order, point.c_gamma, s, s * b)
         return PointCoefficients(
             label=point.label,
             kind=point.kind,
@@ -515,7 +499,7 @@ def _point_coefficients(
         )
     if point.e_magnitude is not None:
         leading = leading_coefficients(
-            SCALAR_FLAT, m, point.group_order, weight, point.e_magnitude
+            SCALAR_FLAT, m, point.group_order, Fraction(num, den), point.e_magnitude
         )
         return PointCoefficients(label=point.label, kind=point.kind, leading=leading)
     return PointCoefficients(
@@ -523,6 +507,6 @@ def _point_coefficients(
         kind=point.kind,
         leading=None,
         leading_note="pending |e(Gamma)|: leading value is "
-        f"{Fraction(point.group_order * weight.numerator, weight.denominator)}/"
+        f"{Fraction(point.group_order * num, den)}/"
         f"({4 if m == 2 else 8 * (m - 2) * (m - 1)}*|S^{2*m-1}|*|e|)",
     )

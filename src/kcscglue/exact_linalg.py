@@ -13,9 +13,9 @@ a rank with its certificate from one elimination of [M_int | I] that keeps
 only the identity block and forms each column when the pivot search
 reaches it, and phase_one, a revised phase-one simplex for strictly
 positive kernel vectors on the integer adjugate of its basis, whose pivots,
-witness and Gordan certificate are the tableau simplex's.  None of the
-Fraction wrappers is on the report path.  Besides these there is a Smith
-normal form with unimodular transforms.
+witness and Gordan certificate are the tableau simplex's; its witness is an
+IntegerRow too.  None of the Fraction wrappers is on the report path.
+Besides these there is a Smith normal form with unimodular transforms.
 """
 
 from __future__ import annotations
@@ -437,19 +437,20 @@ def positive_kernel_witness(
     m: RationalMatrix,
 ) -> Optional[tuple[Fraction, ...]]:
     """Find x with M·x = 0 and every component >= 1, or None (see phase_one)."""
-    return phase_one(*integer_rows(m), m.cols)[0]
+    x = phase_one(*integer_rows(m), m.cols)[0]
+    return None if x is None else x.values()
 
 
 def phase_one(
     rows: IntMatrix, scales: Sequence[int], ncols: int
-) -> tuple[Optional[tuple[Fraction, ...]], Optional[tuple[int, ...]]]:
-    """``(x, None)`` with M_int·x = 0 and every component of x >= 1, or
-    ``(None, y)`` with y an integer vector such that yᵀ·M_int >= 0 and
-    yᵀ·M_int·1 > 0.  The second is Gordan's alternative to the first.
-    M_int is given by its integer ``rows`` (each ``ncols`` long) and M by
-    its positive row ``scales``: row i of M is row i of M_int over
-    scales[i] (see integer_rows).  Both have the same kernel; the scales
-    enter only the phase-one objective, which sums M's artificials.
+) -> tuple[Optional[IntegerRow], Optional[tuple[int, ...]]]:
+    """``(x, None)`` with x an IntegerRow, M_int·x = 0 and every component
+    of x >= 1, or ``(None, y)`` with y an integer vector such that
+    yᵀ·M_int >= 0 and yᵀ·M_int·1 > 0.  The second is Gordan's alternative
+    to the first.  M_int is given by its integer ``rows`` (each ``ncols``
+    long) and M by its positive row ``scales``: row i of M is row i of
+    M_int over scales[i] (see integer_rows).  Both have the same kernel; the
+    scales enter only the phase-one objective, which sums M's artificials.
 
     Kernel scale-invariance makes ``x >= 1`` equivalent to strict positivity.
     Substituting z = x - 1 >= 0 turns the search into LP feasibility
@@ -479,10 +480,8 @@ def phase_one(
     returned as a primitive integer vector.
     """
     nrows = len(rows)
-    if ncols == 0:
-        return (), None
-    if nrows == 0:
-        return (Fraction(1),) * ncols, None
+    if ncols == 0 or nrows == 0:
+        return IntegerRow((1,) * ncols), None
 
     # Row i of A is sigma_i times M_int's row, so π·A_j = (π∘sigma)·M_c.
     sums = [sum(row) for row in rows]
@@ -562,4 +561,4 @@ def phase_one(
             x[bv] = d + (b if det > 0 else -b)
     if min(x) < d or any(sum(map(mul, row, x)) for row in rows):
         raise RuntimeError("simplex witness fails M x = 0, x >= 1 (bug)")
-    return tuple(Fraction(v, d) for v in x), None
+    return IntegerRow.over(x, [d] * ncols), None

@@ -3,18 +3,20 @@
 Both formats are line-oriented `key value` records with exact integer and
 p/q rational literals; every integer and every rational is read by one
 ASCII grammar each, and every list by one list grammar, so decimals,
-underscores, non-ASCII digits and empty list entries are rejected by
-construction and on every interpreter.  An orbifold point's phi and dphi
-lists are each read by one regex match, in that grammar, into one integer
-row over one positive denominator (an IntegerRow), so reading them makes no
-Fraction; a list the match refuses goes through the entrywise reader, which
-names the error.  Fan files carry rays and maximal cones (1-based ray
-indices, optional labels); a fan parse error is about one line, and how the
-records relate is for ``validate_fan`` to judge.  Orbifold files carry the
-kernel dimension, scalar curvature (exact or `positive`), the Einstein flag
-and one `point` record per singular point.  Nothing is dropped silently: a
-scalar key given twice, a point label given twice, an unknown or repeated
-point attribute and text between point attributes are errors.
+underscores, non-ASCII digits, empty list entries and integer literals of
+more than MAX_DIGITS digits are rejected by construction and on every
+interpreter.  An orbifold point's phi and dphi lists are each read by one
+regex match, in that grammar, into one integer row over one positive
+denominator (an IntegerRow), so reading them makes no Fraction; a list the
+match refuses goes through the entrywise reader, which names the
+error.  Fan files carry rays and maximal cones (1-based ray indices,
+optional labels); a fan parse error is about one line, and how the records
+relate is for ``validate_fan`` to judge.  Orbifold files carry the complex
+dimension m (at most MAX_M), the kernel dimension, scalar curvature (exact
+or `positive`), the Einstein flag and one `point` record per singular
+point.  Nothing is dropped silently: a scalar key given twice, a point
+label given twice, an unknown or repeated point attribute and text between
+point attributes are errors.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ from typing import Optional, Sequence
 from .balancing import RICCI_FLAT, SCALAR_FLAT, SingularPointRecord
 from .exact_linalg import IntegerRow
 from .toric_lattice import Fan
+
+# The largest m of an orbifold file: its coefficients carry (m-2)!, and
+# 998! has 2,562 digits, within the interpreter's default limit of 4,300.
+MAX_M = 1000
 
 
 class ParseError(ValueError):
@@ -57,6 +63,8 @@ class OrbifoldFile:
         # file meets them, its line-numbered errors coming first.
         if self.m < 2 or self.d < 1:
             raise ValueError(f"m must be >= 2 and d >= 1, got m={self.m} and d={self.d}")
+        if self.m > MAX_M:
+            raise ValueError(f"m must be <= {MAX_M}, got m={self.m}")
         for p in self.points:  # a record's dphi has as many entries as its phi
             if len(p.phi.nums) != self.d:
                 raise ValueError(f"point {p.label}: phi needs d={self.d} entries")
@@ -67,18 +75,25 @@ class OrbifoldFile:
 
 _LIST_RE = re.compile(r"^\[(.*)\]$", re.DOTALL)
 _ATTR_RE = re.compile(r"(\w+)=(\[[^\]]*\]|\S+)")
-# The one integer literal: ASCII digits and an optional sign.  int(str)
-# would also take underscores and non-ASCII digits.
-_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
-# The one rational literal: an integer and an optional denominator.
-# Fraction(str) would also take decimals, exponents, underscores, spaces
-# around the slash and non-ASCII digits, some only on newer interpreters.
-_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# The one integer literal: at most MAX_DIGITS ASCII digits and an optional
+# sign.  int(str) would also take underscores and non-ASCII digits, and 640
+# is the lowest limit an interpreter may set on the digits it reads
+# (sys.set_int_max_str_digits), so a literal is read or refused alike on
+# every interpreter and setting.
+MAX_DIGITS = 640
+_DIGITS = rf"[0-9]{{1,{MAX_DIGITS}}}"
+_INTEGER_RE = re.compile(rf"[+-]?{_DIGITS}")
+_LONG_RE = re.compile(rf"[0-9]{{{MAX_DIGITS + 1}}}")
+# The one rational literal: an integer and an optional nonzero denominator,
+# one with a digit other than 0 after its leading zeros.  Fraction(str)
+# would also take decimals, exponents, underscores, spaces around the slash
+# and non-ASCII digits, some only on newer interpreters.
+_DENOMINATOR = rf"(?=0*[1-9]){_DIGITS}"
+_RATIONAL_RE = re.compile(rf"([+-]?{_DIGITS})(?:/({_DENOMINATOR}))?")
 # A bracketed list of rational literals, the entries grouped: no entry or
-# comma-separated entries, each a rational literal with a nonzero
-# denominator between whitespace.  \s is exactly str.isspace, which
-# str.strip strips.
-_ROW_ENTRY = r"\s*[+-]?[0-9]+(?:/0*[1-9][0-9]*)?\s*"
+# comma-separated entries, each a rational literal between whitespace.  \s
+# is exactly str.isspace, which str.strip strips.
+_ROW_ENTRY = rf"\s*[+-]?{_DIGITS}(?:/{_DENOMINATOR})?\s*"
 _ROW_RE = re.compile(rf"\[(?:({_ROW_ENTRY}(?:,{_ROW_ENTRY})*)|\s*)\]")
 
 
@@ -97,23 +112,24 @@ def _rational(text: str) -> Optional[Fraction]:
     """The exact rational a stripped literal names, or None if it is not one
     (a zero denominator included)."""
     m = _RATIONAL_RE.fullmatch(text)
-    if not m:
-        return None
-    num, den = m.groups()
-    if den is None:
-        return Fraction(int(num))
-    den = int(den)
-    return Fraction(int(num), den) if den else None
+    return Fraction(int(m.group(1)), int(m.group(2) or 1)) if m else None
 
 
 _NOUNS = {_integer: "an integer", _rational: "an exact rational"}
+
+
+def _refuse(text: str, errors: list, lineno: int, what: str, why: str) -> None:
+    """Record why text is not the literal ``what`` needs: too many digits, or ``why``."""
+    if _LONG_RE.search(text):
+        why = f"has more than {MAX_DIGITS} digits"
+    errors.append(f"line {lineno}: {what} {why}")
 
 
 def _field(literal, text: str, errors: list, lineno: int, what: str):
     """The value of one integer or rational field, or None with an error."""
     value = literal(text)
     if value is None:
-        errors.append(f"line {lineno}: {what} must be {_NOUNS[literal]}")
+        _refuse(text, errors, lineno, what, f"must be {_NOUNS[literal]}")
     return value
 
 
@@ -131,7 +147,7 @@ def _parse_list(literal, text: str, errors: list, lineno: int, what: str) -> Opt
     for t in map(str.strip, m.group(1).split(",")):
         x = literal(t)
         if x is None:
-            errors.append(f"line {lineno}: {what} entry {t!r} is not {_NOUNS[literal]}")
+            _refuse(t, errors, lineno, f"{what} entry", f"{t!r} is not {_NOUNS[literal]}")
             return None
         out.append(x)
     return out
@@ -277,6 +293,8 @@ def parse_orbifold(text: str) -> OrbifoldFile:
     for lineno, key, rest in _records(text, ("m", "d", "s", "einstein"), errors):
         if key == "m":
             value = _field(_integer, rest, errors, lineno, "m")
+            if value is not None and value > MAX_M:
+                errors.append(f"line {lineno}: m must be <= {MAX_M}")
             m = m if value is None else value
         elif key == "d":
             value = _field(_integer, rest, errors, lineno, "d")
@@ -285,7 +303,7 @@ def parse_orbifold(text: str) -> OrbifoldFile:
             s_seen = True
             s = None if rest == "positive" else _rational(rest)
             if s is None and rest != "positive":
-                errors.append(f"line {lineno}: s must be an exact rational or 'positive'")
+                _refuse(rest, errors, lineno, "s", "must be an exact rational or 'positive'")
         elif key == "einstein":
             if rest in ("yes", "true"):
                 einstein = True

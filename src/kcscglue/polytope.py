@@ -12,22 +12,20 @@ vertex against the other side's extra ray (Cox-Little-Schenck 2011, 6.1).
 The barycenter (by the Brion-Lawrence formula) and the faces are read off
 the cones: the faces by one rule on the vertex sets of the cones through
 each cone tau, which is exact whether or not the cone vertices are
-distinct.  Only the output is Fractions.
+distinct.  Every vertex and barycenter is an IntegerRow, integers over one
+positive denominator, so no Fraction is made here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 from operator import mul
 from typing import Optional, Sequence
 
-from .exact_linalg import frac
+from .exact_linalg import IntegerRow
 from .toric_lattice import Fan
-
-QVector = tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -38,7 +36,7 @@ class LatticePolytope:
 
     fan: Fan
     k: int
-    vertices: tuple[QVector, ...]
+    vertices: tuple[IntegerRow, ...]
     cone_vertex_index: tuple[int, ...]
 
     @property
@@ -46,14 +44,14 @@ class LatticePolytope:
         return self.fan.dim
 
     @property
-    def cone_vertices(self) -> tuple[tuple[str, QVector], ...]:
+    def cone_vertices(self) -> tuple[tuple[str, IntegerRow], ...]:
         """(cone label, vertex) in fan order."""
         return tuple(
             (label, self.vertices[i]) for label, i in zip(self.fan.labels, self.cone_vertex_index)
         )
 
 
-def moment_assignment(fan: Fan, k: int) -> list[tuple[str, QVector]]:
+def moment_assignment(fan: Fan, k: int) -> list[tuple[str, IntegerRow]]:
     """Cone label -> polytope vertex correspondence, in fan order."""
     return list(anticanonical_polytope(fan, k).cone_vertices)
 
@@ -64,15 +62,15 @@ def anticanonical_polytope(fan: Fan, k: int) -> LatticePolytope:
     vertex, the unique u with <u, v_i> = -k over its generators, is the
     moment image of the torus-fixed point of the cone's chart.
 
-    -K is nef iff across each wall, cone c's vertex num / p satisfies the
-    facet of the other cone's extra ray v', (<v', num> + k p) p >= 0; else
+    -K is nef iff across each wall, cone c's vertex num / p (p > 0) satisfies
+    the facet of the other cone's extra ray v', <v', num> + k p >= 0; else
     ValueError names that vertex and ray, at the first such wall of
     Fan.walls.  One side per wall suffices: the two cones' vertices differ
     by a multiple of the wall's normal, and v' and c's own extra ray lie on
     opposite sides of the wall, so the sign is the same from either side.
     The cone vertices are deduplicated and sorted as integer vectors over
     one common denominator, which orders them as the rationals they stand
-    for, and each distinct one becomes Fractions once.  The moment
+    for, and each distinct one becomes an IntegerRow once.  The moment
     correspondence is kept as ``cone_vertex_index``, and the fan with it."""
     if k < 1:
         raise ValueError("anticanonical multiple k must be >= 1")
@@ -80,23 +78,23 @@ def anticanonical_polytope(fan: Fan, k: int) -> LatticePolytope:
         raise ValueError("invalid fan: " + "; ".join(fan.validation.violations))
     solved = []
     for _, cone in fan.cones():
-        unit, p = cone.height_one
-        solved.append(([-k * x for x in unit], p))
+        unit, p = cone.height_one  # the vertex is -k·unit / p, kept over |p|
+        solved.append(([(-k if p > 0 else k) * x for x in unit], abs(p)))
     for (c, _), (c2, j2) in fan.walls.values():
         num, p = solved[c]
         ray = fan.rays[fan.max_cones[c2][j2]]
         # <ray, u> + k = (<ray, num> + k p) / p, negative iff a violation
-        if (sum(map(mul, ray, num)) + k * p) * p < 0:
-            point = ", ".join(str(Fraction(x, p)) for x in num)
+        if sum(map(mul, ray, num)) + k * p < 0:
+            point = ", ".join(IntegerRow.over(num, [p] * len(num)).strings())
             raise ValueError(f"cone vertex ({point}) violates facet of ray {ray}")
-    d = lcm(*(abs(p) for _, p in solved))
+    d = lcm(*(p for _, p in solved))
     scaled = [tuple(x * (d // p) for x in num) for num, p in solved]
     distinct = sorted(set(scaled))
     index = {v: i for i, v in enumerate(distinct)}
     return LatticePolytope(
         fan=fan,
         k=k,
-        vertices=tuple(tuple(Fraction(x, d) for x in v) for v in distinct),
+        vertices=tuple(IntegerRow.over(v, [d] * len(v)) for v in distinct),
         cone_vertex_index=tuple(index[v] for v in scaled),
     )
 
@@ -144,7 +142,7 @@ def faces(p: LatticePolytope, d: int, items: Optional[Sequence] = None) -> list[
     return [tuple(items[i] for i in f) for f in sorted({tuple(sorted(f)) for f in found.values()})]
 
 
-def polytope_barycenter(p: LatticePolytope) -> QVector:
+def polytope_barycenter(p: LatticePolytope) -> IntegerRow:
     """Exact volume-weighted centroid of a fan's polytope, by the
     Brion-Lawrence vertex-cone formula (Brion 1988, Lawrence 1991).
 
@@ -155,7 +153,8 @@ def polytope_barycenter(p: LatticePolytope) -> QVector:
     the cones.  Its degree-d term in c is the volume and the gradient of its
     degree-(d+1) term the moment: with N_i = sum_j A_ij Pi / alpha_j,
         b_i = -k/(d+1) · sum s^d ((d+1) S_i Pi - s N_i) / (p Q Pi) / sum s^d / Q.
-    Over the common denominator L^2, L = lcm |p Pi|, both sums are integers.
+    Over the common denominator L^2, L = lcm |p Pi|, both sums are integers,
+    and the volume sum is k^-d d! L^2 times the volume, so it is positive.
     """
     fan = p.fan
     d = p.dim
@@ -174,16 +173,17 @@ def polytope_barycenter(p: LatticePolytope) -> QVector:
         scale = scale if q > 0 else -scale
         for i in range(d):
             moment[i] += scale * sum(col[i] * w for col, w in zip(columns, weights))
-    return tuple(Fraction(-p.k * x, (d + 1) * volume) for x in moment)
+    return IntegerRow.over([-p.k * x for x in moment], [(d + 1) * volume] * d)
 
 
-def subset_barycenter(points: Sequence[Sequence]) -> QVector:
-    """Exact arithmetic mean of a nonempty list of points."""
+def subset_barycenter(points: Sequence[IntegerRow]) -> IntegerRow:
+    """Exact arithmetic mean of a nonempty list of points, each an
+    IntegerRow: their sum over the lcm L of their denominators, over n L."""
     if not points:
         raise ValueError("empty point list")
-    pts = [[frac(x) for x in p] for p in points]
-    dim = len(pts[0])
-    if any(len(p) != dim for p in pts):
+    dim = len(points[0].nums)
+    if any(len(p.nums) != dim for p in points):
         raise ValueError("points of mixed dimension")
-    n = len(pts)
-    return tuple(sum(p[i] for p in pts) / n for i in range(dim))
+    big_l = lcm(*(p.den for p in points))
+    sums = [sum(col) for col in zip(*([x * (big_l // p.den) for x in p.nums] for p in points))]
+    return IntegerRow.over(sums, [len(points) * big_l] * dim)

@@ -67,10 +67,6 @@ from .toric_lattice import (
 )
 
 
-def _qvec(v) -> list[str]:
-    return [str(x) for x in v]
-
-
 def _pi(x: Optional[PiRational]) -> Optional[dict[str, Any]]:
     if x is None:
         return None
@@ -114,7 +110,7 @@ def _certificate(cert: Certificate) -> dict[str, Any]:
             "columns": [j + 1 for j in cert.columns],
             "determinant": str(cert.determinant),
         }
-    return {"kind": cert.kind, "y": _qvec(cert.y)}
+    return {"kind": cert.kind, "y": list(map(str, cert.y))}
 
 
 def _balancing_dict(rep: BalancingReport) -> dict[str, Any]:
@@ -131,15 +127,15 @@ def _balancing_dict(rep: BalancingReport) -> dict[str, Any]:
     )
     keyed[matrix] = _scaled_matrix(rep.matrix)
     keyed[rank] = rep.rank
-    if rep.witness:
-        keyed[witness] = _qvec(rep.witness)
+    if rep.witness is not None:
+        keyed[witness] = rep.witness.strings()
     return {
         "regime": rep.regime,
         "d": rep.d,
         "feasible": rep.feasible,
         **keyed,
-        "joint_rank": rep.rank if rep.witness else None,
-        "witness_c": _qvec(rep.witness_c) if rep.witness_c else None,
+        "joint_rank": None if rep.witness is None else rep.rank,
+        "witness_c": None if rep.witness_c is None else rep.witness_c.strings(),
         "kernel_dim": rep.kernel_dim,
         "certificate": _certificate(rep.certificate),
         "coefficients": _coefficients(rep.coefficients),
@@ -198,12 +194,12 @@ def _polytope(run: SimpleNamespace) -> dict[str, Any]:
     poly = anticanonical_polytope(run.fan, run.k)
     run.cone_vertices = dict(poly.cone_vertices)
     # each distinct vertex is turned into strings once
-    vertices = [_qvec(v) for v in poly.vertices]
+    vertices = [v.strings() for v in poly.vertices]
     return {
         "k": run.k,
         "vertices": vertices,
         "two_faces": [list(f) for f in faces(poly, 2, vertices)],
-        "barycenter": _qvec(polytope_barycenter(poly)),
+        "barycenter": polytope_barycenter(poly).strings(),
         "moment_assignment": {
             label: vertices[i] for label, i in zip(run.fan.labels, poly.cone_vertex_index)
         },
@@ -231,9 +227,8 @@ def _fan_balancing(run: SimpleNamespace) -> dict[str, Any]:
         )
         for label, qd in su
     ]
-    run.report["su_vertex_barycenter"] = _qvec(
-        subset_barycenter([vert[label] for label, _ in su])
-    )
+    su_vertices = [vert[label] for label, _ in su]
+    run.report["su_vertex_barycenter"] = subset_barycenter(su_vertices).strings()
     bal = solve_ricci_flat_balancing(points, s=None, m=run.fan.dim)
     section = _balancing_dict(bal)
     section["notes"] = list(bal.notes) + [

@@ -338,7 +338,7 @@ def rational_list_entrywise(text: str, what: str = "phi") -> tuple[Optional[list
     ``(Fractions, [])``, or ``(None, [error])`` with the error as line 1's.
     The list must be bracketed after stripping; a blank inside is empty, and
     otherwise each comma-separated entry, stripped, must be one rational
-    literal with a nonzero denominator."""
+    literal with a nonzero denominator and no run of more than 640 digits."""
     m = re.match(r"^\[(.*)\]$", text.strip(), re.DOTALL)
     if not m:
         return None, [f"line 1: {what} must be a bracketed list, got {text!r}"]
@@ -346,6 +346,8 @@ def rational_list_entrywise(text: str, what: str = "phi") -> tuple[Optional[list
         return [], []
     values = []
     for t in map(str.strip, m.group(1).split(",")):
+        if max(map(len, re.findall("[0-9]+", t)), default=0) > 640:
+            return None, [f"line 1: {what} entry has more than 640 digits"]
         literal = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", t)
         if not literal or literal.group(2) is not None and int(literal.group(2)) == 0:
             return None, [f"line 1: {what} entry {t!r} is not an exact rational"]
@@ -521,6 +523,14 @@ class HRepPolytope:
     dim: int
 
 
+def vertex_values(p) -> list[tuple[Fraction, ...]]:
+    """The vertices of p in Fractions: a fan polytope's IntegerRows by
+    IntegerRow.values, an HRepPolytope's as they are."""
+    if isinstance(p, LatticePolytope):
+        return [v.values() for v in p.vertices]
+    return list(p.vertices)
+
+
 def inequalities(p) -> list[tuple[tuple[int, ...], Fraction]]:
     """The inequalities <u, normal> >= offset of p as (normal, offset): an
     HRepPolytope's own, or (ray, -k) over the rays of a fan polytope."""
@@ -573,8 +583,9 @@ def face_lattice_by_edge_rank(p) -> dict[frozenset[int], int]:
     vertices with <normal_i, D v> = D offset_i.  Each face is mapped to the
     integer rank of its edge rows, one elimination per face.  p is a fan
     polytope or an HRepPolytope, its facets those of inequalities(p)."""
-    d = lcm(1, *(x.denominator for v in p.vertices for x in v))
-    scaled = [tuple(x.numerator * (d // x.denominator) for x in v) for v in p.vertices]
+    vertices = vertex_values(p)
+    d = lcm(1, *(x.denominator for v in vertices for x in v))
+    scaled = [tuple(x.numerator * (d // x.denominator) for x in v) for v in vertices]
     facets = {
         frozenset(
             i
@@ -634,10 +645,11 @@ def fan_polytopes_match_oracles(monkeypatch):
         assert check_bounded(fan.dim, fan.rays)
     for p in polytopes:
         lattice = face_lattice_by_edge_rank(p)
-        assert polytope_barycenter(p) == barycenter_fraction(p, lattice)
+        vertices = vertex_values(p)
+        assert polytope_barycenter(p).values() == barycenter_fraction(p, lattice)
         for dim in range(p.dim + 1):
-            assert faces(p, dim) == sorted(
-                tuple(sorted(p.vertices[i] for i in f))
+            assert [tuple(v.values() for v in f) for f in faces(p, dim)] == sorted(
+                tuple(sorted(vertices[i] for i in f))
                 for f, fd in lattice.items()
                 if fd == dim
             )
@@ -700,7 +712,7 @@ def facet_incidence_fraction(p) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(
             i
-            for i, v in enumerate(p.vertices)
+            for i, v in enumerate(vertex_values(p))
             if sum(ni * vi for ni, vi in zip(n, v)) == o
         )
         for n, o in inequalities(p)
@@ -771,8 +783,9 @@ def barycenter_fraction(p, lattice) -> tuple[Fraction, ...]:
         raise ValueError("polytope is not full-dimensional")
     total = Fraction(0)
     acc = [Fraction(0)] * m
+    vertices = vertex_values(p)
     for simplex in pulling_triangulation(lattice, top):
-        verts = [p.vertices[i] for i in simplex]
+        verts = [vertices[i] for i in simplex]
         base = verts[0]
         edges = RationalMatrix.from_rows(
             [[v[i] - base[i] for i in range(m)] for v in verts[1:]]
@@ -898,7 +911,7 @@ def sphere_volume_oracle(m: int) -> PiRational:
     if n == 1:
         return PiRational(Fraction(2), 1)
     prev = sphere_volume_oracle(m - 1)
-    return prev * PiRational(Fraction(2, n - 1), 1)
+    return PiRational(prev.coeff * Fraction(2, n - 1), prev.pi_power + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from kcscglue.balancing import (
 from kcscglue.exact_linalg import IntegerRow, RationalMatrix, nullspace_basis, rank
 from kcscglue.examples import example_by_name
 from kcscglue.formats import parse_orbifold
-from kcscglue.report import build_report
+from kcscglue.report import _balancing_dict, build_report
 
 P1XP1 = parse_orbifold(example_by_name("p1xp1-z2").text)
 P2Z3 = parse_orbifold(example_by_name("p2-z3").text)
@@ -256,7 +256,7 @@ class TestRicciFlatBalancing:
     def test_four_point_surface(self):
         rep = solve_ricci_flat_balancing(P1XP1.points, s=None, m=2)
         assert rep.feasible
-        assert rep.witness == (1, 1, 1, 1)
+        assert rep.witness.values() == (1, 1, 1, 1)
         assert rep.rank == 2
         assert rep.kernel_dim == 2
         kernel = set(nullspace_basis(fraction_matrix(rep.matrix)))
@@ -265,7 +265,7 @@ class TestRicciFlatBalancing:
     def test_three_point_surface(self):
         rep = solve_ricci_flat_balancing(P2Z3.points, s=None, m=2)
         assert rep.feasible
-        assert rep.witness == (1, 1, 1)
+        assert rep.witness.values() == (1, 1, 1)
         assert rep.rank == 2
         assert rep.kernel_dim == 1
         assert nullspace_basis(fraction_matrix(rep.matrix)) == [(1, 1, 1)]
@@ -275,13 +275,13 @@ class TestRicciFlatBalancing:
         points = [p_point(lab, v, order=3) for lab, v in su.items()]
         rep = solve_ricci_flat_balancing(points, s=None, m=3)
         assert rep.feasible
-        assert rep.witness == (1,) * 6
+        assert rep.witness.values() == (1,) * 6
         assert rep.rank == 3
 
     def test_numeric_s_sets_witness_c(self):
         rep = solve_ricci_flat_balancing(P2Z3.points, s=Fraction(6), m=2)
         assert rep.feasible
-        assert rep.witness_c == (6, 6, 6)
+        assert rep.witness_c.values() == (6, 6, 6)
 
     def test_infeasible_when_phi_one_sided(self):
         points = [p_point("p1", (1, 0)), p_point("p2", (1, 1))]
@@ -289,13 +289,23 @@ class TestRicciFlatBalancing:
         assert not rep.feasible
         assert rep.witness is None
 
+    def test_empty_witness_is_reported(self):
+        # phi values of length d = 0: no condition, so the empty vector is a
+        # witness, and an IntegerRow is truthy even when it has no entries
+        rep = solve_ricci_flat_balancing([p_point("p1", ()), p_point("p2", ())], s=None, m=2)
+        assert rep.feasible
+        assert rep.witness == IntegerRow(())
+        section = _balancing_dict(rep)
+        assert (section["witness_b"], section["joint_rank"]) == ([], 0)
+        assert section["witness_c"] is None
+
     def test_witness_reverifies(self):
         rep = solve_ricci_flat_balancing(P1XP1.points, s=None, m=2)
         phi = RationalMatrix.from_rows(
             [[p.phi.values()[i] for p in P1XP1.points] for i in range(2)]
         )
-        assert all(v == 0 for v in mul_vector(phi, rep.witness))
-        assert min(rep.witness) >= 1
+        assert all(v == 0 for v in mul_vector(phi, rep.witness.values()))
+        assert min(rep.witness.values()) >= 1
 
 
 class TestScalarFlatBalancing:
@@ -303,7 +313,7 @@ class TestScalarFlatBalancing:
         points = [q_point("q1", (1,)), q_point("q2", (-1,))]
         rep = solve_scalar_flat_balancing(points, 2)
         assert rep.feasible
-        assert rep.witness == (1, 1)
+        assert rep.witness.values() == (1, 1)
         assert rep.rank == 1
 
     def test_single_point_infeasible(self):
@@ -314,7 +324,7 @@ class TestScalarFlatBalancing:
         points = [q_point("q1", (1,), sign=1), q_point("q2", (1,), sign=-1)]
         rep = solve_scalar_flat_balancing(points, 2)
         assert rep.feasible
-        assert rep.witness == (1, 1)
+        assert rep.witness.values() == (1, 1)
 
     def test_rank_condition_can_fail_despite_kernel(self):
         # phi identically zero: positive kernel trivially exists, rank 0 < d
@@ -398,7 +408,10 @@ class TestCertificates:
         with pytest.raises(RuntimeError, match="full_rank"):
             check_certificate(rep.matrix, None, rep.certificate)
         with pytest.raises(RuntimeError, match="full_rank"):
-            check_certificate(rep.matrix, (Fraction(1), Fraction(2)), rep.certificate)
+            check_certificate(rep.matrix, IntegerRow((1, 2)), rep.certificate)
+        # in the kernel, but its entries are 1/2, below 1
+        with pytest.raises(RuntimeError, match="full_rank"):
+            check_certificate(rep.matrix, IntegerRow((1, 1), 2), rep.certificate)
 
     def test_pinned_verdicts(self):
         one_sided = RationalMatrix.from_rows([[1, 1], [0, 1]])
@@ -412,7 +425,8 @@ def test_orbifold_examples_match_annotations(name):
     ex = example_by_name(name)
     ann = ex.annotations
     rep = solve_ricci_flat_balancing(parse_orbifold(ex.text).points, s=None, m=2)
-    assert (rep.feasible, rep.rank, rep.witness, rep.kernel_dim, rep.certificate.kind) == (
+    witness = rep.witness.values()
+    assert (rep.feasible, rep.rank, witness, rep.kernel_dim, rep.certificate.kind) == (
         ann["feasible"], ann["rank"], ann["witness_b"], ann["kernel_dim"], ann["certificate"]
     )
 
@@ -436,7 +450,7 @@ class TestLeadingCoefficients:
         ):
             base = leading_coefficients(kind, 3, 4, Fraction(2, 7), **kwargs)
             scaled = leading_coefficients(kind, 3, 4, 5 * Fraction(2, 7), **kwargs)
-            assert scaled == base * 5
+            assert scaled == PiRational(base.coeff * 5, base.pi_power)
 
     def test_magnitude_required_for_scalar_flat(self):
         with pytest.raises(ValueError):
@@ -471,7 +485,7 @@ class TestModelConstants:
     def test_radicand_homogeneous_in_b(self):
         (r1, _), _ = model_constants(m=4, b_j=1, order=6, c_gamma=2, s=1, c_j=0)
         (r5, _), _ = model_constants(m=4, b_j=5, order=6, c_gamma=2, s=1, c_j=0)
-        assert r5 == r1 * 5
+        assert r5 == PiRational(r1.coeff * 5, r1.pi_power)
 
     def test_m2_rejected(self):
         with pytest.raises(ValueError):
@@ -507,15 +521,16 @@ class TestClosedForms:
         # C = |Gamma| / (8 (m-2)(m-1)) * (2 c(Gamma) B^{2m} (m-1) |S^{2m-1}|
         #     s (1 + (m-1)^2/(m+1)) / (m |Gamma|) - c_j)
         tail = s * (1 + Fraction((m - 1) ** 2, m + 1)) / (m * order)
-        bracket = (radicand * sphere * (2 * c_gamma * (m - 1)) * tail).as_fraction() - c_j
+        assert radicand.pi_power + sphere.pi_power == 0
+        bracket = radicand.coeff * sphere.coeff * (2 * c_gamma * (m - 1)) * tail - c_j
         c_value = Fraction(order, 8 * (m - 2) * (m - 1)) * bracket
         got = model_constants(m=m, b_j=b, order=order, c_gamma=c_gamma, s=s, c_j=c_j)
         assert got == ((radicand, Fraction(1, 2 * m)), c_value)
 
 
 def test_one_integer_scaling_per_verdict(monkeypatch):
-    # build_theta scales each of the d = 2 rows once, as an IntegerRow; both
-    # solvers share M_int.
+    # build_theta scales each of the d = 2 rows once, as an IntegerRow, and
+    # both solvers share M_int; the witness and s·w are one IntegerRow each.
     calls = []
     original = IntegerRow.over
 
@@ -528,7 +543,7 @@ def test_one_integer_scaling_per_verdict(monkeypatch):
     parsed = parse_orbifold(text)
     monkeypatch.setattr(IntegerRow, "over", staticmethod(counted))
     build_report(name, text, parsed)
-    assert len(calls) == 2
+    assert len(calls) == 4
 
 
 class TestScaleInvariance:
@@ -643,5 +658,5 @@ def test_explicit_laplacian_verdict_matches_bruteforce_oracle():
         )
         outcomes.add(_outcome(rep, tuned, d))
         if rep.witness is not None:
-            assert rep.witness_c == tuple(s * b for b in rep.witness)
+            assert rep.witness_c.values() == tuple(s * b for b in rep.witness.values())
     assert outcomes == {(False, False), (False, True), (True, False), (True, True)}

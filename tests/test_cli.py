@@ -556,6 +556,28 @@ class TestReport:
             "z.report.json",
         ]
 
+    def test_batch_continues_past_an_over_long_literal(self, corpus, capsys, tmp_path):
+        # an integer literal past every interpreter's limit for reading an
+        # int is an error row, and the bundled inputs still get their reports
+        long_order = (FIXTURES / "long-order.orb").read_text()
+        (corpus / "a-long-order.orb").write_text(long_order)
+        out = tmp_path / "out"
+        assert main(["report", "--batch", str(corpus), "--out", str(out)]) == 2
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert rows[0].split(None, 2) == [
+            "a-long-order.orb", "error", "line 7: order has more than 640 digits"
+        ]
+        assert [r.split()[1] for r in rows[1:]] == ["feasible"] * len(embedded_examples())
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            Path(ex.filename).stem + ".report.json" for ex in embedded_examples()
+        )
+
+    def test_m_past_its_bound_is_a_parse_error(self, capsys):
+        assert main(["report", str(FIXTURES / "m1700-scalar-flat.orb")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 3: m must be <= 1000\n"
+
 
 class TestExamples:
     def test_listing(self, capsys):

@@ -12,6 +12,8 @@ from conftest import rational_list_entrywise
 from kcscglue.balancing import RICCI_FLAT, SCALAR_FLAT, SingularPointRecord
 from kcscglue.examples import embedded_examples, example_by_name
 from kcscglue.formats import (
+    MAX_DIGITS,
+    MAX_M,
     _rational_row,
     FanFile,
     OrbifoldFile,
@@ -282,6 +284,7 @@ def _point(label: str, phi: tuple) -> SingularPointRecord:
     [
         ({"m": 0}, "m must be >= 2 and d >= 1, got m=0 and d=2"),
         ({"m": 1}, "m must be >= 2 and d >= 1, got m=1 and d=2"),
+        ({"m": 1001}, "m must be <= 1000, got m=1001"),
         ({"d": 0}, "m must be >= 2 and d >= 1, got m=2 and d=0"),
         ({"d": 3}, "point P1: phi needs d=3 entries"),
         (
@@ -289,7 +292,7 @@ def _point(label: str, phi: tuple) -> SingularPointRecord:
             "point labels must be distinct",
         ),
     ],
-    ids=["m 0", "m 1", "d 0", "phi shorter than d", "repeated label"],
+    ids=["m 0", "m 1", "m 1001", "d 0", "phi shorter than d", "repeated label"],
 )
 def test_library_built_orbifold_file_is_held_to_the_parser_rules(fields, message):
     """What the parser refuses with a line number, a file built through the
@@ -423,7 +426,10 @@ class TestOnePassListReader:
     @pytest.mark.parametrize(
         "text",
         ["[]", "[ ]", "[\x1c]", " [1] ", "[1,,2]", "[,]", "[1,]", "[1/0]", "[1.5]", "[1_0]",
-         "[\u0663]", "[-3/6, 4/2]", "[\t+1/3\x1c,\x1c-0/7 ]", "1", "[1", "[1]]", "[[1]"],
+         "[\u0663]", "[-3/6, 4/2]", "[\t+1/3\x1c,\x1c-0/7 ]", "1", "[1", "[1]]", "[[1]",
+         # literals at and past the digit bound
+         "[-" + "9" * 640 + "/" + "0" * 639 + "7, 1]", "[1/" + "0" * 640 + "]",
+         "[2, " + "1" * 641 + "]", "[1/" + "3" * 641 + "]", "[1." + "5" * 641 + "]"],
     )
     def test_named_lists(self, text):
         self.check(text)
@@ -599,3 +605,74 @@ def test_sniff_kind():
     assert sniff_kind(example_by_name("p2-z3").text) == "orbifold"
     with pytest.raises(ParseError):
         sniff_kind("\n# only comments\n")
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+LONG = "1" * (MAX_DIGITS + 1)
+
+
+class TestInputBounds:
+    """Every integer literal has at most MAX_DIGITS = 640 digits, the lowest
+    limit an interpreter may set for reading an int, and an orbifold file's
+    m is at most MAX_M = 1000.  Past either bound the file gets a
+    line-numbered ParseError, never the interpreter's own ValueError."""
+
+    @pytest.mark.parametrize(
+        "name, error",
+        [
+            ("long-order.orb", "line 7: order has more than 640 digits"),
+            ("long-phi-entry.orb", "line 6: phi entry has more than 640 digits"),
+            ("long-k.fan", "line 3: k has more than 640 digits"),
+            ("m1700-scalar-flat.orb", "line 3: m must be <= 1000"),
+        ],
+    )
+    def test_fixtures(self, name, error):
+        parse = parse_fan if name.endswith(".fan") else parse_orbifold
+        with pytest.raises(ParseError) as err:
+            parse((FIXTURES / name).read_text())
+        assert err.value.errors == (error,)
+
+    @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+    def test_integer_literal_past_the_bound(self, field):
+        with pytest.raises(ParseError) as err:
+            _parse_integer_text(field, LONG)
+        what = f"{field} entry" if field in ("ray", "cone") else field
+        line = INTEGER_FIELDS[field][1]
+        assert err.value.errors[0] == f"line {line}: {what} has more than 640 digits"
+
+    @pytest.mark.parametrize(
+        "field, literal", _rational_cases([LONG, "-" + LONG, f"1/{LONG}", f"{LONG}/3"])
+    )
+    def test_rational_literal_past_the_bound(self, field, literal):
+        template, line = RATIONAL_FIELDS[field]
+        with pytest.raises(ParseError) as err:
+            parse_orbifold(template.format(x=literal))
+        what = f"{field} entry" if field in ("phi", "dphi") else field
+        assert list(err.value.errors) == [f"line {line}: {what} has more than 640 digits"]
+
+    def test_literals_at_the_bound_read_under_the_lowest_limit(self):
+        set_limit = getattr(sys, "set_int_max_str_digits", None)
+        if set_limit is None:
+            pytest.skip("this interpreter has no limit on reading an int")
+        nines = "9" * MAX_DIGITS
+        text = (
+            f"m 2\nd 2\ns {nines}/{nines[1:]}7\neinstein yes\n"
+            f"point P ricci_flat order={nines} phi=[-{nines}, 1/{nines}]\n"
+        )
+        old = sys.get_int_max_str_digits()
+        set_limit(MAX_DIGITS)
+        try:
+            orb = parse_orbifold(text)
+        finally:
+            set_limit(old)
+        big = 10**MAX_DIGITS - 1
+        assert orb.points[0].group_order == big
+        assert orb.points[0].phi.values() == (-big, Fraction(1, big))
+
+    def test_m_bound(self):
+        text = (FIXTURES / "m1700-scalar-flat.orb").read_text()
+        at_bound = parse_orbifold(text.replace("m 1700", f"m {MAX_M}"))
+        assert at_bound.m == MAX_M
+        with pytest.raises(ParseError) as err:
+            parse_orbifold(text.replace("m 1700", f"m {MAX_M + 1}"))
+        assert err.value.errors == ("line 3: m must be <= 1000",)

@@ -1,5 +1,7 @@
+import fractions
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
@@ -18,10 +20,11 @@ from conftest import (
     nef_violation_by_all_rays,
     polytope_from_h_rep,
     solve_cramer,
+    vertex_values,
 )
 from kcscglue import exact_linalg
 from kcscglue.examples import example_by_name
-from kcscglue.exact_linalg import integer_determinant, unimodular_inverse
+from kcscglue.exact_linalg import IntegerRow, integer_determinant, unimodular_inverse
 from kcscglue.formats import parse_fan
 from kcscglue.polytope import (
     anticanonical_polytope,
@@ -30,6 +33,7 @@ from kcscglue.polytope import (
     polytope_barycenter,
     subset_barycenter,
 )
+from kcscglue.report import build_report
 from kcscglue.toric_lattice import Fan, validate_fan
 
 X1 = parse_fan(example_by_name("x1").text)
@@ -46,7 +50,7 @@ P2_FAN = Fan(
 
 
 def ivert(p):
-    return {tuple(int(x) for x in v) for v in p.vertices}
+    return {tuple(int(x) for x in v) for v in vertex_values(p)}
 
 
 class TestAnticanonicalPolytope:
@@ -87,7 +91,7 @@ class TestAnticanonicalPolytope:
     def test_every_vertex_satisfies_every_facet(self):
         for fan, k in ((X1, 3), (X4, 5), (P2_FAN, 1)):
             p = anticanonical_polytope(fan, k)
-            for v in p.vertices:
+            for v in vertex_values(p):
                 for n in fan.rays:
                     assert sum(ni * vi for ni, vi in zip(n, v)) >= -k
 
@@ -95,7 +99,7 @@ class TestAnticanonicalPolytope:
         for fan, k in ((X1, 3), (X4, 5), (P2_FAN, 1), (P1_FAN, 2)):
             fast = anticanonical_polytope(fan, k)
             slow = polytope_from_h_rep(fan.rays, [-k] * len(fan.rays))
-            assert fast.vertices == slow.vertices
+            assert vertex_values(fast) == list(slow.vertices)
             assert list(fast.cone_vertices) == moment_assignment(fan, k)
 
 
@@ -103,7 +107,7 @@ class TestVertexForCone:
     def test_x1_correspondences(self):
         got = dict(anticanonical_polytope(X1, 3).cone_vertices)
         for label, vertex in X1_ANN["correspondences"].items():
-            assert tuple(int(x) for x in got[label]) == vertex
+            assert tuple(int(x) for x in got[label].values()) == vertex
 
     def test_x4_facet_triples(self):
         # incidences keyed by facet-ray triples, independent of cone labels
@@ -113,14 +117,14 @@ class TestVertexForCone:
             for idx, (_, v) in zip(X4.max_cones, p.cone_vertices)
         }
         for rays_1based, vertex in X4_ANN["facet_triples"]:
-            assert tuple(int(x) for x in by_rays[frozenset(rays_1based)]) == vertex
+            assert tuple(int(x) for x in by_rays[frozenset(rays_1based)].values()) == vertex
 
     def test_images_cover_vertex_set(self):
         for fan, k in ((X1, 3), (X4, 5), (P2_FAN, 1)):
             p = anticanonical_polytope(fan, k)
             images = {v for _, v in p.cone_vertices}
             assert images == set(p.vertices)
-            assert images == set(cone_vertices_by_cramer(fan, k))
+            assert {v.values() for v in images} == set(cone_vertices_by_cramer(fan, k))
 
     def test_assignment_injective(self):
         for fan, k in ((X1, 3), (X4, 5)):
@@ -131,12 +135,12 @@ class TestVertexForCone:
 class TestFaces:
     def test_x1_two_faces(self):
         p = anticanonical_polytope(X1, 3)
-        got = {frozenset(tuple(int(x) for x in v) for v in f) for f in faces(p, 2)}
+        got = {frozenset(tuple(int(x) for x in v.values()) for v in f) for f in faces(p, 2)}
         assert got == {frozenset(f) for f in X1_ANN["two_faces"]}
 
     def test_x4_two_faces(self):
         p = anticanonical_polytope(X4, 5)
-        got = {frozenset(tuple(int(x) for x in v) for v in f) for f in faces(p, 2)}
+        got = {frozenset(tuple(int(x) for x in v.values()) for v in f) for f in faces(p, 2)}
         assert got == {frozenset(f) for f in X4_ANN["two_faces"]}
 
     def test_segment_endpoints(self):
@@ -153,11 +157,11 @@ class TestFaces:
 class TestBarycenter:
     def test_x1_origin(self):
         p = anticanonical_polytope(X1, 3)
-        assert polytope_barycenter(p) == (0, 0, 0)
+        assert polytope_barycenter(p).values() == (0, 0, 0)
 
     def test_x4_origin(self):
         p = anticanonical_polytope(X4, 5)
-        assert polytope_barycenter(p) == (0, 0, 0)
+        assert polytope_barycenter(p).values() == (0, 0, 0)
 
     def test_unit_cube(self):
         # an H-representation has no cones to read a barycenter off, so
@@ -176,7 +180,7 @@ class TestBarycenter:
 
     def test_triangle(self):
         p = anticanonical_polytope(P2_FAN, 1)
-        assert polytope_barycenter(p) == (0, 0)
+        assert polytope_barycenter(p).values() == (0, 0)
 
     def test_degenerate_rejected(self):
         # a segment posing as a 2-d polytope
@@ -190,14 +194,24 @@ class TestBarycenter:
 class TestSubsetBarycenter:
     def test_x1_su_vertices(self):
         pts = [(3, 0, 0), (3, -3, -3), (0, 0, 3), (-3, 3, 3), (-3, 0, 0), (0, 0, -3)]
-        assert subset_barycenter(pts) == (0, 0, 0)
+        assert subset_barycenter([IntegerRow(v) for v in pts]).values() == (0, 0, 0)
 
     def test_x4_su_vertices(self):
         su = example_by_name("x4").annotations["correspondences"]
-        assert subset_barycenter(list(su.values())) == (0, 0, 0)
+        assert subset_barycenter([IntegerRow(v) for v in su.values()]).values() == (0, 0, 0)
 
     def test_single_point(self):
-        assert subset_barycenter([(1, 0)]) == (1, 0)
+        assert subset_barycenter([IntegerRow((1, 0))]) == IntegerRow((1, 0))
+
+    def test_mixed_denominators(self):
+        # (1, 0) and (0, 1/2) have mean (1/2, 1/4): one row over 4, reduced
+        mean = subset_barycenter([IntegerRow((1, 0)), IntegerRow((0, 1), 2)])
+        assert mean == IntegerRow((2, 1), 4)
+        assert mean.values() == (Fraction(1, 2), Fraction(1, 4))
+
+    def test_mixed_dimension_rejected(self):
+        with pytest.raises(ValueError, match="mixed dimension"):
+            subset_barycenter([IntegerRow((1, 0)), IntegerRow((1,))])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -232,7 +246,7 @@ def test_barycenter_transforms_contragrediently():
     cases = [(X1, 3), (F1_FAN, 1)]
     for base_fan, k in cases:
         m = base_fan.dim
-        base_bary = polytope_barycenter(anticanonical_polytope(base_fan, k))
+        base_bary = polytope_barycenter(anticanonical_polytope(base_fan, k)).values()
         for _ in range(5):
             u = _random_unimodular(rng, m)
             new_rays = tuple(
@@ -245,7 +259,7 @@ def test_barycenter_transforms_contragrediently():
                 max_cones=base_fan.max_cones,
                 labels=base_fan.labels,
             )
-            bary = polytope_barycenter(anticanonical_polytope(fan, k))
+            bary = polytope_barycenter(anticanonical_polytope(fan, k)).values()
             # dual coordinates transform by the inverse transpose of u
             uinv = unimodular_inverse(u)
             expected = tuple(
@@ -257,18 +271,18 @@ def test_barycenter_transforms_contragrediently():
 
 def test_f1_barycenter_nonzero():
     # guards the previous test against becoming vacuous
-    assert polytope_barycenter(anticanonical_polytope(F1_FAN, 1)) != (0, 0)
+    assert polytope_barycenter(anticanonical_polytope(F1_FAN, 1)).values() != (0, 0)
 
 
 def test_k_scaling():
     base = anticanonical_polytope(X4, 5)
     for lam in (1, 2, 3):
         scaled = anticanonical_polytope(X4, 5 * lam)
-        assert set(scaled.vertices) == {
-            tuple(lam * x for x in v) for v in base.vertices
+        assert set(vertex_values(scaled)) == {
+            tuple(lam * x for x in v) for v in vertex_values(base)
         }
-        assert polytope_barycenter(scaled) == tuple(
-            lam * x for x in polytope_barycenter(base)
+        assert polytope_barycenter(scaled).values() == tuple(
+            lam * x for x in polytope_barycenter(base).values()
         )
 
 
@@ -306,7 +320,8 @@ def _random_h_rep(rng, m):
 
 def _assert_matches_fraction_oracles(p):
     lattice = face_lattice_by_edge_rank(p)
-    top = frozenset(range(len(p.vertices)))
+    vertices = vertex_values(p)
+    top = frozenset(range(len(vertices)))
     facets = [frozenset(fv) for fv in facet_incidence_fraction(p)]
     assert {f for f in facets if f} <= set(lattice)
     oracle_dims = face_dims_by_tight_facets(p)
@@ -314,23 +329,23 @@ def _assert_matches_fraction_oracles(p):
         # a face is the intersection of the facets containing it
         assert face == top.intersection(*(f for f in facets if face <= f))
         assert dim == oracle_dims[face]
-        assert dim == affine_dim_fraction([p.vertices[i] for i in sorted(face)])
+        assert dim == affine_dim_fraction([vertices[i] for i in sorted(face)])
     if isinstance(p, HRepPolytope):
         if lattice[top] < p.dim:
             with pytest.raises(ValueError, match="not full-dimensional"):
                 barycenter_fraction(p, lattice)
         return
     for dim in range(p.dim + 1):
-        assert faces(p, dim) == sorted(
-            tuple(sorted(p.vertices[i] for i in f))
+        assert faces(p, dim, vertices) == sorted(
+            tuple(sorted(vertices[i] for i in f))
             for f, fd in oracle_dims.items()
             if fd == dim
         )
-    assert polytope_barycenter(p) == barycenter_fraction(p, oracle_dims)
+    assert polytope_barycenter(p).values() == barycenter_fraction(p, oracle_dims)
 
 
 def _denominator(p):
-    return lcm(1, *(x.denominator for v in p.vertices for x in v))
+    return lcm(1, *(x.denominator for v in vertex_values(p) for x in v))
 
 
 def test_integer_polytope_layer_matches_fraction_oracles():
@@ -345,7 +360,7 @@ def test_integer_polytope_layer_matches_fraction_oracles():
             }
             for k in range(1, 4):
                 p = anticanonical_polytope(fan, k)
-                assert p.cone_vertices == tuple(
+                assert tuple((label, v.values()) for label, v in p.cone_vertices) == tuple(
                     (label, tuple(k * x for x in unit[label])) for label in fan.labels
                 )
                 _assert_matches_fraction_oracles(p)
@@ -464,13 +479,13 @@ def test_f2_cones_share_a_vertex(k):
     still read off the 4 cones."""
     p = anticanonical_polytope(_hirzebruch(2), k)
     assert len(p.cone_vertices) == 4
-    assert p.vertices == ((-k, -k), (-k, k), (3 * k, k))
-    assert faces(p, 1) == [
+    assert vertex_values(p) == [(-k, -k), (-k, k), (3 * k, k)]
+    assert faces(p, 1, vertex_values(p)) == [
         ((-k, -k), (-k, k)), ((-k, -k), (3 * k, k)), ((-k, k), (3 * k, k)),
     ]
     assert faces(p, 0) == [(v,) for v in p.vertices]
     assert faces(p, 2) == [p.vertices]
-    assert polytope_barycenter(p) == (Fraction(k, 3), Fraction(k, 3))
+    assert polytope_barycenter(p).values() == (Fraction(k, 3), Fraction(k, 3))
 
 
 def test_faces_of_distinct_vertices_are_one_per_cone():
@@ -596,3 +611,36 @@ def test_face_lattice_matches_edge_rank_on_h_rep_polytopes(p):
     lattice = face_lattice_by_edge_rank(p)
     assert lattice == face_dims_by_tight_facets(p)
     assert lattice[frozenset(range(len(p.vertices)))] == p.dim
+
+
+@pytest.mark.parametrize("name", ["x1", "x4"])
+def test_fan_decision_path_makes_no_fraction(name):
+    """Vertices, barycenters and the balancing witness are IntegerRows: a
+    fan report makes no Fraction in its polytope stage (the polytope, its
+    faces and barycenter), and in its balancing stage (the SU vertex
+    barycenter, the balancing matrix, its solvers and certificate check)
+    only for a printed value, the coefficients and the stripped scale
+    (m-1)/m that build_theta records."""
+    example = example_by_name(name)
+    fan = parse_fan(example.text)
+    stacks = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "__new__" and code.co_filename == fractions.__file__:
+            names, caller = [], frame.f_back
+            while caller is not None:
+                names.append(caller.f_code.co_name)
+                caller = caller.f_back
+            stacks.append(names)
+
+    sys.setprofile(profile)
+    try:
+        report = build_report(name, example.text, fan)
+    finally:
+        sys.setprofile(None)
+    assert report["report"]["balancing"]["feasible"]
+    assert not [names for names in stacks if "_polytope" in names]
+    balancing = [names for names in stacks if "_fan_balancing" in names]
+    assert balancing  # the leading coefficients are Fractions
+    assert all("_point_coefficients" in names or names[0] == "build_theta" for names in balancing)

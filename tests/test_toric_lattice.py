@@ -491,7 +491,7 @@ class TestSharedSolve:
         assert validate_fan(fan).valid
         p = anticanonical_polytope(fan, k)
         assert moment_assignment(fan, k) == list(p.cone_vertices)
-        assert polytope_barycenter(p) == (0, 0, 0)
+        assert polytope_barycenter(p).values() == (0, 0, 0)
         assert faces(p, 2)
         assert all(group is not None for _, group in classified)
         assert calls == [fan.dim]
