@@ -15,7 +15,13 @@ carries a certificate that an integer checker, independent of the solver
 and with its own row scaling of the matrix's printed entries, verifies
 before the verdict is returned.  Fractions are made only for the gluing
 constants, closed forms in |Gamma|, the weights and |S^{2m-1}| =
-2 pi^m/(m-1)!, with the pi power kept as a tag.
+2 pi^m/(m-1)!, with the pi power kept as a tag; the weights reach them as
+reduced (numerator, denominator) pairs, and a scalar-flat coefficient
+still waiting for |e(Gamma)| is one such pair, with no Fraction made.  The
+records built per point or per verdict (SingularPointRecord,
+PointCoefficients, PiRational, Certificate, BalancingReport) are
+NamedTuples: immutable, compared by value, and a record that checks or
+normalises its fields does so in its own __new__.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exact_linalg import IntegerRow, frac, phase_one, rank_certificate
 
@@ -38,32 +44,22 @@ SCALAR_FLAT = "scalar_flat"
 ScalarCurvature = Optional[Fraction]
 
 
-@dataclass(frozen=True)
-class PiRational:
-    """Exact rational multiple of an integer power of pi."""
-
+class _PiRational(NamedTuple):
     coeff: Fraction
     pi_power: int = 0
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.coeff, Fraction):
-            object.__setattr__(self, "coeff", frac(self.coeff))
-        if self.pi_power != 0 and self.coeff == 0:
-            object.__setattr__(self, "pi_power", 0)
+
+class PiRational(_PiRational):
+    """Exact rational multiple of an integer power of pi (zero has power 0)."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeff, pi_power: int = 0) -> "PiRational":
+        coeff = frac(coeff)
+        return tuple.__new__(cls, (coeff, pi_power if coeff else 0))
 
 
-@dataclass(frozen=True)
-class SingularPointRecord:
-    """One singular point's model data.
-
-    phi holds the values phi_i at the point and dphi those of Lap phi_i, each
-    an IntegerRow (any sequence of rationals is converted to one).  dphi
-    None means the Einstein simplification applies (Lap phi_i = -(s/m)
-    phi_i), so only phi values are needed.  e_sign is required for
-    scalar-flat models (feasibility needs the sign only); e_magnitude and
-    c_gamma gate the optional coefficient outputs.
-    """
-
+class _SingularPoint(NamedTuple):
     label: str
     kind: str
     group_order: int
@@ -73,31 +69,55 @@ class SingularPointRecord:
     e_magnitude: Optional[Fraction] = None
     c_gamma: Optional[Fraction] = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in (RICCI_FLAT, SCALAR_FLAT):
-            raise ValueError(f"unknown point kind {self.kind!r}")
-        if self.group_order < 1:
+
+class SingularPointRecord(_SingularPoint):
+    """One singular point's model data.
+
+    phi holds the values phi_i at the point and dphi those of Lap phi_i, each
+    an IntegerRow (any sequence of rationals is converted to one).  dphi
+    None means the Einstein simplification applies (Lap phi_i = -(s/m)
+    phi_i), so only phi values are needed.  e_sign is required for
+    scalar-flat models (feasibility needs the sign only); e_magnitude and
+    c_gamma gate the optional coefficient outputs.  The constructor checks
+    and normalises the fields; ``_replace`` and ``_make`` do not.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        label: str,
+        kind: str,
+        group_order: int,
+        phi,
+        dphi=None,
+        e_sign: Optional[int] = None,
+        e_magnitude=None,
+        c_gamma=None,
+    ) -> "SingularPointRecord":
+        if kind not in (RICCI_FLAT, SCALAR_FLAT):
+            raise ValueError(f"unknown point kind {kind!r}")
+        if group_order < 1:
             raise ValueError("group order >= 1")
-        if not isinstance(self.phi, IntegerRow):
-            object.__setattr__(self, "phi", IntegerRow.of(self.phi))
-        if self.dphi is not None:
-            if not isinstance(self.dphi, IntegerRow):
-                object.__setattr__(self, "dphi", IntegerRow.of(self.dphi))
-            if len(self.dphi.nums) != len(self.phi.nums):
+        if not isinstance(phi, IntegerRow):
+            phi = IntegerRow.of(phi)
+        if dphi is not None:
+            if not isinstance(dphi, IntegerRow):
+                dphi = IntegerRow.of(dphi)
+            if len(dphi.nums) != len(phi.nums):
                 raise ValueError("laplacian values must match phi length")
-        if self.kind == SCALAR_FLAT:
-            if self.e_sign not in (1, -1):
-                raise ValueError("scalar-flat points need e_sign in {+1, -1}")
-        if self.e_magnitude is not None:
-            mag = frac(self.e_magnitude)
-            if mag <= 0:
+        if kind == SCALAR_FLAT and e_sign not in (1, -1):
+            raise ValueError("scalar-flat points need e_sign in {+1, -1}")
+        if e_magnitude is not None:
+            e_magnitude = frac(e_magnitude)
+            if e_magnitude.numerator <= 0:
                 raise ValueError("e magnitude must be positive")
-            object.__setattr__(self, "e_magnitude", mag)
-        if self.c_gamma is not None:
-            cg = frac(self.c_gamma)
-            if cg <= 0:
+        if c_gamma is not None:
+            c_gamma = frac(c_gamma)
+            if c_gamma.numerator <= 0:
                 raise ValueError("c(Gamma) must be positive")
-            object.__setattr__(self, "c_gamma", cg)
+        fields = (label, kind, group_order, phi, dphi, e_sign, e_magnitude, c_gamma)
+        return tuple.__new__(cls, fields)
 
 
 @dataclass(frozen=True)
@@ -130,8 +150,7 @@ class ScaledMatrix:
 FULL_RANK, RANK_DEFICIENT, GORDAN = "full_rank", "rank_deficient", "gordan"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Why a balancing verdict holds, stated on M_int: the balancing matrix
     at unit weights with each row scaled by the lcm of its denominators.
 
@@ -148,8 +167,25 @@ class Certificate:
     determinant: int = 0
 
 
-@dataclass(frozen=True)
-class BalancingReport:
+class PointCoefficients(NamedTuple):
+    """Leading gluing coefficients for one point (None = needs external data).
+
+    A scalar-flat point without |e(Gamma)| has ``leading`` None and
+    ``leading_pending``, |Gamma| a / (4 or 8(m-2)(m-1)) as a reduced
+    (numerator, denominator) pair: its leading value times
+    |S^{2m-1}|·|e(Gamma)|.
+    """
+
+    label: str
+    kind: str
+    leading: Optional[PiRational] = None
+    leading_pending: Optional[tuple[int, int]] = None
+    b_radicand: Optional[PiRational] = None
+    b_root_exponent: Optional[Fraction] = None
+    c_constant: Optional[Fraction] = None
+
+
+class BalancingReport(NamedTuple):
     regime: str
     d: int
     feasible: bool
@@ -158,25 +194,12 @@ class BalancingReport:
     witness: Optional[IntegerRow] = None
     witness_c: Optional[IntegerRow] = None
     certificate: Optional[Certificate] = None
-    coefficients: tuple["PointCoefficients", ...] = ()
+    coefficients: tuple[PointCoefficients, ...] = ()
     notes: tuple[str, ...] = ()
 
     @property
     def kernel_dim(self) -> int:
         return self.matrix.cols - self.rank
-
-
-@dataclass(frozen=True)
-class PointCoefficients:
-    """Leading gluing coefficients for one point (None = needs external data)."""
-
-    label: str
-    kind: str
-    leading: Optional[PiRational] = None
-    leading_note: Optional[str] = None
-    b_radicand: Optional[PiRational] = None
-    b_root_exponent: Optional[Fraction] = None
-    c_constant: Optional[Fraction] = None
 
 
 def _matrix(
@@ -356,6 +379,10 @@ def _decide(
     if r < d:
         notes.append(_RANK_NOTES[regime].format(r=r, d=d))
     coefficients = tuple(_point_coefficients(p, w, m, s) for p, w in zip(points, witness.pairs()))
+    if any(c.leading_pending for c in coefficients):
+        notes.append(
+            f"pending |e(Gamma)|: a leading value is leading_pending/(|S^{2 * m - 1}|*|e(Gamma)|)"
+        )
     return BalancingReport(
         regime=regime,
         d=d,
@@ -415,10 +442,11 @@ def leading_coefficients(
     kind: str,
     m: int,
     order: int,
-    weight,
+    weight: tuple[int, int],
     e_magnitude=None,
 ) -> PiRational:
-    """Leading value of the gluing coefficient (a_l^{2m-2} or b_j^{2m}).
+    """Leading value of the gluing coefficient (a_l^{2m-2} or b_j^{2m}) at
+    the weight given as its (numerator, denominator) pair, denominator > 0.
 
     Ricci-flat: |Gamma| b / (2(m-1)).  Scalar-flat: |Gamma| a / (4 |S^3| |e|)
     = |Gamma| a / (8 |e|) pi^-2 at m = 2, and |Gamma| a / (8(m-2)(m-1)
@@ -428,10 +456,10 @@ def leading_coefficients(
     """
     if m < 2:
         raise ValueError("m >= 2")
-    w = frac(weight)
-    num = order * w.numerator
+    w_num, w_den = weight
+    num = order * w_num
     if kind == RICCI_FLAT:
-        return PiRational(Fraction(num, 2 * (m - 1) * w.denominator))
+        return PiRational(Fraction(num, 2 * (m - 1) * w_den))
     if kind != SCALAR_FLAT:
         raise ValueError(f"unknown kind {kind!r}")
     if e_magnitude is None:
@@ -439,7 +467,7 @@ def leading_coefficients(
     mag = frac(e_magnitude)
     if mag <= 0:
         raise ValueError("|e| must be positive")
-    num, den = num * mag.denominator, w.denominator * mag.numerator
+    num, den = num * mag.denominator, w_den * mag.numerator
     if m == 2:
         return PiRational(Fraction(num, 8 * den), -2)
     return PiRational(Fraction(num * math.factorial(m - 2), 16 * (m - 2) * den), -m)
@@ -482,31 +510,18 @@ def _point_coefficients(
     """One point's coefficients at its witness weight, a reduced (numerator,
     denominator) pair made a Fraction only where a printed value needs it;
     with a numeric s, c_j is s times the weight."""
-    num, den = weight
-    if point.kind == RICCI_FLAT:
-        b = Fraction(num, den)
-        leading = leading_coefficients(RICCI_FLAT, m, point.group_order, b)
+    label, kind, order = point.label, point.kind, point.group_order
+    if kind == RICCI_FLAT:
+        leading = leading_coefficients(RICCI_FLAT, m, order, weight)
         if point.c_gamma is None or m < 3 or s is None:
-            return PointCoefficients(label=point.label, kind=point.kind, leading=leading)
-        (b_rad, b_exp), c_const = model_constants(m, b, point.group_order, point.c_gamma, s, s * b)
-        return PointCoefficients(
-            label=point.label,
-            kind=point.kind,
-            leading=leading,
-            b_radicand=b_rad,
-            b_root_exponent=b_exp,
-            c_constant=c_const,
-        )
+            return PointCoefficients(label, kind, leading)
+        b = Fraction(*weight)
+        (b_rad, b_exp), c_const = model_constants(m, b, order, point.c_gamma, s, s * b)
+        return PointCoefficients(label, kind, leading, None, b_rad, b_exp, c_const)
     if point.e_magnitude is not None:
-        leading = leading_coefficients(
-            SCALAR_FLAT, m, point.group_order, Fraction(num, den), point.e_magnitude
+        return PointCoefficients(
+            label, kind, leading_coefficients(SCALAR_FLAT, m, order, weight, point.e_magnitude)
         )
-        return PointCoefficients(label=point.label, kind=point.kind, leading=leading)
-    return PointCoefficients(
-        label=point.label,
-        kind=point.kind,
-        leading=None,
-        leading_note="pending |e(Gamma)|: leading value is "
-        f"{Fraction(point.group_order * num, den)}/"
-        f"({4 if m == 2 else 8 * (m - 2) * (m - 1)}*|S^{2*m-1}|*|e|)",
-    )
+    num, den = order * weight[0], (4 if m == 2 else 8 * (m - 2) * (m - 1)) * weight[1]
+    g = math.gcd(num, den)
+    return PointCoefficients(label, kind, None, (num // g, den // g))

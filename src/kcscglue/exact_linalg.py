@@ -121,6 +121,27 @@ class IntegerRow(NamedTuple):
         return tuple(Fraction(n, self.den) for n in self.nums)
 
 
+# str(int) refuses an int of more digits than sys.get_int_max_str_digits(),
+# 4,300 by default and at least 640 when set (0 sets no limit); decimal()
+# writes such an int in chunks of 600 digits.
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def decimal(n: int) -> str:
+    """str(n) for an int of any size, whatever the interpreter's limit."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    if n < 0:
+        return "-" + decimal(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, r = divmod(n, _CHUNK)
+        chunks.append(f"{r:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
 def pair_strings(pairs: Iterable[tuple[int, int]]) -> list[str]:
     """Reduced (numerator, denominator) pairs as str(Fraction) writes them."""
     return [f"{n}/{q}" if q != 1 else str(n) for n, q in pairs]

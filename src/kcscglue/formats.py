@@ -16,7 +16,10 @@ dimension m (at most MAX_M), the kernel dimension, scalar curvature (exact
 or `positive`), the Einstein flag and one `point` record per singular
 point.  Nothing is dropped silently: a scalar key given twice, a point
 label given twice, an unknown or repeated point attribute and text between
-point attributes are errors.
+point attributes are errors.  An orbifold file is an OrbifoldFile, a
+NamedTuple whose constructor holds a library-built file to the parser's
+rules; each point is built positionally as a SingularPointRecord, a
+NamedTuple too.
 """
 
 from __future__ import annotations
@@ -24,14 +27,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .balancing import RICCI_FLAT, SCALAR_FLAT, SingularPointRecord
 from .exact_linalg import IntegerRow
 from .toric_lattice import Fan
 
-# The largest m of an orbifold file: its coefficients carry (m-2)!, and
-# 998! has 2,562 digits, within the interpreter's default limit of 4,300.
+# The largest m of an orbifold file: its coefficients carry (m-2)!, whose
+# cost grows faster than m (998! has 2,562 digits; at m = 1000003 the
+# factorial alone runs for seconds).
 MAX_M = 1000
 
 
@@ -50,27 +54,40 @@ class FanFile(Fan):
     k: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class OrbifoldFile:
+class _OrbifoldFields(NamedTuple):
     m: int
     d: int
     s: Optional[Fraction]  # None = positive, known by sign only
     einstein: bool
     points: tuple[SingularPointRecord, ...]
 
-    def __post_init__(self) -> None:
+
+class OrbifoldFile(_OrbifoldFields):
+    """An orbifold file: m, d, s, the Einstein flag and the points."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        m: int,
+        d: int,
+        s: Optional[Fraction],
+        einstein: bool,
+        points: tuple[SingularPointRecord, ...],
+    ) -> "OrbifoldFile":
         # The parser's rules, for a file built through the library; a parsed
         # file meets them, its line-numbered errors coming first.
-        if self.m < 2 or self.d < 1:
-            raise ValueError(f"m must be >= 2 and d >= 1, got m={self.m} and d={self.d}")
-        if self.m > MAX_M:
-            raise ValueError(f"m must be <= {MAX_M}, got m={self.m}")
-        for p in self.points:  # a record's dphi has as many entries as its phi
-            if len(p.phi.nums) != self.d:
-                raise ValueError(f"point {p.label}: phi needs d={self.d} entries")
-        labels = [p.label for p in self.points]
-        if len(set(labels)) != len(labels):
+        if m < 2 or d < 1:
+            raise ValueError(f"m must be >= 2 and d >= 1, got m={m} and d={d}")
+        if m > MAX_M:
+            raise ValueError(f"m must be <= {MAX_M}, got m={m}")
+        for p in points:  # a record's dphi has as many entries as its phi
+            if len(p.phi.nums) != d:
+                raise ValueError(f"point {p.label}: phi needs d={d} entries")
+        labels = {p.label for p in points}
+        if len(labels) != len(points):
             raise ValueError("point labels must be distinct")
+        return tuple.__new__(cls, (m, d, s, einstein, points))
 
 
 _LIST_RE = re.compile(r"^\[(.*)\]$", re.DOTALL)
@@ -402,22 +419,13 @@ def parse_orbifold(text: str) -> OrbifoldFile:
                 continue
         try:
             points.append(
-                SingularPointRecord(
-                    label=label,
-                    kind=kind,
-                    group_order=order,
-                    phi=phi,
-                    dphi=dphi,
-                    e_sign=e_sign,
-                    e_magnitude=e_mag,
-                    c_gamma=c_gamma,
-                )
+                SingularPointRecord(label, kind, order, phi, dphi, e_sign, e_mag, c_gamma)
             )
         except ValueError as exc:
             errors.append(f"line {lineno}: {exc}")
     if errors:
         raise ParseError(errors)
-    return OrbifoldFile(m=m, d=d, s=s, einstein=einstein, points=tuple(points))
+    return OrbifoldFile(m, d, s, einstein, tuple(points))
 
 
 def sniff_kind(text: str) -> str:

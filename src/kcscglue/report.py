@@ -16,7 +16,12 @@ their sections through ``render_sections``.
 The JSON comes from a small recursive writer, with one join per list of
 strings; its bytes are those of ``json.dumps(report, sort_keys=True,
 indent=2)``, which would run json's pure-Python indenting encoder.  A float
-is never a report value, and the writer rejects one.
+is never a report value, and the writer rejects one.  A report prints each
+orbifold datum once: a point row has no phi (the input text and the
+balancing matrix hold it), and a coefficient waiting for |e(Gamma)| is one
+exact value, its divisor named once in the section's notes.  Coefficients
+are written by ``exact_linalg.decimal``, which the interpreter's limit on
+the digits of str(int) does not bound.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .balancing import (
     solve_ricci_flat_balancing,
     solve_scalar_flat_balancing,
 )
-from .exact_linalg import pair_strings
+from .exact_linalg import decimal, pair_strings
 from .formats import FanFile, OrbifoldFile
 from .polytope import (
     anticanonical_polytope,
@@ -67,10 +72,17 @@ from .toric_lattice import (
 )
 
 
+def _exact(num: int, den: int = 1) -> str:
+    """num/den in lowest terms, den > 0, as str(Fraction) writes it, for
+    ints of any size: a coefficient can have more digits than str(int)
+    writes."""
+    return decimal(num) if den == 1 else f"{decimal(num)}/{decimal(den)}"
+
+
 def _pi(x: Optional[PiRational]) -> Optional[dict[str, Any]]:
     if x is None:
         return None
-    return {"coeff": str(x.coeff), "pi_power": x.pi_power}
+    return {"coeff": _exact(x.coeff.numerator, x.coeff.denominator), "pi_power": x.pi_power}
 
 
 def _scaled_matrix(sm: Optional[ScaledMatrix]) -> Optional[dict[str, Any]]:
@@ -91,13 +103,13 @@ def _coefficients(coeffs: tuple[PointCoefficients, ...]) -> list[dict[str, Any]]
             "kind": c.kind,
             "leading": _pi(c.leading),
         }
-        if c.leading_note:
-            entry["leading_note"] = c.leading_note
+        if c.leading_pending is not None:
+            entry["leading_pending"] = _exact(*c.leading_pending)
         if c.b_radicand is not None:
             entry["b_radicand"] = _pi(c.b_radicand)
             entry["b_root_exponent"] = str(c.b_root_exponent)
         if c.c_constant is not None:
-            entry["c_constant"] = str(c.c_constant)
+            entry["c_constant"] = _exact(c.c_constant.numerator, c.c_constant.denominator)
         out.append(entry)
     return out
 
@@ -267,7 +279,6 @@ def _points(run: SimpleNamespace) -> list[dict[str, Any]]:
             "kind": p.kind,
             "classification": SU if p.kind == RICCI_FLAT else U_NON_SU,
             "order": p.group_order,
-            "phi": p.phi.strings(),
         }
         for p in run.orb.points
     ]
@@ -516,11 +527,8 @@ def _polytope_text(poly: dict[str, Any], body: dict[str, Any]) -> list[str]:
 
 
 def _points_text(points: list[dict[str, Any]], body: dict[str, Any]) -> list[str]:
-    rows = [
-        [e["label"], str(e["order"]), e["classification"], e["kind"], _vec(e["phi"])]
-        for e in points
-    ]
-    return [render_table(rows, ["point", "|G|", "class", "kind", "phi"])]
+    rows = [[e["label"], str(e["order"]), e["classification"], e["kind"]] for e in points]
+    return [render_table(rows, ["point", "|G|", "class", "kind"])]
 
 
 def _why(cert: dict[str, Any]) -> str:
@@ -539,7 +547,7 @@ def _coefficient_row(c: dict[str, Any]) -> list[str]:
     come together) of one entry."""
     lead, b = c["leading"], c.get("b_radicand")
     if lead is None:
-        leading = c.get("leading_note", "-")
+        leading = f"pending: {c['leading_pending']}" if "leading_pending" in c else "-"
     else:
         leading = lead["coeff"] + (f"*pi^{lead['pi_power']}" if lead["pi_power"] else "")
     constants = (

@@ -660,14 +660,15 @@ def balancing_kernel_dims_match_nullspace(monkeypatch):
     """After the test: every balancing report it built with a matrix has
     kernel_dim == len(nullspace_basis(matrix)) (weighting the columns by a
     witness keeps the kernel dimension)."""
-    init = BalancingReport.__init__
+    new = BalancingReport.__new__
     reports = []
 
-    def recording_init(rep, *args, init=init, **kwargs):
-        init(rep, *args, **kwargs)
+    def recording_new(cls, *args, new=new, **kwargs):
+        rep = new(cls, *args, **kwargs)
         reports.append(rep)
+        return rep
 
-    monkeypatch.setattr(BalancingReport, "__init__", recording_init)
+    monkeypatch.setattr(BalancingReport, "__new__", recording_new)
     yield
     for rep in reports:
         if rep.matrix is not None:

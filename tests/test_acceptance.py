@@ -263,13 +263,13 @@ def test_criterion_6_biharmonic():
 
 def test_criterion_7_coefficients():
     with _Timer("criterion 7: gluing coefficients", 1.0):
-        assert leading_coefficients(RICCI_FLAT, 3, 3, 1) == PiRational(Fraction(3, 4))
+        assert leading_coefficients(RICCI_FLAT, 3, 3, (1, 1)) == PiRational(Fraction(3, 4))
         for m in (2, 3, 4):
-            for order, weight in ((2, 1), (5, Fraction(2, 3))):
+            for order, weight in ((2, (1, 1)), (5, (2, 3))):
                 lead = leading_coefficients(RICCI_FLAT, m, order, weight)
                 assert lead.pi_power == 0
-                assert lead.coeff == Fraction(order) * weight / (2 * (m - 1))
-        lead = leading_coefficients(SCALAR_FLAT, 2, 2, 1, e_magnitude=1)
+                assert lead.coeff == Fraction(order) * Fraction(*weight) / (2 * (m - 1))
+        lead = leading_coefficients(SCALAR_FLAT, 2, 2, (1, 1), e_magnitude=1)
         assert lead == PiRational(Fraction(1, 4), -2)
         # radicand of the model root is degree-one homogeneous in b
         (r1, e1), _ = model_constants(m=3, b_j=1, order=3, c_gamma=1, s=1, c_j=0)

@@ -1,8 +1,8 @@
 import fractions
 import math
 import random
+import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,8 +30,10 @@ from kcscglue.balancing import (
     RANK_DEFICIENT,
     RICCI_FLAT,
     SCALAR_FLAT,
+    BalancingReport,
     Certificate,
     PiRational,
+    PointCoefficients,
     SingularPointRecord,
     build_theta,
     build_xi,
@@ -68,6 +70,103 @@ def p_point(label, phi, order=2):
         group_order=order,
         phi=tuple(Fraction(x) for x in phi),
     )
+
+
+def _records():
+    """One instance of each balancing record, and a field of it to assign."""
+    rep = solve_scalar_flat_balancing([q_point("Q1", [1, 0]), q_point("Q2", [-1, 0])], m=3)
+    return [
+        (PiRational(Fraction(3, 4), -2), "coeff"),
+        (P1XP1.points[0], "phi"),
+        (rep.coefficients[0], "leading_pending"),
+        (rep.certificate, "kind"),
+        (rep, "feasible"),
+    ]
+
+
+class TestRecords:
+    """The records are NamedTuples: immutable, compared by value, and their
+    constructors check and normalise their fields."""
+
+    @pytest.mark.parametrize("record, field", _records(), ids=lambda x: type(x).__name__)
+    def test_fields_cannot_be_assigned(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1  # no instance dict either
+
+    @pytest.mark.parametrize("record, field", _records(), ids=lambda x: type(x).__name__)
+    def test_equal_by_value(self, record, field):
+        copy = type(record)(*record)
+        assert copy == record and copy is not record and hash(copy) == hash(record)
+        assert record._replace(**{field: None}) != record
+
+    def test_rebuilt_reports_are_equal(self):
+        rebuilt = parse_orbifold(example_by_name("p1xp1-z2").text).points
+        assert solve_ricci_flat_balancing(rebuilt, None, 2) == solve_ricci_flat_balancing(
+            P1XP1.points, None, 2
+        )
+
+    def test_pi_rational_normalises(self):
+        assert PiRational(3) == PiRational(Fraction(3), 0)
+        assert type(PiRational("3/4").coeff) is Fraction
+        assert PiRational(0, -3) == PiRational(Fraction(0), 0)
+        assert PiRational(Fraction(1, 2), -3).pi_power == -3
+
+    def test_point_normalises(self):
+        point = SingularPointRecord("Q", SCALAR_FLAT, 2, (Fraction(1, 2), 3), None, -1, 2, "1/3")
+        assert point.phi == IntegerRow((1, 6), 2)
+        assert (point.e_magnitude, point.c_gamma) == (Fraction(2), Fraction(1, 3))
+        assert type(point.e_magnitude) is Fraction
+        assert point == SingularPointRecord(
+            label="Q",
+            kind=SCALAR_FLAT,
+            group_order=2,
+            phi=IntegerRow((1, 6), 2),
+            e_sign=-1,
+            e_magnitude=Fraction(2),
+            c_gamma=Fraction(1, 3),
+        )
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"kind": "flat"}, "unknown point kind 'flat'"),
+            ({"group_order": 0}, "group order >= 1"),
+            ({"e_sign": None}, "scalar-flat points need e_sign in {+1, -1}"),
+            ({"e_sign": 0}, "scalar-flat points need e_sign in {+1, -1}"),
+            ({"e_magnitude": 0}, "e magnitude must be positive"),
+            ({"e_magnitude": Fraction(-1, 2)}, "e magnitude must be positive"),
+            ({"c_gamma": 0}, "c(Gamma) must be positive"),
+            ({"c_gamma": "-3"}, "c(Gamma) must be positive"),
+            ({"dphi": (1,)}, "laplacian values must match phi length"),
+            ({"dphi": (1, 2, 3)}, "laplacian values must match phi length"),
+        ],
+        ids=[
+            "kind", "order", "no e_sign", "e_sign 0", "e_mag 0", "e_mag negative",
+            "c_gamma 0", "c_gamma negative", "dphi short", "dphi long",
+        ],
+    )
+    def test_point_rules(self, fields, message):
+        base = {
+            "label": "Q",
+            "kind": SCALAR_FLAT,
+            "group_order": 2,
+            "phi": (1, 0),
+            "e_sign": 1,
+        }
+        SingularPointRecord(**base)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SingularPointRecord(**{**base, **fields})
+
+    def test_ricci_flat_point_needs_no_sign(self):
+        assert SingularPointRecord("P", RICCI_FLAT, 3, (1,)).e_sign is None
+
+    def test_defaults(self):
+        assert Certificate(GORDAN) == Certificate(GORDAN, (), (), 0)
+        assert PointCoefficients("P", RICCI_FLAT) == ("P", RICCI_FLAT, None, None, None, None, None)
+        rep = BalancingReport(RICCI_FLAT, 0, False)
+        assert (rep.matrix, rep.coefficients, rep.notes) == (None, (), ())
 
 
 class TestSphereVolume:
@@ -333,6 +432,32 @@ class TestScalarFlatBalancing:
         assert not rep.feasible
         assert rep.rank == 0
 
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_pending_coefficient_is_one_exact_value(self, m):
+        """Without |e(Gamma)| a point's coefficient is |Gamma| a / (4 or
+        8(m-2)(m-1)) in lowest terms, the divisor |S^{2m-1}|·|e| named once
+        in the notes; a point with |e| has its leading value instead."""
+        points = [
+            q_point("q1", (2,), order=3),
+            q_point("q2", (-3,), order=4),
+            q_point("q3", (-1,), order=6, mag=Fraction(1, 2)),
+        ]
+        rep = solve_scalar_flat_balancing(points, m)
+        factor = 4 if m == 2 else 8 * (m - 2) * (m - 1)
+        for p, c, a in zip(points[:2], rep.coefficients, rep.witness.values()):
+            value = p.group_order * a / factor
+            assert (c.leading, c.leading_pending) == (None, (value.numerator, value.denominator))
+        third = rep.coefficients[2]
+        assert third.leading_pending is None and third.leading is not None
+        note = f"pending |e(Gamma)|: a leading value is leading_pending/(|S^{2 * m - 1}|*|e(Gamma)|)"
+        assert rep.notes.count(note) == 1
+
+    def test_no_pending_note_when_every_magnitude_is_known(self):
+        points = [q_point("q1", (1,), mag=1), q_point("q2", (-1,), mag=2)]
+        rep = solve_scalar_flat_balancing(points, 3)
+        assert not any(c.leading_pending for c in rep.coefficients)
+        assert not any("pending" in note for note in rep.notes)
+
 
 # The certificate kind of each class of orbifold_shaped_matrix.
 VERDICTS = {"balanced": FULL_RANK, "hyperplane": RANK_DEFICIENT, "halfspace": GORDAN}
@@ -359,14 +484,14 @@ def corrupted(cert: Certificate, m: RationalMatrix) -> list[Certificate]:
     that yᵀ·M_int changes)."""
     if cert.kind == FULL_RANK:
         return [
-            replace(cert, determinant=cert.determinant + 1),
-            replace(cert, columns=cert.columns[:-1]),
+            cert._replace(determinant=cert.determinant + 1),
+            cert._replace(columns=cert.columns[:-1]),
         ]
     rows = integer_rows(m)
     k = next((k for k, v in enumerate(cert.y) if v and any(rows[k])), None)
     if k is None:
         return []
-    return [replace(cert, y=tuple(-v if i == k else v for i, v in enumerate(cert.y)))]
+    return [cert._replace(y=tuple(-v if i == k else v for i, v in enumerate(cert.y)))]
 
 
 class TestCertificates:
@@ -433,28 +558,28 @@ def test_orbifold_examples_match_annotations(name):
 
 class TestLeadingCoefficients:
     def test_ricci_flat_spot_value(self):
-        lead = leading_coefficients(RICCI_FLAT, m=3, order=3, weight=1)
+        lead = leading_coefficients(RICCI_FLAT, m=3, order=3, weight=(1, 1))
         assert lead == PiRational(Fraction(3, 4))
 
     def test_scalar_flat_m2(self):
-        lead = leading_coefficients(SCALAR_FLAT, m=2, order=2, weight=1, e_magnitude=1)
+        lead = leading_coefficients(SCALAR_FLAT, m=2, order=2, weight=(1, 1), e_magnitude=1)
         assert lead == PiRational(Fraction(1, 4), -2)  # 1/(4 pi^2)
 
     def test_zero_weight(self):
-        assert leading_coefficients(RICCI_FLAT, m=4, order=5, weight=0).coeff == 0
+        assert leading_coefficients(RICCI_FLAT, m=4, order=5, weight=(0, 1)).coeff == 0
 
     def test_homogeneous_in_weight(self):
         for kind, kwargs in (
             (RICCI_FLAT, {}),
             (SCALAR_FLAT, {"e_magnitude": Fraction(3, 2)}),
         ):
-            base = leading_coefficients(kind, 3, 4, Fraction(2, 7), **kwargs)
-            scaled = leading_coefficients(kind, 3, 4, 5 * Fraction(2, 7), **kwargs)
+            base = leading_coefficients(kind, 3, 4, (2, 7), **kwargs)
+            scaled = leading_coefficients(kind, 3, 4, (10, 7), **kwargs)
             assert scaled == PiRational(base.coeff * 5, base.pi_power)
 
     def test_magnitude_required_for_scalar_flat(self):
         with pytest.raises(ValueError):
-            leading_coefficients(SCALAR_FLAT, 3, 2, 1)
+            leading_coefficients(SCALAR_FLAT, 3, 2, (1, 1))
 
 
 class TestModelConstants:
@@ -503,12 +628,13 @@ class TestClosedForms:
     @given(st.integers(2, 8), st.integers(1, 60), POSITIVE, POSITIVE)
     def test_leading_coefficients(self, m, order, weight, mag):
         sphere = sphere_volume_oracle(m)
+        pair = weight.numerator, weight.denominator
         ricci_flat = Fraction(order) * weight / (2 * (m - 1))
-        assert leading_coefficients(RICCI_FLAT, m, order, weight) == PiRational(ricci_flat)
+        assert leading_coefficients(RICCI_FLAT, m, order, pair) == PiRational(ricci_flat)
         # |Gamma| a / (4 |S^3| |e|) at m = 2, else / (8 (m-2)(m-1) |S^{2m-1}| |e|)
         factor = 4 if m == 2 else 8 * (m - 2) * (m - 1)
         scalar_flat = PiRational(order * weight / (factor * mag * sphere.coeff), -sphere.pi_power)
-        assert leading_coefficients(SCALAR_FLAT, m, order, weight, mag) == scalar_flat
+        assert leading_coefficients(SCALAR_FLAT, m, order, pair, mag) == scalar_flat
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(st.integers(3, 8), st.integers(1, 60), POSITIVE, POSITIVE, RATIONALS, RATIONALS)

@@ -22,6 +22,7 @@ from conftest import (
     solve_cramer,
 )
 from kcscglue.exact_linalg import (
+    decimal,
     RationalMatrix,
     integer_determinant,
     integer_rank,
@@ -445,3 +446,21 @@ def orbifold_matrices(draw):
 @given(orbifold_matrices())
 def test_solvers_equal_their_oracles_on_orbifold_shaped_matrices(m):
     assert_solvers_equal_their_oracles(m)
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_decimal_writes_every_int(limit):
+    """decimal(n) is str(n) for an int of any size, under any limit the
+    interpreter sets on str(int), the chunk boundaries included."""
+    values = [0, 7, -7, 10**599, 10**600 - 1, 10**600, -(10**600), 10**1200 + 5]
+    values += [3**k * s for k in (1000, 5000, 12000) for s in (1, -1)]
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        written = [decimal(n) for n in values]
+    finally:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert written == [str(n) for n in values]
+    finally:
+        sys.set_int_max_str_digits(default)

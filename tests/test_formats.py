@@ -309,6 +309,20 @@ def test_library_built_orbifold_file_is_held_to_the_parser_rules(fields, message
         OrbifoldFile(**{**base, **fields})
 
 
+def test_orbifold_file_is_an_immutable_value():
+    """OrbifoldFile is a NamedTuple: its fields cannot be assigned, and two
+    parses of one text are equal."""
+    text = example_by_name("p2-z3").text
+    orb = parse_orbifold(text)
+    with pytest.raises(AttributeError):
+        orb.m = 3
+    with pytest.raises(AttributeError):
+        orb.extra = 1
+    assert parse_orbifold(text) == orb and parse_orbifold(text) is not orb
+    assert OrbifoldFile(*orb) == orb
+    assert orb._replace(einstein=not orb.einstein) != orb
+
+
 class TestRationalGrammar:
     """One ASCII grammar, [+-]?[0-9]+(/[0-9]+)?, for s, phi, dphi, e_mag and
     c_gamma, so a file gets the same verdict on every interpreter: Python's
