@@ -12,7 +12,9 @@ share vertices), each
 balancing outcome of both regimes (the three that fail, one per kind of
 certificate, are read from ``tests/fixtures``), the gluing constants at
 m = 4 (Ricci-flat model constants B_j and C_j, scalar-flat leading
-coefficients, also read from there), point labels outside ASCII (escaped as
+coefficients, also read from there), a leading coefficient of more digits
+than str(int) writes by default (m = 1000, also read from there), point
+labels outside ASCII (escaped as
 ``\\u`` sequences, an astral one as a surrogate pair), and reports that
 stop early: fans whose polytope stage records an error (no k, -K not nef)
 and invalid fans, one of them a fan whose cone labels repeat and one a fan
@@ -50,8 +52,9 @@ INPUTS = {ex.filename: ex.text for ex in embedded_examples()}
 # fail, a fan whose cone labels repeat, a fan whose charts are Z/2 + Z/2,
 # x4.fan in another lattice basis, and two m = 4 files whose gluing
 # constants take the m >= 3 branches (model constants, scalar-flat leading),
-# two fans whose -K is nef but not ample, and a fan with a ray of the wrong
-# length.
+# two fans whose -K is nef but not ample, a fan with a ray of the wrong
+# length, and an m = 1000 file whose leading coefficient has more digits
+# than str(int) writes by default.
 INPUTS.update(
     (name, (FIXTURES / name).read_text())
     for name in (
@@ -66,6 +69,7 @@ INPUTS.update(
         "f2-nef.fan",
         "f2xp1-nef.fan",
         "ray-wrong-length.fan",
+        "m1000-long-coefficient.orb",
     )
 )
 INPUTS.update(
@@ -167,24 +171,25 @@ DIGESTS = {
     "alternating-octants.fan": "b808ed4cee2bfc26d14e13cba23244f4292c1ed5d902128fc5069517e39f3722",
     "p1-4-missing-alternate.fan": "b29cdac2998911c4a361ef1665d40477369ea33ef5f847ca5adc45567877f9c2",
     "cyclic-r7.fan": "f55c4cfdb5048b3ca133d7b9f1b1595e6f29c7f83b07b968556373945f3b65c7",
-    "einstein-no-witness.orb": "86a1ce11bc5158e3a1eee21ea33ce5cd2373838df19bf57b801e07f7313ee2fa",
-    "m4-ricci-flat-constants.orb": "3f78e16343a89d1ecc2e56162bceec4dc9f5a27af187433e99bc08436d39c851",
-    "m4-scalar-flat-leading.orb": "9f57230143221461d195490b8091d165d5cfc4d26585850569b907b0243d43fe",
+    "einstein-no-witness.orb": "045b7adeaf1324a71f6116daedb1e35d3344d71d84e694ca2f94fb53fda169ec",
+    "m4-ricci-flat-constants.orb": "d736140b4b995651de382fc5b50501f7126160537d1dae99bdae3ca220cbc18c",
+    "m1000-long-coefficient.orb": "65de55b8d8c2e229ae0a88021da0068706b9a13a601c88964d007216bc14edf7",
+    "m4-scalar-flat-leading.orb": "7f8f340c06f8e50704cf2a96d3ec68af34760a8e5c593053f09da2649530c2b2",
     "incomplete-p2.fan": "8a29b514dbbb45d64539be417da0e6962da14530f3733ffcbadacb857d114536",
     "f2-nef.fan": "f8023d70d3ed491cda9310535423daf744bf74c4de75b1bedf4abf9ad6ab3930",
     "f2xp1-nef.fan": "d951fb4fdde17d72fcdf687a792fa353f842ce288c4eb957b284068aa274005b",
     "f3-not-nef.fan": "cdf154f5620213c7ed4bcf88f7cd9a1e41b2e3d4bb8cab840f50929c6891092f",
-    "explicit-laplacian.orb": "917d8e38ceb6e53907ba75bcd401871db1d76b84825dca3cb164bdb18b8cb812",
-    "non-ascii-label.orb": "c7b42218741c367467509b605d92059b087085e2e1c83aa6f9329f790f29baf0",
-    "numeric-s.orb": "9609dca14f1d45dbeae10304d72ba81121fef5f1788dc9d89de6c12582365157",
+    "explicit-laplacian.orb": "0d837cf972fe33a854c577daf7753171b8c114b82df41ec9d1c35d27741ec7a2",
+    "non-ascii-label.orb": "db6f6e6f64af8afef0d4ca47581ab7f2c7cfa9086ce66a897e8933e44cf80ade",
+    "numeric-s.orb": "bd9d5bfaad309703d1fa22d97ec80b3675c1a35439b7ec2c9cb2f5044144b876",
     "overlapping-p2.fan": "bb686cd62ca6d1f04344c77ef3691e96d549870cf73e5f77f9cb837ef6bdd8d4",
-    "p1xp1-z2.orb": "a5fb042d192a36278d8508a54702055d934dc483ac596d61273a0cdc7a35a129",
+    "p1xp1-z2.orb": "ac2647cedec88d3a6d1e61093356c61c35b0d4bb8a177ce91dda9eccc7eb28b2",
     "p2-no-k.fan": "a318b6734f521e9932c3cf02435fad59f9910fd25b2914efdadcd96e496c4e71",
     "p2-unused-ray.fan": "778a2cb90e29b677a12088e112c7217631357b4bc624e78755d01b9f29110b30",
-    "p2-z3.orb": "00ea455d1335478c175303e805648af688704c8787a00f4aa5615e721ff1d534",
+    "p2-z3.orb": "c1a062b5b6b465d42b33098aa8c553e992f6abb688dd5a811eef3a8a2629f230",
     "ray-wrong-length.fan": "c740bf95d745f8b4737d537383962ba6fe748f6ad1d5c091402398db50b42d25",
-    "scalar-flat-no-witness.orb": "7477bf84f58dd9b3f2829d012493c59b1eff783e5cf08fa368d1a7fe4328bdfc",
-    "scalar-flat-rank-deficient.orb": "4a0f3941151ab31a517586c173ed0ae54ef05c962d72975882d668888298ae50",
+    "scalar-flat-no-witness.orb": "6a94cde7f337c37a98bac3d0714830368ba2cd7a32bcd1947562d012b23c05ff",
+    "scalar-flat-rank-deficient.orb": "77c41ec1c7d99cab25bd4bf29ebbe249a850309273fab06bedc5ca60de567763",
     "sheared-product-r3.fan": "51f6d03838f7d6ae00c946adcb7b97b76c34cf45c4b1cb587bb407462397b66c",
     "three-generator-cone.fan": "b35df61ecaa78603c98c52c3bd94205d7e388889384e90bf8cf3d7bcb012c4f6",
     "x1.fan": "c086d662652589383b5864f137337616ddd1608c7b5e1dda35cf06ac986511b5",
