@@ -115,7 +115,12 @@ class IntegerRow(NamedTuple):
 
     def strings(self) -> list[str]:
         """Each entry as str(Fraction) writes it."""
-        return list(map(str, self.nums)) if self.den == 1 else pair_strings(self.pairs())
+        if self.den != 1:
+            return pair_strings(self.pairs())
+        try:
+            return list(map(str, self.nums))
+        except ValueError:  # an entry past the interpreter's str(int) limit
+            return list(map(decimal, self.nums))
 
     def values(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self.den) for n in self.nums)
@@ -123,7 +128,8 @@ class IntegerRow(NamedTuple):
 
 # str(int) refuses an int of more digits than sys.get_int_max_str_digits(),
 # 4,300 by default and at least 640 when set (0 sets no limit); decimal()
-# writes such an int in chunks of 600 digits.
+# writes such an int in chunks of 600 digits.  The report's number strings
+# go through it, the row writers only once str() has refused an entry.
 _CHUNK_DIGITS = 600
 _CHUNK = 10**_CHUNK_DIGITS
 
@@ -142,9 +148,12 @@ def decimal(n: int) -> str:
     return "".join(reversed(chunks))
 
 
-def pair_strings(pairs: Iterable[tuple[int, int]]) -> list[str]:
+def pair_strings(pairs: Sequence[tuple[int, int]]) -> list[str]:
     """Reduced (numerator, denominator) pairs as str(Fraction) writes them."""
-    return [f"{n}/{q}" if q != 1 else str(n) for n, q in pairs]
+    try:
+        return [f"{n}/{q}" if q != 1 else str(n) for n, q in pairs]
+    except ValueError:  # past the interpreter's str(int) limit: the slow writer
+        return [f"{decimal(n)}/{decimal(q)}" if q != 1 else decimal(n) for n, q in pairs]
 
 
 def integer_rows(m: RationalMatrix) -> tuple[list[list[int]], list[int]]:

@@ -120,9 +120,9 @@ def _certificate(cert: Certificate) -> dict[str, Any]:
         return {
             "kind": cert.kind,
             "columns": [j + 1 for j in cert.columns],
-            "determinant": str(cert.determinant),
+            "determinant": decimal(cert.determinant),
         }
-    return {"kind": cert.kind, "y": list(map(str, cert.y))}
+    return {"kind": cert.kind, "y": list(map(decimal, cert.y))}
 
 
 def _balancing_dict(rep: BalancingReport) -> dict[str, Any]:

@@ -1,11 +1,13 @@
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from kcscglue.balancing import solve_scalar_flat_balancing
 from kcscglue.cli import SECTIONS, main
 from kcscglue.examples import embedded_examples, example_by_name
 from kcscglue.formats import FanFile, OrbifoldFile, ParseError, parse_fan, parse_orbifold
@@ -606,6 +608,36 @@ class TestReport:
             assert coeff == {"coeff": str(expected), "pi_power": -1000}
         finally:
             sys.set_int_max_str_digits(default)
+
+    def test_witness_past_the_int_digit_limit_is_printed(self, tmp_path, capsys):
+        # four scalar-flat points in d = 3 whose orders and phi entries have
+        # 640 digits: M_int's rows are scaled by lcms of thousands of
+        # digits, so the witness and the certificate's determinant have more
+        # digits than str(int) writes by default
+        rng = random.Random(5)
+        lines = ["m 3", "d 3", "s positive", "einstein no"]
+        for i, signs in enumerate(([1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1])):
+            big = [rng.randrange(10**639, 10**640) for _ in range(7)]
+            phi = ", ".join(f"{x * big[k]}/{big[k + 3]}" if x else "0" for k, x in enumerate(signs))
+            lines.append(f"point q{i} scalar_flat order={big[6]} phi=[{phi}] e_sign=+")
+        path = tmp_path / "long-witness.orb"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["report", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "Exceeds the limit" not in captured.out
+        body = json.loads(captured.out)["report"]
+        orb = parse_orbifold(path.read_text())
+        rep = solve_scalar_flat_balancing(orb.points, orb.m)
+        default = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert body["balancing"]["witness_a"] == [str(x) for x in rep.witness.values()]
+            assert body["balancing"]["certificate"]["determinant"] == str(
+                rep.certificate.determinant
+            )
+        finally:
+            sys.set_int_max_str_digits(default)
+        assert max(map(len, body["balancing"]["witness_a"])) > 4300
 
 
 class TestExamples:
