@@ -20,8 +20,9 @@ is never a report value, and the writer rejects one.  A report prints each
 orbifold datum once: a point row has no phi (the input text and the
 balancing matrix hold it), and a coefficient waiting for |e(Gamma)| is one
 exact value, its divisor named once in the section's notes.  Coefficients
-are written by ``exact_linalg.decimal``, which the interpreter's limit on
-the digits of str(int) does not bound.
+and certificates are written by ``exact_linalg.decimal``, which the
+interpreter's limit on the digits of str(int) does not bound, and so are
+witnesses and matrix entries once str() refuses one.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from .toric_lattice import (
 )
 
 
-def _exact(num: int, den: int = 1) -> str:
+def _exact(num: int, den: int) -> str:
     """num/den in lowest terms, den > 0, as str(Fraction) writes it, for
     ints of any size: a coefficient can have more digits than str(int)
     writes."""

@@ -49,10 +49,6 @@ CASES = int(os.environ.get("KCSCGLUE_FUZZ_CASES", "200"))
 INTERPRETER_LIMIT_MESSAGE = "Exceeds the limit"
 
 
-def _pieces(line: str) -> list[str]:
-    return _PIECES.split(line)
-
-
 @st.composite
 def mutated(draw):
     """(name, mutated text) of one corpus file after one to four edits."""
@@ -77,7 +73,7 @@ def mutated(draw):
         elif edit == "rewrite line":
             lines[i] = draw(st.sampled_from(LINES))
         else:
-            pieces = _pieces(lines[i])
+            pieces = _PIECES.split(lines[i])
             j = draw(st.integers(0, len(pieces) - 1))
             if edit == "drop token":
                 del pieces[j]
